@@ -57,26 +57,52 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """dest -> argparse action, for the flags of subcommand ``command``."""
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subparsers.choices[command]._actions}
+
+
+def _from_file(parser: argparse.ArgumentParser, action, key: str, raw: str):
+    """Convert a config-file string as argparse converts the flag's value.
+
+    A value that does not convert is a usage error (exit 2).
+    """
+    if action is not None and action.nargs == 0:  # store_true switch
+        word = raw.lower()
+        if word in ("1", "true", "yes"):
+            return True
+        if word in ("0", "false", "no"):
+            return False
+        parser.error(f"config value {key} = {raw!r} is not a boolean")
+    convert = action.type if action is not None and action.type else str
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError):
+        parser.error(f"config value {key} = {raw!r} is not a valid "
+                     f"{convert.__name__}")
+    if action is not None and action.choices and value not in action.choices:
+        parser.error(f"config value {key} = {raw!r} is not one of "
+                     f"{', '.join(action.choices)}")
+    return value
+
+
+def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser,
+             defaults: dict) -> dict:
     """Merge CLI flags over config-file values over defaults."""
     file_values = {}
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
+    actions = _flag_actions(parser, args.command)
     resolved = {}
     for key, default in defaults.items():
         cli_value = getattr(args, key, None)
         if cli_value is not None:
             resolved[key] = cli_value
         elif key in file_values:
-            raw = file_values[key]
-            if isinstance(default, bool):
-                resolved[key] = raw.strip().lower() in ("1", "true", "yes")
-            elif isinstance(default, int):
-                resolved[key] = int(raw)
-            elif isinstance(default, float):
-                resolved[key] = float(raw)
-            else:
-                resolved[key] = raw
+            resolved[key] = _from_file(parser, actions.get(key), key,
+                                       file_values[key])
         else:
             resolved[key] = default
     return resolved
@@ -172,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_fbm(args, parser) -> int:
-    cfg = _resolve(args, {
+    cfg = _resolve(args, parser, {
         "hurst": 0.75, "steps": 64, "tau": None, "modes": 1, "seed": 0,
         "method": "circulant", "out_dir": "runs", "tag": None,
     })
@@ -212,7 +238,7 @@ def _cmd_gen_fbm(args, parser) -> int:
 
 
 def _cmd_solve(args, parser) -> int:
-    cfg = _resolve(args, {
+    cfg = _resolve(args, parser, {
         "preset": "she-trace", "modes": 64, "steps": 256, "horizon": 1.0,
         "hurst": 0.75, "seed": 0, "method": "circulant",
         "zero_noise": False, "zero_nonlinearity": False,
@@ -270,7 +296,7 @@ def _cmd_solve(args, parser) -> int:
 
 
 def _cmd_converge(args, parser) -> int:
-    cfg = _resolve(args, {
+    cfg = _resolve(args, parser, {
         "axis": None, "preset": None, "paper_scale": False, "samples": None,
         "seed": 0, "method": "circulant", "workers": None,
         "out_dir": "runs", "tag": None,
@@ -405,7 +431,7 @@ _SUITES = {
 
 
 def _cmd_verify(args, parser) -> int:
-    cfg = _resolve(args, {
+    cfg = _resolve(args, parser, {
         "suite": "all", "samples": None, "seed": 0, "workers": None,
         "out_dir": "runs", "tag": None,
     })

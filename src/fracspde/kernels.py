@@ -1,12 +1,15 @@
 """Hot inner loops: implicit Euler sweeps and discrete convolution sums.
 
 The time-stepping loop has a hard sequential dependence, so per-step
-overhead dominates in pure numpy once the mode count is small. The
-kernels below are numba-jitted when numba is importable; setting the
+overhead dominates in pure numpy once the mode count is small. The two
+Euler kernels are numba-jitted when numba is importable; setting the
 environment variable FRACSPDE_DISABLE_NUMBA to a truthy value forces the
 pure-numpy path. ``BACKEND`` reports the active choice, and the
-``py_*`` aliases always point at the uncompiled implementations so
-benchmarks/bench_kernels.py can compare the two.
+``py_euler_*`` aliases always point at the uncompiled implementations.
+
+The stochastic convolution has no such dependence: ``convolution_endpoint``
+is plain numpy, a contraction over fixed blocks of rows that adds the
+terms in the same left-to-right order as the step-by-step sum.
 
 Nonlinearity codes: F_ZERO, F_SCALED (u -> scale*u in coefficients) and
 F_SIN (collocation sin on the interior sine grid, via the dense
@@ -69,28 +72,39 @@ def _euler_trajectory(x0, step_factor, tau, dw_scaled, f_kind, f_scale,
     return out
 
 
-def _convolution_endpoint(lam, dw_scaled, tau, upto):
+# Rows of the convolution contracted at once: at 16 modes the (rows, N)
+# temporaries stay under 1 MiB.
+_CONV_BLOCK_ROWS = 4096
+
+
+def convolution_endpoint(lam, dw_scaled, tau, upto):
     """Left-endpoint discrete stochastic convolution at t = upto*tau.
 
     Coefficient n accumulates sum_{j<upto} exp(-lam_n*(t - j*tau)) * dW_{n,j},
-    with dw_scaled shaped (m_steps, n_modes).
+    with dw_scaled shaped (m_steps, n_modes). Each block of rows is formed
+    as one (rows, N) array; the running sum is folded into its first row
+    and the rows are added strictly in order (``cumsum`` keeps that order
+    where ``sum`` switches to pairwise summation for one mode), so the
+    result equals the step-by-step sum bit for bit at any block size.
     """
     acc = np.zeros(lam.shape[0])
     t = upto * tau
-    for j in range(upto):
-        acc += np.exp(-lam * (t - j * tau)) * dw_scaled[j]
+    for j0 in range(0, upto, _CONV_BLOCK_ROWS):
+        j1 = min(j0 + _CONV_BLOCK_ROWS, upto)
+        lags = t - np.arange(j0, j1) * tau
+        prod = np.exp(-lam * lags[:, None]) * dw_scaled[j0:j1]
+        prod[0] += acc
+        acc = np.cumsum(prod, axis=0)[-1]
     return acc
 
 
 py_euler_endpoint = _euler_endpoint
 py_euler_trajectory = _euler_trajectory
-py_convolution_endpoint = _convolution_endpoint
 
 if _numba_disabled():
     BACKEND = "numpy"
     euler_endpoint = _euler_endpoint
     euler_trajectory = _euler_trajectory
-    convolution_endpoint = _convolution_endpoint
 else:
     try:
         from numba import njit
@@ -98,12 +112,10 @@ else:
         BACKEND = "numpy"
         euler_endpoint = _euler_endpoint
         euler_trajectory = _euler_trajectory
-        convolution_endpoint = _convolution_endpoint
     else:
         BACKEND = "numba"
         euler_endpoint = njit(cache=True)(_euler_endpoint)
         euler_trajectory = njit(cache=True)(_euler_trajectory)
-        convolution_endpoint = njit(cache=True)(_convolution_endpoint)
 
 _EMPTY_MAT = np.zeros((0, 0))
 

@@ -249,8 +249,9 @@ def stochastic_convolution(op: SpectralOperator, noise: DiagonalNoiseOperator,
                            t_index: int) -> SpectralState:
     """Discrete left-endpoint approximation of int_0^t E(t-s) Phi dW^H(s).
 
-    Evaluated at t = t_index * tau on the sample's grid; consumed by the
-    regularity estimators.
+    Evaluated at t = t_index * tau on the sample's grid, through the same
+    kernel as linear_mild_reference. No production path calls it; the
+    tests use it to check the kernel at intermediate times.
     """
     grid = noise_sample.grid
     if not 0 <= t_index <= grid.m_steps:

@@ -220,26 +220,54 @@ def toeplitz_bilinear(gamma: np.ndarray, u: np.ndarray,
     return float(u @ _toeplitz_matvec(gamma, v))
 
 
-def _resolvent_weights(r: np.ndarray, m: int) -> np.ndarray:
-    """Weights w[n, i] = r_n^{m-i}, i = 0..m-1 (noise response of the scheme)."""
-    return r[:, None] ** np.arange(m, 0, -1)[None, :]
+def _toeplitz_quadratic_form(gamma: np.ndarray):
+    """The map d -> d^T Gamma d, Gamma_{ij} = gamma[|i-j|], one rfft per call.
+
+    Gamma is the leading block of the symmetric circulant whose first row
+    is (gamma, 0, gamma reversed without gamma[0]) (Dietrich & Newsam
+    1997). The circulant's eigenvalues are the real rfft of that row, so
+    d^T Gamma d = sum_k s_k |D_k|^2 / (2m) with D the FFT of d padded to
+    2m; on the rfft half every k other than 0 and m counts twice.
+    """
+    m = gamma.size
+    first_row = np.concatenate([gamma, [0.0], gamma[-1:0:-1]])
+    weights = np.fft.rfft(first_row).real / (2 * m)
+    weights[1:m] *= 2.0
+
+    def form(d: np.ndarray) -> float:
+        spec = np.fft.rfft(d, 2 * m)
+        return float(weights @ (spec.real**2 + spec.imag**2))
+
+    return form
+
+
+def _linear_response(config: SolverConfig):
+    """(lambda, phi, xi, Toeplitz form) of the F = 0 scheme on config's grid.
+
+    Every endpoint statistic of the linear scheme is a quadratic form in
+    the grid's increments, whose covariance the returned form applies.
+    """
+    n = config.n_modes
+    gamma = config.tau ** (2.0 * config.hurst.h) * _fgn_covariance_seq(
+        config.m_steps - 1, config.hurst
+    )
+    return (config.operator.eigenvalues[:n], config.noise.amplitudes[:n],
+            config.initial.coeffs[:n], _toeplitz_quadratic_form(gamma))
+
+
+def _resolvent_weights(r: float, m: int) -> np.ndarray:
+    """Weights r^{m-i}, i = 0..m-1: one mode's noise response after m steps."""
+    return r ** np.arange(m, 0, -1)
 
 
 def linear_endpoint_moments(config: SolverConfig):
     """Exact per-mode (mean, variance) of the F = 0 scheme endpoint."""
-    n = config.n_modes
-    lam = config.operator.eigenvalues[:n]
-    phi = config.noise.amplitudes[:n]
+    lam, phi, xi, form = _linear_response(config)
+    m = config.m_steps
     r = 1.0 / (1.0 + config.tau * lam)
-    means = r**config.m_steps * config.initial.coeffs[:n]
-    gamma = config.tau ** (2.0 * config.hurst.h) * _fgn_covariance_seq(
-        config.m_steps - 1, config.hurst
-    )
-    weights = _resolvent_weights(r, config.m_steps)
-    variances = np.array(
-        [phi[i] ** 2 * toeplitz_bilinear(gamma, weights[i], weights[i])
-         for i in range(n)]
-    )
+    means = r**m * xi
+    variances = np.array([phi[i] ** 2 * form(_resolvent_weights(r[i], m))
+                          for i in range(lam.size)])
     return means, variances
 
 
@@ -262,6 +290,33 @@ def expected_spatial_rms_errors(template: SolverConfig,
     return np.array([np.sqrt(np.sum(second[n:])) for n in ladder])
 
 
+def _coarse_rms_errors(template: SolverConfig, ladder: list,
+                       reference) -> np.ndarray:
+    """Exact RMS errors of coarse scheme runs against a linear reference.
+
+    The ladder run at step ratio q weights fine increment j of a mode by
+    r_c^{M - (j // q)} and its initial coefficient by r_c^M;
+    ``reference(lambda_n)`` returns the reference's (increment weights,
+    initial weight) for one mode. Each error is a Toeplitz quadratic form
+    in the weight difference, summed over modes.
+    """
+    lam, phi, xi, form = _linear_response(template)
+    m_fine = template.m_steps
+    for m in ladder:
+        if m_fine % m:
+            raise ValueError(f"ladder step count {m} does not divide "
+                             f"{m_fine}")
+    err2 = np.zeros(len(ladder))
+    for i in range(lam.size):
+        w_ref, decay_ref = reference(lam[i])
+        for k, m in enumerate(ladder):
+            q = m_fine // m
+            r_c = 1.0 / (1.0 + (template.tau * q) * lam[i])
+            d = phi[i] * (w_ref - np.repeat(_resolvent_weights(r_c, m), q))
+            err2[k] += form(d) + ((decay_ref - r_c**m) * xi[i]) ** 2
+    return np.sqrt(err2)
+
+
 def expected_temporal_rms_errors(template: SolverConfig,
                                  ladder: list) -> np.ndarray:
     """Exact coupled-noise temporal errors ||X_{M} - X_{M_ref}|| for F = 0.
@@ -271,32 +326,13 @@ def expected_temporal_rms_errors(template: SolverConfig,
     ladder run at step ratio q weights it by r_c^{M - (j // q)}. The
     error is then a Toeplitz quadratic form in the weight difference.
     """
-    n = template.n_modes
     m_ref = template.m_steps
-    lam = template.operator.eigenvalues[:n]
-    phi = template.noise.amplitudes[:n]
-    xi = template.initial.coeffs[:n]
-    tau_f = template.tau
-    r_fine = 1.0 / (1.0 + tau_f * lam)
-    w_fine = _resolvent_weights(r_fine, m_ref)
-    gamma = tau_f ** (2.0 * template.hurst.h) * _fgn_covariance_seq(
-        m_ref - 1, template.hurst
-    )
-    errors = []
-    for m in ladder:
-        if m_ref % m:
-            raise ValueError(f"ladder step count {m} does not divide {m_ref}")
-        q = m_ref // m
-        r_c = 1.0 / (1.0 + (tau_f * q) * lam)
-        coarse_pow = r_c[:, None] ** (m - np.arange(m))[None, :]
-        w_coarse = np.repeat(coarse_pow, q, axis=1)
-        mean_diff = (r_fine**m_ref - r_c**m) * xi
-        err2 = 0.0
-        for i in range(n):
-            d = phi[i] * (w_fine[i] - w_coarse[i])
-            err2 += toeplitz_bilinear(gamma, d, d) + mean_diff[i] ** 2
-        errors.append(np.sqrt(err2))
-    return np.array(errors)
+
+    def reference(lam_n):
+        r_fine = 1.0 / (1.0 + template.tau * lam_n)
+        return _resolvent_weights(r_fine, m_ref), r_fine**m_ref
+
+    return _coarse_rms_errors(template, ladder, reference)
 
 
 def expected_mild_rms_errors(template: SolverConfig,
@@ -309,63 +345,34 @@ def expected_mild_rms_errors(template: SolverConfig,
     increments, the mild side weighting increment j by
     exp(-lambda (T - j tau_f)).
     """
-    n = template.n_modes
-    m_fine = template.m_steps
-    lam = template.operator.eigenvalues[:n]
-    phi = template.noise.amplitudes[:n]
-    xi = template.initial.coeffs[:n]
-    tau_f = template.tau
     t_end = template.horizon
-    j_idx = np.arange(m_fine)
-    w_mild = np.exp(-lam[:, None] * (t_end - j_idx[None, :] * tau_f))
-    gamma = tau_f ** (2.0 * template.hurst.h) * _fgn_covariance_seq(
-        m_fine - 1, template.hurst
-    )
-    errors = []
-    for m in ladder:
-        if m_fine % m:
-            raise ValueError(f"ladder step count {m} does not divide {m_fine}")
-        q = m_fine // m
-        r_c = 1.0 / (1.0 + (tau_f * q) * lam)
-        coarse_pow = r_c[:, None] ** (m - np.arange(m))[None, :]
-        w_coarse = np.repeat(coarse_pow, q, axis=1)
-        mean_diff = (np.exp(-lam * t_end) - r_c**m) * xi
-        err2 = 0.0
-        for i in range(n):
-            d = phi[i] * (w_mild[i] - w_coarse[i])
-            err2 += toeplitz_bilinear(gamma, d, d) + mean_diff[i] ** 2
-        errors.append(np.sqrt(err2))
-    return np.array(errors)
+    lags = t_end - np.arange(template.m_steps) * template.tau
+
+    def reference(lam_n):
+        return np.exp(-lam_n * lags), np.exp(-lam_n * t_end)
+
+    return _coarse_rms_errors(template, ladder, reference)
 
 
 def expected_increment_rms(config: SolverConfig, lag_steps: list,
                            delta: float) -> np.ndarray:
     """Exact L^2(Omega; V_delta) norm of X(T) - X(T - L*tau), F = 0."""
-    n = config.n_modes
+    lam, phi, xi, form = _linear_response(config)
     m = config.m_steps
-    lam = config.operator.eigenvalues[:n]
-    phi = config.noise.amplitudes[:n]
-    xi = config.initial.coeffs[:n]
-    r = 1.0 / (1.0 + config.tau * lam)
-    gamma = config.tau ** (2.0 * config.hurst.h) * _fgn_covariance_seq(
-        m - 1, config.hurst
-    )
-    w_end = _resolvent_weights(r, m)
-    out = []
     for lag in lag_steps:
         if not 1 <= lag < m:
             raise ValueError(f"lag {lag} out of range [1, {m})")
-        w_lag = np.zeros((n, m))
-        w_lag[:, : m - lag] = _resolvent_weights(r, m - lag)
-        mean_diff = (r**m - r ** (m - lag)) * xi
-        total = 0.0
-        for i in range(n):
-            d = phi[i] * (w_end[i] - w_lag[i])
-            total += lam[i] ** delta * (
-                toeplitz_bilinear(gamma, d, d) + mean_diff[i] ** 2
-            )
-        out.append(np.sqrt(total))
-    return np.array(out)
+    r = 1.0 / (1.0 + config.tau * lam)
+    total = np.zeros(len(lag_steps))
+    for i in range(lam.size):
+        w_end = _resolvent_weights(r[i], m)
+        for k, lag in enumerate(lag_steps):
+            w_lag = np.zeros(m)
+            w_lag[: m - lag] = _resolvent_weights(r[i], m - lag)
+            d = phi[i] * (w_end - w_lag)
+            mean_diff = (r[i] ** m - r[i] ** (m - lag)) * xi[i]
+            total[k] += lam[i] ** delta * (form(d) + mean_diff**2)
+    return np.sqrt(total)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracspde import fbm, kernels, solver, spectral
+from fracspde import fbm, solver, spectral
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -30,5 +30,4 @@ def warm_kernels():
         ),
         noise,
     )
-    kernels.convolution_endpoint(np.ones(3), np.zeros((4, 3)), 0.25, 4)
     yield

@@ -192,3 +192,50 @@ class TestConfigFile:
         cfg.write_text("steps 4\n")
         assert run_cli(["gen-fbm", "--config", cfg, "--out-dir",
                         tmp_path]) == 1
+
+    # Flags whose default is None: their file values must still be
+    # converted with the flag's type, not left as strings.
+    def test_file_float_without_default(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tau = 0.1\nsteps = 4\n")
+        assert run_cli(["gen-fbm", "--config", cfg, "--out-dir", tmp_path,
+                        "--tag", "t"]) == 0
+        manifest = json.loads(
+            (tmp_path / "gen-fbm_t_manifest.json").read_text()
+        )
+        assert manifest["config"]["tau"] == 0.1
+
+    def test_file_samples_for_converge(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 3\n")
+        assert run_cli(["converge", "--axis", "space", "--preset",
+                        "she-identity", "--config", cfg, "--workers", 1,
+                        "--out-dir", tmp_path, "--tag", "s"]) == 0
+        manifest = json.loads(
+            (tmp_path / "converge_s_manifest.json").read_text()
+        )
+        assert manifest["config"]["samples"] == 3
+
+    def test_file_workers_and_samples_for_verify(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\nsamples = 2\n")
+        code = run_cli(["verify", "--suite", "regularity", "--config", cfg,
+                        "--out-dir", tmp_path, "--tag", "v"])
+        # with two samples the statistical verdict may fail (exit 1), but
+        # the suite must run and write its report
+        assert code in (0, 1)
+        assert (tmp_path / "verify_regularity_v.json").exists()
+        manifest = json.loads(
+            (tmp_path / "verify_v_manifest.json").read_text()
+        )
+        assert manifest["config"]["workers"] == 2
+        assert manifest["config"]["samples"] == 2
+
+    def test_unconvertible_file_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = three\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["converge", "--axis", "space", "--preset",
+                     "she-identity", "--config", cfg, "--out-dir", tmp_path])
+        assert err.value.code == 2
+        assert "samples = 'three'" in capsys.readouterr().err

@@ -1,4 +1,6 @@
-"""Backend kernels: active (numba or numpy) path vs pure-python path."""
+"""Backend kernels: the Euler sweeps' active (numba or numpy) path vs
+their pure-python path, and the blocked convolution vs the step-by-step
+sum it must reproduce bit for bit."""
 
 import math
 import os
@@ -56,9 +58,37 @@ def test_trajectory_paths_agree(f_kind):
                                rtol=1e-13)
 
 
-def test_convolution_paths_agree():
-    lam = (np.pi * np.arange(1, 9)) ** 2
-    dw = RNG.standard_normal((128, 8))
-    fast = kernels.convolution_endpoint(lam, dw, 1.0 / 128, 100)
-    slow = kernels.py_convolution_endpoint(lam, dw, 1.0 / 128, 100)
-    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
+def sequential_convolution(lam, dw, tau, upto):
+    """The convolution sum accumulated one step at a time, left to right."""
+    acc = np.zeros(lam.shape[0])
+    t = upto * tau
+    for j in range(upto):
+        acc += np.exp(-lam * (t - j * tau)) * dw[j]
+    return acc
+
+
+def convolution_cases():
+    block = kernels._CONV_BLOCK_ROWS
+    uptos = (0, 1, block - 1, block, block + 1, 5 * block // 2)
+    for n_modes in (1, 3, 16):
+        lam = (np.pi * np.arange(1, n_modes + 1)) ** 2
+        dw = RNG.standard_normal((uptos[-1], n_modes)) * 1e-2
+        for upto in uptos:
+            yield lam, dw, 1.0 / uptos[-1], upto
+
+
+def test_convolution_matches_sequential_loop():
+    for lam, dw, tau, upto in convolution_cases():
+        out = kernels.convolution_endpoint(lam, dw, tau, upto)
+        expected = sequential_convolution(lam, dw, tau, upto)
+        assert np.array_equal(out, expected), (lam.size, upto)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000, 100000])
+def test_convolution_block_size_invariant(block, monkeypatch):
+    cases = list(convolution_cases())
+    monkeypatch.setattr(kernels, "_CONV_BLOCK_ROWS", block)
+    for lam, dw, tau, upto in cases:
+        out = kernels.convolution_endpoint(lam, dw, tau, upto)
+        expected = sequential_convolution(lam, dw, tau, upto)
+        assert np.array_equal(out, expected), (lam.size, upto)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracspde.experiments import she_problem
 from fracspde.fbm import (
     HurstParameter,
     IncrementGrid,
@@ -29,6 +30,7 @@ from fracspde.verify import (
     estimate_space_regularity,
     estimate_time_regularity,
     expected_increment_rms,
+    expected_mild_rms_errors,
     expected_sobolev_rms,
     expected_spatial_rms_errors,
     expected_temporal_rms_errors,
@@ -267,6 +269,122 @@ class TestLinearOracles:
         expected = math.sqrt(np.sum(lam * (r**16 * cfg.initial.coeffs) ** 2))
         assert expected_sobolev_rms(cfg, 1.0) == pytest.approx(expected,
                                                                rel=1e-12)
+
+
+class TestOraclesAgainstToeplitzBilinear:
+    """Every F = 0 oracle, summed again with toeplitz_bilinear.
+
+    The oracles evaluate their quadratic forms with one shared FFT form;
+    these references spell each sum out mode by mode. Both presets: the
+    trace-class one has a zero-amplitude first mode.
+    """
+
+    PRESETS = ("she-trace", "she-identity")
+    RTOL = 1e-12
+
+    @staticmethod
+    def parts(preset, m_steps=48):
+        cfg = she_problem(preset, n_modes=6, m_steps=m_steps, base_seed=5,
+                          with_nonlinearity=False)
+        n = cfg.n_modes
+        gamma = increment_covariance_matrix(cfg.grid(), cfg.hurst)[0]
+        return (cfg, cfg.operator.eigenvalues[:n], cfg.noise.amplitudes[:n],
+                cfg.initial.coeffs[:n], gamma)
+
+    @staticmethod
+    def coarse_errors(cfg, lam, phi, xi, gamma, ladder, w_ref, decay_ref):
+        m_fine = cfg.m_steps
+        out = []
+        for m in ladder:
+            q = m_fine // m
+            err2 = 0.0
+            for i in range(lam.size):
+                r_c = 1.0 / (1.0 + cfg.tau * q * lam[i])
+                w_c = np.repeat(r_c ** np.arange(m, 0, -1), q)
+                d = phi[i] * (w_ref[i] - w_c)
+                err2 += (toeplitz_bilinear(gamma, d, d)
+                         + ((decay_ref[i] - r_c**m) * xi[i]) ** 2)
+            out.append(math.sqrt(err2))
+        return np.array(out)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_endpoint_moments(self, preset):
+        cfg, lam, phi, xi, gamma = self.parts(preset)
+        m = cfg.m_steps
+        r = 1.0 / (1.0 + cfg.tau * lam)
+        means, variances = linear_endpoint_moments(cfg)
+        for i in range(lam.size):
+            w = r[i] ** np.arange(m, 0, -1)
+            expected = phi[i] ** 2 * toeplitz_bilinear(gamma, w, w)
+            assert variances[i] == pytest.approx(expected, rel=self.RTOL,
+                                                 abs=0.0)
+        np.testing.assert_allclose(means, r**m * xi, rtol=self.RTOL)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    @pytest.mark.parametrize("delta", [0.0, 0.75])
+    def test_increment_rms(self, preset, delta):
+        cfg, lam, phi, xi, gamma = self.parts(preset)
+        m = cfg.m_steps
+        lags = [1, 5, 16, m - 1]
+        r = 1.0 / (1.0 + cfg.tau * lam)
+        expected = []
+        for lag in lags:
+            total = 0.0
+            for i in range(lam.size):
+                w_end = r[i] ** np.arange(m, 0, -1)
+                w_lag = np.concatenate([r[i] ** np.arange(m - lag, 0, -1),
+                                        np.zeros(lag)])
+                d = phi[i] * (w_end - w_lag)
+                mean_diff = (r[i] ** m - r[i] ** (m - lag)) * xi[i]
+                total += lam[i] ** delta * (toeplitz_bilinear(gamma, d, d)
+                                            + mean_diff**2)
+            expected.append(math.sqrt(total))
+        np.testing.assert_allclose(expected_increment_rms(cfg, lags, delta),
+                                   expected, rtol=self.RTOL)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_temporal_rms_errors(self, preset):
+        cfg, lam, phi, xi, gamma = self.parts(preset)
+        m = cfg.m_steps
+        ladder = [3, 6, 12, 24]
+        r = 1.0 / (1.0 + cfg.tau * lam)
+        w_ref = [r[i] ** np.arange(m, 0, -1) for i in range(lam.size)]
+        expected = self.coarse_errors(cfg, lam, phi, xi, gamma, ladder,
+                                      w_ref, r**m)
+        np.testing.assert_allclose(expected_temporal_rms_errors(cfg, ladder),
+                                   expected, rtol=self.RTOL)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_mild_rms_errors(self, preset):
+        cfg, lam, phi, xi, gamma = self.parts(preset)
+        ladder = [3, 6, 12, 24]
+        s = np.arange(cfg.m_steps) * cfg.tau
+        w_ref = [np.exp(-lam[i] * (cfg.horizon - s))
+                 for i in range(lam.size)]
+        expected = self.coarse_errors(cfg, lam, phi, xi, gamma, ladder,
+                                      w_ref, np.exp(-lam * cfg.horizon))
+        np.testing.assert_allclose(expected_mild_rms_errors(cfg, ladder),
+                                   expected, rtol=self.RTOL)
+
+    def test_ladder_must_divide(self):
+        cfg = self.parts("she-identity")[0]
+        for oracle in (expected_temporal_rms_errors,
+                       expected_mild_rms_errors):
+            with pytest.raises(ValueError):
+                oracle(cfg, [5])
+
+    @pytest.mark.parametrize("m_steps", [1, 2, 7])
+    def test_short_grids(self, m_steps):
+        # one- and two-step grids: the rfft half has no interior bins
+        for preset in self.PRESETS:
+            cfg, lam, phi, xi, gamma = self.parts(preset, m_steps)
+            r = 1.0 / (1.0 + cfg.tau * lam)
+            _, variances = linear_endpoint_moments(cfg)
+            for i in range(lam.size):
+                w = r[i] ** np.arange(m_steps, 0, -1)
+                assert variances[i] == pytest.approx(
+                    phi[i] ** 2 * toeplitz_bilinear(gamma, w, w),
+                    rel=self.RTOL, abs=0.0)
 
 
 class TestTimeRegularity:
