@@ -7,7 +7,8 @@ manifest is written last and is the only artifact carrying wall-clock
 fields, so reruns with equal flags are byte-identical elsewhere).
 
 Flag values override config-file entries (--config, flat ``key = value``
-lines mirroring flag names), which override preset defaults.
+lines mirroring flag names; a key that names no flag is rejected), which
+override preset defaults.
 """
 
 import argparse
@@ -90,10 +91,18 @@ def _from_file(parser: argparse.ArgumentParser, action, key: str, raw: str):
 
 def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser,
              defaults: dict) -> dict:
-    """Merge CLI flags over config-file values over defaults."""
+    """Merge CLI flags over config-file values over defaults.
+
+    A config key that names no flag of the subcommand is a usage error
+    (exit 2), so a misspelt key never runs the default silently.
+    """
     file_values = {}
     if getattr(args, "config", None):
         file_values = _read_config_file(args.config)
+    unknown = [key for key in file_values if key not in defaults]
+    if unknown:
+        parser.error(f"config key(s) {', '.join(unknown)} name no flag of "
+                     f"{args.command}")
     actions = _flag_actions(parser, args.command)
     resolved = {}
     for key, default in defaults.items():

@@ -1,15 +1,18 @@
-"""Hot inner loops: implicit Euler sweeps and discrete convolution sums.
+"""Hot inner loops: the implicit Euler sweep and discrete convolution sums.
 
 The time-stepping loop has a hard sequential dependence, so per-step
-overhead dominates in pure numpy once the mode count is small. The two
-Euler kernels are numba-jitted when numba is importable; setting the
-environment variable FRACSPDE_DISABLE_NUMBA to a truthy value forces the
-pure-numpy path. ``BACKEND`` reports the active choice, and the
-``py_euler_*`` aliases always point at the uncompiled implementations.
+overhead dominates once the mode count is small. ``euler_sweep`` is the one
+sweep behind endpoints, trajectories and the regularity estimators: it
+advances one sample (an (N,) state) or a block of samples (an (N, S)
+state) and keeps only the states at the step indices a caller asks for.
+For one sample its loop performs the same operations, in the same order,
+as a plain per-step loop; a block turns each matrix-vector product into a
+matrix-matrix product, whose results can differ from the per-sample ones
+in the last bits. Everything here is plain numpy (``BACKEND``).
 
 The stochastic convolution has no such dependence: ``convolution_endpoint``
-is plain numpy, a contraction over fixed blocks of rows that adds the
-terms in the same left-to-right order as the step-by-step sum.
+is a contraction over fixed blocks of rows that adds the terms in the same
+left-to-right order as the step-by-step sum.
 
 Nonlinearity codes: F_ZERO, F_SCALED (u -> scale*u in coefficients) and
 F_SIN (collocation sin on the interior sine grid, via the dense
@@ -17,58 +20,48 @@ symmetric DST-I matrix ``dst_mat`` with grid scale ``dst_scale =
 sqrt(N+1)``).
 """
 
-import os
-
 import numpy as np
+
+BACKEND = "numpy"
 
 F_ZERO = 0
 F_SCALED = 1
 F_SIN = 2
 
 
-def _numba_disabled() -> bool:
-    flag = os.environ.get("FRACSPDE_DISABLE_NUMBA", "").strip().lower()
-    return flag not in ("", "0", "false", "no")
+def euler_sweep(x0, step_factor, tau, dw_scaled, f_kind, f_scale, dst_mat,
+                dst_scale, stops):
+    """Run implicit Euler steps, returning the states at steps ``stops``.
 
-
-def _euler_endpoint(x0, step_factor, tau, dw_scaled, f_kind, f_scale,
-                    dst_mat, dst_scale):
-    """Run all implicit Euler steps, returning only the final state.
-
-    dw_scaled has shape (m_steps, n_modes): row m holds phi_n * dW_{n,m}.
-    Per step: x <- step_factor * (x + tau*F(x) + dW), F explicit.
+    x0 is (N,) for one sample or (N, S) for a block of S samples, and
+    dw_scaled is (M, N) or (M, N, S): row m holds phi_n * dW_{n,m}. Per
+    step: x <- step_factor * (x + tau*F(x) + dW), F explicit. ``stops``
+    are nondecreasing step indices in [0, M]; the result stacks the state
+    after each of them (step 0 is x0) into a (len(stops),) + x0.shape
+    array. The loop runs segment by segment between stops.
     """
+    stops = [int(k) for k in stops]
+    if any(b < a for a, b in zip(stops, stops[1:])) or (
+            stops and not 0 <= stops[0] <= stops[-1] <= dw_scaled.shape[0]):
+        raise ValueError(f"stops must be nondecreasing in [0, "
+                         f"{dw_scaled.shape[0]}], got {stops}")
     x = x0.copy()
-    m_steps = dw_scaled.shape[0]
-    for m in range(m_steps):
-        if f_kind == F_ZERO:
-            x = step_factor * (x + dw_scaled[m])
-        elif f_kind == F_SCALED:
-            x = step_factor * (x + tau * (f_scale * x) + dw_scaled[m])
-        else:
-            u = dst_scale * np.dot(dst_mat, x)
-            fx = np.dot(dst_mat, np.sin(u)) / dst_scale
-            x = step_factor * (x + tau * fx + dw_scaled[m])
-    return x
-
-
-def _euler_trajectory(x0, step_factor, tau, dw_scaled, f_kind, f_scale,
-                      dst_mat, dst_scale):
-    """Same sweep as _euler_endpoint but storing all m_steps+1 states."""
-    m_steps = dw_scaled.shape[0]
-    out = np.empty((m_steps + 1, x0.shape[0]))
-    out[0] = x0
-    x = x0.copy()
-    for m in range(m_steps):
-        if f_kind == F_ZERO:
-            x = step_factor * (x + dw_scaled[m])
-        elif f_kind == F_SCALED:
-            x = step_factor * (x + tau * (f_scale * x) + dw_scaled[m])
-        else:
-            u = dst_scale * np.dot(dst_mat, x)
-            fx = np.dot(dst_mat, np.sin(u)) / dst_scale
-            x = step_factor * (x + tau * fx + dw_scaled[m])
-        out[m + 1] = x
+    if x.ndim == 2:
+        step_factor = step_factor.reshape(-1, 1)
+    out = np.empty((len(stops),) + x.shape)
+    start = 0
+    for i, stop in enumerate(stops):
+        for m in range(start, stop):
+            if f_kind == F_ZERO:
+                x = step_factor * (x + dw_scaled[m])
+            elif f_kind == F_SCALED:
+                x = step_factor * (x + tau * (f_scale * x) + dw_scaled[m])
+            else:
+                u = dst_scale * np.dot(dst_mat, x)
+                fx = np.dot(dst_mat, np.sin(u)) / dst_scale
+                x = step_factor * (x + tau * fx + dw_scaled[m])
+        out[i] = x
+        start = stop
     return out
 
 
@@ -97,25 +90,6 @@ def convolution_endpoint(lam, dw_scaled, tau, upto):
         acc = np.cumsum(prod, axis=0)[-1]
     return acc
 
-
-py_euler_endpoint = _euler_endpoint
-py_euler_trajectory = _euler_trajectory
-
-if _numba_disabled():
-    BACKEND = "numpy"
-    euler_endpoint = _euler_endpoint
-    euler_trajectory = _euler_trajectory
-else:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        BACKEND = "numpy"
-        euler_endpoint = _euler_endpoint
-        euler_trajectory = _euler_trajectory
-    else:
-        BACKEND = "numba"
-        euler_endpoint = njit(cache=True)(_euler_endpoint)
-        euler_trajectory = njit(cache=True)(_euler_trajectory)
 
 _EMPTY_MAT = np.zeros((0, 0))
 

@@ -36,6 +36,7 @@ __all__ = [
     "restrict_config",
     "solve_endpoint",
     "solve_path",
+    "solve_stops",
     "stochastic_convolution",
 ]
 
@@ -161,12 +162,33 @@ def _check_noise_sample(config: SolverConfig,
         )
 
 
-def _sweep_inputs(config: SolverConfig, sample: CylindricalFbmSample):
+def _scaled_increments(config: SolverConfig,
+                       sample: CylindricalFbmSample) -> np.ndarray:
+    """(M, n_modes) array whose row m holds phi_n * dW_{n,m}."""
     n = config.n_modes
+    amps = config.noise.amplitudes[:n]
+    return np.ascontiguousarray((amps[:, None] * sample.values[:n]).T)
+
+
+def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
+                stops) -> np.ndarray:
+    """Run the scheme on scaled increments, keeping the states at ``stops``.
+
+    dw_scaled is (M, n_modes) for one sample, or (M, n_modes, S) for a
+    block of S samples started from the same initial state; row m holds
+    phi_n * dW_{n,m}. ``stops`` are nondecreasing step indices in [0, M]
+    (0 is the initial state). Returns a (len(stops), n_modes[, S]) array.
+    A block's states can differ from one-sample sweeps in the last bits
+    (matrix-matrix against matrix-vector products when F = sin).
+    """
+    n = config.n_modes
+    if dw_scaled.shape[:2] != (config.m_steps, n):
+        raise ValueError(
+            f"increments shaped {dw_scaled.shape}, config expects "
+            f"({config.m_steps}, {n}[, samples])"
+        )
     lam = config.operator.eigenvalues[:n]
     step_factor = 1.0 / (1.0 + config.tau * lam)
-    amps = config.noise.amplitudes[:n]
-    dw_scaled = np.ascontiguousarray((amps[:, None] * sample.values[:n]).T)
     f_kind = _F_CODES[config.nonlinearity.kind]
     f_scale = config.nonlinearity.lipschitz_bound
     if f_kind == kernels.F_SIN:
@@ -176,7 +198,10 @@ def _sweep_inputs(config: SolverConfig, sample: CylindricalFbmSample):
         dst_mat = kernels.empty_dst_matrix()
         dst_scale = 1.0
     x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)
-    return x0, step_factor, dw_scaled, f_kind, f_scale, dst_mat, dst_scale
+    if dw_scaled.ndim == 3:
+        x0 = np.repeat(x0[:, None], dw_scaled.shape[2], axis=1)
+    return kernels.euler_sweep(x0, step_factor, config.tau, dw_scaled,
+                               f_kind, f_scale, dst_mat, dst_scale, stops)
 
 
 def solve_endpoint(config: SolverConfig,
@@ -187,23 +212,26 @@ def solve_endpoint(config: SolverConfig,
     full trajectory would not fit comfortably in memory.
     """
     _check_noise_sample(config, noise_sample)
-    x0, step_factor, dws, fk, fs, mat, scale = _sweep_inputs(
-        config, noise_sample
-    )
-    coeffs = kernels.euler_endpoint(x0, step_factor, config.tau, dws, fk, fs,
-                                    mat, scale)
+    coeffs = solve_stops(config, _scaled_increments(config, noise_sample),
+                         (config.m_steps,))[0]
     return SpectralState(coeffs=coeffs, time=config.m_steps * config.tau)
 
 
 def solve_path(config: SolverConfig,
                noise_sample: CylindricalFbmSample) -> Trajectory:
-    """Run the scheme keeping all M+1 states."""
+    """Run the scheme keeping all M+1 states.
+
+    Raises FloatingPointError, naming the first such step, when a state
+    is not finite.
+    """
     _check_noise_sample(config, noise_sample)
-    x0, step_factor, dws, fk, fs, mat, scale = _sweep_inputs(
-        config, noise_sample
-    )
-    states = kernels.euler_trajectory(x0, step_factor, config.tau, dws, fk,
-                                      fs, mat, scale)
+    states = solve_stops(config, _scaled_increments(config, noise_sample),
+                         range(config.m_steps + 1))
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        raise FloatingPointError(
+            f"non-finite state at step {bad[0]} of {config.m_steps}"
+        )
     tau = config.tau
     return Trajectory(
         states=[SpectralState(coeffs=states[m], time=m * tau)
@@ -236,8 +264,7 @@ def linear_mild_reference(config: SolverConfig,
         )
     n = config.n_modes
     lam = config.operator.eigenvalues[:n]
-    amps = config.noise.amplitudes[:n]
-    dws = np.ascontiguousarray((amps[:, None] * fine_sample.values[:n]).T)
+    dws = _scaled_increments(config, fine_sample)
     conv = kernels.convolution_endpoint(lam, dws, fine_sample.grid.tau,
                                         fine_sample.grid.m_steps)
     coeffs = np.exp(-lam * config.horizon) * config.initial.coeffs[:n] + conv

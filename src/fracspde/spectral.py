@@ -327,8 +327,9 @@ def _sine_matrix_cached(n_modes: int) -> np.ndarray:
 def sine_matrix(n_modes: int) -> np.ndarray:
     """Dense symmetric orthonormal DST-I matrix (involutory: S @ S = I).
 
-    Physical values are sqrt(N+1) * (S @ coeffs); used by the numba
-    kernels, and as the O(N^2) oracle for the fast transform.
+    Physical values are sqrt(N+1) * (S @ coeffs); used by the Euler
+    sweep for F = sin (``kernels.euler_sweep``), and as the O(N^2) oracle
+    for the fast transform.
     """
     return _sine_matrix_cached(int(n_modes))
 

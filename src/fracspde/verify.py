@@ -23,11 +23,12 @@ from .fbm import (
     IncrementGrid,
     _fgn_covariance_seq,
     generate_cylindrical_fbm,
+    generate_scalar_fbm,
     increment_covariance,
 )
 from .parallel import parallel_map
-from .rng import SAMPLE_STREAM, derive_seed
-from .solver import SolverConfig, restrict_config, solve_endpoint, solve_path
+from .rng import MODE_STREAM, SAMPLE_STREAM, derive_seed
+from .solver import SolverConfig, restrict_config, solve_stops
 
 __all__ = [
     "IsometryCheck",
@@ -390,6 +391,58 @@ def fit_power_law(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(lx @ (ly - ly.mean()) / (lx @ lx))
 
 
+# Size of one block's scaled increments, (M, N, B) doubles. Peak memory,
+# not speed, sets it: B = 4 at N = 64, M = 2^14 and B = 8 at N = 32.
+_BLOCK_BYTES = 32 * 2**20
+
+
+def _sample_blocks(config: SolverConfig, samples: int) -> list:
+    """(first index, seeds) of fixed blocks of consecutive samples.
+
+    Block membership follows the sample index only, never the worker
+    count, so results are identical for any number of workers.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    size = max(1, _BLOCK_BYTES // (8 * config.m_steps * config.n_modes))
+    seeds = [derive_seed(config.base_seed, SAMPLE_STREAM, s)
+             for s in range(samples)]
+    return [(first, tuple(seeds[first:first + size]))
+            for first in range(0, samples, size)]
+
+
+def _block_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
+    """(M, N, B) scaled increments; column s is the sample with seeds[s].
+
+    Row k of a sample draws its fBm from the seed derived from (seed, k),
+    as generate_cylindrical_fbm does, times the noise amplitude phi_k.
+    Filling mode by mode writes B adjacent doubles at a time.
+    """
+    n = config.n_modes
+    amps = config.noise.amplitudes[:n]
+    grid = config.grid()
+    dw = np.empty((config.m_steps, n, len(seeds)))
+    for k in range(n):
+        rows = np.array([
+            generate_scalar_fbm(grid, config.hurst,
+                                derive_seed(seed, MODE_STREAM, k),
+                                config.fbm_method).values
+            for seed in seeds
+        ])
+        np.multiply(amps[k], rows.T, out=dw[:, k, :])
+    return dw
+
+
+def _require_finite(states: np.ndarray, first: int) -> None:
+    """Raise FloatingPointError naming the samples (last axis) whose
+    recorded states are not all finite; ``first`` indexes column 0."""
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=(0, 1)))
+    if bad.size:
+        raise FloatingPointError(
+            f"non-finite state in samples {[first + int(b) for b in bad]}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class RegularityReport:
     """Fitted temporal Hölder exponent of the discrete solution in V_delta."""
@@ -415,12 +468,9 @@ def estimate_time_regularity(config: SolverConfig, delta: float,
         raise ValueError("need at least 3 lags to fit an exponent")
     if lag_steps[0] < 1 or lag_steps[-1] >= config.m_steps:
         raise ValueError("lags must lie inside the trajectory")
-    args = [
-        (config, tuple(lag_steps), delta,
-         derive_seed(config.base_seed, SAMPLE_STREAM, s))
-        for s in range(samples)
-    ]
-    sq = np.array(parallel_map(_time_regularity_worker, args, workers))
+    args = [(config, tuple(lag_steps), delta, first, seeds)
+            for first, seeds in _sample_blocks(config, samples)]
+    sq = np.concatenate(parallel_map(_time_regularity_block, args, workers))
     rms = np.sqrt(sq.mean(axis=0))
     lag_times = config.tau * np.array(lag_steps, dtype=float)
     theory = (2.0 * config.hurst.h + config.noise.beta - 1.0 - delta) / 2.0
@@ -434,20 +484,18 @@ def estimate_time_regularity(config: SolverConfig, delta: float,
     )
 
 
-def _time_regularity_worker(args) -> np.ndarray:
-    config, lag_steps, delta, seed = args
-    noise = generate_cylindrical_fbm(config.n_modes, config.grid(),
-                                     config.hurst, seed, config.fbm_method)
-    traj = solve_path(config, noise)
+def _time_regularity_block(args) -> np.ndarray:
+    """Squared V_delta lag differences, (B, lags), of one block of samples."""
+    config, lag_steps, delta, first, seeds = args
     m = config.m_steps
-    lam = config.operator.eigenvalues[: config.n_modes]
-    weights = lam**delta
-    end = traj.states[m].coeffs
-    out = np.empty(len(lag_steps))
-    for idx, lag in enumerate(lag_steps):
-        diff = end - traj.states[m - lag].coeffs
-        out[idx] = float(np.sum(weights * diff**2))
-    return out
+    stops = [m - lag for lag in reversed(lag_steps)] + [m]
+    states = solve_stops(config, _block_increments(config, seeds), stops)
+    _require_finite(states, first)
+    weights = config.operator.eigenvalues[: config.n_modes] ** delta
+    diffs = states[-1] - states[-2::-1]  # (lags, N, B), in lag_steps order
+    return np.array([[float(np.sum(weights * diff[:, s] ** 2))
+                      for diff in diffs]
+                     for s in range(len(seeds))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,17 +512,21 @@ class SpaceRegularityReport:
         return float(self.rms_norms[-1] / self.rms_norms[0])
 
 
-def _space_regularity_worker(args) -> np.ndarray:
-    template, n_ladder, deltas, seed = args
-    noise = generate_cylindrical_fbm(template.n_modes, template.grid(),
-                                     template.hurst, seed,
-                                     template.fbm_method)
+def _space_regularity_block(args) -> np.ndarray:
+    """Squared Sobolev norms, (B, deltas, rungs), of one block of samples;
+    every rung reads the leading modes of the same increments."""
+    template, n_ladder, deltas, first, seeds = args
+    dw = _block_increments(template, seeds)
     lam = template.operator.eigenvalues[: template.n_modes]
-    out = np.empty((len(deltas), len(n_ladder)))
+    out = np.empty((len(seeds), len(deltas), len(n_ladder)))
     for j, n in enumerate(n_ladder):
-        end = solve_endpoint(restrict_config(template, n_modes=n), noise)
-        for i, delta in enumerate(deltas):
-            out[i, j] = float(np.sum(lam[:n] ** delta * end.coeffs**2))
+        end = solve_stops(restrict_config(template, n_modes=n), dw[:, :n, :],
+                          (template.m_steps,))
+        _require_finite(end, first)
+        for s in range(len(seeds)):
+            for i, delta in enumerate(deltas):
+                out[s, i, j] = float(np.sum(lam[:n] ** delta
+                                            * end[0, :, s] ** 2))
     return out
 
 
@@ -491,12 +543,9 @@ def estimate_space_regularity(template: SolverConfig, n_ladder: list,
     n_ladder = sorted(int(n) for n in n_ladder)
     if n_ladder[-1] > template.n_modes:
         raise ValueError("ladder exceeds the template's mode count")
-    args = [
-        (template, tuple(n_ladder), tuple(deltas),
-         derive_seed(template.base_seed, SAMPLE_STREAM, s))
-        for s in range(samples)
-    ]
-    sq = np.array(parallel_map(_space_regularity_worker, args, workers))
+    args = [(template, tuple(n_ladder), tuple(deltas), first, seeds)
+            for first, seeds in _sample_blocks(template, samples)]
+    sq = np.concatenate(parallel_map(_space_regularity_block, args, workers))
     rms = np.sqrt(sq.mean(axis=0))  # (deltas, rungs)
     return [
         SpaceRegularityReport(delta=float(d), n_ladder=list(n_ladder),

@@ -1,11 +1,15 @@
 """CLI surface: flags, exit codes, file outputs, manifests."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+from fracspde import cli
 from fracspde.cli import main
+from fracspde.spectral import scaled_identity_map
 
 
 def run_cli(argv):
@@ -101,6 +105,23 @@ class TestSolve:
             run_cli(["solve", "--preset", "she-cubic", "--out-dir",
                      tmp_path])
         assert err.value.code == 2
+
+    def test_non_finite_state_exits_1(self, tmp_path, monkeypatch, capsys):
+        # F(u) = 1e12 u far above lambda_N: every step multiplies the
+        # state by about 1e10 until it overflows
+        original = cli.she_problem
+
+        def blowing_up(*args, **kwargs):
+            return dataclasses.replace(
+                original(*args, **kwargs),
+                nonlinearity=scaled_identity_map(1e12))
+        monkeypatch.setattr(cli, "she_problem", blowing_up)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli(["solve", "--modes", 4, "--steps", 64,
+                            "--out-dir", tmp_path, "--tag", "nan"])
+        assert code == 1
+        assert "non-finite state" in capsys.readouterr().err
+        assert not (tmp_path / "solve_she-trace_nan.csv").exists()
 
 
 class TestConverge:
@@ -239,3 +260,13 @@ class TestConfigFile:
                      "she-identity", "--config", cfg, "--out-dir", tmp_path])
         assert err.value.code == 2
         assert "samples = 'three'" in capsys.readouterr().err
+
+    def test_unknown_file_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("stepz = 4\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["gen-fbm", "--config", cfg, "--out-dir", tmp_path,
+                     "--tag", "k"])
+        assert err.value.code == 2
+        assert "stepz" in capsys.readouterr().err
+        assert not (tmp_path / "fbm_k.csv").exists()

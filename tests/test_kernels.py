@@ -1,9 +1,8 @@
-"""Backend kernels: the Euler sweeps' active (numba or numpy) path vs
-their pure-python path, and the blocked convolution vs the step-by-step
+"""Kernels: the Euler sweep against an explicit per-step loop, its stops
+and sample blocks, and the blocked convolution against the step-by-step
 sum it must reproduce bit for bit."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -12,14 +11,18 @@ from fracspde import kernels
 from fracspde.spectral import sine_matrix
 
 RNG = np.random.default_rng(42)
+F_KINDS = [kernels.F_ZERO, kernels.F_SCALED, kernels.F_SIN]
 
 
-def sweep_args(n_modes, m_steps, f_kind):
+def sweep_args(n_modes, m_steps, f_kind, samples=None):
+    """Sweep arguments without ``stops``; a block of ``samples`` columns
+    when given."""
     lam = (np.pi * np.arange(1, n_modes + 1)) ** 2
     tau = 1.0 / m_steps
     step_factor = 1.0 / (1.0 + tau * lam)
-    dw = RNG.standard_normal((m_steps, n_modes)) * tau**0.75
-    x0 = RNG.standard_normal(n_modes)
+    tail = () if samples is None else (samples,)
+    dw = RNG.standard_normal((m_steps, n_modes) + tail) * tau**0.75
+    x0 = RNG.standard_normal((n_modes,) + tail)
     if f_kind == kernels.F_SIN:
         mat = np.ascontiguousarray(sine_matrix(n_modes))
         scale = math.sqrt(n_modes + 1)
@@ -29,33 +32,72 @@ def sweep_args(n_modes, m_steps, f_kind):
     return x0, step_factor, tau, dw, f_kind, 1.0, mat, scale
 
 
+def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, mat, scale):
+    """The scheme one step at a time for one sample: all M+1 states."""
+    states = [x0]
+    x = x0
+    for m in range(dw.shape[0]):
+        if f_kind == kernels.F_ZERO:
+            x = step_factor * (x + dw[m])
+        elif f_kind == kernels.F_SCALED:
+            x = step_factor * (x + tau * (f_scale * x) + dw[m])
+        else:
+            u = scale * np.dot(mat, x)
+            fx = np.dot(mat, np.sin(u)) / scale
+            x = step_factor * (x + tau * fx + dw[m])
+        states.append(x)
+    return np.array(states)
+
+
 def test_backend_reported():
-    assert kernels.BACKEND in ("numba", "numpy")
-    if os.environ.get("FRACSPDE_DISABLE_NUMBA", "").strip().lower() in (
-        "1", "true", "yes"
-    ):
-        assert kernels.BACKEND == "numpy"
+    assert kernels.BACKEND == "numpy"
 
 
-@pytest.mark.parametrize("f_kind",
-                         [kernels.F_ZERO, kernels.F_SCALED, kernels.F_SIN])
+@pytest.mark.parametrize("f_kind", F_KINDS)
 def test_endpoint_paths_agree(f_kind):
     args = sweep_args(12, 64, f_kind)
-    fast = kernels.euler_endpoint(*args)
-    slow = kernels.py_euler_endpoint(*args)
-    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
+    out = kernels.euler_sweep(*args, (64,))
+    assert out.shape == (1, 12)
+    assert np.array_equal(out[0], step_loop(*args)[-1])
 
 
-@pytest.mark.parametrize("f_kind",
-                         [kernels.F_ZERO, kernels.F_SCALED, kernels.F_SIN])
+@pytest.mark.parametrize("f_kind", F_KINDS)
 def test_trajectory_paths_agree(f_kind):
     args = sweep_args(6, 32, f_kind)
-    fast = kernels.euler_trajectory(*args)
-    slow = kernels.py_euler_trajectory(*args)
-    assert fast.shape == (33, 6)
-    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(fast[-1], kernels.euler_endpoint(*args),
-                               rtol=1e-13)
+    out = kernels.euler_sweep(*args, range(33))
+    assert out.shape == (33, 6)
+    assert np.array_equal(out, step_loop(*args))
+
+
+@pytest.mark.parametrize("f_kind", F_KINDS)
+def test_stops_are_trajectory_rows(f_kind):
+    args = sweep_args(6, 40, f_kind)
+    full = kernels.euler_sweep(*args, range(41))
+    for stops in ((0,), (40,), (8, 24, 32, 40), (0, 0, 5, 5, 40), ()):
+        out = kernels.euler_sweep(*args, stops)
+        assert out.shape == (len(stops), 6)
+        assert np.array_equal(out, full[list(stops)]), stops
+
+
+@pytest.mark.parametrize("f_kind", F_KINDS)
+def test_block_matches_single_samples(f_kind):
+    args = sweep_args(12, 64, f_kind, samples=5)
+    x0, step_factor, tau, dw = args[:4]
+    stops = (0, 32, 48, 64)
+    block = kernels.euler_sweep(*args, stops)
+    assert block.shape == (4, 12, 5)
+    for s in range(5):
+        single = kernels.euler_sweep(x0[:, s].copy(), step_factor, tau,
+                                     np.ascontiguousarray(dw[:, :, s]),
+                                     *args[4:], stops)
+        err = np.max(np.abs(block[..., s] - single))
+        assert err <= 1e-14 * np.max(np.abs(single)), (s, err)
+
+
+@pytest.mark.parametrize("stops", [(8, 4), (-1, 4), (4, 17)])
+def test_sweep_rejects_bad_stops(stops):
+    with pytest.raises(ValueError, match="stops"):
+        kernels.euler_sweep(*sweep_args(3, 16, kernels.F_ZERO), stops)
 
 
 def sequential_convolution(lam, dw, tau, upto):

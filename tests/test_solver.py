@@ -19,6 +19,7 @@ from fracspde.solver import (
     restrict_config,
     solve_endpoint,
     solve_path,
+    solve_stops,
     stochastic_convolution,
 )
 from fracspde.spectral import (
@@ -26,6 +27,7 @@ from fracspde.spectral import (
     SpectralState,
     dirichlet_laplacian,
     identity_noise,
+    scaled_identity_map,
     sine_map,
     trace_class_noise,
     zero_map,
@@ -184,6 +186,19 @@ class TestSolvePath:
             solve_path(cfg, sample).endpoint().coeffs,
             solve_endpoint(cfg, sample).coeffs,
         )
+
+    def test_non_finite_state_raises(self):
+        # F(u) = 1e12 u far above lambda_N: the state overflows
+        cfg = make_config(n=4, m=64, f=scaled_identity_map(1e12))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match="non-finite state at step"):
+                solve_path(cfg, noise_for(cfg))
+
+    def test_increment_shape_rejected(self):
+        cfg = make_config(n=4, m=8)
+        with pytest.raises(ValueError, match="increments"):
+            solve_stops(cfg, np.zeros((8, 3)), (8,))
 
     def test_digest_tracks_parameters(self):
         a = make_config(n=4, m=8)

@@ -1,10 +1,12 @@
 """Analytic-identity checks and the exact linear-scheme oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from fracspde import verify
 from fracspde.experiments import she_problem
 from fracspde.fbm import (
     HurstParameter,
@@ -14,11 +16,17 @@ from fracspde.fbm import (
     increment_covariance_matrix,
 )
 from fracspde.rng import SAMPLE_STREAM, derive_seed
-from fracspde.solver import SolverConfig, restrict_config, solve_endpoint
+from fracspde.solver import (
+    SolverConfig,
+    restrict_config,
+    solve_endpoint,
+    solve_path,
+)
 from fracspde.spectral import (
     SpectralState,
     dirichlet_laplacian,
     identity_noise,
+    scaled_identity_map,
     trace_class_noise,
     zero_map,
     zero_noise,
@@ -449,3 +457,111 @@ class TestSpaceRegularity:
             oracle = expected_sobolev_rms(restrict_config(cfg, n_modes=n),
                                           0.9)
             assert value == pytest.approx(oracle, rel=0.1)
+
+
+class TestRegularityBlocks:
+    """Fixed sample blocks: results follow the sample index, not the
+    worker count, and block size moves only the last bits."""
+
+    LAGS = (8, 16, 32)
+    LADDER = (2, 4, 8)
+    DELTAS = (0.0, 0.9)
+
+    @staticmethod
+    def set_block(monkeypatch, config, size):
+        monkeypatch.setattr(verify, "_BLOCK_BYTES",
+                            size * 8 * config.m_steps * config.n_modes)
+
+    def time_config(self):
+        return she_problem("she-trace", n_modes=8, m_steps=64, base_seed=5)
+
+    def space_config(self):
+        return she_problem("she-identity", n_modes=8, m_steps=64,
+                           base_seed=6)
+
+    def run_time(self, workers=1):
+        return estimate_time_regularity(self.time_config(), delta=0.0,
+                                        lag_steps=self.LAGS, samples=8,
+                                        workers=workers).rms_differences
+
+    def run_space(self, workers=1):
+        reports = estimate_space_regularity(
+            self.space_config(), n_ladder=self.LADDER, deltas=self.DELTAS,
+            samples=8, workers=workers)
+        return np.array([r.rms_norms for r in reports])
+
+    def test_blocks_of_three(self, monkeypatch):
+        cfg = self.time_config()
+        self.set_block(monkeypatch, cfg, 3)
+        blocks = verify._sample_blocks(cfg, 8)
+        assert [(first, len(seeds)) for first, seeds in blocks] == [
+            (0, 3), (3, 3), (6, 2)]
+        assert [seed for _, seeds in blocks for seed in seeds] == [
+            derive_seed(cfg.base_seed, SAMPLE_STREAM, s) for s in range(8)]
+
+    def test_default_block_sizes(self):
+        for n_modes, size in ((64, 4), (32, 8)):
+            cfg = she_problem("she-trace", n_modes=n_modes, m_steps=2**14,
+                              base_seed=0)
+            assert len(verify._sample_blocks(cfg, 9)[0][1]) == size
+
+    @pytest.mark.parametrize("run", ["run_time", "run_space"])
+    def test_worker_count_invariant(self, run, monkeypatch):
+        self.set_block(monkeypatch, self.time_config(), 3)
+        one, two = (getattr(self, run)(workers=w) for w in (1, 2))
+        assert np.array_equal(one, two)
+
+    @pytest.mark.parametrize("run", ["run_time", "run_space"])
+    def test_block_size_invariant(self, run, monkeypatch):
+        results = []
+        for size in (1, 3, 8):
+            self.set_block(monkeypatch, self.time_config(), size)
+            results.append(getattr(self, run)())
+        for other in results[1:]:
+            np.testing.assert_allclose(other, results[0], rtol=1e-13,
+                                       atol=0.0)
+
+    def test_time_matches_per_sample_paths(self):
+        cfg = self.time_config()
+        m = cfg.m_steps
+        sq = []
+        for s in range(8):
+            noise = generate_cylindrical_fbm(
+                cfg.n_modes, cfg.grid(), cfg.hurst,
+                derive_seed(cfg.base_seed, SAMPLE_STREAM, s))
+            states = solve_path(cfg, noise).states
+            sq.append([np.sum((states[m].coeffs - states[m - lag].coeffs)
+                              ** 2) for lag in self.LAGS])
+        np.testing.assert_allclose(self.run_time(),
+                                   np.sqrt(np.mean(sq, axis=0)), rtol=1e-13)
+
+    def test_space_matches_per_sample_endpoints(self):
+        cfg = self.space_config()
+        lam = cfg.operator.eigenvalues
+        sq = []
+        for s in range(8):
+            noise = generate_cylindrical_fbm(
+                cfg.n_modes, cfg.grid(), cfg.hurst,
+                derive_seed(cfg.base_seed, SAMPLE_STREAM, s))
+            ends = [solve_endpoint(restrict_config(cfg, n_modes=n),
+                                   noise).coeffs for n in self.LADDER]
+            sq.append([[np.sum(lam[:n] ** d * end**2)
+                        for n, end in zip(self.LADDER, ends)]
+                       for d in self.DELTAS])
+        np.testing.assert_allclose(self.run_space(),
+                                   np.sqrt(np.mean(sq, axis=0)), rtol=1e-13)
+
+    def test_non_finite_states_raise(self, monkeypatch):
+        # F(u) = 1e12 u far above lambda_N: every sample overflows
+        cfg = dataclasses.replace(self.time_config(),
+                                  nonlinearity=scaled_identity_map(1e12))
+        self.set_block(monkeypatch, cfg, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match=r"samples \[0, 1, 2\]"):
+                estimate_time_regularity(cfg, delta=0.0, lag_steps=self.LAGS,
+                                         samples=8)
+            with pytest.raises(FloatingPointError,
+                               match=r"samples \[0, 1, 2\]"):
+                estimate_space_regularity(cfg, n_ladder=self.LADDER,
+                                          deltas=(0.0,), samples=8)
