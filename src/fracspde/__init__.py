@@ -21,6 +21,7 @@ from .fbm import (
     generate_scalar_fbm,
     increment_covariance,
     increment_covariance_matrix,
+    increment_rows,
     kernel_phi,
 )
 from .spectral import (

@@ -24,19 +24,14 @@ from . import __version__, experiments, verify
 from .fbm import (
     HurstParameter,
     IncrementGrid,
+    check_method,
     generate_cylindrical_fbm,
 )
 from .parallel import default_workers
 from .rng import derive_seed
 from .solver import solve_path
 from .spectral import sine_grid, sine_transform
-from .experiments import SHE_PRESETS, she_problem
-
-_FMT = ".17g"
-
-
-def _fmt(x) -> str:
-    return format(float(x), _FMT)
+from .experiments import SHE_PRESETS, _fmt, she_problem
 
 
 def _timestamp() -> str:
@@ -115,6 +110,15 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser,
         else:
             resolved[key] = default
     return resolved
+
+
+def _require_method(parser: argparse.ArgumentParser, method: str,
+                    m_steps: int) -> None:
+    """A generator that cannot sample m_steps is a usage error (exit 2)."""
+    try:
+        check_method(method, m_steps)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _write_manifest(out_dir: Path, command: str, tag: str, config: dict,
@@ -221,6 +225,7 @@ def _cmd_gen_fbm(args, parser) -> int:
         cfg["tau"] = 1.0 / cfg["steps"]
     if not cfg["tau"] > 0:
         parser.error("--tau must be positive")
+    _require_method(parser, cfg["method"], cfg["steps"])
     started = time.monotonic()
     tag = cfg["tag"] or _timestamp()
     out_dir = Path(cfg["out_dir"])
@@ -257,6 +262,7 @@ def _cmd_solve(args, parser) -> int:
         parser.error("--hurst must be in (0.5, 1)")
     if cfg["modes"] < 1 or cfg["steps"] < 1:
         parser.error("--modes and --steps must be >= 1")
+    _require_method(parser, cfg["method"], cfg["steps"])
     started = time.monotonic()
     tag = cfg["tag"] or _timestamp()
     out_dir = Path(cfg["out_dir"])
@@ -330,6 +336,7 @@ def _cmd_converge(args, parser) -> int:
     if cfg["samples"]:
         kwargs["samples"] = cfg["samples"]
     study = builders[(cfg["axis"], scale)](cfg["preset"], **kwargs)
+    _require_method(parser, cfg["method"], study.problem.m_steps)
 
     if cfg["axis"] == "time":
         report = experiments.run_temporal_study(study, workers=workers)

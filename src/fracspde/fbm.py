@@ -1,11 +1,15 @@
 """Exact sampling of fractional Gaussian noise and cylindrical fBm.
 
 Increments, not path values, are the canonical representation: the
-implicit Euler scheme consumes only the per-step noise. Two exact
-generators are provided, a dense Cholesky factorization of the increment
-covariance (reference, O(M^3) setup) and circulant embedding of
-fractional Gaussian noise (fast path, O(M log M)). Both reproduce the
-analytic covariance
+implicit Euler scheme consumes only the per-step noise. One sampler,
+increment_rows, draws a batch of rows, row i from seeds[i] alone, so a
+row is bit-identical whatever else is in the batch; the scalar and
+cylindrical generators are calls of it. Two exact methods are provided:
+a dense Cholesky factorization of the increment covariance (reference,
+O(M^3) setup, at most 4096 steps) and circulant embedding of fractional
+Gaussian noise (Davies-Harte, O(M log M)), which writes only the
+Hermitian half of the embedded spectrum and synthesises a chunk of rows
+with one real FFT. Both reproduce the analytic covariance
 
     E[dw_i dw_j] = 0.5 * tau^{2H} * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}),
 
@@ -16,7 +20,7 @@ Restricted to H in (1/2, 1); smaller Hurst indices put the circulant
 embedding in a different regime and are out of scope.
 """
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +35,14 @@ __all__ = [
     "ScalarFbmIncrements",
     "aggregate_cylindrical",
     "aggregate_increments",
+    "check_method",
     "fbm_covariance",
     "fgn_covariance",
     "generate_cylindrical_fbm",
     "generate_scalar_fbm",
     "increment_covariance",
     "increment_covariance_matrix",
+    "increment_rows",
     "kernel_phi",
 ]
 
@@ -187,31 +193,42 @@ def increment_covariance_matrix(grid: IncrementGrid,
 
 
 # ---------------------------------------------------------------------------
-# generator internals; caches shared across calls, guarded for threads
+# generator internals; factor caches are LRU-bounded
 
-_cache_lock = threading.Lock()
-_chol_cache: dict = {}
-_eig_cache: dict = {}
+# Dense Cholesky holds an M x M factor: 128 MiB at this size, 2 GiB at
+# M = 2^14. Beyond it only the circulant embedding is allowed.
+_CHOLESKY_MAX_STEPS = 4096
+
+# Normals drawn per chunk of rows in increment_rows; bounds the chunk's
+# temporaries (normals, half spectrum, FFT output) to a few MiB.
+_ROW_CHUNK_BYTES = 2**20
+
+
+def check_method(method: str, m_steps: int) -> None:
+    """Raise ValueError unless `method` can sample m_steps increments."""
+    if method not in GENERATOR_METHODS:
+        raise ValueError(f"unknown method {method!r}; use one of"
+                         f" {GENERATOR_METHODS}")
+    if method == "cholesky" and m_steps > _CHOLESKY_MAX_STEPS:
+        raise ValueError(
+            f"method 'cholesky' is limited to {_CHOLESKY_MAX_STEPS} steps"
+            f" (its dense factor has M^2 entries), got {m_steps}; use"
+            " 'circulant', which is exact at any size"
+        )
 
 
 def clear_caches() -> None:
-    with _cache_lock:
-        _chol_cache.clear()
-        _eig_cache.clear()
+    _cholesky_factor.cache_clear()
+    _circulant_sqrt_eigs.cache_clear()
 
 
+@functools.lru_cache(maxsize=8)
 def _cholesky_factor(m: int, h: HurstParameter) -> np.ndarray:
-    key = (m, h.h)
-    with _cache_lock:
-        hit = _chol_cache.get(key)
-    if hit is not None:
-        return hit
+    check_method("cholesky", m)
     gamma = _fgn_covariance_seq(m - 1, h)
     idx = np.arange(m)
     factor = np.linalg.cholesky(gamma[np.abs(idx[:, None] - idx[None, :])])
     factor.flags.writeable = False
-    with _cache_lock:
-        _chol_cache[key] = factor
     return factor
 
 
@@ -233,37 +250,44 @@ def circulant_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
+@functools.lru_cache(maxsize=8)
 def _circulant_sqrt_eigs(m: int, h: HurstParameter) -> np.ndarray:
-    key = (m, h.h)
-    with _cache_lock:
-        hit = _eig_cache.get(key)
-    if hit is not None:
-        return hit
     sqrt_eigs = np.sqrt(circulant_eigenvalues(_fgn_covariance_seq(m, h)))
     sqrt_eigs.flags.writeable = False
-    with _cache_lock:
-        _eig_cache[key] = sqrt_eigs
     return sqrt_eigs
 
 
 def _synthesize_circulant(sqrt_eigs: np.ndarray, z: np.ndarray,
                           m: int) -> np.ndarray:
-    """Map 2m iid standard normals to m exact fGn values (Davies-Harte)."""
+    """Map 2m iid standard normals (last axis of z) to m exact fGn values.
+
+    Davies-Harte: the spectrum w built from z is Hermitian (w[2m-k] =
+    conj(w[k])), so fft(w) is real and equals the unnormalised inverse
+    real FFT of conj(w[:m+1]). Only that half spectrum is written, with
+    the imaginary signs flipped, and one length-2m real FFT per row
+    replaces the complex one.
+    """
     m2 = 2 * m
-    w = np.zeros(m2, dtype=complex)
-    w[0] = sqrt_eigs[0] * z[0] / np.sqrt(m2)
-    w[m] = sqrt_eigs[m] * z[1] / np.sqrt(m2)
-    if m > 1:
-        amp = sqrt_eigs[1:m] / np.sqrt(2 * m2)
-        head = amp * (z[2::2] + 1j * z[3::2])
-        w[1:m] = head
-        w[m + 1:] = np.conj(head[::-1])
-    return np.fft.fft(w).real[:m]
+    half = np.empty(z.shape[:-1] + (m + 1,), dtype=complex)
+    re, im = half.real, half.imag
+    re[..., 0] = sqrt_eigs[0] * z[..., 0] / np.sqrt(m2)
+    re[..., m] = sqrt_eigs[m] * z[..., 1] / np.sqrt(m2)
+    im[..., 0] = 0.0
+    im[..., m] = 0.0
+    amp = sqrt_eigs[1:m] / np.sqrt(2 * m2)
+    np.multiply(amp, z[..., 2::2], out=re[..., 1:m])
+    np.multiply(-amp, z[..., 3::2], out=im[..., 1:m])
+    return np.fft.irfft(half, m2, axis=-1, norm="forward")[..., :m]
 
 
-def generate_scalar_fbm(grid: IncrementGrid, h: HurstParameter, seed: int,
-                        method: str = "circulant") -> ScalarFbmIncrements:
-    """Sample the m_steps increments of one scalar fBm exactly.
+def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
+                   method: str = "circulant") -> np.ndarray:
+    """Exact fBm increments on the grid, one row per seed.
+
+    Returns a (len(seeds), m_steps) array. Row i is drawn from seeds[i]
+    alone (2m standard normals for circulant, m for cholesky, from
+    rng_from_seed), so it is bit-identical whatever the other seeds are
+    and however the rows are chunked internally.
 
     Parameters
     ----------
@@ -271,25 +295,48 @@ def generate_scalar_fbm(grid: IncrementGrid, h: HurstParameter, seed: int,
         Uniform time mesh.
     h : HurstParameter
         Hurst index in (1/2, 1).
-    seed : int
-        64-bit seed; identical (grid, h, seed, method) give bit-identical
-        output across runs and thread/process counts.
+    seeds : sequence of int
+        64-bit seeds, one per row.
     method : {"circulant", "cholesky"}
-        circulant embeds the fGn covariance in a 2M circulant (fast);
-        cholesky factorizes the dense covariance (reference).
+        circulant embeds the fGn covariance in a 2M circulant and
+        synthesises a chunk of rows with one half-length real FFT
+        (O(M log M) per row); cholesky multiplies each row's normals by
+        the dense factor (reference, at most _CHOLESKY_MAX_STEPS steps).
     """
-    if method not in GENERATOR_METHODS:
-        raise ValueError(f"unknown method {method!r}; use one of"
-                         f" {GENERATOR_METHODS}")
     m = grid.m_steps
-    rng = rng_from_seed(seed)
+    check_method(method, m)
+    seeds = [int(seed) for seed in seeds]
+    out = np.empty((len(seeds), m))
+    scale = grid.tau**h.h
     if method == "cholesky":
-        unit = _cholesky_factor(m, h) @ rng.standard_normal(m)
-    else:
-        unit = _synthesize_circulant(
-            _circulant_sqrt_eigs(m, h), rng.standard_normal(2 * m), m
-        )
-    values = grid.tau**h.h * unit
+        factor = _cholesky_factor(m, h)
+        z = np.empty(m)
+        for i, seed in enumerate(seeds):
+            rng_from_seed(seed).standard_normal(out=z)
+            np.multiply(scale, factor @ z, out=out[i])
+        return out
+    sqrt_eigs = _circulant_sqrt_eigs(m, h)
+    chunk = max(1, _ROW_CHUNK_BYTES // (8 * 2 * m))
+    for lo in range(0, len(seeds), chunk):
+        part = seeds[lo:lo + chunk]
+        z = np.empty((len(part), 2 * m))
+        for i, seed in enumerate(part):
+            rng_from_seed(seed).standard_normal(out=z[i])
+        np.multiply(scale, _synthesize_circulant(sqrt_eigs, z, m),
+                    out=out[lo:lo + len(part)])
+    return out
+
+
+def generate_scalar_fbm(grid: IncrementGrid, h: HurstParameter, seed: int,
+                        method: str = "circulant") -> ScalarFbmIncrements:
+    """Sample the m_steps increments of one scalar fBm exactly.
+
+    Row 0 of increment_rows(grid, h, [seed], method) (circulant: a
+    half-spectrum real FFT; cholesky: the dense factor). Identical (grid,
+    h, seed, method) give bit-identical output across runs, thread and
+    process counts, and the batch the seed is drawn in.
+    """
+    values = increment_rows(grid, h, [seed], method)[0]
     values.flags.writeable = False
     return ScalarFbmIncrements(grid=grid, values=values, hurst=h,
                                seed=int(seed), method=method)
@@ -300,18 +347,15 @@ def generate_cylindrical_fbm(modes: int, grid: IncrementGrid,
                              method: str = "circulant") -> CylindricalFbmSample:
     """Sample `modes` independent scalar fBm rows on a shared grid.
 
-    Row k uses the seed derived from (base_seed, k), never a shared
-    stream, so rows stay independent and extending the mode count leaves
-    existing rows bit-identical.
+    One batched increment_rows call over the seeds derived from
+    (base_seed, k), never a shared stream: rows stay independent, row k
+    equals generate_scalar_fbm at its seed bit for bit, and extending the
+    mode count leaves existing rows bit-identical.
     """
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
-    rows = [
-        generate_scalar_fbm(grid, h, derive_seed(base_seed, MODE_STREAM, k),
-                            method).values
-        for k in range(modes)
-    ]
-    values = np.vstack(rows)
+    seeds = [derive_seed(base_seed, MODE_STREAM, k) for k in range(modes)]
+    values = increment_rows(grid, h, seeds, method)
     values.flags.writeable = False
     return CylindricalFbmSample(grid=grid, values=values, hurst=h,
                                 base_seed=int(base_seed), method=method)

@@ -22,9 +22,10 @@ from .fbm import (
     HurstParameter,
     IncrementGrid,
     _fgn_covariance_seq,
+    fgn_covariance,
     generate_cylindrical_fbm,
-    generate_scalar_fbm,
     increment_covariance,
+    increment_rows,
 )
 from .parallel import parallel_map
 from .rng import MODE_STREAM, SAMPLE_STREAM, derive_seed
@@ -64,11 +65,10 @@ def phi_cell_analytic(i: int, j: int, h: HurstParameter) -> float:
     """Closed form of int_0^1 int_0^1 phi(u + i - v - j) du dv.
 
     Equals 1 on the diagonal and the second difference
-    0.5[(k+1)^{2H} - 2k^{2H} + (k-1)^{2H}], k = |i-j|, off it.
+    0.5[(k+1)^{2H} - 2k^{2H} + (k-1)^{2H}], k = |i-j|, off it: the
+    unit-spacing fGn autocovariance at lag i - j.
     """
-    k = abs(i - j)
-    p = 2.0 * h.h
-    return 0.5 * ((k + 1) ** p - 2.0 * k**p + abs(k - 1) ** p)
+    return fgn_covariance(i - j, h)
 
 
 def phi_cell_quadrature(i: int, j: int, h: HurstParameter,
@@ -416,19 +416,19 @@ def _block_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
 
     Row k of a sample draws its fBm from the seed derived from (seed, k),
     as generate_cylindrical_fbm does, times the noise amplitude phi_k.
-    Filling mode by mode writes B adjacent doubles at a time.
+    Filling mode by mode (one increment_rows call over the block's B
+    seeds) writes B adjacent doubles at a time.
     """
     n = config.n_modes
     amps = config.noise.amplitudes[:n]
     grid = config.grid()
     dw = np.empty((config.m_steps, n, len(seeds)))
     for k in range(n):
-        rows = np.array([
-            generate_scalar_fbm(grid, config.hurst,
-                                derive_seed(seed, MODE_STREAM, k),
-                                config.fbm_method).values
-            for seed in seeds
-        ])
+        rows = increment_rows(
+            grid, config.hurst,
+            [derive_seed(seed, MODE_STREAM, k) for seed in seeds],
+            config.fbm_method,
+        )
         np.multiply(amps[k], rows.T, out=dw[:, k, :])
     return dw
 

@@ -166,24 +166,16 @@ def _batch_unit_fgn(method: str, m: int, h: HurstParameter, n_samples: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Vectorized draw of n_samples unit-spacing fGn vectors.
 
-    Batch form of the and same exact synthesis maps the generators use
-    (verified against each other in test_fbm); batching keeps criterion
-    1 inside its runtime budget.
+    The normals come from one shared stream (not per-row seeds), then go
+    through the generators' own synthesis maps: the Cholesky factor, or
+    fbm._synthesize_circulant on the whole (n_samples, 2m) batch.
+    Batching keeps criterion 1 inside its runtime budget.
     """
     if method == "cholesky":
         factor = fbm._cholesky_factor(m, h)
         return rng.standard_normal((n_samples, m)) @ factor.T
-    sqrt_eigs = fbm._circulant_sqrt_eigs(m, h)
-    m2 = 2 * m
-    z = rng.standard_normal((n_samples, m2))
-    w = np.zeros((n_samples, m2), dtype=complex)
-    w[:, 0] = sqrt_eigs[0] * z[:, 0] / math.sqrt(m2)
-    w[:, m] = sqrt_eigs[m] * z[:, 1] / math.sqrt(m2)
-    amp = sqrt_eigs[1:m] / math.sqrt(2 * m2)
-    head = amp * (z[:, 2::2] + 1j * z[:, 3::2])
-    w[:, 1:m] = head
-    w[:, m + 1:] = np.conj(head[:, ::-1])
-    return np.fft.fft(w, axis=1).real[:, :m]
+    z = rng.standard_normal((n_samples, 2 * m))
+    return fbm._synthesize_circulant(fbm._circulant_sqrt_eigs(m, h), z, m)
 
 
 def test_criterion_1_fbm_exactness():

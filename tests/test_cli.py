@@ -52,6 +52,15 @@ class TestGenFbm:
                      tmp_path])
         assert err.value.code == 2
 
+    def test_large_cholesky_exits_2(self, tmp_path, capsys):
+        # rejected before the 512 MiB factor or any output is made
+        with pytest.raises(SystemExit) as err:
+            run_cli(["gen-fbm", "--method", "cholesky", "--steps", 8192,
+                     "--out-dir", tmp_path / "out"])
+        assert err.value.code == 2
+        assert "circulant" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_lists_artifacts(self, tmp_path):
         assert run_cli(["gen-fbm", "--steps", 4, "--seed", 3, "--out-dir",
                         tmp_path, "--tag", "m"]) == 0
@@ -105,6 +114,14 @@ class TestSolve:
             run_cli(["solve", "--preset", "she-cubic", "--out-dir",
                      tmp_path])
         assert err.value.code == 2
+
+    def test_large_cholesky_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["solve", "--method", "cholesky", "--steps", 8192,
+                     "--modes", 2, "--out-dir", tmp_path / "out"])
+        assert err.value.code == 2
+        assert "circulant" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_finite_state_exits_1(self, tmp_path, monkeypatch, capsys):
         # F(u) = 1e12 u far above lambda_N: every step multiplies the

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracspde import fbm
 from fracspde.fbm import (
@@ -17,6 +19,7 @@ from fracspde.fbm import (
     generate_scalar_fbm,
     increment_covariance,
     increment_covariance_matrix,
+    increment_rows,
     kernel_phi,
 )
 from fracspde.rng import MODE_STREAM, derive_seed
@@ -185,10 +188,8 @@ class TestGeneratorExactness:
         m = 16
         hh = hp(h)
         sq = fbm._circulant_sqrt_eigs(m, hh)
-        basis = np.eye(2 * m)
-        bmat = np.column_stack(
-            [fbm._synthesize_circulant(sq, e, m) for e in basis]
-        )
+        # one batch: row j of the result is the image of basis vector e_j
+        bmat = fbm._synthesize_circulant(sq, np.eye(2 * m), m).T
         target = increment_covariance_matrix(IncrementGrid(m, 1.0), hh)
         assert np.abs(bmat @ bmat.T - target).max() < 1e-12
 
@@ -203,6 +204,139 @@ class TestGeneratorExactness:
     def test_embedding_guard_raises(self):
         with pytest.raises(CirculantEmbeddingError):
             fbm.circulant_eigenvalues(np.array([1.0, -1.0, 0.0]))
+
+
+def _complex_fft_rows(grid, h, seeds):
+    """The circulant synthesis as a full-length complex FFT, one row at a
+    time: the reference the half-spectrum real FFT must reproduce."""
+    m, m2 = grid.m_steps, 2 * grid.m_steps
+    sqrt_eigs = fbm._circulant_sqrt_eigs(m, h)
+    rows = []
+    for seed in seeds:
+        z = np.random.default_rng(seed).standard_normal(m2)
+        w = np.zeros(m2, dtype=complex)
+        w[0] = sqrt_eigs[0] * z[0] / np.sqrt(m2)
+        w[m] = sqrt_eigs[m] * z[1] / np.sqrt(m2)
+        if m > 1:
+            amp = sqrt_eigs[1:m] / np.sqrt(2 * m2)
+            head = amp * (z[2::2] + 1j * z[3::2])
+            w[1:m] = head
+            w[m + 1:] = np.conj(head[::-1])
+        rows.append(grid.tau**h.h * np.fft.fft(w).real[:m])
+    return np.array(rows)
+
+
+ROW_STEPS = [1, 2, 3, 200, 2**14]
+
+
+class TestIncrementRows:
+    """increment_rows is the one sampler: row i depends on seeds[i] only."""
+
+    @pytest.mark.parametrize("chunk_bytes", [2**10, 2**14, 2**20, 2**26])
+    @pytest.mark.parametrize("m", ROW_STEPS)
+    def test_rows_equal_single_seed_calls(self, m, chunk_bytes, monkeypatch):
+        grid = IncrementGrid(m_steps=m, tau=1.0 / m)
+        seeds = [derive_seed(31, s) for s in range(7)]
+        singles = np.array([generate_scalar_fbm(grid, hp(), s).values
+                            for s in seeds])
+        monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", chunk_bytes)
+        assert np.array_equal(increment_rows(grid, hp(), seeds), singles)
+        assert np.array_equal(increment_rows(grid, hp(), seeds[2:]),
+                              singles[2:])
+
+    @pytest.mark.parametrize("m", ROW_STEPS)
+    def test_circulant_rows_match_complex_fft(self, m):
+        grid = IncrementGrid(m_steps=m, tau=1.0 / m)
+        seeds = [derive_seed(32, s) for s in range(4)]
+        ref = _complex_fft_rows(grid, hp(), seeds)
+        rows = increment_rows(grid, hp(), seeds)
+        assert np.abs(rows - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("m", [1, 3, 64])
+    def test_cholesky_rows_are_per_row_gemv(self, m):
+        grid = IncrementGrid(m_steps=m, tau=0.5 / m)
+        seeds = [derive_seed(33, s) for s in range(5)]
+        factor = fbm._cholesky_factor(m, hp())
+        ref = np.array([grid.tau**0.75 * (factor @ np.random.default_rng(s)
+                                          .standard_normal(m))
+                        for s in seeds])
+        rows = increment_rows(grid, hp(), seeds, "cholesky")
+        assert rows.tobytes() == ref.tobytes()
+
+    def test_cylindrical_rows_are_mode_seeds(self):
+        grid = IncrementGrid(m_steps=16, tau=1.0 / 16)
+        cyl = generate_cylindrical_fbm(5, grid, hp(), base_seed=8)
+        rows = increment_rows(
+            grid, hp(), [derive_seed(8, MODE_STREAM, k) for k in range(5)])
+        assert np.array_equal(cyl.values, rows)
+
+    def test_no_seeds_no_rows(self):
+        grid = IncrementGrid(m_steps=4, tau=0.25)
+        assert increment_rows(grid, hp(), []).shape == (0, 4)
+
+
+class TestFactorLimits:
+    def test_large_cholesky_rejected_before_factor(self, monkeypatch):
+        def no_factor(m, h):
+            raise AssertionError("factor built")
+
+        monkeypatch.setattr(fbm, "_cholesky_factor", no_factor)
+        steps = fbm._CHOLESKY_MAX_STEPS + 1
+        grid = IncrementGrid(m_steps=steps, tau=1.0)
+        with pytest.raises(ValueError, match="circulant"):
+            increment_rows(grid, hp(), [1], "cholesky")
+        with pytest.raises(ValueError, match="circulant"):
+            generate_scalar_fbm(grid, hp(), 1, "cholesky")
+        with pytest.raises(ValueError, match="circulant"):
+            generate_cylindrical_fbm(2, grid, hp(), 1, "cholesky")
+
+    def test_factor_itself_guarded(self):
+        with pytest.raises(ValueError, match="circulant"):
+            fbm._cholesky_factor(fbm._CHOLESKY_MAX_STEPS + 1, hp())
+        fbm.check_method("cholesky", fbm._CHOLESKY_MAX_STEPS)
+        fbm.check_method("circulant", 2**30)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            increment_rows(IncrementGrid(4, 0.25), hp(), [1], "wavelet")
+
+    def test_caches_are_bounded(self):
+        fbm.clear_caches()
+        for m in range(1, 13):
+            fbm._cholesky_factor(m, hp())
+            fbm._circulant_sqrt_eigs(m, hp())
+        for cached in (fbm._cholesky_factor, fbm._circulant_sqrt_eigs):
+            info = cached.cache_info()
+            assert info.maxsize == 8
+            assert info.currsize == 8
+        fbm.clear_caches()
+        assert fbm._cholesky_factor.cache_info().currsize == 0
+        assert fbm._circulant_sqrt_eigs.cache_info().currsize == 0
+
+
+HURST = st.floats(min_value=0.51, max_value=0.99)
+
+
+class TestSamplerProperties:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(m=st.integers(1, 24), h=HURST, base=st.integers(0, 2**64 - 1),
+           small=st.integers(1, 6), extra=st.integers(1, 6))
+    def test_mode_nesting(self, m, h, base, small, extra):
+        grid = IncrementGrid(m_steps=m, tau=1.0 / m)
+        fewer = generate_cylindrical_fbm(small, grid, hp(h), base)
+        more = generate_cylindrical_fbm(small + extra, grid, hp(h), base)
+        assert np.array_equal(fewer.values, more.values[:small])
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(m=st.integers(1, 24), h=HURST)
+    def test_exact_gram_matrix(self, m, h):
+        hh = hp(h)
+        target = increment_covariance_matrix(IncrementGrid(m, 1.0), hh)
+        circ = fbm._synthesize_circulant(fbm._circulant_sqrt_eigs(m, hh),
+                                         np.eye(2 * m), m).T
+        assert np.abs(circ @ circ.T - target).max() < 1e-12
+        chol = fbm._cholesky_factor(m, hh)
+        assert np.abs(chol @ chol.T - target).max() < 1e-12
 
 
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
