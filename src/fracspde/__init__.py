@@ -31,14 +31,10 @@ from .spectral import (
     SpectralState,
     apply_nemytskii,
     dirichlet_laplacian,
-    fractional_power_apply,
     identity_noise,
     inverse_sine_transform,
     l2_norm,
     noise_regularity_sum,
-    projection_truncate,
-    rational_step_factor,
-    semigroup_apply,
     sine_transform,
     sobolev_norm,
     trace_class_noise,

@@ -178,8 +178,13 @@ def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
     block of S samples started from the same initial state; row m holds
     phi_n * dW_{n,m}. ``stops`` are nondecreasing step indices in [0, M]
     (0 is the initial state). Returns a (len(stops), n_modes[, S]) array.
-    A block's states can differ from one-sample sweeps in the last bits
-    (matrix-matrix against matrix-vector products when F = sin).
+
+    F = sin runs the dense sine matrix below
+    ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and scipy's fast DST-I
+    from there on, where it is faster per step (see ``kernels``); the two
+    agree to rounding (tested within 1e-12 relative). A block's states
+    can differ from one-sample sweeps in the last bits (matrix-matrix
+    against matrix-vector products on the dense path).
     """
     n = config.n_modes
     if dw_scaled.shape[:2] != (config.m_steps, n):
@@ -191,12 +196,14 @@ def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
     step_factor = 1.0 / (1.0 + config.tau * lam)
     f_kind = _F_CODES[config.nonlinearity.kind]
     f_scale = config.nonlinearity.lipschitz_bound
+    dst_mat = kernels.empty_dst_matrix()
+    dst_scale = 1.0
     if f_kind == kernels.F_SIN:
-        dst_mat = np.ascontiguousarray(sine_matrix(n))
         dst_scale = math.sqrt(n + 1)
-    else:
-        dst_mat = kernels.empty_dst_matrix()
-        dst_scale = 1.0
+        if n >= kernels._FAST_SINE_MIN_MODES:
+            f_kind = kernels.F_SIN_FFT
+        else:
+            dst_mat = np.ascontiguousarray(sine_matrix(n))
     x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)
     if dw_scaled.ndim == 3:
         x0 = np.repeat(x0[:, None], dw_scaled.shape[2], axis=1)

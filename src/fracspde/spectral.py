@@ -1,9 +1,9 @@
 """Diagonal spectral calculus for the linear operator A and the noise.
 
-Everything lives in the eigenbasis {e_n} of A, so the semigroup,
-fractional powers, the resolvent step factor and the Galerkin projection
-are all coefficientwise multiplications. The only non-diagonal piece is
-the Nemytskii map, evaluated by collocation on the interior sine grid
+Everything lives in the eigenbasis {e_n} of A, so the semigroup, the
+resolvent step factor and the Galerkin projection are coefficientwise
+operations; the solver applies them inline. The only non-diagonal piece
+is the Nemytskii map, evaluated by collocation on the interior sine grid
 (pseudo-spectral, no dealiasing: the aliasing error is dominated by the
 scheme's discretization error at the resolutions used here).
 """
@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
+from . import kernels
+
 __all__ = [
     "DiagonalNoiseOperator",
     "NemytskiiMap",
@@ -22,15 +24,11 @@ __all__ = [
     "SpectralState",
     "apply_nemytskii",
     "dirichlet_laplacian",
-    "fractional_power_apply",
     "identity_noise",
     "inverse_sine_transform",
     "l2_norm",
     "noise_regularity_sum",
-    "projection_truncate",
-    "rational_step_factor",
     "scaled_identity_map",
-    "semigroup_apply",
     "sine_grid",
     "sine_map",
     "sine_matrix",
@@ -235,48 +233,6 @@ def _check_dims(op: SpectralOperator, x: SpectralState) -> None:
         )
 
 
-def semigroup_apply(op: SpectralOperator, t: float,
-                    x: SpectralState) -> SpectralState:
-    """E(t) x = e^{-tA} x, coefficient n scaled by exp(-lambda_n t)."""
-    if t < 0:
-        raise ValueError(f"semigroup time must be >= 0, got {t}")
-    _check_dims(op, x)
-    if t == 0.0:
-        return SpectralState(coeffs=x.coeffs.copy(), time=x.time)
-    return SpectralState(coeffs=np.exp(-op.eigenvalues * t) * x.coeffs,
-                         time=x.time)
-
-
-def fractional_power_apply(op: SpectralOperator, gamma: float,
-                           x: SpectralState) -> SpectralState:
-    """A^gamma x, coefficient n scaled by lambda_n^gamma.
-
-    The truncation makes every real power bounded, so gamma may be
-    negative. The Sobolev norm of index delta is l2_norm after
-    gamma = delta/2.
-    """
-    _check_dims(op, x)
-    if gamma == 0.0:
-        return SpectralState(coeffs=x.coeffs.copy(), time=x.time)
-    return SpectralState(coeffs=op.eigenvalues**gamma * x.coeffs, time=x.time)
-
-
-def rational_step_factor(op: SpectralOperator, tau: float) -> np.ndarray:
-    """Per-mode resolvent factors R(tau lambda_n) = 1/(1 + tau lambda_n)."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return 1.0 / (1.0 + tau * op.eigenvalues)
-
-
-def projection_truncate(x: SpectralState, n_target: int) -> SpectralState:
-    """Galerkin projection P_N: keep the first n_target coefficients."""
-    if not 1 <= n_target <= x.n_modes:
-        raise ValueError(
-            f"n_target must be in [1, {x.n_modes}], got {n_target}"
-        )
-    return SpectralState(coeffs=x.coeffs[:n_target].copy(), time=x.time)
-
-
 def l2_norm(x: SpectralState) -> float:
     """L2 norm of the represented function (Parseval)."""
     return float(np.linalg.norm(x.coeffs))
@@ -314,8 +270,7 @@ def sine_grid(n_modes: int) -> np.ndarray:
     return np.arange(1, n_modes + 1) / (n_modes + 1.0)
 
 
-@functools.lru_cache(maxsize=16)
-def _sine_matrix_cached(n_modes: int) -> np.ndarray:
+def _build_sine_matrix(n_modes: int) -> np.ndarray:
     j = np.arange(1, n_modes + 1)
     mat = np.sqrt(2.0 / (n_modes + 1)) * np.sin(
         np.pi * np.outer(j, j) / (n_modes + 1)
@@ -324,14 +279,22 @@ def _sine_matrix_cached(n_modes: int) -> np.ndarray:
     return mat
 
 
+_sine_matrix_cached = functools.lru_cache(maxsize=16)(_build_sine_matrix)
+
+
 def sine_matrix(n_modes: int) -> np.ndarray:
     """Dense symmetric orthonormal DST-I matrix (involutory: S @ S = I).
 
     Physical values are sqrt(N+1) * (S @ coeffs); used by the Euler
-    sweep for F = sin (``kernels.euler_sweep``), and as the O(N^2) oracle
-    for the fast transform.
+    sweep for F = sin below ``kernels._FAST_SINE_MIN_MODES`` modes
+    (``solver.solve_stops``), and as the O(N^2) oracle for the fast
+    transform. Only those small matrices (at most 2 MiB each) are cached;
+    a larger one, which no production path uses, is built on every call.
     """
-    return _sine_matrix_cached(int(n_modes))
+    n_modes = int(n_modes)
+    if n_modes < kernels._FAST_SINE_MIN_MODES:
+        return _sine_matrix_cached(n_modes)
+    return _build_sine_matrix(n_modes)
 
 
 def sine_transform(coeffs: np.ndarray) -> np.ndarray:

@@ -3,11 +3,15 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracspde import cli
+from fracspde import cli, kernels, solver
 from fracspde.cli import main
 from fracspde.spectral import scaled_identity_map
 
@@ -185,6 +189,30 @@ class TestConverge:
                      tmp_path])
         assert err.value.code == 2
 
+    def test_paper_scale_spatial_smoke(self, tmp_path, monkeypatch):
+        """N_exact = 4096 runs on the fast sine transform: a dense matrix
+        at or above the switch would be 128 MiB and 30 ms per step."""
+        dense = solver.sine_matrix
+
+        def small_only(n_modes):
+            if n_modes >= kernels._FAST_SINE_MIN_MODES:
+                raise AssertionError(f"sine_matrix({n_modes}) called")
+            return dense(n_modes)
+
+        monkeypatch.setattr(solver, "sine_matrix", small_only)
+        assert run_cli(["converge", "--axis", "space", "--paper-scale",
+                        "--samples", 2, "--preset", "she-trace",
+                        "--workers", 1, "--out-dir", tmp_path,
+                        "--tag", "paper"]) == 0
+        payload = json.loads(
+            (tmp_path / "spatial_trace_class_logsq_H0.75_paper.json")
+            .read_text()
+        )
+        assert payload["metadata"]["reference_resolution"] == 4096
+        assert len(payload["rms_errors"]) == 5
+        assert all(math.isfinite(x) and x > 0
+                   for x in payload["rms_errors"] + payload["std_errors"])
+
 
 class TestVerifyCommand:
     def test_phi_suite_passes(self, tmp_path):
@@ -287,3 +315,62 @@ class TestConfigFile:
         assert err.value.code == 2
         assert "stepz" in capsys.readouterr().err
         assert not (tmp_path / "fbm_k.csv").exists()
+
+
+# Words the flat config format carries unchanged: no '#' (comment) and no
+# surrounding blanks.
+WORDS = st.from_regex(r"[A-Za-z0-9_.-]{1,12}", fullmatch=True)
+
+
+def _flag_values(action):
+    """Strategy for (command-line word, config-file text) of one flag."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:  # a switch: present on the line, truthy in a file
+        return st.sampled_from(["1", "true", "yes", "True"]).map(
+            lambda word: (flag, word))
+    if action.choices:
+        values = st.sampled_from(sorted(action.choices))
+    elif action.type is int:
+        values = st.integers(-2**40, 2**40).map(str)
+    elif action.type is float:
+        values = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    else:
+        values = WORDS
+    return values.map(lambda text: (f"{flag}={text}", text))
+
+
+def _command_flags(command):
+    actions = cli._flag_actions(cli._build_parser(), command)
+    return {dest: a for dest, a in actions.items()
+            if dest not in ("help", "config")}
+
+
+@st.composite
+def _flag_sets(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = _command_flags(command)
+    chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True))
+    return command, {dest: draw(_flag_values(flags[dest]))
+                     for dest in chosen}
+
+
+class TestConfigRoundTrip:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(case=_flag_sets())
+    def test_file_value_resolves_like_flag(self, case):
+        """Every value written to a config file resolves to what the same
+        value resolves to as a flag."""
+        command, values = case
+        parser = cli._build_parser()
+        defaults = {dest: None for dest in _command_flags(command)}
+        argv = [command] + [word for word, _ in values.values()]
+        from_flags = cli._resolve(parser.parse_args(argv), parser, defaults)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text("".join(f"{dest} = {text}\n"
+                                    for dest, (_, text) in values.items()))
+            args = parser.parse_args([command, "--config", str(path)])
+            from_file = cli._resolve(args, parser, defaults)
+        assert from_file == from_flags
+        for dest in values:
+            assert type(from_file[dest]) is type(from_flags[dest])

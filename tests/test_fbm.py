@@ -339,6 +339,26 @@ class TestSamplerProperties:
         assert np.abs(chol @ chol.T - target).max() < 1e-12
 
 
+class TestAggregationProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(coarse=st.integers(1, 8), q1=st.integers(1, 6),
+           q2=st.integers(1, 6), modes=st.integers(1, 4), h=HURST,
+           base=st.integers(0, 2**64 - 1))
+    def test_aggregation_telescopes(self, coarse, q1, q2, modes, h, base):
+        """Aggregating by q1 then q2 is aggregating by q1*q2: the same
+        sums of the same fine increments, in another order."""
+        m = coarse * q1 * q2
+        fine = generate_cylindrical_fbm(modes, IncrementGrid(m, 1.0 / m),
+                                        hp(h), base)
+        twice = aggregate_cylindrical(aggregate_cylindrical(fine, q1), q2)
+        once = aggregate_cylindrical(fine, q1 * q2)
+        assert twice.grid.m_steps == once.grid.m_steps == coarse
+        assert twice.grid.tau == pytest.approx(once.grid.tau, rel=1e-15)
+        # both orders round within (q1*q2 - 1) eps of the absolute sum
+        scale = np.abs(fine.values).reshape(modes, coarse, -1).sum(axis=2)
+        assert np.all(np.abs(twice.values - once.values) <= 1e-14 * scale)
+
+
 @pytest.mark.parametrize("method", ["cholesky", "circulant"])
 class TestGeneratorStatistics:
     def test_single_step_variance(self, method):

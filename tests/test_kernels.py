@@ -1,17 +1,20 @@
 """Kernels: the Euler sweep against an explicit per-step loop, its stops
-and sample blocks, and the blocked convolution against the step-by-step
-sum it must reproduce bit for bit."""
+and sample blocks, the fast sine transform against the dense matrix, and
+the blocked convolution against the step-by-step sum it must reproduce
+bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from fracspde import kernels
 from fracspde.spectral import sine_matrix
 
 RNG = np.random.default_rng(42)
-F_KINDS = [kernels.F_ZERO, kernels.F_SCALED, kernels.F_SIN]
+F_KINDS = [kernels.F_ZERO, kernels.F_SCALED, kernels.F_SIN,
+           kernels.F_SIN_FFT]
 
 
 def sweep_args(n_modes, m_steps, f_kind, samples=None):
@@ -28,7 +31,8 @@ def sweep_args(n_modes, m_steps, f_kind, samples=None):
         scale = math.sqrt(n_modes + 1)
     else:
         mat = kernels.empty_dst_matrix()
-        scale = 1.0
+        scale = (math.sqrt(n_modes + 1) if f_kind == kernels.F_SIN_FFT
+                 else 1.0)
     return x0, step_factor, tau, dw, f_kind, 1.0, mat, scale
 
 
@@ -41,9 +45,13 @@ def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, mat, scale):
             x = step_factor * (x + dw[m])
         elif f_kind == kernels.F_SCALED:
             x = step_factor * (x + tau * (f_scale * x) + dw[m])
-        else:
+        elif f_kind == kernels.F_SIN:
             u = scale * np.dot(mat, x)
             fx = np.dot(mat, np.sin(u)) / scale
+            x = step_factor * (x + tau * fx + dw[m])
+        else:
+            u = scale * scipy.fft.dst(x, type=1, norm="ortho")
+            fx = scipy.fft.dst(np.sin(u), type=1, norm="ortho") / scale
             x = step_factor * (x + tau * fx + dw[m])
         states.append(x)
     return np.array(states)
@@ -98,6 +106,30 @@ def test_block_matches_single_samples(f_kind):
 def test_sweep_rejects_bad_stops(stops):
     with pytest.raises(ValueError, match="stops"):
         kernels.euler_sweep(*sweep_args(3, 16, kernels.F_ZERO), stops)
+
+
+def test_sweep_rejects_unknown_kind():
+    args = list(sweep_args(3, 16, kernels.F_ZERO))
+    args[4] = 4
+    with pytest.raises(ValueError, match="nonlinearity code"):
+        kernels.euler_sweep(*args, (16,))
+
+
+@pytest.mark.parametrize("samples", [None, 4])
+@pytest.mark.parametrize("n_modes", [300, 512, 1024])
+def test_fast_sine_matches_dense(n_modes, samples):
+    """The FFT sweep tracks the dense-matrix sweep to rounding, for one
+    sample and for a block, at sizes on both sides of the switch."""
+    dense_args = sweep_args(n_modes, 40, kernels.F_SIN, samples)
+    fast_args = dense_args[:4] + (kernels.F_SIN_FFT, 1.0,
+                                  kernels.empty_dst_matrix(),
+                                  dense_args[7])
+    stops = (0, 10, 40)
+    dense = kernels.euler_sweep(*dense_args, stops)
+    fast = kernels.euler_sweep(*fast_args, stops)
+    assert fast.shape == dense.shape
+    err = np.max(np.abs(fast - dense))
+    assert err <= 1e-12 * np.max(np.abs(dense)), err
 
 
 def sequential_convolution(lam, dw, tau, upto):

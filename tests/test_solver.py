@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracspde import kernels, solver, spectral
 from fracspde.fbm import (
     HurstParameter,
     IncrementGrid,
@@ -206,6 +207,44 @@ class TestSolvePath:
         c = make_config(n=4, m=8, seed=4)
         assert a.digest() == b.digest()
         assert a.digest() != c.digest()
+
+
+class TestFastSineSwitch:
+    """solve_stops runs F = sin through the dense sine matrix below
+    kernels._FAST_SINE_MIN_MODES and through the FFT from there on."""
+
+    def sweep(self, n, f_kind):
+        cfg = make_config(n=n, m=12, horizon=0.06, f=sine_map(),
+                          noise=identity_noise(n))
+        dw = solver._scaled_increments(cfg, noise_for(cfg))
+        mat = (np.ascontiguousarray(spectral.sine_matrix(n))
+               if f_kind == kernels.F_SIN else kernels.empty_dst_matrix())
+        lam = cfg.operator.eigenvalues
+        expected = kernels.euler_sweep(
+            cfg.initial.coeffs.copy(), 1.0 / (1.0 + cfg.tau * lam), cfg.tau,
+            dw, f_kind, 1.0, mat, math.sqrt(n + 1), (4, 12))
+        return solve_stops(cfg, dw, (4, 12)), expected
+
+    def test_dense_just_below(self):
+        out, dense = self.sweep(511, kernels.F_SIN)
+        assert np.array_equal(out, dense)
+
+    def test_fast_at_constant(self):
+        out, fast = self.sweep(512, kernels.F_SIN_FFT)
+        assert np.array_equal(out, fast)
+
+    def test_fast_path_builds_no_sine_matrix(self, monkeypatch):
+        def refuse(n_modes):
+            raise AssertionError(f"sine_matrix({n_modes}) called")
+
+        monkeypatch.setattr(solver, "sine_matrix", refuse)
+        monkeypatch.setattr(spectral, "sine_matrix", refuse)
+        cfg = make_config(n=512, m=10, horizon=0.05, f=sine_map())
+        end = solve_endpoint(cfg, noise_for(cfg))
+        assert np.all(np.isfinite(end.coeffs))
+        with pytest.raises(AssertionError, match="sine_matrix"):
+            solve_endpoint(restrict_config(cfg, n_modes=511),
+                           noise_for(cfg))
 
 
 class TestLinearMildReference:

@@ -1,31 +1,37 @@
-"""Spectral calculus: operator, semigroup, transforms, noise sums."""
+"""Spectral calculus: operator, semigroup and step factor as the solver
+applies them, transforms, noise sums."""
 
 import math
 
 import numpy as np
 import pytest
 
+from fracspde import spectral
+from fracspde.fbm import CylindricalFbmSample, HurstParameter, IncrementGrid
+from fracspde.solver import (
+    SolverConfig,
+    linear_mild_reference,
+    restrict_config,
+    solve_endpoint,
+)
 from fracspde.spectral import (
     DiagonalNoiseOperator,
     SpectralOperator,
     SpectralState,
     apply_nemytskii,
     dirichlet_laplacian,
-    fractional_power_apply,
     identity_noise,
     inverse_sine_transform,
     l2_norm,
     noise_regularity_sum,
-    projection_truncate,
-    rational_step_factor,
     scaled_identity_map,
-    semigroup_apply,
     sine_map,
     sine_matrix,
     sine_transform,
     sobolev_norm,
     trace_class_noise,
     zero_map,
+    zero_noise,
 )
 
 RNG = np.random.default_rng(20240810)
@@ -63,33 +69,56 @@ class TestDirichletLaplacian:
             SpectralOperator(eigenvalues=np.array([0.0, 1.0]))
 
 
-class TestSemigroup:
-    def test_identity_at_zero(self):
-        op = dirichlet_laplacian(5)
-        x = SpectralState(coeffs=RNG.standard_normal(5))
-        out = semigroup_apply(op, 0.0, x)
-        assert np.array_equal(out.coeffs, x.coeffs)
+def noise_free(op, t, x):
+    """A one-step, noise-free problem on horizon t from state x, with a
+    zero noise sample on its grid."""
+    n = x.n_modes
+    cfg = SolverConfig(
+        n_modes=n, m_steps=1, horizon=t, hurst=HurstParameter(0.75),
+        operator=op, noise=zero_noise(n), nonlinearity=zero_map(),
+        initial=x, base_seed=0,
+    )
+    sample = CylindricalFbmSample(
+        grid=IncrementGrid(m_steps=1, tau=t), values=np.zeros((n, 1)),
+        hurst=cfg.hurst, base_seed=0, method="circulant",
+    )
+    return cfg, sample
 
+
+def semigroup(op, t, x):
+    """E(t) x as the F = 0 oracle applies it: the deterministic part of
+    linear_mild_reference."""
+    return linear_mild_reference(*noise_free(op, t, x))
+
+
+def step_factors(op, tau):
+    """R(tau lambda_n) = 1/(1 + tau lambda_n) as the scheme applies it:
+    one noise-free F = 0 step from the all-ones state."""
+    x = SpectralState(coeffs=np.ones(op.n_modes))
+    return solve_endpoint(*noise_free(op, tau, x)).coeffs
+
+
+class TestSemigroup:
     def test_single_mode_factor(self):
         op = dirichlet_laplacian(1)
-        out = semigroup_apply(op, 0.1, unit_state(1, 0))
+        out = semigroup(op, 0.1, unit_state(1, 0))
         assert out.coeffs[0] == pytest.approx(0.37270783885343794, rel=1e-14)
 
     def test_semigroup_property(self):
         op = dirichlet_laplacian(6)
         x = SpectralState(coeffs=RNG.standard_normal(6))
-        a = semigroup_apply(op, 0.02, semigroup_apply(op, 0.01, x))
-        b = semigroup_apply(op, 0.03, x)
+        a = semigroup(op, 0.02, semigroup(op, 0.01, x))
+        b = semigroup(op, 0.03, x)
         np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=1e-14)
 
     def test_contraction(self):
         op = dirichlet_laplacian(6)
         x = SpectralState(coeffs=RNG.standard_normal(6))
-        assert l2_norm(semigroup_apply(op, 0.4, x)) <= l2_norm(x)
+        assert l2_norm(semigroup(op, 0.4, x)) <= l2_norm(x)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            semigroup_apply(dirichlet_laplacian(2), -0.1, unit_state(2, 0))
+        with pytest.raises(ValueError, match="horizon"):
+            semigroup(dirichlet_laplacian(2), -0.1, unit_state(2, 0))
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0])
     @pytest.mark.parametrize("t", [1e-3, 1e-2, 1e-1])
@@ -97,43 +126,23 @@ class TestSemigroup:
         # ||A^g E(t) x|| <= (g/e)^g t^-g ||x||, (g/e)^g = sup z^g e^-z
         op = dirichlet_laplacian(40)
         x = SpectralState(coeffs=RNG.standard_normal(40))
-        y = fractional_power_apply(op, gamma, semigroup_apply(op, t, x))
+        y = sobolev_norm(op, 2.0 * gamma, semigroup(op, t, x))
         bound = (gamma / math.e) ** gamma * t ** (-gamma) * l2_norm(x)
-        assert l2_norm(y) <= bound * (1 + 1e-12)
-
-
-class TestFractionalPower:
-    def test_zero_is_identity(self):
-        op = dirichlet_laplacian(4)
-        x = SpectralState(coeffs=RNG.standard_normal(4))
-        assert np.array_equal(fractional_power_apply(op, 0.0, x).coeffs,
-                              x.coeffs)
-
-    def test_inverse_roundtrip(self):
-        op = dirichlet_laplacian(5)
-        x = SpectralState(coeffs=RNG.standard_normal(5))
-        y = fractional_power_apply(op, -1.0,
-                                   fractional_power_apply(op, 1.0, x))
-        np.testing.assert_allclose(y.coeffs, x.coeffs, rtol=1e-14)
-
-    def test_half_power_on_mode_two(self):
-        op = dirichlet_laplacian(3)
-        y = fractional_power_apply(op, 0.5, unit_state(3, 1))
-        assert y.coeffs[1] == pytest.approx(6.283185307179586, rel=1e-14)
+        assert y <= bound * (1 + 1e-12)
 
 
 class TestRationalFactor:
     def test_values(self):
         op = dirichlet_laplacian(1)
-        assert rational_step_factor(op, 0.01)[0] == pytest.approx(
+        assert step_factors(op, 0.01)[0] == pytest.approx(
             0.9101698376462755, rel=1e-14
         )
         flat = SpectralOperator(eigenvalues=np.array([1.0]))
-        assert rational_step_factor(flat, 1.0)[0] == 0.5
+        assert step_factors(flat, 1.0)[0] == 0.5
 
     def test_in_unit_interval_and_decreasing(self):
         op = dirichlet_laplacian(30)
-        f = rational_step_factor(op, 0.05)
+        f = step_factors(op, 0.05)
         assert np.all((f > 0) & (f < 1))
         assert np.all(np.diff(f) < 0)
 
@@ -149,17 +158,13 @@ class TestRationalFactor:
 
 
 class TestProjection:
-    def test_full_length_identity(self):
-        x = SpectralState(coeffs=RNG.standard_normal(6))
-        assert np.array_equal(projection_truncate(x, 6).coeffs, x.coeffs)
-
-    def test_mode_one_untouched(self):
-        x = unit_state(6, 0)
-        assert projection_truncate(x, 1).coeffs[0] == 1.0
+    """P_N keeps the first N coefficients: a config restricted to N modes
+    (the spatial ladder's coupling) reads the template's prefix."""
 
     def test_too_large_rejected(self):
-        with pytest.raises(ValueError):
-            projection_truncate(unit_state(3, 0), 4)
+        cfg, _ = noise_free(dirichlet_laplacian(3), 0.1, unit_state(3, 0))
+        with pytest.raises(ValueError, match="n_modes=4"):
+            restrict_config(cfg, n_modes=4)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
     def test_sharpness_on_eigenvectors(self, alpha):
@@ -167,9 +172,8 @@ class TestProjection:
         op = dirichlet_laplacian(8)
         n_keep = 5
         x = unit_state(8, n_keep)  # mode index n_keep+1
-        kept = projection_truncate(x, n_keep)
         tail = x.coeffs.copy()
-        tail[:n_keep] -= kept.coeffs
+        tail[:n_keep] = 0.0  # the spatial study's ref - P_N ref
         lost = float(np.linalg.norm(tail))
         bound = op.eigenvalues[n_keep] ** (-alpha / 2) * sobolev_norm(
             op, alpha, x
@@ -253,6 +257,16 @@ class TestSineTransform:
     def test_sine_matrix_involutory(self):
         s = sine_matrix(9)
         np.testing.assert_allclose(s @ s, np.eye(9), atol=1e-13)
+
+    def test_large_sine_matrix_not_cached(self):
+        cache = spectral._sine_matrix_cached
+        cache.cache_clear()
+        small = sine_matrix(9)
+        before = cache.cache_info().currsize
+        big = sine_matrix(1024)
+        assert cache.cache_info().currsize == before
+        assert sine_matrix(9) is small
+        assert big.shape == (1024, 1024) and not big.flags.writeable
 
 
 class TestNemytskii:
