@@ -13,12 +13,9 @@ from .fbm import (
     CylindricalFbmSample,
     HurstParameter,
     IncrementGrid,
-    ScalarFbmIncrements,
     aggregate_cylindrical,
-    aggregate_increments,
     fbm_covariance,
     generate_cylindrical_fbm,
-    generate_scalar_fbm,
     increment_covariance,
     increment_covariance_matrix,
     increment_rows,
@@ -50,5 +47,4 @@ from .solver import (
     linear_mild_reference,
     solve_endpoint,
     solve_path,
-    stochastic_convolution,
 )

@@ -121,6 +121,12 @@ def _require_method(parser: argparse.ArgumentParser, method: str,
         parser.error(str(exc))
 
 
+def _require_samples(parser: argparse.ArgumentParser, samples) -> None:
+    """Fewer than two samples give no standard error (exit 2)."""
+    if samples is not None and samples < 2:
+        parser.error(f"--samples must be >= 2, got {samples}")
+
+
 def _write_manifest(out_dir: Path, command: str, tag: str, config: dict,
                     seed, artifacts: list, started: float) -> Path:
     payload = {
@@ -294,8 +300,7 @@ def _cmd_solve(args, parser) -> int:
 
     if cfg["save_trajectory"]:
         traj_path = out_dir / f"solve_{cfg['preset']}_{tag}_trajectory.csv"
-        rows = [",".join(_fmt(c) for c in state.coeffs)
-                for state in trajectory.states]
+        rows = [",".join(_fmt(c) for c in row) for row in trajectory.states]
         traj_path.write_text("\n".join(rows) + "\n")
         artifacts.append(traj_path)
 
@@ -320,30 +325,18 @@ def _cmd_converge(args, parser) -> int:
         parser.error("--axis must be time or space")
     if cfg["preset"] not in SHE_PRESETS:
         parser.error(f"--preset must be one of {SHE_PRESETS}")
+    _require_samples(parser, cfg["samples"])
     workers = cfg["workers"] if cfg["workers"] else default_workers()
     started = time.monotonic()
     tag = cfg["tag"] or _timestamp()
     out_dir = Path(cfg["out_dir"])
 
-    scale = "paper" if cfg["paper_scale"] else "desk"
-    builders = {
-        ("time", "desk"): experiments.desk_temporal_study,
-        ("time", "paper"): experiments.paper_temporal_study,
-        ("space", "desk"): experiments.desk_spatial_study,
-        ("space", "paper"): experiments.paper_spatial_study,
-    }
-    kwargs = {"base_seed": cfg["seed"], "fbm_method": cfg["method"]}
-    if cfg["samples"]:
-        kwargs["samples"] = cfg["samples"]
-    study = builders[(cfg["axis"], scale)](cfg["preset"], **kwargs)
+    axis_name = "temporal" if cfg["axis"] == "time" else "spatial"
+    study = experiments.protocol_study(
+        axis_name, "paper" if cfg["paper_scale"] else "desk", cfg["preset"],
+        cfg["seed"], cfg["samples"], cfg["method"])
     _require_method(parser, cfg["method"], study.problem.m_steps)
-
-    if cfg["axis"] == "time":
-        report = experiments.run_temporal_study(study, workers=workers)
-        axis_name = "temporal"
-    else:
-        report = experiments.run_spatial_study(study, workers=workers)
-        axis_name = "spatial"
+    report = experiments.run_study(study, workers=workers)
 
     basename = (f"{axis_name}_{study.problem.noise.kind}_"
                 f"H{study.problem.hurst.h}_{tag}")
@@ -455,6 +448,7 @@ def _cmd_verify(args, parser) -> int:
         parser.error(
             f"--suite must be one of {', '.join(_SUITES)} or all"
         )
+    _require_samples(parser, cfg["samples"])
     names = list(_SUITES) if cfg["suite"] == "all" else [cfg["suite"]]
     default_samples = {"isometry": 10000, "regularity": 96}
     workers = cfg["workers"] if cfg["workers"] else default_workers()

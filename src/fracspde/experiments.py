@@ -8,8 +8,9 @@ term that shrinks with the reference ratio (see the analysis notes in
 the README for why the fixed desk protocols overshoot the asymptotic
 slopes).
 
-Per-sample results are reduced in sample order, so reports are
-byte-identical for any worker count given the same base seed.
+One runner serves both axes: it sweeps fixed blocks of consecutive
+samples, and per-sample results are reduced in sample order, so reports
+are byte-identical for any worker count given the same base seed.
 """
 
 import json
@@ -18,10 +19,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbm import aggregate_cylindrical, generate_cylindrical_fbm, HurstParameter
+from .fbm import HurstParameter, _aggregate_values
 from .parallel import parallel_map
-from .rng import SAMPLE_STREAM, derive_seed
-from .solver import SolverConfig, restrict_config, solve_endpoint
+from .solver import (
+    SolverConfig,
+    _block_increments,
+    _require_finite,
+    _sample_blocks,
+    restrict_config,
+    solve_stops,
+)
 from .spectral import (
     SpectralState,
     dirichlet_laplacian,
@@ -33,16 +40,13 @@ from .spectral import (
 )
 
 __all__ = [
+    "PROTOCOLS",
     "ConvergenceStudy",
     "ErrorReport",
-    "desk_spatial_study",
-    "desk_temporal_study",
     "fit_slope",
-    "paper_spatial_study",
-    "paper_temporal_study",
+    "protocol_study",
     "rms_error",
-    "run_spatial_study",
-    "run_temporal_study",
+    "run_study",
     "she_problem",
     "write_report",
 ]
@@ -198,52 +202,33 @@ def _fit_or_nan(xs: np.ndarray, ys: np.ndarray):
         return math.nan, math.nan
 
 
-def _temporal_worker(args) -> np.ndarray:
-    template, ladder, seed = args
-    fine = generate_cylindrical_fbm(template.n_modes, template.grid(),
-                                    template.hurst, seed,
-                                    template.fbm_method)
-    ref = solve_endpoint(template, fine).coeffs
-    out = np.empty(len(ladder))
-    for i, m in enumerate(ladder):
-        coarse_noise = aggregate_cylindrical(fine, template.m_steps // m)
-        coarse = solve_endpoint(restrict_config(template, m_steps=m),
-                                coarse_noise).coeffs
-        out[i] = float(np.linalg.norm(ref - coarse))
-        if not np.isfinite(out[i]):
-            raise FloatingPointError(
-                f"non-finite state at resolution {m}, seed {seed}"
-            )
-    return out
+def _study_block(args) -> np.ndarray:
+    """Per-sample errors, (B, rungs), of one block of consecutive samples.
 
-
-def _spatial_worker(args) -> np.ndarray:
-    template, ladder, seed = args
-    fine = generate_cylindrical_fbm(template.n_modes, template.grid(),
-                                    template.hurst, seed,
-                                    template.fbm_method)
-    ref = solve_endpoint(template, fine).coeffs
-    out = np.empty(len(ladder))
-    for i, n in enumerate(ladder):
-        coarse = solve_endpoint(restrict_config(template, n_modes=n),
-                                fine).coeffs
-        diff = ref.copy()
-        diff[:n] -= coarse
-        out[i] = float(np.linalg.norm(diff))
-        if not np.isfinite(out[i]):
-            raise FloatingPointError(
-                f"non-finite state at resolution {n}, seed {seed}"
-            )
-    return out
-
-
-def _run_study(study: ConvergenceStudy, worker, workers: int):
-    args = [
-        (study.problem, study.ladder,
-         derive_seed(study.base_seed, SAMPLE_STREAM, s))
-        for s in range(study.samples)
-    ]
-    return np.array(parallel_map(worker, args, workers))
+    The reference and every rung sweep the block's (N, B) states driven by
+    one (M, N, B) increment buffer: a temporal rung sums the buffer's
+    fine increments by its step ratio, a spatial rung reads its leading
+    modes.
+    """
+    study, first, seeds = args
+    template = study.problem
+    m_ref = template.m_steps
+    dw = _block_increments(template, seeds)
+    ref = solve_stops(template, dw, (m_ref,))[0]
+    errors = np.empty((len(seeds), len(study.ladder)))
+    for j, rung in enumerate(study.ladder):
+        if study.axis == "temporal":
+            diff = ref - solve_stops(
+                restrict_config(template, m_steps=rung),
+                _aggregate_values(dw, m_ref // rung, axis=0), (rung,))[0]
+        else:
+            diff = ref.copy()
+            diff[:rung] -= solve_stops(
+                restrict_config(template, n_modes=rung), dw[:, :rung, :],
+                (m_ref,))[0]
+        errors[:, j] = [np.linalg.norm(d) for d in diff.T]
+    _require_finite(errors.T, first)
+    return errors
 
 
 def _study_metadata(study: ConvergenceStudy, extra: dict) -> dict:
@@ -267,25 +252,36 @@ def _study_metadata(study: ConvergenceStudy, extra: dict) -> dict:
     return meta
 
 
-def run_temporal_study(study: ConvergenceStudy,
-                       workers: int = 1) -> ErrorReport:
-    """Errors of coarse time steppings against the fine-step reference.
+def run_study(study: ConvergenceStudy, workers: int = 1) -> ErrorReport:
+    """Errors of every rung against the study's reference, on either axis.
 
-    The slope is fitted against the step size tau (not the step count),
-    so the theoretical value is (2H + beta - 1)/2: the paper's asymptotic
-    exponent, not the slope this protocol is expected to fit. For that,
-    fit ``verify.expected_temporal_rms_errors`` on the same ladder.
+    Sample s draws from derive_seed(study.base_seed, SAMPLE_STREAM, s);
+    fixed blocks of consecutive samples (solver._sample_blocks) are mapped
+    over ``workers`` processes. A temporal slope is fitted against the
+    step size tau, so its theoretical value is (2H + beta - 1)/2; a
+    spatial one against N, reported as the positive decay order, so its
+    theoretical value is 2H + beta - 1 (the lambda_{N+1} form doubled
+    through lambda_N ~ N^2 pi^2). Both are the paper's asymptotic
+    exponents, not the slopes a finite protocol is expected to fit: for
+    those, fit ``verify.expected_temporal_rms_errors`` /
+    ``expected_spatial_rms_errors`` on the same ladder.
     """
-    if study.axis != "temporal":
-        raise ValueError("study.axis must be temporal")
-    errors = _run_study(study, _temporal_worker, workers)
+    args = [(study, first, seeds) for first, seeds in
+            _sample_blocks(study.problem, study.samples, study.base_seed)]
+    errors = np.concatenate(parallel_map(_study_block, args, workers))
     stats = [rms_error(errors[:, i]) for i in range(len(study.ladder))]
     rms = np.array([s[0] for s in stats])
     ses = np.array([s[1] for s in stats])
-    taus = study.problem.horizon / np.array(study.ladder, dtype=float)
-    slope, halfwidth = _fit_or_nan(taus, rms)
     p = study.problem
-    theo = (2.0 * p.hurst.h + p.noise.beta - 1.0) / 2.0
+    order = 2.0 * p.hurst.h + p.noise.beta - 1.0
+    ladder = np.array(study.ladder, dtype=float)
+    if study.axis == "temporal":
+        slope, halfwidth = _fit_or_nan(p.horizon / ladder, rms)
+        theo, extra = order / 2.0, {"slope_axis": "tau"}
+    else:
+        slope, halfwidth = _fit_or_nan(ladder, rms)
+        slope, theo = -slope, order
+        extra = {"slope_axis": "n_modes", "slope_sign": "decay order"}
     return ErrorReport(
         resolutions=np.array(study.ladder),
         rms_errors=rms,
@@ -293,117 +289,44 @@ def run_temporal_study(study: ConvergenceStudy,
         fitted_slope=slope,
         slope_confidence_halfwidth=halfwidth,
         theoretical_slope=theo,
-        metadata=_study_metadata(study, {"slope_axis": "tau"}),
-    )
-
-
-def run_spatial_study(study: ConvergenceStudy,
-                      workers: int = 1) -> ErrorReport:
-    """Errors of mode-truncated runs against the full-mode reference.
-
-    The slope is fitted against N and reported as the positive decay
-    order, so the theoretical value is 2H + beta - 1 (the lambda_{N+1}
-    form doubled through lambda_N ~ N^2 pi^2): the paper's asymptotic
-    exponent, not the slope this protocol is expected to fit. For that,
-    fit ``verify.expected_spatial_rms_errors`` on the same ladder.
-    """
-    if study.axis != "spatial":
-        raise ValueError("study.axis must be spatial")
-    errors = _run_study(study, _spatial_worker, workers)
-    stats = [rms_error(errors[:, i]) for i in range(len(study.ladder))]
-    rms = np.array([s[0] for s in stats])
-    ses = np.array([s[1] for s in stats])
-    slope, halfwidth = _fit_or_nan(np.array(study.ladder, dtype=float),
-                                   rms)
-    p = study.problem
-    theo = 2.0 * p.hurst.h + p.noise.beta - 1.0
-    return ErrorReport(
-        resolutions=np.array(study.ladder),
-        rms_errors=rms,
-        std_errors=ses,
-        fitted_slope=-slope,
-        slope_confidence_halfwidth=halfwidth,
-        theoretical_slope=theo,
-        metadata=_study_metadata(study, {"slope_axis": "n_modes",
-                                         "slope_sign": "decay order"}),
+        metadata=_study_metadata(study, extra),
     )
 
 
 # ---------------------------------------------------------------------------
 # protocol presets
 
+# (axis, scale) -> (N, M, ladder, default samples) of the pinned protocols;
+# the reference resolution is M (temporal) or N (spatial). The temporal
+# reference ratio is 4 at both scales, and at tau = 1/200 implicit Euler
+# damps every mode n >= 5, so the exact F = 0 expected slopes
+# (``verify.expected_temporal_rms_errors`` / ``expected_spatial_rms_errors``)
+# lie above the asymptotic ``theoretical_slope`` of the report:
+# 0.969 (trace) / 0.627 (identity) for desk temporal against 0.75 / 0.50,
+# 0.998 / 0.628 for paper temporal, and 2.097 / 1.247 for spatial at both
+# scales against 1.5 / 1.0.
+PROTOCOLS = {
+    ("temporal", "desk"): (2**6, 2**12, (64, 128, 256, 512, 1024), 50),
+    ("temporal", "paper"): (2**7, 2**14, (256, 512, 1024, 2048, 4096), 100),
+    ("spatial", "desk"): (2**9, 200, (2, 4, 8, 16, 32), 50),
+    ("spatial", "paper"): (2**12, 200, (2, 4, 8, 16, 32), 100),
+}
 
-def desk_temporal_study(preset: str, base_seed: int, samples: int = 50,
-                        fbm_method: str = "circulant") -> ConvergenceStudy:
-    """Desk-scale temporal protocol: M_exact = 2^12, ladder 2^6..2^10, N = 2^6.
 
-    The reference ratio of the top rung is 4, and implicit Euler damps
-    the modes with tau*lambda_n > 1, so the exact F = 0 expected slope
-    (``verify.expected_temporal_rms_errors``) is 0.969 (trace) / 0.627
-    (identity), above the asymptotic 0.75 / 0.50 the report carries as
-    ``theoretical_slope``.
-    """
-    problem = she_problem(preset, n_modes=2**6, m_steps=2**12,
-                          base_seed=base_seed, fbm_method=fbm_method)
-    return ConvergenceStudy(axis="temporal", ladder=tuple(2**i for i in
-                                                          range(6, 11)),
-                            reference_resolution=2**12,
-                            fixed_other_axis=2**6, samples=samples,
+def protocol_study(axis: str, scale: str, preset: str, base_seed: int,
+                   samples: int | None = None,
+                   fbm_method: str = "circulant") -> ConvergenceStudy:
+    """The pinned protocol PROTOCOLS[(axis, scale)] for one SHE preset;
+    ``samples`` defaults to the protocol's count."""
+    n, m, ladder, default_samples = PROTOCOLS[(axis, scale)]
+    problem = she_problem(preset, n_modes=n, m_steps=m, base_seed=base_seed,
+                          fbm_method=fbm_method)
+    temporal = axis == "temporal"
+    return ConvergenceStudy(axis=axis, ladder=ladder,
+                            reference_resolution=m if temporal else n,
+                            fixed_other_axis=n if temporal else m,
+                            samples=samples or default_samples,
                             base_seed=base_seed, problem=problem)
-
-
-def paper_temporal_study(preset: str, base_seed: int, samples: int = 100,
-                         fbm_method: str = "circulant") -> ConvergenceStudy:
-    """Published protocol: tau_exact = 2^-14, tau = 2^-8..2^-12, N = 2^7.
-
-    Same reference ratio 4 as the desk protocol, so its exact F = 0
-    expected slope (``verify.expected_temporal_rms_errors``) is 0.998
-    (trace) / 0.628 (identity), also above the asymptotic
-    ``theoretical_slope``.
-    """
-    problem = she_problem(preset, n_modes=2**7, m_steps=2**14,
-                          base_seed=base_seed, fbm_method=fbm_method)
-    return ConvergenceStudy(axis="temporal", ladder=tuple(2**i for i in
-                                                          range(8, 13)),
-                            reference_resolution=2**14,
-                            fixed_other_axis=2**7, samples=samples,
-                            base_seed=base_seed, problem=problem)
-
-
-def desk_spatial_study(preset: str, base_seed: int, samples: int = 50,
-                       fbm_method: str = "circulant") -> ConvergenceStudy:
-    """Desk-scale spatial protocol: N_exact = 2^9, ladder 2..32, tau = 1/200.
-
-    At tau = 1/200 implicit Euler damps every mode n >= 5, so the exact
-    F = 0 expected decay order (``verify.expected_spatial_rms_errors``)
-    is 2.097 (trace) / 1.247 (identity), above the asymptotic 1.5 / 1.0
-    the report carries as ``theoretical_slope``.
-    """
-    problem = she_problem(preset, n_modes=2**9, m_steps=200,
-                          base_seed=base_seed, fbm_method=fbm_method)
-    return ConvergenceStudy(axis="spatial", ladder=tuple(2**i for i in
-                                                         range(1, 6)),
-                            reference_resolution=2**9, fixed_other_axis=200,
-                            samples=samples, base_seed=base_seed,
-                            problem=problem)
-
-
-def paper_spatial_study(preset: str, base_seed: int, samples: int = 100,
-                        fbm_method: str = "circulant") -> ConvergenceStudy:
-    """Published protocol: N_exact = 2^12, ladder 2..32, tau = 1/200.
-
-    Same tau = 1/200 as the desk protocol, so the same damping gives the
-    same exact F = 0 expected decay order
-    (``verify.expected_spatial_rms_errors``): 2.097 (trace) / 1.247
-    (identity), above the asymptotic ``theoretical_slope``.
-    """
-    problem = she_problem(preset, n_modes=2**12, m_steps=200,
-                          base_seed=base_seed, fbm_method=fbm_method)
-    return ConvergenceStudy(axis="spatial", ladder=tuple(2**i for i in
-                                                         range(1, 6)),
-                            reference_resolution=2**12, fixed_other_axis=200,
-                            samples=samples, base_seed=base_seed,
-                            problem=problem)
 
 
 # ---------------------------------------------------------------------------

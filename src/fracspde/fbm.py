@@ -3,13 +3,13 @@
 Increments, not path values, are the canonical representation: the
 implicit Euler scheme consumes only the per-step noise. One sampler,
 increment_rows, draws a batch of rows, row i from seeds[i] alone, so a
-row is bit-identical whatever else is in the batch; the scalar and
-cylindrical generators are calls of it. Two exact methods are provided:
-a dense Cholesky factorization of the increment covariance (reference,
-O(M^3) setup, at most 4096 steps) and circulant embedding of fractional
-Gaussian noise (Davies-Harte, O(M log M)), which writes only the
-Hermitian half of the embedded spectrum and synthesises a chunk of rows
-with one real FFT. Both reproduce the analytic covariance
+row is bit-identical whatever else is in the batch; the cylindrical
+generator and the solver's sample blocks are calls of it. Two exact
+methods are provided: a dense Cholesky factorization of the increment
+covariance (reference, O(M^3) setup, at most 4096 steps) and circulant
+embedding of fractional Gaussian noise (Davies-Harte, O(M log M)), which
+writes only the Hermitian half of the embedded spectrum and synthesises a
+chunk of rows with one real FFT. Both reproduce the analytic covariance
 
     E[dw_i dw_j] = 0.5 * tau^{2H} * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}),
 
@@ -32,14 +32,11 @@ __all__ = [
     "CylindricalFbmSample",
     "HurstParameter",
     "IncrementGrid",
-    "ScalarFbmIncrements",
     "aggregate_cylindrical",
-    "aggregate_increments",
     "check_method",
     "fbm_covariance",
     "fgn_covariance",
     "generate_cylindrical_fbm",
-    "generate_scalar_fbm",
     "increment_covariance",
     "increment_covariance_matrix",
     "increment_rows",
@@ -90,21 +87,6 @@ class IncrementGrid:
     def horizon(self) -> float:
         return self.m_steps * self.tau
 
-    def times(self) -> np.ndarray:
-        """Grid points t_0 .. t_M."""
-        return self.tau * np.arange(self.m_steps + 1)
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarFbmIncrements:
-    """One scalar fBm increment sequence on a uniform grid."""
-
-    grid: IncrementGrid
-    values: np.ndarray
-    hurst: HurstParameter
-    seed: int
-    method: str
-
 
 @dataclass(frozen=True, eq=False)
 class CylindricalFbmSample:
@@ -124,18 +106,6 @@ class CylindricalFbmSample:
     @property
     def modes(self) -> int:
         return self.values.shape[0]
-
-    def mode(self, k: int) -> ScalarFbmIncrements:
-        """Row k as a ScalarFbmIncrements with its derived seed."""
-        if not 0 <= k < self.modes:
-            raise ValueError(f"mode index {k} out of range [0, {self.modes})")
-        return ScalarFbmIncrements(
-            grid=self.grid,
-            values=self.values[k],
-            hurst=self.hurst,
-            seed=derive_seed(self.base_seed, MODE_STREAM, k),
-            method=self.method,
-        )
 
 
 def fbm_covariance(s: float, t: float, h: HurstParameter) -> float:
@@ -327,21 +297,6 @@ def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
     return out
 
 
-def generate_scalar_fbm(grid: IncrementGrid, h: HurstParameter, seed: int,
-                        method: str = "circulant") -> ScalarFbmIncrements:
-    """Sample the m_steps increments of one scalar fBm exactly.
-
-    Row 0 of increment_rows(grid, h, [seed], method) (circulant: a
-    half-spectrum real FFT; cholesky: the dense factor). Identical (grid,
-    h, seed, method) give bit-identical output across runs, thread and
-    process counts, and the batch the seed is drawn in.
-    """
-    values = increment_rows(grid, h, [seed], method)[0]
-    values.flags.writeable = False
-    return ScalarFbmIncrements(grid=grid, values=values, hurst=h,
-                               seed=int(seed), method=method)
-
-
 def generate_cylindrical_fbm(modes: int, grid: IncrementGrid,
                              h: HurstParameter, base_seed: int,
                              method: str = "circulant") -> CylindricalFbmSample:
@@ -349,7 +304,7 @@ def generate_cylindrical_fbm(modes: int, grid: IncrementGrid,
 
     One batched increment_rows call over the seeds derived from
     (base_seed, k), never a shared stream: rows stay independent, row k
-    equals generate_scalar_fbm at its seed bit for bit, and extending the
+    equals increment_rows at its seed alone bit for bit, and extending the
     mode count leaves existing rows bit-identical.
     """
     if modes < 1:
@@ -361,15 +316,18 @@ def generate_cylindrical_fbm(modes: int, grid: IncrementGrid,
                                 base_seed=int(base_seed), method=method)
 
 
-def _aggregate_values(values: np.ndarray, ratio: int) -> np.ndarray:
-    """Sum increment blocks of length `ratio`, left to right.
+def _aggregate_values(values: np.ndarray, ratio: int,
+                      axis: int = -1) -> np.ndarray:
+    """Sum increment blocks of length `ratio` along `axis`, left to right.
 
     Accumulation loops over the within-block offset so every coarse entry
-    is built by the same left-to-right addition order regardless of shape.
+    is built by the same left-to-right addition order regardless of shape
+    or axis.
     """
-    coarse = values[..., 0::ratio].copy()
+    lead = (slice(None),) * (axis % values.ndim)
+    coarse = values[lead + (slice(0, None, ratio),)].copy()
     for r in range(1, ratio):
-        coarse += values[..., r::ratio]
+        coarse += values[lead + (slice(r, None, ratio),)]
     return coarse
 
 
@@ -383,33 +341,18 @@ def _coarse_grid(grid: IncrementGrid, ratio: int) -> IncrementGrid:
     return IncrementGrid(m_steps=grid.m_steps // ratio, tau=grid.tau * ratio)
 
 
-def aggregate_increments(fine: ScalarFbmIncrements,
-                         ratio: int) -> ScalarFbmIncrements:
-    """Sum blocks of `ratio` fine increments into coarse-grid increments.
-
-    Because fBm increments telescope, the result is distributed exactly
-    as fBm increments on the coarse grid; it is the same driving path
-    seen at lower resolution, which is what couples resolutions in the
-    convergence studies.
-    """
-    grid = _coarse_grid(fine.grid, ratio)
-    if ratio == 1:
-        values = fine.values.copy()
-    else:
-        values = _aggregate_values(fine.values, ratio)
-    values.flags.writeable = False
-    return ScalarFbmIncrements(grid=grid, values=values, hurst=fine.hurst,
-                               seed=fine.seed, method=fine.method)
-
-
 def aggregate_cylindrical(sample: CylindricalFbmSample,
                           ratio: int) -> CylindricalFbmSample:
-    """aggregate_increments applied row-wise to a cylindrical sample."""
+    """Sum blocks of `ratio` fine increments of every row into coarse-grid
+    increments.
+
+    Because fBm increments telescope, each row is distributed exactly as
+    fBm increments on the coarse grid; it is the same driving path seen at
+    lower resolution, which is what couples resolutions in the temporal
+    convergence studies.
+    """
     grid = _coarse_grid(sample.grid, ratio)
-    if ratio == 1:
-        values = sample.values.copy()
-    else:
-        values = _aggregate_values(sample.values, ratio)
+    values = _aggregate_values(sample.values, ratio)
     values.flags.writeable = False
     return CylindricalFbmSample(grid=grid, values=values, hurst=sample.hurst,
                                 base_seed=sample.base_seed,

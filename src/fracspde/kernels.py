@@ -52,7 +52,8 @@ def euler_sweep(x0, step_factor, tau, dw_scaled, f_kind, f_scale, dst_mat,
     """Run implicit Euler steps, returning the states at steps ``stops``.
 
     x0 is (N,) for one sample or (N, S) for a block of S samples, and
-    dw_scaled is (M, N) or (M, N, S): row m holds phi_n * dW_{n,m}. Per
+    dw_scaled is (M, N) or (M, N, S): row m holds phi_n * dW_{n,m};
+    dst_mat is read by F_SIN only (None for the other kinds). Per
     step: x <- step_factor * (x + tau*F(x) + dW), F explicit. ``stops``
     are nondecreasing step indices in [0, M]; the result stacks the state
     after each of them (step 0 is x0) into a (len(stops),) + x0.shape
@@ -113,6 +114,8 @@ def convolution_endpoint(lam, dw_scaled, tau, upto):
     where ``sum`` switches to pairwise summation for one mode), so the
     result equals the step-by-step sum bit for bit at any block size.
     """
+    if not 0 <= upto <= dw_scaled.shape[0]:
+        raise ValueError(f"upto {upto} out of range [0, {dw_scaled.shape[0]}]")
     acc = np.zeros(lam.shape[0])
     t = upto * tau
     for j0 in range(0, upto, _CONV_BLOCK_ROWS):
@@ -122,11 +125,3 @@ def convolution_endpoint(lam, dw_scaled, tau, upto):
         prod[0] += acc
         acc = np.cumsum(prod, axis=0)[-1]
     return acc
-
-
-_EMPTY_MAT = np.zeros((0, 0))
-
-
-def empty_dst_matrix() -> np.ndarray:
-    """Placeholder dst_mat for the kinds that use no matrix."""
-    return _EMPTY_MAT

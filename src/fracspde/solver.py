@@ -11,14 +11,19 @@ diagonal in the eigenbasis, P_N Phi dW involves exactly the first N
 scalar fBm rows of the driving sample.
 """
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import kernels
-from .fbm import CylindricalFbmSample, HurstParameter, IncrementGrid
+from .fbm import (
+    CylindricalFbmSample,
+    HurstParameter,
+    IncrementGrid,
+    increment_rows,
+)
+from .rng import MODE_STREAM, SAMPLE_STREAM, derive_seed
 from .spectral import (
     DiagonalNoiseOperator,
     NemytskiiMap,
@@ -37,7 +42,6 @@ __all__ = [
     "solve_endpoint",
     "solve_path",
     "solve_stops",
-    "stochastic_convolution",
 ]
 
 _F_CODES = {"zero": kernels.F_ZERO, "identity_scaled": kernels.F_SCALED,
@@ -93,21 +97,6 @@ class SolverConfig:
     def grid(self) -> IncrementGrid:
         return IncrementGrid(m_steps=self.m_steps, tau=self.tau)
 
-    def digest(self) -> str:
-        """Stable hash of every parameter that determines the output."""
-        hsh = hashlib.sha256()
-        for part in (
-            f"{self.n_modes},{self.m_steps},{self.horizon!r},{self.hurst.h!r},"
-            f"{self.noise.beta!r},{self.noise.kind},{self.nonlinearity.kind},"
-            f"{self.nonlinearity.lipschitz_bound!r},{self.base_seed},"
-            f"{self.fbm_method}".encode(),
-            self.operator.eigenvalues[: self.n_modes].tobytes(),
-            self.noise.amplitudes[: self.n_modes].tobytes(),
-            self.initial.coeffs[: self.n_modes].tobytes(),
-        ):
-            hsh.update(part)
-        return hsh.hexdigest()
-
 
 def restrict_config(config: SolverConfig, n_modes: int | None = None,
                     m_steps: int | None = None) -> SolverConfig:
@@ -119,13 +108,15 @@ def restrict_config(config: SolverConfig, n_modes: int | None = None,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """All M+1 states of one solve, plus the generating config's digest."""
+    """All M+1 states of one solve as an (M+1, N) array, row m at time
+    m * tau."""
 
-    states: list
-    config_digest: str
+    states: np.ndarray
+    tau: float
 
     def endpoint(self) -> SpectralState:
-        return self.states[-1]
+        m = self.states.shape[0] - 1
+        return SpectralState(coeffs=self.states[m], time=m * self.tau)
 
 
 def implicit_euler_step(x: SpectralState, tau: float, op: SpectralOperator,
@@ -144,22 +135,24 @@ def implicit_euler_step(x: SpectralState, tau: float, op: SpectralOperator,
     return SpectralState(coeffs=coeffs, time=x.time + tau)
 
 
-def _check_noise_sample(config: SolverConfig,
-                        sample: CylindricalFbmSample) -> None:
+def _check_noise_sample(config: SolverConfig, sample: CylindricalFbmSample,
+                        fine: bool = False) -> None:
+    """Reject a sample that cannot drive config: too few modes, another
+    horizon or, unless ``fine`` (the mild oracle's grid), another step
+    count."""
     if sample.modes < config.n_modes:
         raise ValueError(
             f"noise sample has {sample.modes} modes < n_modes="
             f"{config.n_modes}"
         )
-    if sample.grid.m_steps != config.m_steps:
+    if not fine and sample.grid.m_steps != config.m_steps:
         raise ValueError(
             f"noise grid has {sample.grid.m_steps} steps, config expects "
             f"{config.m_steps}"
         )
-    if not math.isclose(sample.grid.tau, config.tau, rel_tol=1e-12):
-        raise ValueError(
-            f"noise grid tau {sample.grid.tau} != config tau {config.tau}"
-        )
+    if not math.isclose(sample.grid.horizon, config.horizon, rel_tol=1e-12):
+        raise ValueError(f"noise grid horizon {sample.grid.horizon} != "
+                         f"config horizon {config.horizon}")
 
 
 def _scaled_increments(config: SolverConfig,
@@ -196,7 +189,7 @@ def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
     step_factor = 1.0 / (1.0 + config.tau * lam)
     f_kind = _F_CODES[config.nonlinearity.kind]
     f_scale = config.nonlinearity.lipschitz_bound
-    dst_mat = kernels.empty_dst_matrix()
+    dst_mat = None
     dst_scale = 1.0
     if f_kind == kernels.F_SIN:
         dst_scale = math.sqrt(n + 1)
@@ -211,13 +204,72 @@ def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
                                f_kind, f_scale, dst_mat, dst_scale, stops)
 
 
+# Size of one block's scaled increments, (M, N, B) doubles, and the most
+# samples in one block. Peak memory, not speed, sets both: B = 4 at N = 64,
+# M = 2^14 and B = 8 at N = 32; the cap keeps small problems (the desk
+# spatial reference, N = 512 and M = 200) from sweeping every sample in
+# one block.
+_BLOCK_BYTES = 32 * 2**20
+_BLOCK_SAMPLES = 8
+
+
+def _sample_blocks(config: SolverConfig, samples: int,
+                   base_seed: int) -> list:
+    """(first index, seeds) of fixed blocks of consecutive samples.
+
+    Sample s draws from derive_seed(base_seed, SAMPLE_STREAM, s). Block
+    membership follows the sample index and config's (M, N) only, never
+    the worker count, so results are identical for any number of workers.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    size = min(_BLOCK_SAMPLES, max(
+        1, _BLOCK_BYTES // (8 * config.m_steps * config.n_modes)))
+    seeds = [derive_seed(base_seed, SAMPLE_STREAM, s)
+             for s in range(samples)]
+    return [(first, tuple(seeds[first:first + size]))
+            for first in range(0, samples, size)]
+
+
+def _block_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
+    """(M, N, B) scaled increments; column s is the sample with seeds[s].
+
+    Row k of a sample draws its fBm from the seed derived from (seed, k),
+    as generate_cylindrical_fbm does, times the noise amplitude phi_k, so
+    column s equals _scaled_increments of that sample bit for bit. Filling
+    mode by mode (one increment_rows call over the block's B seeds)
+    writes B adjacent doubles at a time.
+    """
+    n = config.n_modes
+    amps = config.noise.amplitudes[:n]
+    grid = config.grid()
+    dw = np.empty((config.m_steps, n, len(seeds)))
+    for k in range(n):
+        rows = increment_rows(
+            grid, config.hurst,
+            [derive_seed(seed, MODE_STREAM, k) for seed in seeds],
+            config.fbm_method,
+        )
+        np.multiply(amps[k], rows.T, out=dw[:, k, :])
+    return dw
+
+
+def _require_finite(values: np.ndarray, first: int) -> None:
+    """Raise FloatingPointError naming the samples (last axis) whose
+    values are not all finite; ``first`` indexes column 0."""
+    bad = np.flatnonzero(
+        ~np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0))
+    if bad.size:
+        raise FloatingPointError(
+            f"non-finite state in samples {[first + int(b) for b in bad]}"
+        )
+
+
 def solve_endpoint(config: SolverConfig,
                    noise_sample: CylindricalFbmSample) -> SpectralState:
-    """Run the scheme storing nothing but the final state.
-
-    Convergence studies use this path: at the reference resolutions a
-    full trajectory would not fit comfortably in memory.
-    """
+    """Run the scheme on one noise sample, storing nothing but the final
+    state (the convergence studies sweep blocks of samples through
+    solve_stops instead)."""
     _check_noise_sample(config, noise_sample)
     coeffs = solve_stops(config, _scaled_increments(config, noise_sample),
                          (config.m_steps,))[0]
@@ -239,12 +291,7 @@ def solve_path(config: SolverConfig,
         raise FloatingPointError(
             f"non-finite state at step {bad[0]} of {config.m_steps}"
         )
-    tau = config.tau
-    return Trajectory(
-        states=[SpectralState(coeffs=states[m], time=m * tau)
-                for m in range(config.m_steps + 1)],
-        config_digest=config.digest(),
-    )
+    return Trajectory(states=states, tau=config.tau)
 
 
 def linear_mild_reference(config: SolverConfig,
@@ -258,17 +305,7 @@ def linear_mild_reference(config: SolverConfig,
     """
     if config.nonlinearity.kind != "zero":
         raise ValueError("linear_mild_reference requires F = 0")
-    if fine_sample.modes < config.n_modes:
-        raise ValueError(
-            f"noise sample has {fine_sample.modes} modes < n_modes="
-            f"{config.n_modes}"
-        )
-    if not math.isclose(fine_sample.grid.horizon, config.horizon,
-                        rel_tol=1e-12):
-        raise ValueError(
-            f"fine grid horizon {fine_sample.grid.horizon} != config "
-            f"horizon {config.horizon}"
-        )
+    _check_noise_sample(config, fine_sample, fine=True)
     n = config.n_modes
     lam = config.operator.eigenvalues[:n]
     dws = _scaled_increments(config, fine_sample)
@@ -276,28 +313,3 @@ def linear_mild_reference(config: SolverConfig,
                                         fine_sample.grid.m_steps)
     coeffs = np.exp(-lam * config.horizon) * config.initial.coeffs[:n] + conv
     return SpectralState(coeffs=coeffs, time=config.horizon)
-
-
-def stochastic_convolution(op: SpectralOperator, noise: DiagonalNoiseOperator,
-                           noise_sample: CylindricalFbmSample,
-                           t_index: int) -> SpectralState:
-    """Discrete left-endpoint approximation of int_0^t E(t-s) Phi dW^H(s).
-
-    Evaluated at t = t_index * tau on the sample's grid, through the same
-    kernel as linear_mild_reference. No production path calls it; the
-    tests use it to check the kernel at intermediate times.
-    """
-    grid = noise_sample.grid
-    if not 0 <= t_index <= grid.m_steps:
-        raise ValueError(
-            f"t_index {t_index} out of range [0, {grid.m_steps}]"
-        )
-    n = op.n_modes
-    if noise.n_modes < n or noise_sample.modes < n:
-        raise ValueError("noise carries fewer modes than the operator")
-    lam = op.eigenvalues
-    dws = np.ascontiguousarray(
-        (noise.amplitudes[:n, None] * noise_sample.values[:n]).T
-    )
-    coeffs = kernels.convolution_endpoint(lam, dws, grid.tau, t_index)
-    return SpectralState(coeffs=coeffs, time=t_index * grid.tau)

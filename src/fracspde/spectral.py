@@ -241,8 +241,6 @@ def l2_norm(x: SpectralState) -> float:
 def sobolev_norm(op: SpectralOperator, delta: float, x: SpectralState) -> float:
     """Norm of V_delta = dom(A^{delta/2}): ||lambda^{delta/2} coeffs||."""
     _check_dims(op, x)
-    if delta == 0.0:
-        return l2_norm(x)
     return float(np.linalg.norm(op.eigenvalues ** (delta / 2.0) * x.coeffs))
 
 

@@ -25,11 +25,18 @@ from .fbm import (
     fgn_covariance,
     generate_cylindrical_fbm,
     increment_covariance,
-    increment_rows,
 )
+from .experiments import fit_slope
 from .parallel import parallel_map
-from .rng import MODE_STREAM, SAMPLE_STREAM, derive_seed
-from .solver import SolverConfig, restrict_config, solve_stops
+from .rng import SAMPLE_STREAM, derive_seed
+from .solver import (
+    SolverConfig,
+    _block_increments,
+    _require_finite,
+    _sample_blocks,
+    restrict_config,
+    solve_stops,
+)
 
 __all__ = [
     "IsometryCheck",
@@ -45,9 +52,7 @@ __all__ = [
     "expected_sobolev_rms",
     "expected_spatial_rms_errors",
     "expected_temporal_rms_errors",
-    "fit_power_law",
     "linear_endpoint_moments",
-    "phi_cell_analytic",
     "phi_cell_quadrature",
 ]
 
@@ -59,16 +64,6 @@ __all__ = [
 def _gauss_legendre_01(n_nodes: int):
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     return (x + 1.0) / 2.0, w / 2.0
-
-
-def phi_cell_analytic(i: int, j: int, h: HurstParameter) -> float:
-    """Closed form of int_0^1 int_0^1 phi(u + i - v - j) du dv.
-
-    Equals 1 on the diagonal and the second difference
-    0.5[(k+1)^{2H} - 2k^{2H} + (k-1)^{2H}], k = |i-j|, off it: the
-    unit-spacing fGn autocovariance at lag i - j.
-    """
-    return fgn_covariance(i - j, h)
 
 
 def phi_cell_quadrature(i: int, j: int, h: HurstParameter,
@@ -107,10 +102,16 @@ class PhiCellCheck:
 
 def check_phi_cell_integral(i: int, j: int,
                             h: HurstParameter) -> PhiCellCheck:
-    """Closed form vs quadrature for one cell, plus the off-diagonal bound."""
+    """Closed form vs quadrature for one cell, plus the off-diagonal bound.
+
+    The closed form of int_0^1 int_0^1 phi(u + i - v - j) du dv is 1 on
+    the diagonal and the second difference 0.5[(k+1)^{2H} - 2k^{2H} +
+    (k-1)^{2H}], k = |i-j|, off it: the unit-spacing fGn autocovariance at
+    lag i - j.
+    """
     if i < 0 or j < 0:
         raise ValueError("cell indices must be >= 0")
-    analytic = phi_cell_analytic(i, j, h)
+    analytic = fgn_covariance(i - j, h)
     if i == j:
         return PhiCellCheck(analytic=analytic, quadrature=None, bound=None)
     bound = 0.5 * max(i, j) ** (2.0 * h.h - 1.0)
@@ -380,69 +381,6 @@ def expected_increment_rms(config: SolverConfig, lag_steps: list,
 # empirical regularity of the discrete solution
 
 
-def fit_power_law(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Least-squares exponent p in ys ~ c * xs^p (log-log OLS slope)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.size < 2 or np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("power-law fit needs >= 2 strictly positive points")
-    lx, ly = np.log(xs), np.log(ys)
-    lx = lx - lx.mean()
-    return float(lx @ (ly - ly.mean()) / (lx @ lx))
-
-
-# Size of one block's scaled increments, (M, N, B) doubles. Peak memory,
-# not speed, sets it: B = 4 at N = 64, M = 2^14 and B = 8 at N = 32.
-_BLOCK_BYTES = 32 * 2**20
-
-
-def _sample_blocks(config: SolverConfig, samples: int) -> list:
-    """(first index, seeds) of fixed blocks of consecutive samples.
-
-    Block membership follows the sample index only, never the worker
-    count, so results are identical for any number of workers.
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    size = max(1, _BLOCK_BYTES // (8 * config.m_steps * config.n_modes))
-    seeds = [derive_seed(config.base_seed, SAMPLE_STREAM, s)
-             for s in range(samples)]
-    return [(first, tuple(seeds[first:first + size]))
-            for first in range(0, samples, size)]
-
-
-def _block_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
-    """(M, N, B) scaled increments; column s is the sample with seeds[s].
-
-    Row k of a sample draws its fBm from the seed derived from (seed, k),
-    as generate_cylindrical_fbm does, times the noise amplitude phi_k.
-    Filling mode by mode (one increment_rows call over the block's B
-    seeds) writes B adjacent doubles at a time.
-    """
-    n = config.n_modes
-    amps = config.noise.amplitudes[:n]
-    grid = config.grid()
-    dw = np.empty((config.m_steps, n, len(seeds)))
-    for k in range(n):
-        rows = increment_rows(
-            grid, config.hurst,
-            [derive_seed(seed, MODE_STREAM, k) for seed in seeds],
-            config.fbm_method,
-        )
-        np.multiply(amps[k], rows.T, out=dw[:, k, :])
-    return dw
-
-
-def _require_finite(states: np.ndarray, first: int) -> None:
-    """Raise FloatingPointError naming the samples (last axis) whose
-    recorded states are not all finite; ``first`` indexes column 0."""
-    bad = np.flatnonzero(~np.isfinite(states).all(axis=(0, 1)))
-    if bad.size:
-        raise FloatingPointError(
-            f"non-finite state in samples {[first + int(b) for b in bad]}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class RegularityReport:
     """Fitted temporal Hölder exponent of the discrete solution in V_delta."""
@@ -469,7 +407,8 @@ def estimate_time_regularity(config: SolverConfig, delta: float,
     if lag_steps[0] < 1 or lag_steps[-1] >= config.m_steps:
         raise ValueError("lags must lie inside the trajectory")
     args = [(config, tuple(lag_steps), delta, first, seeds)
-            for first, seeds in _sample_blocks(config, samples)]
+            for first, seeds in _sample_blocks(config, samples,
+                                                config.base_seed)]
     sq = np.concatenate(parallel_map(_time_regularity_block, args, workers))
     rms = np.sqrt(sq.mean(axis=0))
     lag_times = config.tau * np.array(lag_steps, dtype=float)
@@ -478,7 +417,7 @@ def estimate_time_regularity(config: SolverConfig, delta: float,
         delta=delta,
         lag_times=lag_times,
         rms_differences=rms,
-        fitted_exponent=fit_power_law(lag_times, rms),
+        fitted_exponent=fit_slope(lag_times, rms)[0],
         theoretical_exponent=theory,
         sample_count=samples,
     )
@@ -544,7 +483,8 @@ def estimate_space_regularity(template: SolverConfig, n_ladder: list,
     if n_ladder[-1] > template.n_modes:
         raise ValueError("ladder exceeds the template's mode count")
     args = [(template, tuple(n_ladder), tuple(deltas), first, seeds)
-            for first, seeds in _sample_blocks(template, samples)]
+            for first, seeds in _sample_blocks(template, samples,
+                                                template.base_seed)]
     sq = np.concatenate(parallel_map(_space_regularity_block, args, workers))
     rms = np.sqrt(sq.mean(axis=0))  # (deltas, rungs)
     return [

@@ -42,10 +42,9 @@ from fracspde import fbm, verify
 from fracspde.experiments import (
     ConvergenceStudy,
     ErrorReport,
-    desk_spatial_study,
-    desk_temporal_study,
-    run_spatial_study,
-    run_temporal_study,
+    fit_slope,
+    protocol_study,
+    run_study,
     she_problem,
     write_report,
 )
@@ -299,7 +298,7 @@ def test_criterion_4_lambda_phi_plateau():
 def test_criterion_5_temporal_convergence():
     """Desk temporal protocol against its exact oracle and the proven rate.
 
-    Both presets run desk_temporal_study (seed 20240801, 50 samples,
+    Both presets run the desk temporal protocol (seed 20240801, 50 samples,
     ladder 2^6..2^10 against M = 2^12, N = 2^6, F = sin) and pass checks
     (a)-(c) of the module docstring, with the rate check at the
     theoretical 0.75 (trace) and 0.50 (identity) minus 0.10. Measured:
@@ -314,8 +313,9 @@ def test_criterion_5_temporal_convergence():
     started = time.monotonic()
     verdicts = {}
     for preset, theory in (("she-trace", 0.75), ("she-identity", 0.50)):
-        study = desk_temporal_study(preset, base_seed=20240801)
-        report = run_temporal_study(study)
+        study = protocol_study("temporal", "desk", preset,
+                               base_seed=20240801)
+        report = run_study(study)
         assert report.theoretical_slope == pytest.approx(theory)
         verdicts[preset] = _judge_against_oracle(
             report, _f0_oracle(study, preset), rate_tolerance=0.10
@@ -328,7 +328,7 @@ def test_criterion_5_temporal_convergence():
 def test_criterion_6_spatial_convergence():
     """Desk spatial protocol against its exact oracle and the proven rate.
 
-    Both presets run desk_spatial_study (seed 20240802, 50 samples,
+    Both presets run the desk spatial protocol (seed 20240802, 50 samples,
     ladder 2..32 against N = 2^9, tau = 1/200, F = sin) and pass checks
     (a)-(c) of the module docstring, with the rate check at the
     theoretical 1.5 (trace) and 1.0 (identity) minus 0.15. At
@@ -344,8 +344,9 @@ def test_criterion_6_spatial_convergence():
     started = time.monotonic()
     verdicts = {}
     for preset, theory in (("she-trace", 1.5), ("she-identity", 1.0)):
-        study = desk_spatial_study(preset, base_seed=20240802)
-        report = run_spatial_study(study)
+        study = protocol_study("spatial", "desk", preset,
+                               base_seed=20240802)
+        report = run_study(study)
         assert report.theoretical_slope == pytest.approx(theory)
         verdicts[preset] = _judge_against_oracle(
             report, _f0_oracle(study, preset), rate_tolerance=0.15
@@ -370,11 +371,11 @@ def test_oracle_judge_rejects_wrong_hurst():
     """
     started = time.monotonic()
     shapes = {
-        "temporal": (8, 2**9, (16, 32, 64), run_temporal_study, 0.10),
-        "spatial": (64, 50, (2, 4, 8), run_spatial_study, 0.15),
+        "temporal": (8, 2**9, (16, 32, 64), 0.10),
+        "spatial": (64, 50, (2, 4, 8), 0.15),
     }
     details = []
-    for axis, (n, m, ladder, runner, tolerance) in shapes.items():
+    for axis, (n, m, ladder, tolerance) in shapes.items():
         verdicts = {}
         for hurst in (0.70, 0.75, 0.80):
             problem = she_problem("she-identity", n_modes=n, m_steps=m,
@@ -386,7 +387,7 @@ def test_oracle_judge_rejects_wrong_hurst():
                 samples=128, base_seed=20240803, problem=problem,
             )
             exact = _f0_oracle(study, "she-identity", hurst=0.75)
-            verdicts[hurst] = _judge_against_oracle(runner(study), exact,
+            verdicts[hurst] = _judge_against_oracle(run_study(study), exact,
                                                     tolerance)
         details.append(f"{axis} " + ", ".join(
             f"H={h} max rung |z| {v.max_rung_z:.2f}"
@@ -507,7 +508,7 @@ def test_criterion_8_linear_oracle():
         oracle = verify.expected_mild_rms_errors(problem, ladder)
         match_ok &= bool(np.all(np.abs(mc_ms - oracle**2) <= 3.5 * se_ms))
         rms = np.sqrt(mc_ms)
-        slope = verify.fit_power_law(1.0 / np.array(ladder, float), rms)
+        slope = fit_slope(1.0 / np.array(ladder, float), rms)[0]
         theo = (2 * 0.75 + problem.noise.beta - 1.0) / 2.0
         slope_ok &= slope >= theo - 0.15
         details.append(f"{preset} slope {slope:.3f} (proven rate {theo}), "
@@ -543,11 +544,10 @@ def test_criterion_9_determinism(tmp_path):
                                reference_resolution=64, fixed_other_axis=50,
                                samples=8, base_seed=13, problem=sp_problem)
     same = True
-    for name, study, runner in (("t", temporal, run_temporal_study),
-                                ("s", spatial, run_spatial_study)):
+    for name, study in (("t", temporal), ("s", spatial)):
         paths = {}
         for workers in (1, 3):
-            report = runner(study, workers=workers)
+            report = run_study(study, workers=workers)
             paths[workers] = write_report(report, tmp_path / str(workers),
                                           f"{name}_report")
         for kind in (0, 1):
@@ -602,13 +602,13 @@ def test_resolved_regime_rates():
                            base_seed=0, with_nonlinearity=False)
     ladder = [2**6, 2**7, 2**8, 2**9, 2**10]
     errs = verify.expected_temporal_rms_errors(temporal, ladder)
-    slope_t = verify.fit_power_law(1.0 / np.array(ladder, float), errs)
+    slope_t = fit_slope(1.0 / np.array(ladder, float), errs)[0]
 
     spatial = she_problem("she-identity", n_modes=128, m_steps=2**12,
                           base_seed=0, with_nonlinearity=False)
     n_ladder = [2, 4, 8, 16]
     errs_s = verify.expected_spatial_rms_errors(spatial, n_ladder)
-    slope_s = -verify.fit_power_law(np.array(n_ladder, float), errs_s)
+    slope_s = -fit_slope(np.array(n_ladder, float), errs_s)[0]
     elapsed = time.monotonic() - started
     passed = abs(slope_t - 0.5) <= 0.1 and abs(slope_s - 1.0) <= 0.15
     _report("resolved-regime rates (supplementary)", passed,

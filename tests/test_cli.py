@@ -183,6 +183,15 @@ class TestConverge:
         )
         assert m1["config"]["preset"] == m2["config"]["preset"]
 
+    @pytest.mark.parametrize("samples", [1, 0, -4])
+    def test_too_few_samples_exits_2(self, samples, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["converge", "--axis", "space", "--preset", "she-trace",
+                     "--samples", samples, "--out-dir", tmp_path / "out"])
+        assert err.value.code == 2
+        assert "--samples must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_axis_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli(["converge", "--preset", "she-trace", "--out-dir",
@@ -232,6 +241,15 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--suite", "isometry", "--samples", 1500,
                         "--seed", 3, "--out-dir", tmp_path,
                         "--tag", "i"]) == 0
+
+    @pytest.mark.parametrize("samples", [1, -4])
+    def test_too_few_samples_exits_2(self, samples, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "--suite", "isometry", "--samples", samples,
+                     "--out-dir", tmp_path / "out"])
+        assert err.value.code == 2
+        assert "--samples must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_suite_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -1,24 +1,26 @@
 """Convergence-study orchestration, statistics, and report files."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from fracspde import experiments, solver
 from fracspde.experiments import (
+    PROTOCOLS,
     ConvergenceStudy,
-    desk_spatial_study,
-    desk_temporal_study,
     fit_slope,
+    protocol_study,
     rms_error,
-    run_spatial_study,
-    run_temporal_study,
+    run_study,
     she_problem,
     write_report,
 )
-from fracspde.fbm import generate_cylindrical_fbm
+from fracspde.fbm import aggregate_cylindrical, generate_cylindrical_fbm
 from fracspde.rng import SAMPLE_STREAM, derive_seed
 from fracspde.solver import restrict_config, solve_endpoint
+from fracspde.spectral import scaled_identity_map
 from fracspde.verify import (
     expected_spatial_rms_errors,
     expected_temporal_rms_errors,
@@ -97,13 +99,27 @@ class TestStudyValidation:
                              samples=4, base_seed=0, problem=problem)
 
     def test_desk_presets_construct(self):
-        t = desk_temporal_study("she-trace", base_seed=1)
+        t = protocol_study("temporal", "desk", "she-trace", base_seed=1)
         assert t.ladder == (64, 128, 256, 512, 1024)
         assert t.problem.m_steps == 4096
-        s = desk_spatial_study("she-identity", base_seed=1)
+        assert t.samples == 50
+        s = protocol_study("spatial", "desk", "she-identity", base_seed=1)
         assert s.ladder == (2, 4, 8, 16, 32)
         assert s.problem.n_modes == 512
         assert s.problem.m_steps == 200
+
+    def test_protocol_table(self):
+        for (axis, scale), (n, m, ladder, samples) in PROTOCOLS.items():
+            study = protocol_study(axis, scale, "she-trace", base_seed=3,
+                                   samples=7, fbm_method="cholesky")
+            assert (study.problem.n_modes, study.problem.m_steps) == (n, m)
+            assert study.ladder == ladder
+            assert study.samples == 7
+            assert study.problem.fbm_method == "cholesky"
+            assert study.reference_resolution == (
+                m if axis == "temporal" else n)
+            assert protocol_study(axis, scale, "she-trace",
+                                  base_seed=3).samples == samples
 
 
 class TestTemporalStudy:
@@ -118,7 +134,7 @@ class TestTemporalStudy:
                                  reference_resolution=2**14,
                                  fixed_other_axis=4, samples=3, base_seed=5,
                                  problem=problem)
-        report = run_temporal_study(study)
+        report = run_study(study)
         lam = problem.operator.eigenvalues[0]
         xi = problem.initial.coeffs[0]
         ref = (1 + problem.tau * lam) ** -float(2**14) * xi
@@ -136,7 +152,7 @@ class TestTemporalStudy:
                                  reference_resolution=128,
                                  fixed_other_axis=8, samples=64, base_seed=9,
                                  problem=problem)
-        report = run_temporal_study(study)
+        report = run_study(study)
         oracle = expected_temporal_rms_errors(problem, [16, 32])
         for rms, se, target in zip(report.rms_errors, report.std_errors,
                                    oracle):
@@ -148,7 +164,7 @@ class TestTemporalStudy:
                                  reference_resolution=32, fixed_other_axis=4,
                                  samples=3, base_seed=2, problem=problem)
         errors = np.array([
-            run_temporal_study(study).rms_errors[-1]
+            run_study(study).rms_errors[-1]
         ])
         assert np.all(errors == 0.0)
 
@@ -159,7 +175,7 @@ class TestTemporalStudy:
                                      reference_resolution=32,
                                      fixed_other_axis=4, samples=3,
                                      base_seed=2, problem=problem)
-            assert run_temporal_study(study).theoretical_slope == theo
+            assert run_study(study).theoretical_slope == theo
 
 
 class TestSpatialStudy:
@@ -171,7 +187,7 @@ class TestSpatialStudy:
                                  reference_resolution=16,
                                  fixed_other_axis=20, samples=3, base_seed=3,
                                  problem=problem)
-        report = run_spatial_study(study)
+        report = run_study(study)
         assert np.all(report.rms_errors == 0.0)
 
     def test_matches_linear_oracle(self):
@@ -181,7 +197,7 @@ class TestSpatialStudy:
                                  reference_resolution=32,
                                  fixed_other_axis=25, samples=64,
                                  base_seed=7, problem=problem)
-        report = run_spatial_study(study)
+        report = run_study(study)
         oracle = expected_spatial_rms_errors(problem, [4, 8])
         for rms, se, target in zip(report.rms_errors, report.std_errors,
                                    oracle):
@@ -194,7 +210,7 @@ class TestSpatialStudy:
                                      reference_resolution=8,
                                      fixed_other_axis=10, samples=3,
                                      base_seed=1, problem=problem)
-            assert run_spatial_study(study).theoretical_slope == theo
+            assert run_study(study).theoretical_slope == theo
 
 
 class TestCoupling:
@@ -206,7 +222,6 @@ class TestCoupling:
             2, problem.grid(), problem.hurst,
             derive_seed(13, SAMPLE_STREAM, 0), problem.fbm_method,
         )
-        from fracspde.fbm import aggregate_cylindrical
         agg = aggregate_cylindrical(fine, 4)
         manual = fine.values.reshape(2, 4, 4)
         acc = manual[:, :, 0].copy()
@@ -234,11 +249,136 @@ class TestWorkerIndependence:
         study = ConvergenceStudy(axis="temporal", ladder=(8, 16, 32),
                                  reference_resolution=64, fixed_other_axis=8,
                                  samples=6, base_seed=4, problem=problem)
-        one = run_temporal_study(study, workers=1)
-        many = run_temporal_study(study, workers=3)
+        one = run_study(study, workers=1)
+        many = run_study(study, workers=3)
         assert np.array_equal(one.rms_errors, many.rms_errors)
         assert np.array_equal(one.std_errors, many.std_errors)
         assert one.fitted_slope == many.fitted_slope
+
+
+def _per_sample_errors(study):
+    """(samples, rungs) errors of the one-sample path: generate the
+    sample's cylindrical fBm, aggregate it (temporal) or read its leading
+    modes (spatial), and solve every resolution with solve_endpoint."""
+    template = study.problem
+    rows = []
+    for s in range(study.samples):
+        fine = generate_cylindrical_fbm(
+            template.n_modes, template.grid(), template.hurst,
+            derive_seed(study.base_seed, SAMPLE_STREAM, s),
+            template.fbm_method)
+        ref = solve_endpoint(template, fine).coeffs
+        row = []
+        for rung in study.ladder:
+            if study.axis == "temporal":
+                coarse = aggregate_cylindrical(fine, template.m_steps // rung)
+                diff = ref - solve_endpoint(
+                    restrict_config(template, m_steps=rung), coarse).coeffs
+            else:
+                diff = ref.copy()
+                diff[:rung] -= solve_endpoint(
+                    restrict_config(template, n_modes=rung), fine).coeffs
+            row.append(np.linalg.norm(diff))
+        rows.append(row)
+    return np.array(rows)
+
+
+def _study(axis, n, m, ladder, samples=7, preset="she-trace", seed=4):
+    problem = she_problem(preset, n_modes=n, m_steps=m, base_seed=seed)
+    return ConvergenceStudy(
+        axis=axis, ladder=ladder,
+        reference_resolution=m if axis == "temporal" else n,
+        fixed_other_axis=n if axis == "temporal" else m,
+        samples=samples, base_seed=seed, problem=problem)
+
+
+STUDIES = {
+    "temporal": lambda: _study("temporal", 8, 64, (8, 16, 32)),
+    "spatial": lambda: _study("spatial", 64, 20, (2, 4, 8)),
+}
+
+
+class TestStudyBlocks:
+    """run_study maps fixed blocks of consecutive samples: its reports
+    follow the sample index, not the worker count, block size moves only
+    the last bits (a block's dense F = sin products are matrix-matrix),
+    and its per-sample errors are those of the one-sample path."""
+
+    @staticmethod
+    def set_block(monkeypatch, study, size):
+        p = study.problem
+        monkeypatch.setattr(solver, "_BLOCK_BYTES",
+                            size * 8 * p.m_steps * p.n_modes)
+
+    @staticmethod
+    def same_report(a, b):
+        assert np.array_equal(a.rms_errors, b.rms_errors)
+        assert np.array_equal(a.std_errors, b.std_errors)
+        assert a.fitted_slope == b.fitted_slope
+        assert a.slope_confidence_halfwidth == b.slope_confidence_halfwidth
+
+    @pytest.mark.parametrize("axis", sorted(STUDIES))
+    def test_worker_count_invariant(self, axis, monkeypatch):
+        study = STUDIES[axis]()
+        self.set_block(monkeypatch, study, 3)
+        self.same_report(run_study(study, workers=1),
+                         run_study(study, workers=3))
+
+    @pytest.mark.parametrize("axis", sorted(STUDIES))
+    def test_block_size_invariant(self, axis, monkeypatch):
+        study = STUDIES[axis]()
+        default = run_study(study)
+        for size in (1, 3):
+            self.set_block(monkeypatch, study, size)
+            report = run_study(study)
+            for name in ("rms_errors", "std_errors", "fitted_slope",
+                         "slope_confidence_halfwidth"):
+                np.testing.assert_allclose(getattr(report, name),
+                                           getattr(default, name),
+                                           rtol=1e-13, atol=0.0)
+
+    def test_default_block_sizes(self):
+        for axis, scale, size in (("temporal", "desk", 8),
+                                  ("temporal", "paper", 2),
+                                  ("spatial", "desk", 8),
+                                  ("spatial", "paper", 5)):
+            study = protocol_study(axis, scale, "she-trace", base_seed=0)
+            blocks = solver._sample_blocks(study.problem, 9, 0)
+            assert len(blocks[0][1]) == size
+
+    @pytest.mark.parametrize("axis,n,m,ladder", [
+        ("temporal", 8, 64, (8, 16, 32)),
+        ("temporal", 512, 16, (2, 4, 8)),
+        ("spatial", 64, 20, (2, 4, 8)),
+        ("spatial", 512, 10, (4, 16, 32)),
+    ], ids=["temporal-dense", "temporal-fft", "spatial-dense",
+            "spatial-fft"])
+    def test_matches_per_sample_path(self, axis, n, m, ladder):
+        # F = sin runs the dense sine matrix below 512 modes and the fast
+        # DST-I from 512 on; both paths pick the same transform
+        study = _study(axis, n, m, ladder, samples=5, seed=21)
+        oracle = _per_sample_errors(study)
+        blocked = np.concatenate([
+            experiments._study_block((study, first, seeds))
+            for first, seeds in solver._sample_blocks(
+                study.problem, study.samples, study.base_seed)])
+        np.testing.assert_allclose(blocked, oracle, rtol=1e-12, atol=0.0)
+        report = run_study(study)
+        np.testing.assert_allclose(
+            report.rms_errors, [rms_error(col)[0] for col in oracle.T],
+            rtol=1e-12, atol=0.0)
+
+    def test_non_finite_errors_raise(self, monkeypatch):
+        # F(u) = 1e12 u far above lambda_N: every sample overflows
+        study = STUDIES["temporal"]()
+        blowing_up = dataclasses.replace(
+            study, problem=dataclasses.replace(
+                study.problem, nonlinearity=scaled_identity_map(1e12)))
+        self.set_block(monkeypatch, study, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match=r"samples \[0, 1, 2\]"):
+                run_study(blowing_up)
 
 
 class TestReportFiles:
@@ -247,7 +387,7 @@ class TestReportFiles:
         study = ConvergenceStudy(axis="temporal", ladder=(4, 8, 16),
                                  reference_resolution=32, fixed_other_axis=4,
                                  samples=4, base_seed=2, problem=problem)
-        report = run_temporal_study(study)
+        report = run_study(study)
         csv_path, json_path = write_report(report, tmp_path, "example")
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "resolution,rms_error,std_error"
@@ -265,8 +405,8 @@ class TestReportFiles:
         study = ConvergenceStudy(axis="temporal", ladder=(4, 8, 16),
                                  reference_resolution=32, fixed_other_axis=4,
                                  samples=4, base_seed=6, problem=problem)
-        a = write_report(run_temporal_study(study, workers=1), tmp_path, "a")
-        b = write_report(run_temporal_study(study, workers=2), tmp_path, "b")
+        a = write_report(run_study(study, workers=1), tmp_path, "a")
+        b = write_report(run_study(study, workers=2), tmp_path, "b")
         assert a[0].read_bytes() == b[0].read_bytes()
         assert a[1].read_bytes() == b[1].read_bytes()
 

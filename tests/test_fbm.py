@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from fracspde import fbm
 from fracspde.fbm import (
     CirculantEmbeddingError,
+    CylindricalFbmSample,
     HurstParameter,
     IncrementGrid,
     aggregate_cylindrical,
-    aggregate_increments,
     fbm_covariance,
     generate_cylindrical_fbm,
-    generate_scalar_fbm,
     increment_covariance,
     increment_covariance_matrix,
     increment_rows,
@@ -29,6 +28,17 @@ H_VALUES = [0.55, 0.75, 0.95]
 
 def hp(h=0.75):
     return HurstParameter(h)
+
+
+def scalar(grid, h, seed, method="circulant"):
+    """One fBm increment row drawn from `seed` alone."""
+    return increment_rows(grid, h, [seed], method)[0]
+
+
+def as_sample(grid, h, rows):
+    """Rows as a cylindrical sample, for aggregate_cylindrical."""
+    return CylindricalFbmSample(grid=grid, values=rows, hurst=h, base_seed=0,
+                                method="circulant")
 
 
 class TestHurstParameter:
@@ -51,7 +61,6 @@ class TestGrid:
     def test_horizon_is_product(self):
         g = IncrementGrid(m_steps=7, tau=0.3)
         assert g.horizon == 7 * 0.3
-        assert g.times().shape == (8,)
 
     @pytest.mark.parametrize("m,tau", [(0, 0.1), (4, 0.0), (4, -1.0)])
     def test_rejects_bad_arguments(self, m, tau):
@@ -89,11 +98,9 @@ class TestFbmCovariance:
         h = hp()
         grid = IncrementGrid(m_steps=2, tau=1.0)
         n = 20000
-        prods = np.empty(n)
-        for s in range(n):
-            inc = generate_scalar_fbm(grid, h, derive_seed(101, s),
-                                      "cholesky").values
-            prods[s] = inc[0] * (inc[0] + inc[1])
+        inc = increment_rows(grid, h, [derive_seed(101, s) for s in range(n)],
+                             "cholesky")
+        prods = inc[:, 0] * (inc[:, 0] + inc[:, 1])
         se = prods.std(ddof=1) / math.sqrt(n)
         assert abs(prods.mean() - math.sqrt(2.0)) < 3 * se
 
@@ -165,7 +172,7 @@ class TestIncrementCovariance:
         # E[dw_i dw_j] telescopes from R_H; 1e-12 relative on an 8-step
         # grid (the R_H side loses digits to cancellation as M grows)
         g = IncrementGrid(m_steps=8, tau=0.37)
-        t = g.times()
+        t = g.tau * np.arange(9)
         hh = hp(h)
         for i in range(8):
             for j in range(8):
@@ -237,8 +244,7 @@ class TestIncrementRows:
     def test_rows_equal_single_seed_calls(self, m, chunk_bytes, monkeypatch):
         grid = IncrementGrid(m_steps=m, tau=1.0 / m)
         seeds = [derive_seed(31, s) for s in range(7)]
-        singles = np.array([generate_scalar_fbm(grid, hp(), s).values
-                            for s in seeds])
+        singles = np.array([scalar(grid, hp(), s) for s in seeds])
         monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", chunk_bytes)
         assert np.array_equal(increment_rows(grid, hp(), seeds), singles)
         assert np.array_equal(increment_rows(grid, hp(), seeds[2:]),
@@ -285,8 +291,6 @@ class TestFactorLimits:
         grid = IncrementGrid(m_steps=steps, tau=1.0)
         with pytest.raises(ValueError, match="circulant"):
             increment_rows(grid, hp(), [1], "cholesky")
-        with pytest.raises(ValueError, match="circulant"):
-            generate_scalar_fbm(grid, hp(), 1, "cholesky")
         with pytest.raises(ValueError, match="circulant"):
             generate_cylindrical_fbm(2, grid, hp(), 1, "cholesky")
 
@@ -365,10 +369,8 @@ class TestGeneratorStatistics:
         grid = IncrementGrid(m_steps=1, tau=0.25)
         h = hp()
         n = 20000
-        draws = np.array([
-            generate_scalar_fbm(grid, h, derive_seed(7, s), method).values[0]
-            for s in range(n)
-        ])
+        draws = increment_rows(grid, h, [derive_seed(7, s) for s in range(n)],
+                               method)[:, 0]
         target = 0.25**1.5
         se = target * math.sqrt(2.0 / n)
         assert abs(draws.var() - target) < 3 * se
@@ -377,10 +379,8 @@ class TestGeneratorStatistics:
         grid = IncrementGrid(m_steps=2, tau=1.0)
         h = hp(0.5 + 1e-6)
         n = 20000
-        pairs = np.array([
-            generate_scalar_fbm(grid, h, derive_seed(8, s), method).values
-            for s in range(n)
-        ])
+        pairs = increment_rows(grid, h, [derive_seed(8, s) for s in range(n)],
+                               method)
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert abs(corr) < 3.5 / math.sqrt(n)
 
@@ -390,10 +390,8 @@ class TestGeneratorStatistics:
         m, n = 16, 20000
         grid = IncrementGrid(m_steps=m, tau=1.0 / m)
         h = hp()
-        draws = np.array([
-            generate_scalar_fbm(grid, h, derive_seed(9, s), method).values
-            for s in range(n)
-        ])
+        draws = increment_rows(grid, h, [derive_seed(9, s) for s in range(n)],
+                               method)
         target = increment_covariance_matrix(grid, h)
         sample_cov = draws.T @ draws / n
         se = np.sqrt(
@@ -405,39 +403,31 @@ class TestGeneratorStatistics:
 
     def test_bit_reproducible(self, method):
         grid = IncrementGrid(m_steps=32, tau=0.05)
-        a = generate_scalar_fbm(grid, hp(), 1234, method)
+        a = scalar(grid, hp(), 1234, method)
         fbm.clear_caches()
-        b = generate_scalar_fbm(grid, hp(), 1234, method)
-        assert np.array_equal(a.values, b.values)
+        b = scalar(grid, hp(), 1234, method)
+        assert np.array_equal(a, b)
 
     def test_methods_differ_bytewise(self, method):
         grid = IncrementGrid(m_steps=8, tau=0.125)
         other = "circulant" if method == "cholesky" else "cholesky"
-        a = generate_scalar_fbm(grid, hp(), 77, method)
-        b = generate_scalar_fbm(grid, hp(), 77, other)
-        assert not np.array_equal(a.values, b.values)
+        a = scalar(grid, hp(), 77, method)
+        b = scalar(grid, hp(), 77, other)
+        assert not np.array_equal(a, b)
 
 
 class TestCylindrical:
     def test_single_mode_reduces_to_scalar(self):
         grid = IncrementGrid(m_steps=8, tau=0.125)
         cyl = generate_cylindrical_fbm(1, grid, hp(), base_seed=42)
-        scalar = generate_scalar_fbm(grid, hp(),
-                                     derive_seed(42, MODE_STREAM, 0))
-        assert np.array_equal(cyl.values[0], scalar.values)
+        row = scalar(grid, hp(), derive_seed(42, MODE_STREAM, 0))
+        assert np.array_equal(cyl.values[0], row)
 
     def test_nesting(self):
         grid = IncrementGrid(m_steps=8, tau=0.125)
         small = generate_cylindrical_fbm(8, grid, hp(), base_seed=42)
         large = generate_cylindrical_fbm(16, grid, hp(), base_seed=42)
         assert np.array_equal(small.values, large.values[:8])
-
-    def test_mode_accessor_matches_rows(self):
-        grid = IncrementGrid(m_steps=4, tau=0.25)
-        cyl = generate_cylindrical_fbm(3, grid, hp(), base_seed=5)
-        row = cyl.mode(2)
-        assert np.array_equal(row.values, cyl.values[2])
-        assert row.seed == derive_seed(5, MODE_STREAM, 2)
 
     def test_cross_mode_independence(self):
         grid = IncrementGrid(m_steps=2, tau=0.5)
@@ -455,35 +445,35 @@ class TestCylindrical:
 class TestAggregation:
     def test_ratio_one_identity(self):
         grid = IncrementGrid(m_steps=8, tau=0.125)
-        fine = generate_scalar_fbm(grid, hp(), 3)
-        agg = aggregate_increments(fine, 1)
+        fine = generate_cylindrical_fbm(2, grid, hp(), 3)
+        agg = aggregate_cylindrical(fine, 1)
         assert np.array_equal(agg.values, fine.values)
         assert agg.grid == fine.grid
 
     def test_full_collapse_telescopes(self):
         grid = IncrementGrid(m_steps=4, tau=0.25)
-        fine = generate_scalar_fbm(grid, hp(), 3)
-        agg = aggregate_increments(fine, 4)
+        fine = as_sample(grid, hp(), scalar(grid, hp(), 3)[None])
+        agg = aggregate_cylindrical(fine, 4)
         assert agg.grid.m_steps == 1
-        total = ((fine.values[0] + fine.values[1]) + fine.values[2]) \
-            + fine.values[3]
-        assert agg.values[0] == total
+        row = fine.values[0]
+        assert agg.values[0, 0] == ((row[0] + row[1]) + row[2]) + row[3]
 
     def test_partial_sums_left_to_right(self):
         grid = IncrementGrid(m_steps=64, tau=1.0 / 64)
-        fine = generate_scalar_fbm(grid, hp(), 11)
-        agg = aggregate_increments(fine, 8)
+        fine = as_sample(grid, hp(), scalar(grid, hp(), 11)[None])
+        agg = aggregate_cylindrical(fine, 8)
+        row = fine.values[0]
         for j in range(8):
-            acc = fine.values[8 * j]
+            acc = row[8 * j]
             for r in range(1, 8):
-                acc = acc + fine.values[8 * j + r]
-            assert abs(agg.values[j] - acc) < 1e-12
+                acc = acc + row[8 * j + r]
+            assert abs(agg.values[0, j] - acc) < 1e-12
 
     def test_requires_divisibility(self):
         grid = IncrementGrid(m_steps=6, tau=0.1)
-        fine = generate_scalar_fbm(grid, hp(), 3)
+        fine = generate_cylindrical_fbm(1, grid, hp(), 3)
         with pytest.raises(ValueError):
-            aggregate_increments(fine, 4)
+            aggregate_cylindrical(fine, 4)
 
     def test_aggregated_covariance_statistical(self):
         # coarse increments are distributed as fBm increments on the
@@ -492,12 +482,8 @@ class TestAggregation:
         m_fine, ratio, n = 16, 4, 20000
         grid = IncrementGrid(m_steps=m_fine, tau=1.0 / m_fine)
         h = hp()
-        coarse = np.array([
-            aggregate_increments(
-                generate_scalar_fbm(grid, h, derive_seed(13, s)), ratio
-            ).values
-            for s in range(n)
-        ])
+        rows = increment_rows(grid, h, [derive_seed(13, s) for s in range(n)])
+        coarse = aggregate_cylindrical(as_sample(grid, h, rows), ratio).values
         target = increment_covariance_matrix(
             IncrementGrid(m_steps=m_fine // ratio, tau=ratio / m_fine), h
         )
@@ -512,5 +498,6 @@ class TestAggregation:
         cyl = generate_cylindrical_fbm(3, grid, hp(), base_seed=21)
         agg = aggregate_cylindrical(cyl, 4)
         for k in range(3):
-            row = aggregate_increments(cyl.mode(k), 4)
-            assert np.array_equal(agg.values[k], row.values)
+            alone = as_sample(grid, hp(), cyl.values[k:k + 1])
+            row = aggregate_cylindrical(alone, 4)
+            assert np.array_equal(agg.values[k], row.values[0])

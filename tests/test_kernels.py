@@ -30,7 +30,7 @@ def sweep_args(n_modes, m_steps, f_kind, samples=None):
         mat = np.ascontiguousarray(sine_matrix(n_modes))
         scale = math.sqrt(n_modes + 1)
     else:
-        mat = kernels.empty_dst_matrix()
+        mat = None
         scale = (math.sqrt(n_modes + 1) if f_kind == kernels.F_SIN_FFT
                  else 1.0)
     return x0, step_factor, tau, dw, f_kind, 1.0, mat, scale
@@ -122,7 +122,7 @@ def test_fast_sine_matches_dense(n_modes, samples):
     sample and for a block, at sizes on both sides of the switch."""
     dense_args = sweep_args(n_modes, 40, kernels.F_SIN, samples)
     fast_args = dense_args[:4] + (kernels.F_SIN_FFT, 1.0,
-                                  kernels.empty_dst_matrix(),
+                                  None,
                                   dense_args[7])
     stops = (0, 10, 40)
     dense = kernels.euler_sweep(*dense_args, stops)

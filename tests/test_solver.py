@@ -21,7 +21,6 @@ from fracspde.solver import (
     solve_endpoint,
     solve_path,
     solve_stops,
-    stochastic_convolution,
 )
 from fracspde.spectral import (
     SpectralOperator,
@@ -118,9 +117,10 @@ class TestSolvePath:
                           initial=np.array([1.0, 2.0, -1.0]))
         traj = solve_path(cfg, noise_for(cfg))
         factors = 1.0 / (1.0 + cfg.tau * cfg.operator.eigenvalues)
+        assert traj.states.shape == (11, 3)
         for m, state in enumerate(traj.states):
             np.testing.assert_allclose(
-                state.coeffs, factors**m * cfg.initial.coeffs, rtol=1e-13
+                state, factors**m * cfg.initial.coeffs, rtol=1e-13
             )
 
     def test_matches_iterated_sum_formula(self):
@@ -164,7 +164,7 @@ class TestSolvePath:
                               noise=zero_noise(5),
                               initial=RNG.standard_normal(5))
             traj = solve_path(cfg, noise_for(cfg))
-            norms = [np.linalg.norm(s.coeffs) for s in traj.states]
+            norms = [np.linalg.norm(s) for s in traj.states]
             assert all(b <= a * (1 + 1e-14)
                        for a, b in zip(norms, norms[1:]))
 
@@ -183,10 +183,9 @@ class TestSolvePath:
     def test_trajectory_endpoint_matches_solve_endpoint(self):
         cfg = make_config(n=6, m=16, f=sine_map())
         sample = noise_for(cfg)
-        assert np.array_equal(
-            solve_path(cfg, sample).endpoint().coeffs,
-            solve_endpoint(cfg, sample).coeffs,
-        )
+        end = solve_path(cfg, sample).endpoint()
+        assert np.array_equal(end.coeffs, solve_endpoint(cfg, sample).coeffs)
+        assert end.time == solve_endpoint(cfg, sample).time
 
     def test_non_finite_state_raises(self):
         # F(u) = 1e12 u far above lambda_N: the state overflows
@@ -201,13 +200,6 @@ class TestSolvePath:
         with pytest.raises(ValueError, match="increments"):
             solve_stops(cfg, np.zeros((8, 3)), (8,))
 
-    def test_digest_tracks_parameters(self):
-        a = make_config(n=4, m=8)
-        b = make_config(n=4, m=8)
-        c = make_config(n=4, m=8, seed=4)
-        assert a.digest() == b.digest()
-        assert a.digest() != c.digest()
-
 
 class TestFastSineSwitch:
     """solve_stops runs F = sin through the dense sine matrix below
@@ -218,7 +210,7 @@ class TestFastSineSwitch:
                           noise=identity_noise(n))
         dw = solver._scaled_increments(cfg, noise_for(cfg))
         mat = (np.ascontiguousarray(spectral.sine_matrix(n))
-               if f_kind == kernels.F_SIN else kernels.empty_dst_matrix())
+               if f_kind == kernels.F_SIN else None)
         lam = cfg.operator.eigenvalues
         expected = kernels.euler_sweep(
             cfg.initial.coeffs.copy(), 1.0 / (1.0 + cfg.tau * lam), cfg.tau,
@@ -299,34 +291,47 @@ class TestLinearMildReference:
         assert abs(sq.mean() - analytic) < 3 * se
 
 
+def _scaled(noise, sample):
+    """(M, N) rows phi_n * dW_{n,m} of a cylindrical sample."""
+    n = noise.n_modes
+    return np.ascontiguousarray((noise.amplitudes[:, None]
+                                 * sample.values[:n]).T)
+
+
 class TestStochasticConvolution:
+    """kernels.convolution_endpoint at intermediate times upto < M."""
+
     def test_zero_index_is_zero(self):
         op = dirichlet_laplacian(3)
         sample = generate_cylindrical_fbm(3, IncrementGrid(8, 0.125), H, 1)
-        out = stochastic_convolution(op, identity_noise(3), sample, 0)
-        assert np.all(out.coeffs == 0.0)
+        out = kernels.convolution_endpoint(
+            op.eigenvalues, _scaled(identity_noise(3), sample), 0.125, 0)
+        assert np.all(out == 0.0)
 
     def test_zero_noise_operator(self):
         op = dirichlet_laplacian(3)
         sample = generate_cylindrical_fbm(3, IncrementGrid(8, 0.125), H, 1)
-        out = stochastic_convolution(op, zero_noise(3), sample, 8)
-        assert np.all(out.coeffs == 0.0)
+        out = kernels.convolution_endpoint(
+            op.eigenvalues, _scaled(zero_noise(3), sample), 0.125, 5)
+        assert np.all(out == 0.0)
 
     def test_two_step_hand_unrolled(self):
         lam = 3.0
-        op = SpectralOperator(eigenvalues=np.array([lam]))
-        grid = IncrementGrid(m_steps=2, tau=0.5)
+        grid = IncrementGrid(m_steps=3, tau=0.5)
         sample = generate_cylindrical_fbm(1, grid, H, 23)
-        out = stochastic_convolution(op, identity_noise(1), sample, 2)
-        w1, w2 = sample.values[0]
+        out = kernels.convolution_endpoint(
+            np.array([lam]), _scaled(identity_noise(1), sample), 0.5, 2)
+        w1, w2 = sample.values[0, :2]
         expected = math.exp(-lam * 1.0) * w1 + math.exp(-lam * 0.5) * w2
-        assert out.coeffs[0] == pytest.approx(expected, rel=1e-13)
+        assert out[0] == pytest.approx(expected, rel=1e-13)
 
     def test_index_out_of_range(self):
         op = dirichlet_laplacian(2)
         sample = generate_cylindrical_fbm(2, IncrementGrid(4, 0.25), H, 1)
-        with pytest.raises(ValueError):
-            stochastic_convolution(op, identity_noise(2), sample, 5)
+        dws = _scaled(identity_noise(2), sample)
+        for upto in (-1, 5):
+            with pytest.raises(ValueError, match="out of range"):
+                kernels.convolution_endpoint(op.eigenvalues, dws, 0.25, upto)
 
 
 class TestLinearConsistency:
