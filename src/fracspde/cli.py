@@ -28,7 +28,7 @@ from .fbm import (
     generate_cylindrical_fbm,
 )
 from .parallel import default_workers
-from .rng import derive_seed
+from .rng import derive_seed, seed_words, standard_normal_rows
 from .solver import solve_path
 from .spectral import sine_grid, sine_transform
 from .experiments import SHE_PRESETS, _fmt, she_problem
@@ -399,11 +399,14 @@ def _suite_lambda_phi(seed: int, samples: int, workers: int) -> dict:
 def _suite_isometry(seed: int, samples: int, workers: int) -> dict:
     h = HurstParameter(0.75)
     grid = IncrementGrid(m_steps=6, tau=0.25)
-    rng = np.random.default_rng(derive_seed(seed, 9))
+    trials = 5
+    psis = standard_normal_rows(
+        seed_words([derive_seed(seed, 9)]),
+        np.empty((1, trials * grid.m_steps * 12)),
+    ).reshape(trials, grid.m_steps, 4, 3)
     worst_z = 0.0
-    for trial in range(5):
-        psis = [rng.standard_normal((4, 3)) for _ in range(grid.m_steps)]
-        check = verify.check_ito_isometry(psis, grid, h, samples,
+    for trial in range(trials):
+        check = verify.check_ito_isometry(psis[trial], grid, h, samples,
                                           derive_seed(seed, 10, trial))
         worst_z = max(worst_z,
                       abs(check.mc_lhs - check.analytic_rhs)

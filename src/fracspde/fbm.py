@@ -4,12 +4,19 @@ Increments, not path values, are the canonical representation: the
 implicit Euler scheme consumes only the per-step noise. One sampler,
 increment_rows, draws a batch of rows, row i from seeds[i] alone, so a
 row is bit-identical whatever else is in the batch; the cylindrical
-generator and the solver's sample blocks are calls of it. Two exact
-methods are provided: a dense Cholesky factorization of the increment
-covariance (reference, O(M^3) setup, at most 4096 steps) and circulant
-embedding of fractional Gaussian noise (Davies-Harte, O(M log M)), which
-writes only the Hermitian half of the embedded spectrum and synthesises a
-chunk of rows with one real FFT. Both reproduce the analytic covariance
+generator and (through its chunk iterator, _increment_chunks) the
+solver's sample blocks are calls of it. Row i's normals are those of
+np.random.default_rng(seeds[i]), drawn by rng.standard_normal_rows from
+seed words hashed for the whole batch in one vectorised pass
+(rng.seed_words). A chunk of rows holds at most _ROW_CHUNK_BYTES of
+normals, which keeps its temporaries small.
+
+Two exact methods are provided: a dense Cholesky factorization of the
+increment covariance (reference, O(M^3) setup, at most 4096 steps) and
+circulant embedding of fractional Gaussian noise (Davies-Harte,
+O(M log M)), which writes only the Hermitian half of the embedded
+spectrum and synthesises a chunk of rows with one real FFT. Both
+reproduce the analytic covariance
 
     E[dw_i dw_j] = 0.5 * tau^{2H} * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}),
 
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import MODE_STREAM, derive_seed, rng_from_seed
+from .rng import MODE_STREAM, derive_seed, seed_words, standard_normal_rows
 
 __all__ = [
     "CirculantEmbeddingError",
@@ -169,9 +176,19 @@ def increment_covariance_matrix(grid: IncrementGrid,
 # M = 2^14. Beyond it only the circulant embedding is allowed.
 _CHOLESKY_MAX_STEPS = 4096
 
-# Normals drawn per chunk of rows in increment_rows; bounds the chunk's
-# temporaries (normals, half spectrum, FFT output) to a few MiB.
-_ROW_CHUNK_BYTES = 2**20
+# Normals drawn per chunk of rows in increment_rows, and per group of
+# whole modes in the solver's block fill; bounds the chunk's temporaries
+# (normals, half spectrum, FFT output) to a few hundred KiB.
+_ROW_CHUNK_BYTES = 2**18
+
+
+def _row_normals(m_steps: int, method: str) -> int:
+    return 2 * m_steps if method == "circulant" else m_steps
+
+
+def _chunk_rows(m_steps: int, method: str) -> int:
+    """Rows whose normals fit in _ROW_CHUNK_BYTES (at least one)."""
+    return max(1, _ROW_CHUNK_BYTES // (8 * _row_normals(m_steps, method)))
 
 
 def check_method(method: str, m_steps: int) -> None:
@@ -250,14 +267,48 @@ def _synthesize_circulant(sqrt_eigs: np.ndarray, z: np.ndarray,
     return np.fft.irfft(half, m2, axis=-1, norm="forward")[..., :m]
 
 
+def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
+                      method: str, chunk: int, out: np.ndarray = None):
+    """Yield (first row, rows) for consecutive chunks of at most `chunk`
+    rows of increment_rows(grid, h, seeds, method), bit for bit.
+
+    The rows are written into out[first:first + len(rows)] when out is
+    given, else into one buffer reused by every chunk, so a chunk must be
+    consumed before the next is drawn. The seed words of every row come
+    from one vectorised hash before the first chunk: its fixed cost is
+    paid once per call, not once per chunk.
+    """
+    m = grid.m_steps
+    check_method(method, m)
+    words = seed_words(seeds)
+    scale = grid.tau**h.h
+    if method == "cholesky":
+        factor = _cholesky_factor(m, h)
+    else:
+        sqrt_eigs = _circulant_sqrt_eigs(m, h)
+    z = np.empty((min(chunk, len(words)), _row_normals(m, method)))
+    buffer = np.empty((len(z), m)) if out is None else None
+    for lo in range(0, len(words), chunk):
+        n = min(chunk, len(words) - lo)
+        normals = standard_normal_rows(words[lo:lo + n], z[:n])
+        rows = buffer[:n] if out is None else out[lo:lo + n]
+        if method == "cholesky":
+            for row, row_normals in zip(rows, normals):
+                np.multiply(scale, factor @ row_normals, out=row)
+        else:
+            np.multiply(scale, _synthesize_circulant(sqrt_eigs, normals, m),
+                        out=rows)
+        yield lo, rows
+
+
 def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
                    method: str = "circulant") -> np.ndarray:
     """Exact fBm increments on the grid, one row per seed.
 
     Returns a (len(seeds), m_steps) array. Row i is drawn from seeds[i]
     alone (2m standard normals for circulant, m for cholesky, from
-    rng_from_seed), so it is bit-identical whatever the other seeds are
-    and however the rows are chunked internally.
+    rng.standard_normal_rows), so it is bit-identical whatever the other
+    seeds are and however the rows are chunked internally.
 
     Parameters
     ----------
@@ -265,7 +316,7 @@ def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
         Uniform time mesh.
     h : HurstParameter
         Hurst index in (1/2, 1).
-    seeds : sequence of int
+    seeds : sequence or array of int
         64-bit seeds, one per row.
     method : {"circulant", "cholesky"}
         circulant embeds the fGn covariance in a 2M circulant and
@@ -273,27 +324,10 @@ def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
         (O(M log M) per row); cholesky multiplies each row's normals by
         the dense factor (reference, at most _CHOLESKY_MAX_STEPS steps).
     """
-    m = grid.m_steps
-    check_method(method, m)
-    seeds = [int(seed) for seed in seeds]
-    out = np.empty((len(seeds), m))
-    scale = grid.tau**h.h
-    if method == "cholesky":
-        factor = _cholesky_factor(m, h)
-        z = np.empty(m)
-        for i, seed in enumerate(seeds):
-            rng_from_seed(seed).standard_normal(out=z)
-            np.multiply(scale, factor @ z, out=out[i])
-        return out
-    sqrt_eigs = _circulant_sqrt_eigs(m, h)
-    chunk = max(1, _ROW_CHUNK_BYTES // (8 * 2 * m))
-    for lo in range(0, len(seeds), chunk):
-        part = seeds[lo:lo + chunk]
-        z = np.empty((len(part), 2 * m))
-        for i, seed in enumerate(part):
-            rng_from_seed(seed).standard_normal(out=z[i])
-        np.multiply(scale, _synthesize_circulant(sqrt_eigs, z, m),
-                    out=out[lo:lo + len(part)])
+    out = np.empty((len(seeds), grid.m_steps))
+    for _ in _increment_chunks(grid, h, seeds, method,
+                               _chunk_rows(grid.m_steps, method), out):
+        pass
     return out
 
 
@@ -309,7 +343,7 @@ def generate_cylindrical_fbm(modes: int, grid: IncrementGrid,
     """
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
-    seeds = [derive_seed(base_seed, MODE_STREAM, k) for k in range(modes)]
+    seeds = derive_seed(base_seed, MODE_STREAM, np.arange(modes))
     values = increment_rows(grid, h, seeds, method)
     values.flags.writeable = False
     return CylindricalFbmSample(grid=grid, values=values, hurst=h,

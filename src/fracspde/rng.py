@@ -1,26 +1,191 @@
-"""Deterministic seed derivation for parallel Monte Carlo streams."""
+"""Deterministic seed derivation and seeded normal draws for parallel
+Monte Carlo streams.
+
+The seeds and draws are numpy's own: derive_seed(base, *key) equals
+SeedSequence(base, spawn_key=key).generate_state(1, np.uint64)[0], and
+row i of standard_normal_rows(seed_words(seeds), out) equals
+default_rng(seeds[i]).standard_normal. Both are computed by a vectorised
+port of numpy's SeedSequence (the 4-word pool hash and generate_state)
+and of PCG64's pcg_setseq_128 seeding (O'Neill 2014): the keys of a
+whole sample block are hashed in one pass of numpy operations, not one
+SeedSequence object per row, and each row's 128-bit PCG64 state is
+assigned to one reused Generator. tests/test_rng.py checks the port
+against numpy bit for bit: a numpy release that changed its seeding would
+fail there instead of shifting outputs silently.
+
+Derived streams are independent of each other and of the schedule that
+consumes them: worker count and execution order never change the draws.
+"""
+
+import operator
 
 import numpy as np
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
 
 # Stream tags keep per-mode and per-sample derivations disjoint.
 MODE_STREAM = 0
 SAMPLE_STREAM = 1
 
+# numpy.random.SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
 
-def derive_seed(base_seed: int, *key: int) -> int:
-    """Hash (base_seed, key) into a fresh 64-bit seed.
+# Multiplier of PCG64's 128-bit LCG (PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-    Built on numpy's SeedSequence so derived streams are independent of
-    each other and of the schedule that consumes them: worker count and
-    execution order never change the draws.
+# The hash below runs on Python ints (one key) or uint64 arrays (a batch
+# of keys) alike: a word is a value below 2^32, and every product or
+# difference is reduced modulo 2^32 before it is shifted or stored.
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix. Its hash constant advances on every call
+    whatever the value hashed, so one scalar serves the whole batch."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    return hashmix
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _state_words(entropy: list, n_words: int) -> list:
+    """SeedSequence(...).generate_state(n_words, np.uint64), vectorised.
+
+    entropy lists the assembled 32-bit entropy words: the run entropy
+    zero-padded to the pool size, then the spawn key. Returns n_words
+    64-bit words. Hashing zero for a missing run-entropy word is what
+    SeedSequence does without a spawn key too, so the padded layout
+    serves both cases.
     """
-    ss = np.random.SeedSequence(
-        int(base_seed) & _MASK64, spawn_key=tuple(int(k) for k in key)
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[i % _POOL_SIZE]) for i in range(2 * n_words)]
+    return [lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])]
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(int(seed) & _MASK64)
+def _run_entropy(seed) -> list:
+    """A 64-bit seed as SeedSequence's run entropy, padded to the pool."""
+    return [seed & _MASK32, seed >> 32, 0, 0]
+
+
+# Below this many rows the hash runs row by row on Python ints: one
+# numpy pass costs about 0.3 ms of ufunc calls whatever its length, one
+# row on Python ints about 25 us.
+_VECTOR_MIN_ROWS = 12
+
+
+def _hash_rows(columns: list, n_words: int) -> np.ndarray:
+    """SeedSequence(base, spawn_key=key).generate_state(n_words, uint64)
+    for every row (base, *key) of the equal-length uint64 columns, as a
+    (rows, n_words) uint64 array."""
+    if len(columns[0]) >= _VECTOR_MIN_ROWS:
+        entropy = _run_entropy(columns[0]) + columns[1:]
+        return np.stack(_state_words(entropy, n_words), axis=1)
+    rows = [_state_words(_run_entropy(base) + key, n_words)
+            for base, *key in zip(*(c.tolist() for c in columns))]
+    return np.array(rows, dtype=np.uint64).reshape(-1, n_words)
+
+
+def _as_uint64(values) -> np.ndarray:
+    """Integers reduced modulo 2^64, as a uint64 array."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.uint64)
+    arr = np.asarray(values, dtype=object)
+    return np.array([operator.index(v) & _MASK64 for v in arr.ravel()],
+                    dtype=np.uint64).reshape(arr.shape)
+
+
+def derive_seed(base_seed, *key):
+    """Hash (base_seed, key) into a 64-bit seed, for any number of keys.
+
+    Equals np.random.SeedSequence(base_seed mod 2^64, spawn_key=key)
+    .generate_state(1, np.uint64)[0]. The arguments broadcast against
+    each other like numpy arrays: all-scalar arguments return an int,
+    anything else a uint64 array of the broadcast shape.
+
+    Key entries must lie in [0, 2^32). Negative entries raise ValueError,
+    as in SeedSequence; entries of 2^32 or more also raise ValueError,
+    because SeedSequence splits them into several entropy words, a
+    layout this port does not follow.
+    """
+    if np.ndim(base_seed) == 0 and all(np.ndim(k) == 0 for k in key):
+        words = [operator.index(k) for k in key]
+        _check_key(words)
+        entropy = _run_entropy(operator.index(base_seed) & _MASK64)
+        return _state_words(entropy + words, 1)[0]
+    keys = [np.asarray(k) for k in key]
+    for k in keys:
+        if k.dtype.kind not in "iuO":
+            raise ValueError(f"seed key entries must be integers, got {k}")
+        if k.size:
+            _check_key((k.min(), k.max()))
+    base = _as_uint64(base_seed)
+    shape = np.broadcast_shapes(base.shape, *(k.shape for k in keys))
+    columns = [np.broadcast_to(a, shape).astype(np.uint64).ravel()
+               for a in (base, *keys)]
+    return _hash_rows(columns, 1)[:, 0].reshape(shape)
+
+
+def _check_key(entries) -> None:
+    if not all(0 <= k <= _MASK32 for k in entries):
+        raise ValueError(f"seed key entries must lie in [0, 2^32), got"
+                         f" {list(entries)}")
+
+
+def seed_words(seeds) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, np.uint64) for each seed, a
+    (rows, 4) uint64 array: the words np.random.PCG64(seed) seeds itself
+    from. Seeds are reduced modulo 2^64."""
+    return _hash_rows([_as_uint64(seeds).ravel()], 4)
+
+
+def standard_normal_rows(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill row i of the 2-D array out with standard normals from the
+    seed words words[i] (see seed_words): row i equals
+    np.random.default_rng(seed).standard_normal for the seed behind it.
+    Returns out.
+
+    Each row's words (s_hi, s_lo, i_hi, i_lo) become a PCG64 state as
+    pcg_setseq_128_srandom_r makes it, modulo 2^128: inc = i << 1 | 1
+    and state = (inc + s) * multiplier + inc. The state is assigned to
+    one reused Generator.
+    """
+    if len(words) != len(out):
+        raise ValueError(f"{len(words)} seeds for {len(out)} rows")
+    bit_generator = np.random.PCG64(0)  # every row assigns its own state
+    generator = np.random.Generator(bit_generator)
+    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, words.tolist()):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=row)
+    return out

@@ -21,7 +21,8 @@ from .fbm import (
     CylindricalFbmSample,
     HurstParameter,
     IncrementGrid,
-    increment_rows,
+    _chunk_rows,
+    _increment_chunks,
 )
 from .rng import MODE_STREAM, SAMPLE_STREAM, derive_seed
 from .spectral import (
@@ -225,8 +226,8 @@ def _sample_blocks(config: SolverConfig, samples: int,
         raise ValueError(f"samples must be >= 1, got {samples}")
     size = min(_BLOCK_SAMPLES, max(
         1, _BLOCK_BYTES // (8 * config.m_steps * config.n_modes)))
-    seeds = [derive_seed(base_seed, SAMPLE_STREAM, s)
-             for s in range(samples)]
+    seeds = derive_seed(base_seed, SAMPLE_STREAM,
+                        np.arange(samples)).tolist()
     return [(first, tuple(seeds[first:first + size]))
             for first in range(0, samples, size)]
 
@@ -236,21 +237,25 @@ def _block_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
 
     Row k of a sample draws its fBm from the seed derived from (seed, k),
     as generate_cylindrical_fbm does, times the noise amplitude phi_k, so
-    column s equals _scaled_increments of that sample bit for bit. Filling
-    mode by mode (one increment_rows call over the block's B seeds)
-    writes B adjacent doubles at a time.
+    column s equals _scaled_increments of that sample bit for bit. The
+    N*B keys and their generator states are each hashed in one pass;
+    the rows are then drawn mode-major, a group of whole modes at a
+    time, which keeps a group's normals within fbm._ROW_CHUNK_BYTES
+    (unless one mode's B rows exceed it) and writes each group into its
+    (M, modes, B) slab of the buffer, times the amplitudes, directly.
     """
-    n = config.n_modes
+    n, b = config.n_modes, len(seeds)
     amps = config.noise.amplitudes[:n]
     grid = config.grid()
-    dw = np.empty((config.m_steps, n, len(seeds)))
-    for k in range(n):
-        rows = increment_rows(
-            grid, config.hurst,
-            [derive_seed(seed, MODE_STREAM, k) for seed in seeds],
-            config.fbm_method,
-        )
-        np.multiply(amps[k], rows.T, out=dw[:, k, :])
+    keys = derive_seed(seeds, MODE_STREAM, np.arange(n)[:, None]).ravel()
+    group = max(1, _chunk_rows(config.m_steps, config.fbm_method) // b)
+    dw = np.empty((config.m_steps, n, b))
+    for lo, rows in _increment_chunks(grid, config.hurst, keys,
+                                      config.fbm_method, group * b):
+        k0, k1 = lo // b, (lo + len(rows)) // b
+        np.multiply(amps[k0:k1, None],
+                    rows.reshape(k1 - k0, b, -1).transpose(2, 0, 1),
+                    out=dw[:, k0:k1, :])
     return dw
 
 

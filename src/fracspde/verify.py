@@ -23,12 +23,12 @@ from .fbm import (
     IncrementGrid,
     _fgn_covariance_seq,
     fgn_covariance,
-    generate_cylindrical_fbm,
     increment_covariance,
+    increment_rows,
 )
 from .experiments import fit_slope
 from .parallel import parallel_map
-from .rng import SAMPLE_STREAM, derive_seed
+from .rng import MODE_STREAM, SAMPLE_STREAM, derive_seed
 from .solver import (
     SolverConfig,
     _block_increments,
@@ -174,6 +174,10 @@ def isometry_analytic_rhs(psis: list, grid: IncrementGrid,
     return total
 
 
+# Increments held per batch of samples in check_ito_isometry.
+_ISOMETRY_BATCH_BYTES = 2**20
+
+
 def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
                        samples: int, seed: int,
                        method: str = "cholesky") -> IsometryCheck:
@@ -190,12 +194,20 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
     (d, k_modes), = shapes
     stacked = np.stack(psis)  # (m, d, k)
     sq = np.empty(samples)
-    for s in range(samples):
-        noise = generate_cylindrical_fbm(
-            k_modes, grid, h, derive_seed(seed, SAMPLE_STREAM, s), method
-        )
-        v = np.einsum("idk,ki->d", stacked, noise.values)
-        sq[s] = v @ v
+    # sample s is generate_cylindrical_fbm(k_modes, grid, h, seed_s,
+    # method), seed_s = derive_seed(seed, SAMPLE_STREAM, s); a batch of
+    # samples is drawn in one increment_rows call
+    batch = max(1, _ISOMETRY_BATCH_BYTES // (8 * k_modes * grid.m_steps))
+    for lo in range(0, samples, batch):
+        sample_seeds = derive_seed(seed, SAMPLE_STREAM,
+                                   np.arange(lo, min(samples, lo + batch)))
+        keys = derive_seed(sample_seeds[:, None], MODE_STREAM,
+                           np.arange(k_modes))
+        rows = increment_rows(grid, h, keys.ravel(), method)
+        for s, values in enumerate(
+                rows.reshape(len(sample_seeds), k_modes, -1), lo):
+            v = np.einsum("idk,ki->d", stacked, values)
+            sq[s] = v @ v
     mc = float(sq.mean())
     se = float(sq.std(ddof=1) / np.sqrt(samples))
     return IsometryCheck(mc_lhs=mc,

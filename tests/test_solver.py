@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracspde import kernels, solver, spectral
+from fracspde import fbm, kernels, solver, spectral
 from fracspde.fbm import (
     HurstParameter,
     IncrementGrid,
@@ -199,6 +199,29 @@ class TestSolvePath:
         cfg = make_config(n=4, m=8)
         with pytest.raises(ValueError, match="increments"):
             solve_stops(cfg, np.zeros((8, 3)), (8,))
+
+
+class TestBlockIncrements:
+    # five circulant rows' normals (ten Cholesky rows) per group: with 7
+    # modes, groups end inside the block for every B, and for B = 8 a
+    # one-mode group spans two increment_rows chunks
+    SMALL_BUDGET = 5 * 2 * 12 * 8
+
+    @pytest.mark.parametrize("budget", [None, SMALL_BUDGET])
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    @pytest.mark.parametrize("method", ["circulant", "cholesky"])
+    def test_columns_equal_per_sample_increments(self, method, b, budget,
+                                                 monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", budget)
+        cfg = make_config(n=7, m=12, method=method)
+        seeds = tuple(derive_seed(5, SAMPLE_STREAM, s) for s in range(b))
+        dw = solver._block_increments(cfg, seeds)
+        assert dw.shape == (12, 7, b)
+        for s, seed in enumerate(seeds):
+            sample = generate_cylindrical_fbm(7, cfg.grid(), H, seed, method)
+            assert np.array_equal(dw[:, :, s],
+                                  solver._scaled_increments(cfg, sample))
 
 
 class TestFastSineSwitch:

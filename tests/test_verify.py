@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracspde import solver
+from fracspde import solver, verify
 from fracspde.experiments import fit_slope, she_problem
 from fracspde.fbm import (
     HurstParameter,
@@ -173,6 +173,24 @@ class TestItoIsometry:
         check = check_ito_isometry(psis, grid, H, samples=4000,
                                    seed=500 + trial)
         assert abs(check.mc_lhs - check.analytic_rhs) < 3 * check.std_error
+
+    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
+    def test_batches_equal_per_sample_loop(self, method, monkeypatch):
+        # batches of 7 samples: the last one is partial
+        monkeypatch.setattr(verify, "_ISOMETRY_BATCH_BYTES", 7 * 8 * 2 * 4)
+        grid = IncrementGrid(m_steps=4, tau=0.25)
+        psis = [np.random.default_rng(i).standard_normal((3, 2))
+                for i in range(4)]
+        stacked = np.stack(psis)
+        sq = []
+        for s in range(30):
+            noise = generate_cylindrical_fbm(
+                2, grid, H, derive_seed(88, SAMPLE_STREAM, s), method)
+            v = np.einsum("idk,ki->d", stacked, noise.values)
+            sq.append(v @ v)
+        check = check_ito_isometry(psis, grid, H, 30, 88, method)
+        assert check.mc_lhs == float(np.mean(sq))
+        assert check.std_error == float(np.std(sq, ddof=1) / np.sqrt(30))
 
 
 class TestPowerLawFit:
