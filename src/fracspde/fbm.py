@@ -5,7 +5,8 @@ implicit Euler scheme consumes only the per-step noise. One sampler,
 increment_rows, draws a batch of rows, row i from seeds[i] alone, so a
 row is bit-identical whatever else is in the batch; the cylindrical
 generator and (through its chunk iterator, _increment_chunks) the
-solver's sample blocks are calls of it. Row i's normals are those of
+solver's sample blocks and the isometry check are calls of it, and all
+three key mode k of a sample by mode_keys. Row i's normals are those of
 np.random.default_rng(seeds[i]), drawn by rng.standard_normal_rows from
 seed words hashed for the whole batch in one vectorised pass
 (rng.seed_words). A chunk of rows holds at most _ROW_CHUNK_BYTES of
@@ -48,6 +49,7 @@ __all__ = [
     "increment_covariance_matrix",
     "increment_rows",
     "kernel_phi",
+    "mode_keys",
 ]
 
 GENERATOR_METHODS = ("cholesky", "circulant")
@@ -176,9 +178,10 @@ def increment_covariance_matrix(grid: IncrementGrid,
 # M = 2^14. Beyond it only the circulant embedding is allowed.
 _CHOLESKY_MAX_STEPS = 4096
 
-# Normals drawn per chunk of rows in increment_rows, and per group of
-# whole modes in the solver's block fill; bounds the chunk's temporaries
-# (normals, half spectrum, FFT output) to a few hundred KiB.
+# Normals drawn per chunk of rows in increment_rows, per group of whole
+# modes in the solver's block fill and per group of whole samples in the
+# isometry check; bounds the chunk's temporaries (normals, half spectrum,
+# FFT output) to a few hundred KiB.
 _ROW_CHUNK_BYTES = 2**18
 
 
@@ -186,9 +189,11 @@ def _row_normals(m_steps: int, method: str) -> int:
     return 2 * m_steps if method == "circulant" else m_steps
 
 
-def _chunk_rows(m_steps: int, method: str) -> int:
-    """Rows whose normals fit in _ROW_CHUNK_BYTES (at least one)."""
-    return max(1, _ROW_CHUNK_BYTES // (8 * _row_normals(m_steps, method)))
+def _chunk_rows(m_steps: int, method: str, group: int = 1) -> int:
+    """Rows whose normals fit in _ROW_CHUNK_BYTES, rounded down to whole
+    groups of `group` rows (at least one group)."""
+    rows = _ROW_CHUNK_BYTES // (8 * _row_normals(m_steps, method))
+    return max(1, rows // group) * group
 
 
 def check_method(method: str, m_steps: int) -> None:
@@ -331,6 +336,14 @@ def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
     return out
 
 
+def mode_keys(sample_seeds, modes: int) -> np.ndarray:
+    """The increment_rows seeds of the first `modes` modes of each sample:
+    a (modes, len(sample_seeds)) uint64 array whose entry [k, s] is
+    derive_seed(sample_seeds[s], MODE_STREAM, k). Mode k of a cylindrical
+    sample is drawn from it, wherever the sample is drawn."""
+    return derive_seed(sample_seeds, MODE_STREAM, np.arange(modes)[:, None])
+
+
 def generate_cylindrical_fbm(modes: int, grid: IncrementGrid,
                              h: HurstParameter, base_seed: int,
                              method: str = "circulant") -> CylindricalFbmSample:
@@ -343,8 +356,8 @@ def generate_cylindrical_fbm(modes: int, grid: IncrementGrid,
     """
     if modes < 1:
         raise ValueError(f"modes must be >= 1, got {modes}")
-    seeds = derive_seed(base_seed, MODE_STREAM, np.arange(modes))
-    values = increment_rows(grid, h, seeds, method)
+    values = increment_rows(grid, h, mode_keys([base_seed], modes)[:, 0],
+                            method)
     values.flags.writeable = False
     return CylindricalFbmSample(grid=grid, values=values, hurst=h,
                                 base_seed=int(base_seed), method=method)

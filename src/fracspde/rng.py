@@ -92,22 +92,12 @@ def _run_entropy(seed) -> list:
     return [seed & _MASK32, seed >> 32, 0, 0]
 
 
-# Below this many rows the hash runs row by row on Python ints: one
-# numpy pass costs about 0.3 ms of ufunc calls whatever its length, one
-# row on Python ints about 25 us.
-_VECTOR_MIN_ROWS = 12
-
-
 def _hash_rows(columns: list, n_words: int) -> np.ndarray:
     """SeedSequence(base, spawn_key=key).generate_state(n_words, uint64)
     for every row (base, *key) of the equal-length uint64 columns, as a
     (rows, n_words) uint64 array."""
-    if len(columns[0]) >= _VECTOR_MIN_ROWS:
-        entropy = _run_entropy(columns[0]) + columns[1:]
-        return np.stack(_state_words(entropy, n_words), axis=1)
-    rows = [_state_words(_run_entropy(base) + key, n_words)
-            for base, *key in zip(*(c.tolist() for c in columns))]
-    return np.array(rows, dtype=np.uint64).reshape(-1, n_words)
+    entropy = _run_entropy(columns[0]) + columns[1:]
+    return np.stack(_state_words(entropy, n_words), axis=1)
 
 
 def _as_uint64(values) -> np.ndarray:

@@ -23,8 +23,9 @@ from .fbm import (
     IncrementGrid,
     _chunk_rows,
     _increment_chunks,
+    mode_keys,
 )
-from .rng import MODE_STREAM, SAMPLE_STREAM, derive_seed
+from .rng import SAMPLE_STREAM, derive_seed
 from .spectral import (
     DiagonalNoiseOperator,
     NemytskiiMap,
@@ -247,11 +248,11 @@ def _block_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
     n, b = config.n_modes, len(seeds)
     amps = config.noise.amplitudes[:n]
     grid = config.grid()
-    keys = derive_seed(seeds, MODE_STREAM, np.arange(n)[:, None]).ravel()
-    group = max(1, _chunk_rows(config.m_steps, config.fbm_method) // b)
     dw = np.empty((config.m_steps, n, b))
-    for lo, rows in _increment_chunks(grid, config.hurst, keys,
-                                      config.fbm_method, group * b):
+    for lo, rows in _increment_chunks(
+            grid, config.hurst, mode_keys(seeds, n).ravel(),
+            config.fbm_method,
+            _chunk_rows(config.m_steps, config.fbm_method, b)):
         k0, k1 = lo // b, (lo + len(rows)) // b
         np.multiply(amps[k0:k1, None],
                     rows.reshape(k1 - k0, b, -1).transpose(2, 0, 1),

@@ -21,14 +21,16 @@ from scipy.special import gammainc, gammaln, roots_jacobi
 from .fbm import (
     HurstParameter,
     IncrementGrid,
+    _chunk_rows,
     _fgn_covariance_seq,
+    _increment_chunks,
     fgn_covariance,
     increment_covariance,
-    increment_rows,
+    mode_keys,
 )
 from .experiments import fit_slope
 from .parallel import parallel_map
-from .rng import MODE_STREAM, SAMPLE_STREAM, derive_seed
+from .rng import SAMPLE_STREAM, derive_seed
 from .solver import (
     SolverConfig,
     _block_increments,
@@ -174,10 +176,6 @@ def isometry_analytic_rhs(psis: list, grid: IncrementGrid,
     return total
 
 
-# Increments held per batch of samples in check_ito_isometry.
-_ISOMETRY_BATCH_BYTES = 2**20
-
-
 def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
                        samples: int, seed: int,
                        method: str = "cholesky") -> IsometryCheck:
@@ -195,17 +193,14 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
     stacked = np.stack(psis)  # (m, d, k)
     sq = np.empty(samples)
     # sample s is generate_cylindrical_fbm(k_modes, grid, h, seed_s,
-    # method), seed_s = derive_seed(seed, SAMPLE_STREAM, s); a batch of
-    # samples is drawn in one increment_rows call
-    batch = max(1, _ISOMETRY_BATCH_BYTES // (8 * k_modes * grid.m_steps))
-    for lo in range(0, samples, batch):
-        sample_seeds = derive_seed(seed, SAMPLE_STREAM,
-                                   np.arange(lo, min(samples, lo + batch)))
-        keys = derive_seed(sample_seeds[:, None], MODE_STREAM,
-                           np.arange(k_modes))
-        rows = increment_rows(grid, h, keys.ravel(), method)
-        for s, values in enumerate(
-                rows.reshape(len(sample_seeds), k_modes, -1), lo):
+    # method), seed_s = derive_seed(seed, SAMPLE_STREAM, s); the rows are
+    # drawn sample-major, a group of whole samples at a time
+    sample_seeds = derive_seed(seed, SAMPLE_STREAM, np.arange(samples))
+    for lo, rows in _increment_chunks(
+            grid, h, mode_keys(sample_seeds, k_modes).T.ravel(), method,
+            _chunk_rows(grid.m_steps, method, k_modes)):
+        for s, values in enumerate(rows.reshape(-1, k_modes, grid.m_steps),
+                                   lo // k_modes):
             v = np.einsum("idk,ki->d", stacked, values)
             sq[s] = v @ v
     mc = float(sq.mean())

@@ -7,10 +7,13 @@ import pytest
 
 from fracspde import fbm, kernels, solver, spectral
 from fracspde.fbm import (
+    CylindricalFbmSample,
     HurstParameter,
     IncrementGrid,
     aggregate_cylindrical,
     generate_cylindrical_fbm,
+    increment_rows,
+    mode_keys,
 )
 from fracspde.rng import SAMPLE_STREAM, derive_seed
 from fracspde.solver import (
@@ -303,12 +306,17 @@ class TestLinearMildReference:
         )
         grid = IncrementGrid(m_steps=1024, tau=1.0 / 1024)
         n_samples = 10000
+        seeds = derive_seed(17, SAMPLE_STREAM, np.arange(n_samples))
         sq = np.empty(n_samples)
-        for s in range(n_samples):
-            fine = generate_cylindrical_fbm(
-                1, grid, H, derive_seed(17, SAMPLE_STREAM, s)
-            )
-            sq[s] = linear_mild_reference(cfg, fine).coeffs[0] ** 2
+        # row s is generate_cylindrical_fbm(1, grid, H, seeds[s]).values[0],
+        # drawn 1000 samples at a time
+        for lo in range(0, n_samples, 1000):
+            keys = mode_keys(seeds[lo:lo + 1000], 1)[0]
+            for s, row in enumerate(increment_rows(grid, H, keys), lo):
+                fine = CylindricalFbmSample(grid=grid, values=row[None],
+                                            hurst=H, base_seed=int(seeds[s]),
+                                            method="circulant")
+                sq[s] = linear_mild_reference(cfg, fine).coeffs[0] ** 2
         analytic = check_lambda_phi_bound(1.0, 1.0, 0, 0, H)
         se = sq.std(ddof=1) / math.sqrt(n_samples)
         assert abs(sq.mean() - analytic) < 3 * se

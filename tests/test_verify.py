@@ -6,14 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from fracspde import solver, verify
+from fracspde import fbm, solver
 from fracspde.experiments import fit_slope, she_problem
 from fracspde.fbm import (
+    CylindricalFbmSample,
     HurstParameter,
     IncrementGrid,
     generate_cylindrical_fbm,
     increment_covariance,
     increment_covariance_matrix,
+    increment_rows,
+    mode_keys,
 )
 from fracspde.rng import SAMPLE_STREAM, derive_seed
 from fracspde.solver import (
@@ -176,21 +179,23 @@ class TestItoIsometry:
 
     @pytest.mark.parametrize("method", ["cholesky", "circulant"])
     def test_batches_equal_per_sample_loop(self, method, monkeypatch):
-        # batches of 7 samples: the last one is partial
-        monkeypatch.setattr(verify, "_ISOMETRY_BATCH_BYTES", 7 * 8 * 2 * 4)
+        # normals of 15 circulant rows (30 Cholesky rows) per chunk: with 2
+        # modes a chunk holds 7 (15) whole samples, and the last chunk of
+        # 31 samples is partial
+        monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", 15 * 8 * 2 * 4)
         grid = IncrementGrid(m_steps=4, tau=0.25)
         psis = [np.random.default_rng(i).standard_normal((3, 2))
                 for i in range(4)]
         stacked = np.stack(psis)
         sq = []
-        for s in range(30):
+        for s in range(31):
             noise = generate_cylindrical_fbm(
                 2, grid, H, derive_seed(88, SAMPLE_STREAM, s), method)
             v = np.einsum("idk,ki->d", stacked, noise.values)
             sq.append(v @ v)
-        check = check_ito_isometry(psis, grid, H, 30, 88, method)
+        check = check_ito_isometry(psis, grid, H, 31, 88, method)
         assert check.mc_lhs == float(np.mean(sq))
-        assert check.std_error == float(np.std(sq, ddof=1) / np.sqrt(30))
+        assert check.std_error == float(np.std(sq, ddof=1) / np.sqrt(31))
 
 
 class TestPowerLawFit:
@@ -235,10 +240,15 @@ class TestLinearOracles:
         cfg = linear_config(4, 16, trace_class_noise(4), seed=41)
         _, variances = linear_endpoint_moments(cfg)
         n_samples = 3000
+        seeds = derive_seed(41, SAMPLE_STREAM, np.arange(n_samples))
+        # rows[s] is generate_cylindrical_fbm(4, cfg.grid(), H,
+        # seeds[s]).values
+        rows = increment_rows(cfg.grid(), H, mode_keys(seeds, 4).T.ravel()
+                              ).reshape(n_samples, 4, 16)
         ends = np.array([
-            solve_endpoint(cfg, generate_cylindrical_fbm(
-                4, cfg.grid(), H, derive_seed(41, SAMPLE_STREAM, s)
-            )).coeffs
+            solve_endpoint(cfg, CylindricalFbmSample(
+                grid=cfg.grid(), values=rows[s], hurst=H,
+                base_seed=int(seeds[s]), method="circulant")).coeffs
             for s in range(n_samples)
         ])
         emp = ends.var(axis=0)
@@ -262,11 +272,16 @@ class TestLinearOracles:
         ladder = [8, 16]
         oracle = expected_temporal_rms_errors(cfg, ladder)
         n_samples = 4000
+        seeds = derive_seed(97, SAMPLE_STREAM, np.arange(n_samples))
+        # rows[s] is generate_cylindrical_fbm(6, cfg.grid(), H,
+        # seeds[s]).values
+        rows = increment_rows(cfg.grid(), H, mode_keys(seeds, 6).T.ravel()
+                              ).reshape(n_samples, 6, 64)
         sq = np.zeros((n_samples, len(ladder)))
         for s in range(n_samples):
-            fine = generate_cylindrical_fbm(
-                6, cfg.grid(), H, derive_seed(97, SAMPLE_STREAM, s)
-            )
+            fine = CylindricalFbmSample(grid=cfg.grid(), values=rows[s],
+                                        hurst=H, base_seed=int(seeds[s]),
+                                        method="circulant")
             ref = solve_endpoint(cfg, fine).coeffs
             for i, m in enumerate(ladder):
                 agg = aggregate_cylindrical(fine, 64 // m)
