@@ -60,10 +60,11 @@ def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
     return {a.dest: a for a in subparsers.choices[command]._actions}
 
 
-def _from_file(parser: argparse.ArgumentParser, action, key: str, raw: str):
-    """Convert a config-file string as argparse converts the flag's value.
+def _convert(parser: argparse.ArgumentParser, action, label: str, raw: str):
+    """Convert a string as argparse converts the flag's value.
 
-    A value that does not convert is a usage error (exit 2).
+    ``label`` names the value in the message when it does not convert,
+    which is a usage error (exit 2).
     """
     if action is not None and action.nargs == 0:  # store_true switch
         word = raw.lower()
@@ -71,15 +72,14 @@ def _from_file(parser: argparse.ArgumentParser, action, key: str, raw: str):
             return True
         if word in ("0", "false", "no"):
             return False
-        parser.error(f"config value {key} = {raw!r} is not a boolean")
+        parser.error(f"{label} = {raw!r} is not a boolean")
     convert = action.type if action is not None and action.type else str
     try:
         value = convert(raw)
     except (TypeError, ValueError):
-        parser.error(f"config value {key} = {raw!r} is not a valid "
-                     f"{convert.__name__}")
+        parser.error(f"{label} = {raw!r} is not a valid {convert.__name__}")
     if action is not None and action.choices and value not in action.choices:
-        parser.error(f"config value {key} = {raw!r} is not one of "
+        parser.error(f"{label} = {raw!r} is not one of "
                      f"{', '.join(action.choices)}")
     return value
 
@@ -102,11 +102,16 @@ def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser,
     resolved = {}
     for key, default in defaults.items():
         cli_value = getattr(args, key, None)
-        if cli_value is not None:
+        action = actions.get(key)
+        if cli_value == [] and action is not None and action.nargs is None:
+            # argparse drops the literal "--" of "--flag=--" and stores []
+            resolved[key] = _convert(parser, action,
+                                     action.option_strings[0], "--")
+        elif cli_value is not None:
             resolved[key] = cli_value
         elif key in file_values:
-            resolved[key] = _from_file(parser, actions.get(key), key,
-                                       file_values[key])
+            resolved[key] = _convert(parser, action, f"config value {key}",
+                                     file_values[key])
         else:
             resolved[key] = default
     return resolved

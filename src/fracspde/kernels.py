@@ -17,24 +17,35 @@ left-to-right order as the step-by-step sum.
 Nonlinearity codes: F_ZERO, F_SCALED (u -> scale*u in coefficients), and
 two forms of F = sin by collocation on the interior sine grid, with grid
 scale ``dst_scale = sqrt(N+1)``: F_SIN multiplies by the dense symmetric
-DST-I matrix ``dst_mat`` (O(N^2) per product), F_SIN_FFT calls
-``scipy.fft.dst(type=1, norm="ortho")`` (O(N log N), no matrix). The two
-agree to rounding (tested within 1e-12 relative), not bit for bit.
-``solver.solve_stops`` picks F_SIN_FFT at N >= ``_FAST_SINE_MIN_MODES``
-= 512 and F_SIN below it; the kind is fixed per sweep, so no step
-branches on N. Measured per step on one thread (2-vCPU VM, numpy 2.4,
-scipy 1.17), dense against fast: 28 against 107 us at N = 256, 126
-against 38 us at N = 512, 731 against 64 us at N = 1024, 24.7 against
-0.58 ms at N = 4096. scipy's DST-I runs an FFT of length 2(N+1), so it
-is slow where N+1 has a large prime factor: below 512 the dense step
-wins at most sizes; from 512 the fast step wins at most sizes, loses by
-at most 1.3x at a few (N = 520, 572, 600) up to 613, and won at every
-size checked from 614 to 699 and at 1021, 1031, 2039 and 4093. The
+DST-I matrix ``dst_mat`` (O(N^2) per product), F_SIN_FFT runs the
+orthonormal DST-I as numpy's ``rfft`` of length 2(N+1) (O(N log N), no
+matrix; ``_Dst1``). The two agree to rounding (tested within 1e-12
+relative), not bit for bit. The FFT form equals
+``scipy.fft.dst(type=1, norm="ortho")`` bit for bit: both run pocketfft's
+real FFT of the odd extension and scale by 1/sqrt(2(N+1)) computed in
+long double, so numpy alone carries the transform and no run imports
+scipy. ``solver.solve_stops`` picks F_SIN_FFT at N >=
+``_FAST_SINE_MIN_MODES`` = 512 and F_SIN below it; the kind is fixed per
+sweep, so no step branches on N. Measured per step on one thread
+(2-vCPU VM whose speed swings up to 1.7x, numpy 2.4, numpy's DST-I; best
+of five sweeps, ranges over three runs), dense against fast: 26-32
+against 88-138 us at N = 256, 126-169 against 53-61 us at N = 512,
+747-766 against 98-124 us at N = 1024, 25.6-25.7 against 0.89-0.92 ms
+at N = 4096. An FFT of length 2(N+1) is slow where N+1 has a large prime
+factor: below 512 the dense step wins at most sizes; from 512 the fast
+step wins at most sizes, loses at a few up to 613 (N = 520, 572, 600:
+127-140 against 201-255 us at N = 520, 230-247 against 247-306 us at
+N = 600), and won at every size checked from 614 to 699 and at 1021,
+1031, 2039 and 4093 (that scan ran scipy's DST-I, the same FFT). The
 studies run N = 512 and 4096.
+
+Every sweep works in place on state buffers allocated once per call
+(ufuncs with ``out=``), with the step factor broadcast once to the
+state's shape; it runs the same operations in the same order as the
+per-step expressions in its docstring, so the buffers change no bits.
 """
 
 import numpy as np
-import scipy.fft
 
 BACKEND = "numpy"
 
@@ -67,36 +78,94 @@ def euler_sweep(x0, step_factor, tau, dw_scaled, f_kind, f_scale, dst_mat,
     if f_kind not in (F_ZERO, F_SCALED, F_SIN, F_SIN_FFT):
         raise ValueError(f"unknown nonlinearity code {f_kind}")
     x = x0.copy()
-    if x.ndim == 2:
-        step_factor = step_factor.reshape(-1, 1)
+    factor = np.broadcast_to(
+        step_factor.reshape((-1,) + (1,) * (x.ndim - 1)), x.shape).copy()
+    u = np.empty_like(x)
+    fx = np.empty_like(x)
+    if f_kind == F_SIN_FFT:
+        dst = _Dst1(x.shape[0], x.shape[1:])
     out = np.empty((len(stops),) + x.shape)
     start = 0
     for i, stop in enumerate(stops):
         steps = range(start, stop)
         if f_kind == F_ZERO:
             for m in steps:
-                x = step_factor * (x + dw_scaled[m])
+                np.add(x, dw_scaled[m], out=x)
+                np.multiply(factor, x, out=x)
         elif f_kind == F_SCALED:
             for m in steps:
-                x = step_factor * (x + tau * (f_scale * x) + dw_scaled[m])
+                np.multiply(f_scale, x, out=fx)
+                np.multiply(tau, fx, out=fx)
+                _advance(x, fx, dw_scaled[m], factor)
         elif f_kind == F_SIN:
             for m in steps:
-                u = dst_scale * np.dot(dst_mat, x)
-                fx = np.dot(dst_mat, np.sin(u)) / dst_scale
-                x = step_factor * (x + tau * fx + dw_scaled[m])
+                np.dot(dst_mat, x, out=u)
+                np.multiply(dst_scale, u, out=u)
+                np.sin(u, out=u)
+                np.dot(dst_mat, u, out=fx)
+                _sine_step(x, fx, dw_scaled[m], factor, tau, dst_scale)
         else:
             for m in steps:
-                u = dst_scale * _dst1(x)
-                fx = _dst1(np.sin(u)) / dst_scale
-                x = step_factor * (x + tau * fx + dw_scaled[m])
+                np.copyto(dst.head, x)
+                dst(u)
+                np.multiply(dst_scale, u, out=u)
+                np.sin(u, out=dst.head)
+                dst(fx)
+                _sine_step(x, fx, dw_scaled[m], factor, tau, dst_scale)
         out[i] = x
         start = stop
     return out
 
 
-def _dst1(x):
-    """Orthonormal DST-I along axis 0: sine_matrix(N) @ x in O(N log N)."""
-    return scipy.fft.dst(x, type=1, norm="ortho", axis=0)
+def _sine_step(x, fx, dw, factor, tau, dst_scale):
+    """x <- factor * (x + tau*(fx/dst_scale) + dw), with fx holding the
+    unscaled inverse transform of sin(u); overwrites fx."""
+    np.divide(fx, dst_scale, out=fx)
+    np.multiply(tau, fx, out=fx)
+    _advance(x, fx, dw, factor)
+
+
+def _advance(x, tau_fx, dw, factor):
+    """x <- factor * (x + tau_fx + dw); overwrites tau_fx."""
+    np.add(x, tau_fx, out=tau_fx)
+    np.add(tau_fx, dw, out=tau_fx)
+    np.multiply(factor, tau_fx, out=x)
+
+
+class _Dst1:
+    """Orthonormal DST-I of length n along axis 0, on reusable buffers.
+
+    ``sine_matrix(n) @ x`` in O(n log n): the caller writes x into
+    ``head``, rows 1..n of a zero-bordered (2n+2,) + tail buffer, and a
+    call mirrors it oddly into rows n+2.., runs numpy's ``rfft`` along
+    axis 0 into a kept spectrum buffer, and writes -c times the
+    imaginary parts of bins 1..n into ``out``. c = 1/sqrt(2(n+1)) is
+    computed in long double, as pocketfft computes scipy's orthonormal
+    scale; in double, the last bits differ from scipy's at some n
+    (n = 13 is one).
+    """
+
+    def __init__(self, n, tail=()):
+        ext = np.zeros((2 * n + 2,) + tail)
+        spec = np.empty((n + 2,) + tail, dtype=complex)
+        self.head = ext[1:n + 1]
+        self._reversed, self._tail = self.head[::-1], ext[n + 2:]
+        self._ext, self._spec = ext, spec
+        self._bins = spec.imag[1:n + 1]
+        self._factor = -float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
+
+    def __call__(self, out):
+        np.negative(self._reversed, out=self._tail)
+        np.fft.rfft(self._ext, axis=0, out=self._spec)
+        return np.multiply(self._bins, self._factor, out=out)
+
+
+def _dst1(x, axis=0):
+    """Orthonormal DST-I along ``axis``: sine_matrix(N) @ x in O(N log N)."""
+    x = np.moveaxis(np.asarray(x, dtype=float), axis, 0)
+    dst = _Dst1(x.shape[0], x.shape[1:])
+    dst.head[...] = x
+    return np.moveaxis(dst(np.empty(x.shape)), 0, axis)
 
 
 # Rows of the convolution contracted at once: at 16 modes the (rows, N)

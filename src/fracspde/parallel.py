@@ -6,7 +6,6 @@ returned list must keep the sample order to stay bit-deterministic.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 WORKERS_ENV = "FRACSPDE_WORKERS"
 
@@ -25,5 +24,8 @@ def parallel_map(fn, args_list, workers: int = 1) -> list:
     """Map fn over args_list, in order; workers <= 1 runs inline."""
     if workers <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
+    # imported here: a one-worker run never starts a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, args_list))

@@ -175,7 +175,7 @@ def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
     (0 is the initial state). Returns a (len(stops), n_modes[, S]) array.
 
     F = sin runs the dense sine matrix below
-    ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and scipy's fast DST-I
+    ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and numpy's fast DST-I
     from there on, where it is faster per step (see ``kernels``); the two
     agree to rounding (tested within 1e-12 relative). A block's states
     can differ from one-sample sweeps in the last bits (matrix-matrix

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import kernels
 
@@ -299,14 +298,14 @@ def sine_transform(coeffs: np.ndarray) -> np.ndarray:
     """Evaluate u(x_k) = sum_n c_n sqrt(2) sin(n pi x_k) on the sine grid."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[-1]
-    return math.sqrt(n + 1) * scipy.fft.dst(coeffs, type=1, norm="ortho")
+    return math.sqrt(n + 1) * kernels._dst1(coeffs, axis=-1)
 
 
 def inverse_sine_transform(values: np.ndarray) -> np.ndarray:
     """Recover coefficients from sine-grid values (exact round trip)."""
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
-    return scipy.fft.dst(values, type=1, norm="ortho") / math.sqrt(n + 1)
+    return kernels._dst1(values, axis=-1) / math.sqrt(n + 1)
 
 
 def apply_nemytskii(f: NemytskiiMap, x: SpectralState) -> SpectralState:

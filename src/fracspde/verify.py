@@ -16,7 +16,6 @@ Monte Carlo tests and pin thresholds without guessing constants.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaln, roots_jacobi
 
 from .fbm import (
     HurstParameter,
@@ -88,6 +87,9 @@ def phi_cell_quadrature(i: int, j: int, h: HurstParameter,
         diff = x[:, None] - x[None, :] + k
         return float(h.alpha_h * w @ np.abs(diff) ** (p - 2.0) @ w)
     # k = 1: cell integral equals int_{[0,1]^2} alpha_H (w + y)^{2H-2} dw dy
+    # scipy is imported by the two quadrature checks only, not on import
+    from scipy.special import roots_jacobi
+
     xj, wj = roots_jacobi(n_nodes, 0.0, p - 1.0)  # weight (1+x)^{2H-1}
     jac = 2.0 ** (-p) * np.sum(wj)  # int_0^1 y^{2H-1} dy
     xs, ws = _gauss_legendre_01(n_nodes)
@@ -137,6 +139,9 @@ def check_lambda_phi_bound(lam: float, t: float, kappa1: int, kappa2: int,
         raise ValueError("kappa exponents must be 0 or 1")
     if not (lam > 0 and t > 0):
         raise ValueError("lambda and t must be positive")
+    # scipy is imported by the two quadrature checks only, not on import
+    from scipy.special import gammainc, gammaln, roots_jacobi
+
     p = 2.0 * h.h
     a = p - 1.0 + kappa1 + kappa2  # v-exponent after the substitution
     xj, wj = roots_jacobi(n_nodes, p - 2.0, 0.0)  # weight (1-x)^{2H-2}

@@ -392,3 +392,32 @@ class TestConfigRoundTrip:
         assert from_file == from_flags
         for dest in values:
             assert type(from_file[dest]) is type(from_flags[dest])
+
+    @pytest.mark.parametrize("dest", ["out_dir", "tag"])
+    def test_double_dash_value_resolves_like_file(self, dest, tmp_path):
+        """argparse stores "--flag=--" as []; it resolves to "--", as the
+        same value in a config file does."""
+        parser = cli._build_parser()
+        flag = "--" + dest.replace("_", "-")
+        from_flag = cli._resolve(parser.parse_args(["solve", f"{flag}=--"]),
+                                 parser, {dest: None})
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{dest} = --\n")
+        from_file = cli._resolve(
+            parser.parse_args(["solve", "--config", str(path)]), parser,
+            {dest: None})
+        assert from_flag == from_file == {dest: "--"}
+
+    def test_double_dash_seed_exits_2_as_in_file(self, tmp_path, capsys):
+        parser = cli._build_parser()
+        with pytest.raises(SystemExit) as err:
+            cli._resolve(parser.parse_args(["solve", "--seed=--"]), parser,
+                         {"seed": None})
+        assert err.value.code == 2
+        assert "'--' is not a valid int" in capsys.readouterr().err
+        path = tmp_path / "run.cfg"
+        path.write_text("seed = --\n")
+        with pytest.raises(SystemExit) as err:
+            cli._resolve(parser.parse_args(["solve", "--config", str(path)]),
+                         parser, {"seed": None})
+        assert err.value.code == 2

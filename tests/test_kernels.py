@@ -1,13 +1,13 @@
-"""Kernels: the Euler sweep against an explicit per-step loop, its stops
-and sample blocks, the fast sine transform against the dense matrix, and
-the blocked convolution against the step-by-step sum it must reproduce
-bit for bit."""
+"""Kernels: the Euler sweep against an explicit per-step loop, its stops,
+sample blocks and read-only inputs, the numpy DST-I against scipy's bit
+for bit and against the dense matrix to rounding, and the blocked
+convolution against the step-by-step sum it must reproduce bit for
+bit."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from fracspde import kernels
 from fracspde.spectral import sine_matrix
@@ -38,6 +38,8 @@ def sweep_args(n_modes, m_steps, f_kind, samples=None):
 
 def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, mat, scale):
     """The scheme one step at a time for one sample: all M+1 states."""
+    if f_kind == kernels.F_SIN_FFT:  # scipy's DST-I is the reference
+        dst = pytest.importorskip("scipy.fft").dst
     states = [x0]
     x = x0
     for m in range(dw.shape[0]):
@@ -50,8 +52,8 @@ def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, mat, scale):
             fx = np.dot(mat, np.sin(u)) / scale
             x = step_factor * (x + tau * fx + dw[m])
         else:
-            u = scale * scipy.fft.dst(x, type=1, norm="ortho")
-            fx = scipy.fft.dst(np.sin(u), type=1, norm="ortho") / scale
+            u = scale * dst(x, type=1, norm="ortho")
+            fx = dst(np.sin(u), type=1, norm="ortho") / scale
             x = step_factor * (x + tau * fx + dw[m])
         states.append(x)
     return np.array(states)
@@ -130,6 +132,40 @@ def test_fast_sine_matches_dense(n_modes, samples):
     assert fast.shape == dense.shape
     err = np.max(np.abs(fast - dense))
     assert err <= 1e-12 * np.max(np.abs(dense)), err
+
+
+DST_SIZES = list(range(1, 131)) + [255, 256, 511, 512, 513, 520, 600, 1023,
+                                    1024, 4096]
+
+
+def test_dst1_matches_scipy_bit_for_bit():
+    """The numpy DST-I equals scipy's orthonormal DST-I in every bit, for
+    one vector, along axis 0 of an (N, S) block and along the last axis
+    of an (S, N) block."""
+    sfft = pytest.importorskip("scipy.fft")
+    for n in DST_SIZES:
+        x = RNG.standard_normal(n)
+        block = RNG.standard_normal((n, 3))
+        rows = np.ascontiguousarray(block.T)
+        assert np.array_equal(kernels._dst1(x),
+                              sfft.dst(x, type=1, norm="ortho")), n
+        assert np.array_equal(kernels._dst1(block),
+                              sfft.dst(block, type=1, norm="ortho",
+                                       axis=0)), n
+        assert np.array_equal(kernels._dst1(rows, axis=-1),
+                              sfft.dst(rows, type=1, norm="ortho")), n
+
+
+@pytest.mark.parametrize("samples", [None, 3])
+@pytest.mark.parametrize("f_kind", F_KINDS)
+def test_sweep_leaves_inputs_unchanged(f_kind, samples):
+    n_modes = 512 if f_kind == kernels.F_SIN_FFT else 12
+    args = sweep_args(n_modes, 16, f_kind, samples)
+    x0, step_factor, dw = args[0], args[1], args[3]
+    copies = [x0.copy(), step_factor.copy(), dw.copy()]
+    kernels.euler_sweep(*args, (0, 8, 16))
+    for before, after in zip(copies, (x0, step_factor, dw)):
+        assert np.array_equal(before, after)
 
 
 def sequential_convolution(lam, dw, tau, upto):
