@@ -420,15 +420,17 @@ def _suite_isometry(seed: int, samples: int, workers: int) -> dict:
 
 
 def _suite_regularity(seed: int, samples: int, workers: int) -> dict:
+    presets = (("she-trace", 0.75), ("she-identity", 0.5))
+    # both presets share every fBm draw; only their amplitudes differ
+    reports = verify.estimate_time_regularity(
+        [she_problem(preset, n_modes=64, m_steps=2**14,
+                     base_seed=derive_seed(seed, 21), hurst=0.75)
+         for preset, _ in presets],
+        delta=0.0, lag_steps=(8, 16, 32), samples=samples, workers=workers,
+    )
     results = {}
     passed = True
-    for preset, theory in (("she-trace", 0.75), ("she-identity", 0.5)):
-        problem = she_problem(preset, n_modes=64, m_steps=2**14,
-                              base_seed=derive_seed(seed, 21), hurst=0.75)
-        report = verify.estimate_time_regularity(
-            problem, delta=0.0, lag_steps=(8, 16, 32), samples=samples,
-            workers=workers,
-        )
+    for (preset, theory), report in zip(presets, reports):
         ok = abs(report.fitted_exponent - theory) <= 0.1
         passed &= ok
         results[preset] = {

@@ -11,6 +11,8 @@ diagonal in the eigenbasis, P_N Phi dW involves exactly the first N
 scalar fBm rows of the driving sample.
 """
 
+import bisect
+import dataclasses
 import math
 from dataclasses import dataclass, replace
 
@@ -165,6 +167,27 @@ def _scaled_increments(config: SolverConfig,
     return np.ascontiguousarray((amps[:, None] * sample.values[:n]).T)
 
 
+def _sweep_setup(config: SolverConfig):
+    """(x0, step_factor, f_kind, f_scale, dst_mat, dst_scale) of config's
+    sweep: the initial state and the kernels.euler_sweep arguments that
+    depend on the operator and the nonlinearity, not on the noise."""
+    n = config.n_modes
+    lam = config.operator.eigenvalues[:n]
+    step_factor = 1.0 / (1.0 + config.tau * lam)
+    f_kind = _F_CODES[config.nonlinearity.kind]
+    f_scale = config.nonlinearity.lipschitz_bound
+    dst_mat = None
+    dst_scale = 1.0
+    if f_kind == kernels.F_SIN:
+        dst_scale = math.sqrt(n + 1)
+        if n >= kernels._FAST_SINE_MIN_MODES:
+            f_kind = kernels.F_SIN_FFT
+        else:
+            dst_mat = np.ascontiguousarray(sine_matrix(n))
+    x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)
+    return x0, step_factor, f_kind, f_scale, dst_mat, dst_scale
+
+
 def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
                 stops) -> np.ndarray:
     """Run the scheme on scaled increments, keeping the states at ``stops``.
@@ -187,23 +210,11 @@ def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
             f"increments shaped {dw_scaled.shape}, config expects "
             f"({config.m_steps}, {n}[, samples])"
         )
-    lam = config.operator.eigenvalues[:n]
-    step_factor = 1.0 / (1.0 + config.tau * lam)
-    f_kind = _F_CODES[config.nonlinearity.kind]
-    f_scale = config.nonlinearity.lipschitz_bound
-    dst_mat = None
-    dst_scale = 1.0
-    if f_kind == kernels.F_SIN:
-        dst_scale = math.sqrt(n + 1)
-        if n >= kernels._FAST_SINE_MIN_MODES:
-            f_kind = kernels.F_SIN_FFT
-        else:
-            dst_mat = np.ascontiguousarray(sine_matrix(n))
-    x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)
+    x0, step_factor, *sweep = _sweep_setup(config)
     if dw_scaled.ndim == 3:
         x0 = np.repeat(x0[:, None], dw_scaled.shape[2], axis=1)
     return kernels.euler_sweep(x0, step_factor, config.tau, dw_scaled,
-                               f_kind, f_scale, dst_mat, dst_scale, stops)
+                               *sweep, stops)
 
 
 # Size of one block's scaled increments, (M, N, B) doubles, and the most
@@ -222,6 +233,9 @@ def _sample_blocks(config: SolverConfig, samples: int,
     Sample s draws from derive_seed(base_seed, SAMPLE_STREAM, s). Block
     membership follows the sample index and config's (M, N) only, never
     the worker count, so results are identical for any number of workers.
+    A block's raw (M, N, B) increments fit in _BLOCK_BYTES; the
+    regularity estimators fill that one buffer once for all the presets
+    of a call (_solve_presets), so B does not depend on their number.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -258,6 +272,87 @@ def _block_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
                     rows.reshape(k1 - k0, b, -1).transpose(2, 0, 1),
                     out=dw[:, k0:k1, :])
     return dw
+
+
+# Fields in which the configs of one _solve_presets call must agree: all
+# but ``noise``, so every preset is driven by the same fBm.
+_SHARED_FIELDS = ("n_modes", "m_steps", "horizon", "hurst", "operator",
+                  "nonlinearity", "initial", "base_seed", "fbm_method")
+
+
+def _same_value(a, b) -> bool:
+    """Value equality through nested dataclasses and arrays."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if dataclasses.is_dataclass(a) and type(a) is type(b):
+        return all(_same_value(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    return a == b
+
+
+def _check_presets(configs) -> list:
+    """The configs as a nonempty list; ValueError naming the first field
+    of _SHARED_FIELDS in which one differs from the first config."""
+    configs = list(configs)
+    if not configs:
+        raise ValueError("need at least one config")
+    for other in configs[1:]:
+        for name in _SHARED_FIELDS:
+            if not _same_value(getattr(configs[0], name),
+                               getattr(other, name)):
+                raise ValueError(f"configs differ in {name}; they may "
+                                 "differ in noise only")
+    return configs
+
+
+# Scratch of one chunk of _solve_presets' scaled increments, (steps, N,
+# P*B) doubles: 256 steps at N = 64 and P*B = 8.
+_SWEEP_CHUNK_BYTES = 2**20
+
+
+def _unit_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
+    """The raw (M, N, B) fBm of a block: _block_increments with every
+    amplitude 1, an exact product."""
+    unit = replace(config.noise, amplitudes=np.ones(config.n_modes))
+    return _block_increments(replace(config, noise=unit), seeds)
+
+
+def _solve_presets(configs: list, dw: np.ndarray, stops) -> np.ndarray:
+    """States at ``stops`` of a block of samples under every config.
+
+    The configs differ in noise only (_check_presets), and dw holds the
+    block's raw (M, N, B) increments (_unit_increments; a view of its
+    leading modes serves a restricted config). All P presets are swept as
+    one (N, P*B) state, column p*B + s being preset p on sample s, a
+    chunk of steps at a time: the chunk's scratch holds
+    phi_p[n] * dW[m, n, s], the product _block_increments writes, so each
+    column's scaled increments keep their bits, and no (M, N, P*B) buffer
+    is built. ``stops`` are nondecreasing step indices in [0, M]. Returns
+    a (len(stops), N, P, B) array.
+    """
+    config = configs[0]
+    n, m, b = config.n_modes, config.m_steps, dw.shape[2]
+    stops = [int(k) for k in stops]
+    amps = [c.noise.amplitudes[:n, None] for c in configs]
+    width = len(configs) * b
+    x, step_factor, *sweep = _sweep_setup(config)
+    x = np.repeat(x[:, None], width, axis=1)
+    chunk = min(m, max(1, _SWEEP_CHUNK_BYTES // (8 * n * width)))
+    scratch = np.empty((chunk, n, width))
+    out = np.empty((len(stops), n, width))
+    done = 0
+    for m0 in range(0, m, chunk):
+        m1 = min(m0 + chunk, m)
+        rows = scratch[:m1 - m0]
+        for p, amp in enumerate(amps):
+            np.multiply(amp, dw[m0:m1], out=rows[:, :, p * b:(p + 1) * b])
+        upto = bisect.bisect_right(stops, m1, lo=done)
+        states = kernels.euler_sweep(
+            x, step_factor, config.tau, rows, *sweep,
+            [k - m0 for k in stops[done:upto]] + [m1 - m0])
+        out[done:upto] = states[:-1]
+        x, done = states[-1], upto
+    return out.reshape(len(stops), n, len(configs), b)
 
 
 def _require_finite(values: np.ndarray, first: int) -> None:

@@ -32,11 +32,12 @@ from .parallel import parallel_map
 from .rng import SAMPLE_STREAM, derive_seed
 from .solver import (
     SolverConfig,
-    _block_increments,
+    _check_presets,
     _require_finite,
     _sample_blocks,
+    _solve_presets,
+    _unit_increments,
     restrict_config,
-    solve_stops,
 )
 
 __all__ = [
@@ -405,48 +406,73 @@ class RegularityReport:
     sample_count: int
 
 
-def estimate_time_regularity(config: SolverConfig, delta: float,
-                             lag_steps: list, samples: int,
-                             workers: int = 1) -> RegularityReport:
+def estimate_time_regularity(configs, delta: float, lag_steps: list,
+                             samples: int, workers: int = 1) -> list:
     """Monte Carlo RMS of ||X(T) - X(T - L tau)||_{V_delta} and its exponent.
+
+    ``configs`` is a sequence of configs that agree in everything but
+    ``noise`` (else ValueError naming the first field that differs); one
+    report is returned per config, in order. Every preset is driven by
+    the same fBm samples, drawn once per block (solver._solve_presets):
+    a config's report is the one it gets alone, bit for bit.
 
     Lags should be >= 8 steps so the scheme's own discretization bias is
     subdominant to the Hölder scaling being measured.
     """
+    configs = _check_presets(configs)
+    config = configs[0]
     lag_steps = sorted(int(lag) for lag in lag_steps)
     if len(lag_steps) < 3:
         raise ValueError("need at least 3 lags to fit an exponent")
     if lag_steps[0] < 1 or lag_steps[-1] >= config.m_steps:
         raise ValueError("lags must lie inside the trajectory")
-    args = [(config, tuple(lag_steps), delta, first, seeds)
+    args = [(configs, tuple(lag_steps), delta, first, seeds)
             for first, seeds in _sample_blocks(config, samples,
                                                 config.base_seed)]
-    sq = np.concatenate(parallel_map(_time_regularity_block, args, workers))
-    rms = np.sqrt(sq.mean(axis=0))
+    # (P, samples, lags) in C order, so each preset's mean over samples
+    # adds them in the order of a one-preset (samples, lags) array
+    sq = np.concatenate(parallel_map(_time_regularity_block, args, workers),
+                        axis=1)
     lag_times = config.tau * np.array(lag_steps, dtype=float)
-    theory = (2.0 * config.hurst.h + config.noise.beta - 1.0 - delta) / 2.0
-    return RegularityReport(
-        delta=delta,
-        lag_times=lag_times,
-        rms_differences=rms,
-        fitted_exponent=fit_slope(lag_times, rms)[0],
-        theoretical_exponent=theory,
-        sample_count=samples,
-    )
+    reports = []
+    for preset, preset_sq in zip(configs, sq):
+        rms = np.sqrt(preset_sq.mean(axis=0))
+        theory = (2.0 * preset.hurst.h + preset.noise.beta - 1.0
+                  - delta) / 2.0
+        reports.append(RegularityReport(
+            delta=delta,
+            lag_times=lag_times,
+            rms_differences=rms,
+            fitted_exponent=fit_slope(lag_times, rms)[0],
+            theoretical_exponent=theory,
+            sample_count=samples,
+        ))
+    return reports
+
+
+def _weighted_sums(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """sum_n weights[n] * states[..., n, p, s]**2 as a (P, B, ...) array.
+
+    The terms are laid out (P, B, ..., N), n along a contiguous last
+    axis, so each sum is numpy's pairwise sum of one row: the bits of
+    float(np.sum(weights * states[..., :, p, s] ** 2)) per entry.
+    """
+    terms = np.ascontiguousarray(np.moveaxis(states, (-2, -1), (0, 1)))
+    return np.sum(weights * terms**2, axis=-1)
 
 
 def _time_regularity_block(args) -> np.ndarray:
-    """Squared V_delta lag differences, (B, lags), of one block of samples."""
-    config, lag_steps, delta, first, seeds = args
-    m = config.m_steps
+    """Squared V_delta lag differences, (P, B, lags), of one block of
+    samples under each of the P configs."""
+    configs, lag_steps, delta, first, seeds = args
+    m = configs[0].m_steps
     stops = [m - lag for lag in reversed(lag_steps)] + [m]
-    states = solve_stops(config, _block_increments(config, seeds), stops)
+    states = _solve_presets(configs, _unit_increments(configs[0], seeds),
+                            stops)  # (stops, N, P, B)
     _require_finite(states, first)
-    weights = config.operator.eigenvalues[: config.n_modes] ** delta
-    diffs = states[-1] - states[-2::-1]  # (lags, N, B), in lag_steps order
-    return np.array([[float(np.sum(weights * diff[:, s] ** 2))
-                      for diff in diffs]
-                     for s in range(len(seeds))])
+    weights = configs[0].operator.eigenvalues[: configs[0].n_modes] ** delta
+    diffs = states[-1] - states[-2::-1]  # (lags, N, P, B), lag_steps order
+    return _weighted_sums(weights, diffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,43 +490,49 @@ class SpaceRegularityReport:
 
 
 def _space_regularity_block(args) -> np.ndarray:
-    """Squared Sobolev norms, (B, deltas, rungs), of one block of samples;
-    every rung reads the leading modes of the same increments."""
-    template, n_ladder, deltas, first, seeds = args
-    dw = _block_increments(template, seeds)
-    lam = template.operator.eigenvalues[: template.n_modes]
-    out = np.empty((len(seeds), len(deltas), len(n_ladder)))
+    """Squared Sobolev norms, (P, B, deltas, rungs), of one block of
+    samples under each of the P configs; every rung reads the leading
+    modes of the same increments."""
+    configs, n_ladder, deltas, first, seeds = args
+    dw = _unit_increments(configs[0], seeds)
+    lam = configs[0].operator.eigenvalues[: configs[0].n_modes]
+    out = np.empty((len(configs), len(seeds), len(deltas), len(n_ladder)))
     for j, n in enumerate(n_ladder):
-        end = solve_stops(restrict_config(template, n_modes=n), dw[:, :n, :],
-                          (template.m_steps,))
+        end = _solve_presets([restrict_config(c, n_modes=n) for c in configs],
+                             dw[:, :n, :], (configs[0].m_steps,))[0]
         _require_finite(end, first)
-        for s in range(len(seeds)):
-            for i, delta in enumerate(deltas):
-                out[s, i, j] = float(np.sum(lam[:n] ** delta
-                                            * end[0, :, s] ** 2))
+        for i, delta in enumerate(deltas):
+            out[:, :, i, j] = _weighted_sums(lam[:n] ** delta, end)
     return out
 
 
-def estimate_space_regularity(template: SolverConfig, n_ladder: list,
-                              deltas: list, samples: int,
-                              workers: int = 1) -> list:
+def estimate_space_regularity(configs, n_ladder: list, deltas: list,
+                              samples: int, workers: int = 1) -> list:
     """Monte Carlo RMS Sobolev norms across a nested mode ladder.
+
+    ``configs`` is a sequence of configs that agree in everything but
+    ``noise`` (else ValueError naming the first field that differs).
+    Returns, per config in order, one report per requested delta; each
+    is the one the config gets alone, bit for bit.
 
     One noise draw per sample drives every rung (mode nesting), so the
     per-sample norm ladders are monotone by construction and the growth
-    ratios carry very little sampling noise. Returns one report per
-    requested delta.
+    ratios carry very little sampling noise.
     """
+    configs = _check_presets(configs)
+    template = configs[0]
     n_ladder = sorted(int(n) for n in n_ladder)
     if n_ladder[-1] > template.n_modes:
         raise ValueError("ladder exceeds the template's mode count")
-    args = [(template, tuple(n_ladder), tuple(deltas), first, seeds)
+    args = [(configs, tuple(n_ladder), tuple(deltas), first, seeds)
             for first, seeds in _sample_blocks(template, samples,
                                                 template.base_seed)]
-    sq = np.concatenate(parallel_map(_space_regularity_block, args, workers))
-    rms = np.sqrt(sq.mean(axis=0))  # (deltas, rungs)
+    # (P, samples, deltas, rungs)
+    sq = np.concatenate(parallel_map(_space_regularity_block, args, workers),
+                        axis=1)
     return [
-        SpaceRegularityReport(delta=float(d), n_ladder=list(n_ladder),
-                              rms_norms=rms[i], sample_count=samples)
-        for i, d in enumerate(deltas)
+        [SpaceRegularityReport(delta=float(d), n_ladder=list(n_ladder),
+                               rms_norms=rms[i], sample_count=samples)
+         for i, d in enumerate(deltas)]
+        for rms in (np.sqrt(preset_sq.mean(axis=0)) for preset_sq in sq)
     ]

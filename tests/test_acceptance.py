@@ -414,12 +414,12 @@ def test_criterion_7_regularity_sharpness():
     started = time.monotonic()
     holder_ok = True
     details = []
-    for preset, theory in (("she-trace", 0.75), ("she-identity", 0.5)):
-        problem = she_problem(preset, n_modes=64, m_steps=2**14,
-                              base_seed=314159)
-        rep = verify.estimate_time_regularity(problem, delta=0.0,
-                                              lag_steps=(8, 16, 32),
-                                              samples=192)
+    holder = (("she-trace", 0.75), ("she-identity", 0.5))
+    reports = verify.estimate_time_regularity(
+        [she_problem(preset, n_modes=64, m_steps=2**14, base_seed=314159)
+         for preset, _ in holder],
+        delta=0.0, lag_steps=(8, 16, 32), samples=192)
+    for (preset, theory), rep in zip(holder, reports):
         ok = abs(rep.fitted_exponent - theory) <= 0.1
         holder_ok &= ok
         details.append(f"{preset} Hölder {rep.fitted_exponent:.3f} "
@@ -427,15 +427,19 @@ def test_criterion_7_regularity_sharpness():
 
     ladder = (2, 4, 8, 16, 32)
     sharp_ok = True
-    for preset, thresh in (("she-trace", 1.5), ("she-identity", 1.0)):
-        problem = she_problem(preset, n_modes=32, m_steps=2**14,
-                              base_seed=271828)
+    sharp = (("she-trace", 1.5), ("she-identity", 1.0))
+    # one call for both presets, each reading its own two deltas
+    all_deltas = [d for _, thresh in sharp for d in (thresh - 0.1,
+                                                     thresh + 0.1)]
+    stacked = verify.estimate_space_regularity(
+        [she_problem(preset, n_modes=32, m_steps=2**14, base_seed=271828)
+         for preset, _ in sharp],
+        n_ladder=ladder, deltas=all_deltas, samples=128)
+    for p, (preset, thresh) in enumerate(sharp):
         linear = she_problem(preset, n_modes=32, m_steps=2**14, base_seed=0,
                              with_nonlinearity=False)
-        deltas = (thresh - 0.1, thresh + 0.1)
-        reports = verify.estimate_space_regularity(problem, n_ladder=ladder,
-                                                   deltas=deltas,
-                                                   samples=128)
+        deltas = all_deltas[2 * p:2 * p + 2]
+        reports = stacked[p][2 * p:2 * p + 2]
         analytic = []
         for delta in deltas:
             lo = verify.expected_sobolev_rms(
@@ -557,9 +561,9 @@ def test_criterion_9_determinism(tmp_path):
     reg_problem = she_problem("she-trace", n_modes=16, m_steps=256,
                               base_seed=14)
     reg = {
-        w: verify.estimate_time_regularity(reg_problem, delta=0.0,
+        w: verify.estimate_time_regularity([reg_problem], delta=0.0,
                                            lag_steps=(8, 16, 32),
-                                           samples=8, workers=w)
+                                           samples=8, workers=w)[0]
         for w in (1, 3)
     }
     same &= bool(np.array_equal(reg[1].rms_differences,
@@ -568,10 +572,10 @@ def test_criterion_9_determinism(tmp_path):
 
     sharp = {
         w: verify.estimate_space_regularity(
-            she_problem("she-identity", n_modes=16, m_steps=128,
-                        base_seed=15),
+            [she_problem("she-identity", n_modes=16, m_steps=128,
+                         base_seed=15)],
             n_ladder=(2, 4, 8), deltas=(0.9,), samples=8, workers=w,
-        )[0]
+        )[0][0]
         for w in (1, 3)
     }
     same &= bool(np.array_equal(sharp[1].rms_norms, sharp[3].rms_norms))

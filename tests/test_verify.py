@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracspde import fbm, solver
+from fracspde import fbm, solver, verify
 from fracspde.experiments import fit_slope, she_problem
 from fracspde.fbm import (
     CylindricalFbmSample,
@@ -435,16 +435,16 @@ class TestTimeRegularity:
 
     def test_deterministic_problem_reports_decay_lags(self):
         cfg = linear_config(4, 64, zero_noise(4))
-        report = estimate_time_regularity(cfg, delta=0.0,
-                                          lag_steps=(8, 16, 32), samples=2)
+        report, = estimate_time_regularity([cfg], delta=0.0,
+                                           lag_steps=(8, 16, 32), samples=2)
         oracle = expected_increment_rms(cfg, [8, 16, 32], 0.0)
         np.testing.assert_allclose(report.rms_differences, oracle,
                                    rtol=1e-10)
 
     def test_theoretical_exponent_formula(self):
         cfg = linear_config(4, 64, trace_class_noise(4))
-        report = estimate_time_regularity(cfg, delta=0.5,
-                                          lag_steps=(4, 8, 16), samples=2)
+        report, = estimate_time_regularity([cfg], delta=0.5,
+                                           lag_steps=(4, 8, 16), samples=2)
         assert report.theoretical_exponent == pytest.approx(
             (2 * 0.75 + 1.0 - 1.0 - 0.5) / 2, rel=1e-15
         )
@@ -452,23 +452,23 @@ class TestTimeRegularity:
     def test_matches_exact_oracle_statistically(self):
         cfg = linear_config(8, 128, trace_class_noise(8), seed=55)
         lags = (8, 16, 32)
-        report = estimate_time_regularity(cfg, delta=0.0, lag_steps=lags,
-                                          samples=400)
+        report, = estimate_time_regularity([cfg], delta=0.0, lag_steps=lags,
+                                           samples=400)
         oracle = expected_increment_rms(cfg, list(lags), 0.0)
         np.testing.assert_allclose(report.rms_differences, oracle, rtol=0.15)
 
     def test_needs_three_lags(self):
         cfg = linear_config(4, 64, trace_class_noise(4))
         with pytest.raises(ValueError):
-            estimate_time_regularity(cfg, delta=0.0, lag_steps=(8, 16),
+            estimate_time_regularity([cfg], delta=0.0, lag_steps=(8, 16),
                                      samples=2)
 
 
 class TestSpaceRegularity:
     def test_zero_noise_is_deterministic(self):
         cfg = linear_config(8, 32, zero_noise(8))
-        reports = estimate_space_regularity(cfg, n_ladder=(2, 4, 8),
-                                            deltas=(0.0,), samples=3)
+        reports, = estimate_space_regularity([cfg], n_ladder=(2, 4, 8),
+                                             deltas=(0.0,), samples=3)
         r = 1.0 / (1.0 + cfg.tau * cfg.operator.eigenvalues)
         expected = abs(r[0] ** 32 * cfg.initial.coeffs[0])
         np.testing.assert_allclose(reports[0].rms_norms,
@@ -476,15 +476,15 @@ class TestSpaceRegularity:
 
     def test_nested_ladders_monotone(self):
         cfg = linear_config(16, 32, identity_noise(16), seed=19)
-        reports = estimate_space_regularity(cfg, n_ladder=(2, 4, 8, 16),
-                                            deltas=(0.0, 0.9), samples=12)
+        reports, = estimate_space_regularity([cfg], n_ladder=(2, 4, 8, 16),
+                                             deltas=(0.0, 0.9), samples=12)
         for report in reports:
             assert np.all(np.diff(report.rms_norms) > 0)
 
     def test_matches_exact_oracle_statistically(self):
         cfg = linear_config(16, 32, identity_noise(16), seed=29)
-        reports = estimate_space_regularity(cfg, n_ladder=(4, 16),
-                                            deltas=(0.9,), samples=600)
+        reports, = estimate_space_regularity([cfg], n_ladder=(4, 16),
+                                             deltas=(0.9,), samples=600)
         for n, value in zip((4, 16), reports[0].rms_norms):
             oracle = expected_sobolev_rms(restrict_config(cfg, n_modes=n),
                                           0.9)
@@ -498,29 +498,33 @@ class TestRegularityBlocks:
     LAGS = (8, 16, 32)
     LADDER = (2, 4, 8)
     DELTAS = (0.0, 0.9)
+    BOTH = ("she-trace", "she-identity")
 
     @staticmethod
     def set_block(monkeypatch, config, size):
         monkeypatch.setattr(solver, "_BLOCK_BYTES",
                             size * 8 * config.m_steps * config.n_modes)
 
-    def time_config(self):
-        return she_problem("she-trace", n_modes=8, m_steps=64, base_seed=5)
+    def time_config(self, preset="she-trace"):
+        return she_problem(preset, n_modes=8, m_steps=64, base_seed=5)
 
-    def space_config(self):
-        return she_problem("she-identity", n_modes=8, m_steps=64,
-                           base_seed=6)
+    def space_config(self, preset="she-identity"):
+        return she_problem(preset, n_modes=8, m_steps=64, base_seed=6)
 
-    def run_time(self, workers=1):
-        return estimate_time_regularity(self.time_config(), delta=0.0,
-                                        lag_steps=self.LAGS, samples=8,
-                                        workers=workers).rms_differences
+    def run_time(self, workers=1, presets=("she-trace",)):
+        """(presets, lags) RMS lag differences of one stacked call."""
+        reports = estimate_time_regularity(
+            [self.time_config(p) for p in presets], delta=0.0,
+            lag_steps=self.LAGS, samples=8, workers=workers)
+        return np.array([r.rms_differences for r in reports])
 
-    def run_space(self, workers=1):
+    def run_space(self, workers=1, presets=("she-identity",)):
+        """(presets, deltas, rungs) RMS norms of one stacked call."""
         reports = estimate_space_regularity(
-            self.space_config(), n_ladder=self.LADDER, deltas=self.DELTAS,
-            samples=8, workers=workers)
-        return np.array([r.rms_norms for r in reports])
+            [self.space_config(p) for p in presets], n_ladder=self.LADDER,
+            deltas=self.DELTAS, samples=8, workers=workers)
+        return np.array([[r.rms_norms for r in per_delta]
+                         for per_delta in reports])
 
     def test_blocks_of_three(self, monkeypatch):
         cfg = self.time_config()
@@ -540,18 +544,103 @@ class TestRegularityBlocks:
     @pytest.mark.parametrize("run", ["run_time", "run_space"])
     def test_worker_count_invariant(self, run, monkeypatch):
         self.set_block(monkeypatch, self.time_config(), 3)
-        one, two = (getattr(self, run)(workers=w) for w in (1, 2))
-        assert np.array_equal(one, two)
+        for presets in (self.BOTH[:1], self.BOTH):
+            one, two = (getattr(self, run)(workers=w, presets=presets)
+                        for w in (1, 2))
+            assert np.array_equal(one, two)
 
     @pytest.mark.parametrize("run", ["run_time", "run_space"])
     def test_block_size_invariant(self, run, monkeypatch):
-        results = []
-        for size in (1, 3, 8):
-            self.set_block(monkeypatch, self.time_config(), size)
-            results.append(getattr(self, run)())
-        for other in results[1:]:
-            np.testing.assert_allclose(other, results[0], rtol=1e-13,
-                                       atol=0.0)
+        # the last size is the default one
+        assert len(solver._sample_blocks(self.time_config(), 9, 0)[0][1]) \
+            == 8
+        for presets in (self.BOTH[:1], self.BOTH):
+            results = []
+            for size in (1, 3, 8):
+                self.set_block(monkeypatch, self.time_config(), size)
+                results.append(getattr(self, run)(presets=presets))
+            for other in results[1:]:
+                np.testing.assert_allclose(other, results[0], rtol=1e-13,
+                                           atol=0.0)
+
+    @pytest.mark.parametrize("block", [1, 3, 8])
+    @pytest.mark.parametrize("run", ["run_time", "run_space"])
+    def test_stacked_equals_single_calls(self, run, block, monkeypatch):
+        self.set_block(monkeypatch, self.time_config(), block)
+        stacked = getattr(self, run)(presets=self.BOTH)
+        for p, preset in enumerate(self.BOTH):
+            assert np.array_equal(stacked[p],
+                                  getattr(self, run)(presets=(preset,))[0])
+
+    @pytest.mark.parametrize("n_modes", [8, 512])
+    @pytest.mark.parametrize("chunk_steps", [1, 5, 64])
+    def test_preset_sweep_matches_scaled_block(self, n_modes, chunk_steps,
+                                               monkeypatch):
+        # each column of the chunked (N, P*B) sweep equals the one-preset
+        # sweep of its scaled block; N = 512 runs F = sin through DST-I
+        configs = [she_problem(p, n_modes=n_modes, m_steps=64, base_seed=7)
+                   for p in self.BOTH]
+        seeds = (11, 12, 13)
+        width = len(configs) * len(seeds)
+        monkeypatch.setattr(solver, "_SWEEP_CHUNK_BYTES",
+                            chunk_steps * 8 * n_modes * width)
+        stops = (0, 3, 5, 5, 40, 64)
+        stacked = solver._solve_presets(
+            configs, solver._unit_increments(configs[0], seeds), stops)
+        for p, cfg in enumerate(configs):
+            alone = solver.solve_stops(
+                cfg, solver._block_increments(cfg, seeds), stops)
+            assert np.array_equal(stacked[:, :, p, :], alone)
+
+    def test_weighted_sums_match_loop(self):
+        states = np.random.default_rng(0).normal(size=(3, 37, 2, 5))
+        weights = np.arange(1.0, 38.0) ** 0.9
+        sums = verify._weighted_sums(weights, states)
+        loop = [[[float(np.sum(weights * states[k, :, p, s] ** 2))
+                  for k in range(3)] for s in range(5)] for p in range(2)]
+        assert np.array_equal(sums, np.array(loop))
+
+    @pytest.mark.parametrize("field", solver._SHARED_FIELDS)
+    def test_configs_must_agree_but_in_noise(self, field):
+        cfg = self.time_config()
+        other = {
+            "n_modes": restrict_config(cfg, n_modes=4),
+            "m_steps": restrict_config(cfg, m_steps=32),
+            "horizon": dataclasses.replace(cfg, horizon=2.0),
+            "hurst": dataclasses.replace(cfg, hurst=HurstParameter(0.8)),
+            "operator": dataclasses.replace(cfg, operator=dataclasses.replace(
+                cfg.operator, eigenvalues=2.0 * cfg.operator.eigenvalues)),
+            "nonlinearity": dataclasses.replace(cfg, nonlinearity=zero_map()),
+            "initial": dataclasses.replace(cfg, initial=SpectralState(
+                coeffs=2.0 * cfg.initial.coeffs)),
+            "base_seed": dataclasses.replace(cfg, base_seed=6),
+            "fbm_method": dataclasses.replace(cfg, fbm_method="cholesky"),
+        }[field]
+        noisier = dataclasses.replace(other, noise=identity_noise(8))
+        with pytest.raises(ValueError, match=f"differ in {field};"):
+            estimate_time_regularity([cfg, noisier], delta=0.0,
+                                     lag_steps=self.LAGS, samples=2)
+        with pytest.raises(ValueError, match=f"differ in {field};"):
+            estimate_space_regularity([cfg, noisier], n_ladder=(2, 4),
+                                      deltas=(0.0,), samples=2)
+
+    @pytest.mark.parametrize("presets", [1, 2, 3])
+    def test_one_draw_per_block_for_any_preset_count(self, presets,
+                                                     monkeypatch):
+        self.set_block(monkeypatch, self.time_config(), 3)
+        hashes = []
+        seed_words = fbm.seed_words
+        monkeypatch.setattr(fbm, "seed_words",
+                            lambda seeds: hashes.append(1) or seed_words(seeds))
+        configs = [self.time_config(p) for p in self.BOTH] + [
+            she_problem("she-trace", n_modes=8, m_steps=64, base_seed=5,
+                        with_noise=False)]
+        estimate_time_regularity(configs[:presets], delta=0.0,
+                                 lag_steps=self.LAGS, samples=8)
+        assert len(hashes) == 3  # blocks of 3, 3 and 2 samples
+        estimate_space_regularity(configs[:presets], n_ladder=self.LADDER,
+                                  deltas=self.DELTAS, samples=8)
+        assert len(hashes) == 6
 
     def test_time_matches_per_sample_paths(self):
         cfg = self.time_config()
@@ -564,7 +653,7 @@ class TestRegularityBlocks:
             states = solve_path(cfg, noise).states
             sq.append([np.sum((states[m] - states[m - lag]) ** 2)
                        for lag in self.LAGS])
-        np.testing.assert_allclose(self.run_time(),
+        np.testing.assert_allclose(self.run_time()[0],
                                    np.sqrt(np.mean(sq, axis=0)), rtol=1e-13)
 
     def test_space_matches_per_sample_endpoints(self):
@@ -580,7 +669,7 @@ class TestRegularityBlocks:
             sq.append([[np.sum(lam[:n] ** d * end**2)
                         for n, end in zip(self.LADDER, ends)]
                        for d in self.DELTAS])
-        np.testing.assert_allclose(self.run_space(),
+        np.testing.assert_allclose(self.run_space()[0],
                                    np.sqrt(np.mean(sq, axis=0)), rtol=1e-13)
 
     def test_non_finite_states_raise(self, monkeypatch):
@@ -591,9 +680,9 @@ class TestRegularityBlocks:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError,
                                match=r"samples \[0, 1, 2\]"):
-                estimate_time_regularity(cfg, delta=0.0, lag_steps=self.LAGS,
-                                         samples=8)
+                estimate_time_regularity([cfg], delta=0.0,
+                                         lag_steps=self.LAGS, samples=8)
             with pytest.raises(FloatingPointError,
                                match=r"samples \[0, 1, 2\]"):
-                estimate_space_regularity(cfg, n_ladder=self.LADDER,
+                estimate_space_regularity([cfg], n_ladder=self.LADDER,
                                           deltas=(0.0,), samples=8)
