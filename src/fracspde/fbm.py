@@ -367,15 +367,32 @@ def _aggregate_values(values: np.ndarray, ratio: int,
                       axis: int = -1) -> np.ndarray:
     """Sum increment blocks of length `ratio` along `axis`, left to right.
 
-    Accumulation loops over the within-block offset so every coarse entry
-    is built by the same left-to-right addition order regardless of shape
-    or axis.
+    Every coarse entry adds its block's terms strictly in order, the sum
+    of the per-offset loop ``c = v[0::ratio]; c += v[r::ratio]``, whatever
+    the shape or axis. Along the last axis each row is read once: it is
+    transposed into a (ratio, m) block whose rows numpy's reduction along
+    axis 0 adds in order (a single column would switch it to pairwise
+    summation, so m = 1 takes the running sum). Other axes run the
+    per-offset loop, whose slices are contiguous beyond the axis.
     """
-    lead = (slice(None),) * (axis % values.ndim)
-    coarse = values[lead + (slice(0, None, ratio),)].copy()
-    for r in range(1, ratio):
-        coarse += values[lead + (slice(r, None, ratio),)]
-    return coarse
+    axis %= values.ndim
+    if axis != values.ndim - 1:
+        lead = (slice(None),) * axis
+        coarse = values[lead + (slice(0, None, ratio),)].copy()
+        for r in range(1, ratio):
+            coarse += values[lead + (slice(r, None, ratio),)]
+        return coarse
+    rows = values.reshape(-1, values.shape[-1])
+    m = rows.shape[1] // ratio
+    coarse = np.empty((rows.shape[0], m))
+    block = np.empty((ratio, m))
+    for row, out in zip(rows, coarse):
+        if m == 1:
+            out[0] = np.cumsum(row)[-1]
+        else:
+            np.copyto(block, row.reshape(m, ratio).T)
+            np.add.reduce(block, axis=0, out=out)
+    return coarse.reshape(values.shape[:-1] + (m,))
 
 
 def _coarse_grid(grid: IncrementGrid, ratio: int) -> IncrementGrid:

@@ -1,4 +1,4 @@
-"""Hot inner loops: the implicit Euler sweep and discrete convolution sums.
+"""Hot inner loop: the implicit Euler sweep.
 
 The time-stepping loop has a hard sequential dependence, so per-step
 overhead dominates once the mode count is small. ``euler_sweep`` is the one
@@ -8,11 +8,10 @@ state) and keeps only the states at the step indices a caller asks for.
 For one sample its loop performs the same operations, in the same order,
 as a plain per-step loop; a block turns each matrix-vector product into a
 matrix-matrix product, whose results can differ from the per-sample ones
-in the last bits. Everything here is plain numpy (``BACKEND``).
-
-The stochastic convolution has no such dependence: ``convolution_endpoint``
-is a contraction over fixed blocks of rows that adds the terms in the same
-left-to-right order as the step-by-step sum.
+in the last bits. Everything here is plain numpy (``BACKEND``). The
+F = 0 endpoint is also a fixed linear map of each mode's increments
+(``solver.linear_weights``), which the mild-solution oracle and the exact
+moments contract with the increments instead of sweeping.
 
 Nonlinearity codes: F_ZERO, F_SCALED (u -> scale*u in coefficients), and
 two forms of F = sin by collocation on the interior sine grid, with grid
@@ -167,30 +166,3 @@ def _dst1(x, axis=0):
     dst.head[...] = x
     return np.moveaxis(dst(np.empty(x.shape)), 0, axis)
 
-
-# Rows of the convolution contracted at once: at 16 modes the (rows, N)
-# temporaries stay under 1 MiB.
-_CONV_BLOCK_ROWS = 4096
-
-
-def convolution_endpoint(lam, dw_scaled, tau, upto):
-    """Left-endpoint discrete stochastic convolution at t = upto*tau.
-
-    Coefficient n accumulates sum_{j<upto} exp(-lam_n*(t - j*tau)) * dW_{n,j},
-    with dw_scaled shaped (m_steps, n_modes). Each block of rows is formed
-    as one (rows, N) array; the running sum is folded into its first row
-    and the rows are added strictly in order (``cumsum`` keeps that order
-    where ``sum`` switches to pairwise summation for one mode), so the
-    result equals the step-by-step sum bit for bit at any block size.
-    """
-    if not 0 <= upto <= dw_scaled.shape[0]:
-        raise ValueError(f"upto {upto} out of range [0, {dw_scaled.shape[0]}]")
-    acc = np.zeros(lam.shape[0])
-    t = upto * tau
-    for j0 in range(0, upto, _CONV_BLOCK_ROWS):
-        j1 = min(j0 + _CONV_BLOCK_ROWS, upto)
-        lags = t - np.arange(j0, j1) * tau
-        prod = np.exp(-lam * lags[:, None]) * dw_scaled[j0:j1]
-        prod[0] += acc
-        acc = np.cumsum(prod, axis=0)[-1]
-    return acc

@@ -42,6 +42,7 @@ __all__ = [
     "Trajectory",
     "implicit_euler_step",
     "linear_mild_reference",
+    "linear_weights",
     "restrict_config",
     "solve_endpoint",
     "solve_path",
@@ -395,22 +396,68 @@ def solve_path(config: SolverConfig,
     return Trajectory(states=states, tau=config.tau)
 
 
+# exp(x) rounds to 0 below this, and numpy's exp is slow there (about 18 ns
+# per entry against 1 ns for a normal result), so the mild weights of a
+# lag with lam * lag > 746 are set to 0 without calling it.
+_EXP_ZERO_BELOW = -746.0
+
+
+def linear_weights(lam: float, tau: float, m_steps: int,
+                   ratio: int | None = None):
+    """One mode's F = 0 endpoint as a linear map of its fine increments.
+
+    With dW_j the mode's m_steps fine increments of length tau and
+    T = m_steps * tau, the endpoint is w0 * xi + phi * sum_j w[j] dW_j;
+    returns (w, w0). ``ratio`` None gives the mild solution, in the
+    left-endpoint Riemann form of its stochastic convolution:
+    w[j] = exp(-lam (T - j tau)), w0 = exp(-lam T). ``ratio`` q gives the
+    implicit Euler scheme on the increments aggregated q at a time:
+    w = repeat(r^(m-i), q) for i = 0..m-1 and w0 = r^m, with
+    r = 1/(1 + (q tau) lam) and m = m_steps / q.
+    """
+    if ratio is None:
+        # j, then -lam times its lag T - j tau, then the weight, in one
+        # buffer; the exponents rise with j (lam >= 0) or are all >= 0,
+        # so the entries below the cut are a prefix
+        t_end = m_steps * tau
+        w = np.arange(m_steps, dtype=float)
+        np.multiply(w, tau, out=w)
+        np.subtract(t_end, w, out=w)
+        np.multiply(-lam, w, out=w)
+        zero = np.searchsorted(w, _EXP_ZERO_BELOW)
+        w[:zero] = 0.0
+        np.exp(w[zero:], out=w[zero:])
+        return w, np.exp(-lam * t_end)
+    if ratio < 1 or m_steps % ratio:
+        raise ValueError(f"step ratio {ratio} does not divide {m_steps}")
+    m = m_steps // ratio
+    r = 1.0 / (1.0 + (tau * ratio) * lam)
+    return np.repeat(r ** np.arange(m, 0, -1), ratio), r**m
+
+
 def linear_mild_reference(config: SolverConfig,
                           fine_sample: CylindricalFbmSample) -> SpectralState:
     """Mild-solution endpoint for F = 0, on a finer noise grid.
 
     Coefficient n is e^{-lambda_n T} xi_n plus the left-endpoint
-    Riemann evaluation of the stochastic convolution over the fine grid:
-    phi_n sum_j e^{-lambda_n (T - s_j)} dw_{n,j}. Serves as the oracle
-    independent of the implicit Euler path in the linear case.
+    Riemann evaluation of the stochastic convolution over the fine grid,
+    phi_n sum_j e^{-lambda_n (T - s_j)} dw_{n,j}: linear_weights
+    contracted with the mode's increments, one mode at a time, by
+    numpy's pairwise sum (no BLAS dot, whose bits depend on its thread
+    count). Serves as the oracle independent of the implicit Euler path
+    in the linear case.
     """
     if config.nonlinearity.kind != "zero":
         raise ValueError("linear_mild_reference requires F = 0")
     _check_noise_sample(config, fine_sample, fine=True)
     n = config.n_modes
+    grid = fine_sample.grid
     lam = config.operator.eigenvalues[:n]
-    dws = _scaled_increments(config, fine_sample)
-    conv = kernels.convolution_endpoint(lam, dws, fine_sample.grid.tau,
-                                        fine_sample.grid.m_steps)
-    coeffs = np.exp(-lam * config.horizon) * config.initial.coeffs[:n] + conv
+    phi = config.noise.amplitudes[:n]
+    xi = config.initial.coeffs[:n]
+    coeffs = np.empty(n)
+    for k in range(n):
+        w, w0 = linear_weights(lam[k], grid.tau, grid.m_steps)
+        np.multiply(w, fine_sample.values[k], out=w)
+        coeffs[k] = w0 * xi[k] + phi[k] * np.sum(w)
     return SpectralState(coeffs=coeffs, time=config.horizon)

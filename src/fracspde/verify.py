@@ -37,6 +37,7 @@ from .solver import (
     _sample_blocks,
     _solve_presets,
     _unit_increments,
+    linear_weights,
     restrict_config,
 )
 
@@ -242,7 +243,9 @@ def _toeplitz_quadratic_form(gamma: np.ndarray):
     is (gamma, 0, gamma reversed without gamma[0]) (Dietrich & Newsam
     1997). The circulant's eigenvalues are the real rfft of that row, so
     d^T Gamma d = sum_k s_k |D_k|^2 / (2m) with D the FFT of d padded to
-    2m; on the rfft half every k other than 0 and m counts twice.
+    2m; on the rfft half every k other than 0 and m counts twice. The sum
+    is numpy's pairwise one: a BLAS dot over that many bins changes its
+    last bits with the BLAS thread count.
     """
     m = gamma.size
     first_row = np.concatenate([gamma, [0.0], gamma[-1:0:-1]])
@@ -251,7 +254,7 @@ def _toeplitz_quadratic_form(gamma: np.ndarray):
 
     def form(d: np.ndarray) -> float:
         spec = np.fft.rfft(d, 2 * m)
-        return float(weights @ (spec.real**2 + spec.imag**2))
+        return float(np.sum(weights * (spec.real**2 + spec.imag**2)))
 
     return form
 
@@ -270,19 +273,15 @@ def _linear_response(config: SolverConfig):
             config.initial.coeffs[:n], _toeplitz_quadratic_form(gamma))
 
 
-def _resolvent_weights(r: float, m: int) -> np.ndarray:
-    """Weights r^{m-i}, i = 0..m-1: one mode's noise response after m steps."""
-    return r ** np.arange(m, 0, -1)
-
-
 def linear_endpoint_moments(config: SolverConfig):
     """Exact per-mode (mean, variance) of the F = 0 scheme endpoint."""
     lam, phi, xi, form = _linear_response(config)
-    m = config.m_steps
-    r = 1.0 / (1.0 + config.tau * lam)
-    means = r**m * xi
-    variances = np.array([phi[i] ** 2 * form(_resolvent_weights(r[i], m))
-                          for i in range(lam.size)])
+    means = np.empty(lam.size)
+    variances = np.empty(lam.size)
+    for i in range(lam.size):
+        w, w0 = linear_weights(lam[i], config.tau, config.m_steps, 1)
+        means[i] = w0 * xi[i]
+        variances[i] = phi[i] ** 2 * form(w)
     return means, variances
 
 
@@ -306,29 +305,29 @@ def expected_spatial_rms_errors(template: SolverConfig,
 
 
 def _coarse_rms_errors(template: SolverConfig, ladder: list,
-                       reference) -> np.ndarray:
+                       reference_ratio) -> np.ndarray:
     """Exact RMS errors of coarse scheme runs against a linear reference.
 
-    The ladder run at step ratio q weights fine increment j of a mode by
-    r_c^{M - (j // q)} and its initial coefficient by r_c^M;
-    ``reference(lambda_n)`` returns the reference's (increment weights,
-    initial weight) for one mode. Each error is a Toeplitz quadratic form
-    in the weight difference, summed over modes.
+    The reference and every ladder run are linear maps of the template's
+    fine increments (solver.linear_weights: ``reference_ratio`` None for
+    the mild solution, 1 for the fine scheme; step ratio M_ref / M for a
+    rung). Each error is a Toeplitz quadratic form in the weight
+    difference, summed over modes.
     """
     lam, phi, xi, form = _linear_response(template)
-    m_fine = template.m_steps
+    m_fine, tau = template.m_steps, template.tau
     for m in ladder:
         if m_fine % m:
             raise ValueError(f"ladder step count {m} does not divide "
                              f"{m_fine}")
     err2 = np.zeros(len(ladder))
     for i in range(lam.size):
-        w_ref, decay_ref = reference(lam[i])
+        w_ref, decay_ref = linear_weights(lam[i], tau, m_fine,
+                                          reference_ratio)
         for k, m in enumerate(ladder):
-            q = m_fine // m
-            r_c = 1.0 / (1.0 + (template.tau * q) * lam[i])
-            d = phi[i] * (w_ref - np.repeat(_resolvent_weights(r_c, m), q))
-            err2[k] += form(d) + ((decay_ref - r_c**m) * xi[i]) ** 2
+            w, decay = linear_weights(lam[i], tau, m_fine, m_fine // m)
+            d = phi[i] * (w_ref - w)
+            err2[k] += form(d) + ((decay_ref - decay) * xi[i]) ** 2
     return np.sqrt(err2)
 
 
@@ -341,13 +340,7 @@ def expected_temporal_rms_errors(template: SolverConfig,
     ladder run at step ratio q weights it by r_c^{M - (j // q)}. The
     error is then a Toeplitz quadratic form in the weight difference.
     """
-    m_ref = template.m_steps
-
-    def reference(lam_n):
-        r_fine = 1.0 / (1.0 + template.tau * lam_n)
-        return _resolvent_weights(r_fine, m_ref), r_fine**m_ref
-
-    return _coarse_rms_errors(template, ladder, reference)
+    return _coarse_rms_errors(template, ladder, 1)
 
 
 def expected_mild_rms_errors(template: SolverConfig,
@@ -360,32 +353,26 @@ def expected_mild_rms_errors(template: SolverConfig,
     increments, the mild side weighting increment j by
     exp(-lambda (T - j tau_f)).
     """
-    t_end = template.horizon
-    lags = t_end - np.arange(template.m_steps) * template.tau
-
-    def reference(lam_n):
-        return np.exp(-lam_n * lags), np.exp(-lam_n * t_end)
-
-    return _coarse_rms_errors(template, ladder, reference)
+    return _coarse_rms_errors(template, ladder, None)
 
 
 def expected_increment_rms(config: SolverConfig, lag_steps: list,
                            delta: float) -> np.ndarray:
     """Exact L^2(Omega; V_delta) norm of X(T) - X(T - L*tau), F = 0."""
     lam, phi, xi, form = _linear_response(config)
-    m = config.m_steps
+    m, tau = config.m_steps, config.tau
     for lag in lag_steps:
         if not 1 <= lag < m:
             raise ValueError(f"lag {lag} out of range [1, {m})")
-    r = 1.0 / (1.0 + config.tau * lam)
     total = np.zeros(len(lag_steps))
     for i in range(lam.size):
-        w_end = _resolvent_weights(r[i], m)
+        w_end, decay_end = linear_weights(lam[i], tau, m, 1)
         for k, lag in enumerate(lag_steps):
             w_lag = np.zeros(m)
-            w_lag[: m - lag] = _resolvent_weights(r[i], m - lag)
+            w_lag[: m - lag], decay_lag = linear_weights(lam[i], tau,
+                                                         m - lag, 1)
             d = phi[i] * (w_end - w_lag)
-            mean_diff = (r[i] ** m - r[i] ** (m - lag)) * xi[i]
+            mean_diff = (decay_end - decay_lag) * xi[i]
             total[k] += lam[i] ** delta * (form(d) + mean_diff**2)
     return np.sqrt(total)
 

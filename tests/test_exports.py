@@ -1,5 +1,6 @@
-"""Every exported name resolves: each module's __all__ and every name the
-package's __init__ re-exports from its modules."""
+"""Every exported name resolves: each module's __all__, every name the
+package's __init__ re-exports from its modules, and every fracspde name
+the benchmark's workload script calls."""
 
 import ast
 import importlib
@@ -33,3 +34,26 @@ def test_package_reexports_resolve():
                                                             alias.name)
             if hasattr(module, "__all__"):
                 assert alias.name in module.__all__, (node.module, alias.name)
+
+
+def test_benchmark_workload_calls_resolve():
+    """Every attribute that perfbench/workload.py reads from a fracspde
+    module it imports (fbm, solver, verify, rng, experiments, cli,
+    kernels) exists, so a rename cannot break the benchmark silently."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
+    tree = ast.parse(path.read_text())
+    modules = {alias.asname or alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and node.module == "fracspde"
+               for alias in node.names}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in modules}
+    assert {"fbm", "solver", "verify", "rng", "experiments"} <= modules
+    assert ("solver", "linear_mild_reference") in used
+    assert ("fbm", "aggregate_cylindrical") in used
+    missing = sorted(f"{mod}.{attr}" for mod, attr in used
+                     if not hasattr(importlib.import_module(f"fracspde.{mod}"),
+                                    attr))
+    assert not missing

@@ -469,6 +469,28 @@ class TestAggregation:
                 acc = acc + row[8 * j + r]
             assert abs(agg.values[0, j] - acc) < 1e-12
 
+    @staticmethod
+    def per_offset_loop(values, ratio, axis):
+        """Reference: one strided pass per offset, each block's terms
+        added left to right."""
+        lead = (slice(None),) * (axis % values.ndim)
+        coarse = values[lead + (slice(0, None, ratio),)].copy()
+        for r in range(1, ratio):
+            coarse += values[lead + (slice(r, None, ratio),)]
+        return coarse
+
+    @pytest.mark.parametrize("ratio", [1, 2, 3, 7, 64, 256])
+    def test_aggregate_values_matches_per_offset_loop(self, ratio):
+        rng = np.random.default_rng(ratio)
+        cases = [(rng.standard_normal(ratio * m), -1) for m in (1, 5)]
+        cases += [(rng.standard_normal((3, ratio * m)), -1) for m in (1, 6)]
+        cases.append((rng.standard_normal((ratio * 4, 3, 2)), 0))
+        for values, axis in cases:
+            out = fbm._aggregate_values(values, ratio, axis=axis)
+            expected = self.per_offset_loop(values, ratio, axis)
+            assert out.shape == expected.shape
+            assert np.array_equal(out, expected), (values.shape, axis)
+
     def test_requires_divisibility(self):
         grid = IncrementGrid(m_steps=6, tau=0.1)
         fine = generate_cylindrical_fbm(1, grid, hp(), 3)

@@ -1,8 +1,6 @@
 """Kernels: the Euler sweep against an explicit per-step loop, its stops,
-sample blocks and read-only inputs, the numpy DST-I against scipy's bit
-for bit and against the dense matrix to rounding, and the blocked
-convolution against the step-by-step sum it must reproduce bit for
-bit."""
+sample blocks and read-only inputs, and the numpy DST-I against scipy's
+bit for bit and against the dense matrix to rounding."""
 
 import math
 
@@ -167,38 +165,3 @@ def test_sweep_leaves_inputs_unchanged(f_kind, samples):
     for before, after in zip(copies, (x0, step_factor, dw)):
         assert np.array_equal(before, after)
 
-
-def sequential_convolution(lam, dw, tau, upto):
-    """The convolution sum accumulated one step at a time, left to right."""
-    acc = np.zeros(lam.shape[0])
-    t = upto * tau
-    for j in range(upto):
-        acc += np.exp(-lam * (t - j * tau)) * dw[j]
-    return acc
-
-
-def convolution_cases():
-    block = kernels._CONV_BLOCK_ROWS
-    uptos = (0, 1, block - 1, block, block + 1, 5 * block // 2)
-    for n_modes in (1, 3, 16):
-        lam = (np.pi * np.arange(1, n_modes + 1)) ** 2
-        dw = RNG.standard_normal((uptos[-1], n_modes)) * 1e-2
-        for upto in uptos:
-            yield lam, dw, 1.0 / uptos[-1], upto
-
-
-def test_convolution_matches_sequential_loop():
-    for lam, dw, tau, upto in convolution_cases():
-        out = kernels.convolution_endpoint(lam, dw, tau, upto)
-        expected = sequential_convolution(lam, dw, tau, upto)
-        assert np.array_equal(out, expected), (lam.size, upto)
-
-
-@pytest.mark.parametrize("block", [1, 7, 1000, 100000])
-def test_convolution_block_size_invariant(block, monkeypatch):
-    cases = list(convolution_cases())
-    monkeypatch.setattr(kernels, "_CONV_BLOCK_ROWS", block)
-    for lam, dw, tau, upto in cases:
-        out = kernels.convolution_endpoint(lam, dw, tau, upto)
-        expected = sequential_convolution(lam, dw, tau, upto)
-        assert np.array_equal(out, expected), (lam.size, upto)

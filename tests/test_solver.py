@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracspde import fbm, kernels, solver, spectral
+from fracspde import fbm, kernels, solver, spectral, verify
 from fracspde.fbm import (
     CylindricalFbmSample,
     HurstParameter,
@@ -20,6 +20,7 @@ from fracspde.solver import (
     SolverConfig,
     implicit_euler_step,
     linear_mild_reference,
+    linear_weights,
     restrict_config,
     solve_endpoint,
     solve_path,
@@ -322,47 +323,96 @@ class TestLinearMildReference:
         assert abs(sq.mean() - analytic) < 3 * se
 
 
-def _scaled(noise, sample):
-    """(M, N) rows phi_n * dW_{n,m} of a cylindrical sample."""
-    n = noise.n_modes
-    return np.ascontiguousarray((noise.amplitudes[:, None]
-                                 * sample.values[:n]).T)
-
-
 class TestStochasticConvolution:
-    """kernels.convolution_endpoint at intermediate times upto < M."""
-
-    def test_zero_index_is_zero(self):
-        op = dirichlet_laplacian(3)
-        sample = generate_cylindrical_fbm(3, IncrementGrid(8, 0.125), H, 1)
-        out = kernels.convolution_endpoint(
-            op.eigenvalues, _scaled(identity_noise(3), sample), 0.125, 0)
-        assert np.all(out == 0.0)
+    """The F = 0 endpoint as linear_weights contracted with the fine
+    increments: the mild reference and the scheme."""
 
     def test_zero_noise_operator(self):
-        op = dirichlet_laplacian(3)
-        sample = generate_cylindrical_fbm(3, IncrementGrid(8, 0.125), H, 1)
-        out = kernels.convolution_endpoint(
-            op.eigenvalues, _scaled(zero_noise(3), sample), 0.125, 5)
-        assert np.all(out == 0.0)
+        cfg = make_config(n=3, m=8, noise=zero_noise(3),
+                          initial=np.zeros(3))
+        fine = generate_cylindrical_fbm(3, IncrementGrid(64, 1.0 / 64), H, 1)
+        assert np.all(linear_mild_reference(cfg, fine).coeffs == 0.0)
 
     def test_two_step_hand_unrolled(self):
         lam = 3.0
-        grid = IncrementGrid(m_steps=3, tau=0.5)
-        sample = generate_cylindrical_fbm(1, grid, H, 23)
-        out = kernels.convolution_endpoint(
-            np.array([lam]), _scaled(identity_noise(1), sample), 0.5, 2)
-        w1, w2 = sample.values[0, :2]
-        expected = math.exp(-lam * 1.0) * w1 + math.exp(-lam * 0.5) * w2
-        assert out[0] == pytest.approx(expected, rel=1e-13)
+        op = SpectralOperator(eigenvalues=np.array([lam]))
+        cfg = SolverConfig(
+            n_modes=1, m_steps=1, horizon=1.0, hurst=H, operator=op,
+            noise=identity_noise(1), nonlinearity=zero_map(),
+            initial=SpectralState(coeffs=np.array([0.3])), base_seed=23,
+        )
+        fine = generate_cylindrical_fbm(1, IncrementGrid(2, 0.5), H, 23)
+        w1, w2 = fine.values[0]
+        expected = (math.exp(-lam) * 0.3 + math.exp(-lam) * w1
+                    + math.exp(-lam * 0.5) * w2)
+        out = linear_mild_reference(cfg, fine).coeffs[0]
+        assert out == pytest.approx(expected, rel=1e-14)
 
     def test_index_out_of_range(self):
-        op = dirichlet_laplacian(2)
-        sample = generate_cylindrical_fbm(2, IncrementGrid(4, 0.25), H, 1)
-        dws = _scaled(identity_noise(2), sample)
-        for upto in (-1, 5):
-            with pytest.raises(ValueError, match="out of range"):
-                kernels.convolution_endpoint(op.eigenvalues, dws, 0.25, upto)
+        for ratio in (0, 3, 5):
+            with pytest.raises(ValueError, match="does not divide"):
+                linear_weights(2.0, 0.25, 8, ratio)
+
+    def test_matches_sequential_loop(self):
+        # the pairwise sum against the step-by-step left-to-right sum
+        cfg = make_config(n=16, m=4, noise=trace_class_noise(16))
+        fine = generate_cylindrical_fbm(16, IncrementGrid(4096, 1.0 / 4096),
+                                        H, 7)
+        lam, phi = cfg.operator.eigenvalues, cfg.noise.amplitudes
+        acc = np.zeros(16)
+        scale = np.zeros(16)
+        for j in range(4096):
+            term = np.exp(-lam * (1.0 - j / 4096)) * phi * fine.values[:, j]
+            acc += term
+            scale += np.abs(term)
+        expected = np.exp(-lam) * cfg.initial.coeffs + acc
+        out = linear_mild_reference(cfg, fine).coeffs
+        assert np.all(np.abs(out - expected) <= 1e-13 * scale)
+
+    def test_underflowed_weights_equal_exp(self):
+        # the weights numpy's exp would round to 0 are set without it
+        tau, m = 1.0 / 4096, 4096
+        lags = m * tau - np.arange(m) * tau
+        for lam in (0.0, 1.0, 700.0, 760.0, 3000.0, 1e6):
+            w, w0 = linear_weights(lam, tau, m)
+            assert np.array_equal(w, np.exp(-lam * lags))
+            assert w0 == np.exp(-lam * m * tau)
+
+    @pytest.mark.parametrize("ratio", [1, 4, 16])
+    def test_scheme_weights_reproduce_the_sweep(self, ratio):
+        cfg = make_config(n=5, m=64, noise=trace_class_noise(5),
+                          initial=np.array([0.7, -0.2, 0.1, 0.0, 0.3]))
+        fine = noise_for(cfg, seed=19)
+        coarse = restrict_config(cfg, m_steps=64 // ratio)
+        end = solve_endpoint(coarse, aggregate_cylindrical(fine, ratio))
+        lam, phi = cfg.operator.eigenvalues, cfg.noise.amplitudes
+        for k in range(5):
+            w, w0 = linear_weights(lam[k], cfg.tau, 64, ratio)
+            value = w0 * cfg.initial.coeffs[k] + phi[k] * np.sum(
+                w * fine.values[k])
+            assert value == pytest.approx(end.coeffs[k], rel=1e-12,
+                                          abs=1e-15)
+
+    def test_mean_square_matches_exact_form(self):
+        # E[X_n(T)^2] = phi_n^2 form(w_mild) + (e^{-lambda_n T} xi_n)^2,
+        # the form being the fine grid's Toeplitz quadratic form
+        cfg = make_config(n=3, m=256, noise=identity_noise(3), seed=29,
+                          initial=np.array([0.5, -0.3, 0.2]))
+        n_samples = 4000
+        seeds = derive_seed(29, SAMPLE_STREAM, np.arange(n_samples))
+        rows = increment_rows(cfg.grid(), H, mode_keys(seeds, 3).T.ravel()
+                              ).reshape(n_samples, 3, 256)
+        sq = np.array([
+            linear_mild_reference(cfg, CylindricalFbmSample(
+                grid=cfg.grid(), values=rows[s], hurst=H,
+                base_seed=int(seeds[s]), method="circulant")).coeffs ** 2
+            for s in range(n_samples)])
+        lam, phi, xi, form = verify._linear_response(cfg)
+        for k in range(3):
+            w, w0 = linear_weights(lam[k], cfg.tau, 256)
+            exact = phi[k] ** 2 * form(w) + (w0 * xi[k]) ** 2
+            se = sq[:, k].std(ddof=1) / math.sqrt(n_samples)
+            assert abs(sq[:, k].mean() - exact) < 3 * se, k
 
 
 class TestLinearConsistency:

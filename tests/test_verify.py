@@ -2,6 +2,10 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,6 +429,144 @@ class TestOraclesAgainstToeplitzBilinear:
                 assert variances[i] == pytest.approx(
                     phi[i] ** 2 * toeplitz_bilinear(gamma, w, w),
                     rel=self.RTOL, abs=0.0)
+
+
+def _pre_refactor_form(gamma):
+    """The one-FFT Toeplitz form as first written, a BLAS dot over the
+    bins."""
+    m = gamma.size
+    first_row = np.concatenate([gamma, [0.0], gamma[-1:0:-1]])
+    weights = np.fft.rfft(first_row).real / (2 * m)
+    weights[1:m] *= 2.0
+
+    def form(d):
+        spec = np.fft.rfft(d, 2 * m)
+        return float(weights @ (spec.real**2 + spec.imag**2))
+
+    return form
+
+
+class TestOraclesAgainstPreRefactorFormulas:
+    """The oracles on solver.linear_weights against the weights each one
+    built for itself before (resolvent powers, reference callbacks), at
+    the shapes of criterion 8, the desk protocols and the regularity
+    suite."""
+
+    RTOL = 1e-14
+
+    @staticmethod
+    def parts(cfg):
+        n = cfg.n_modes
+        gamma = cfg.tau ** (2.0 * cfg.hurst.h) * fbm._fgn_covariance_seq(
+            cfg.m_steps - 1, cfg.hurst)
+        r = 1.0 / (1.0 + cfg.tau * cfg.operator.eigenvalues[:n])
+        return (cfg.operator.eigenvalues[:n], cfg.noise.amplitudes[:n],
+                cfg.initial.coeffs[:n], _pre_refactor_form(gamma), r)
+
+    def coarse_errors(self, cfg, ladder, reference):
+        lam, phi, xi, form, _ = self.parts(cfg)
+        err2 = np.zeros(len(ladder))
+        for i in range(lam.size):
+            w_ref, decay_ref = reference(lam[i])
+            for k, m in enumerate(ladder):
+                q = cfg.m_steps // m
+                r_c = 1.0 / (1.0 + (cfg.tau * q) * lam[i])
+                w = np.repeat(r_c ** np.arange(m, 0, -1), q)
+                err2[k] += (form(phi[i] * (w_ref - w))
+                            + ((decay_ref - r_c**m) * xi[i]) ** 2)
+        return np.sqrt(err2)
+
+    @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
+    def test_mild_errors_criterion_8(self, preset):
+        cfg = she_problem(preset, n_modes=16, m_steps=2**16, base_seed=777,
+                          with_nonlinearity=False)
+        ladder = [2**8, 2**9, 2**10]
+        lags = cfg.horizon - np.arange(cfg.m_steps) * cfg.tau
+        expected = self.coarse_errors(
+            cfg, ladder, lambda lam: (np.exp(-lam * lags),
+                                      np.exp(-lam * cfg.horizon)))
+        np.testing.assert_allclose(expected_mild_rms_errors(cfg, ladder),
+                                   expected, rtol=self.RTOL)
+
+    @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
+    def test_temporal_errors_desk(self, preset):
+        cfg = she_problem(preset, n_modes=64, m_steps=2**12, base_seed=0,
+                          with_nonlinearity=False)
+        ladder = [2**6, 2**7, 2**8, 2**9, 2**10]
+
+        def reference(lam):
+            r = 1.0 / (1.0 + cfg.tau * lam)
+            return r ** np.arange(cfg.m_steps, 0, -1), r**cfg.m_steps
+
+        np.testing.assert_allclose(
+            expected_temporal_rms_errors(cfg, ladder),
+            self.coarse_errors(cfg, ladder, reference), rtol=self.RTOL)
+
+    @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
+    def test_spatial_errors_desk(self, preset):
+        cfg = she_problem(preset, n_modes=512, m_steps=200, base_seed=0,
+                          with_nonlinearity=False)
+        ladder = [2, 4, 8, 16, 32]
+        lam, phi, xi, form, r = self.parts(cfg)
+        m = cfg.m_steps
+        second = np.array([
+            (r[i] ** m * xi[i]) ** 2
+            + phi[i] ** 2 * form(r[i] ** np.arange(m, 0, -1))
+            for i in range(lam.size)])
+        expected = [math.sqrt(second[n:].sum()) for n in ladder]
+        np.testing.assert_allclose(expected_spatial_rms_errors(cfg, ladder),
+                                   expected, rtol=self.RTOL)
+
+    @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
+    def test_increment_rms_regularity_suite(self, preset):
+        cfg = she_problem(preset, n_modes=64, m_steps=2**14, base_seed=0,
+                          with_nonlinearity=False)
+        lags = [8, 16, 32, 64]
+        lam, phi, xi, form, r = self.parts(cfg)
+        m = cfg.m_steps
+        total = np.zeros(len(lags))
+        for i in range(lam.size):
+            w_end = r[i] ** np.arange(m, 0, -1)
+            for k, lag in enumerate(lags):
+                w_lag = np.zeros(m)
+                w_lag[: m - lag] = r[i] ** np.arange(m - lag, 0, -1)
+                mean_diff = (r[i] ** m - r[i] ** (m - lag)) * xi[i]
+                total[k] += lam[i] ** 0.5 * (
+                    form(phi[i] * (w_end - w_lag)) + mean_diff**2)
+        np.testing.assert_allclose(expected_increment_rms(cfg, lags, 0.5),
+                                   np.sqrt(total), rtol=self.RTOL)
+
+
+# Prints the mild reference and two exact oracles at criterion 8's shape,
+# where the forms sum 2^16 + 1 bins.
+THREADS_SCRIPT = """
+from fracspde import experiments, fbm, rng, solver, verify
+
+p = experiments.she_problem("she-trace", n_modes=16, m_steps=2**16,
+                            base_seed=777, with_nonlinearity=False)
+fine = fbm.generate_cylindrical_fbm(
+    16, p.grid(), p.hurst, rng.derive_seed(777, rng.SAMPLE_STREAM, 0))
+print(repr(solver.linear_mild_reference(p, fine).coeffs.tolist()))
+print(repr(verify.expected_mild_rms_errors(p, [256, 512, 1024]).tolist()))
+print(repr(verify.expected_increment_rms(p, [8, 16, 32], 0.0).tolist()))
+"""
+
+
+def test_oracles_independent_of_blas_threads():
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src)] + [p for p in [os.environ.get("PYTHONPATH")]
+                                     if p]))
+        proc = subprocess.run([sys.executable, "-c", THREADS_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 3
+    assert outputs[0] == outputs[1]
 
 
 class TestTimeRegularity:
