@@ -10,13 +10,17 @@ three key mode k of a sample by mode_keys. Row i's normals are those of
 np.random.default_rng(seeds[i]), drawn by rng.standard_normal_rows from
 seed words hashed for the whole batch in one vectorised pass
 (rng.seed_words). A chunk of rows holds at most _ROW_CHUNK_BYTES of
-normals, which keeps its temporaries small.
+normals, which keeps its temporaries small, and every chunk of one call
+reuses one set of work buffers (normals, half spectrum, FFT output), so
+a draw of many chunks page-faults its buffers in once, not per chunk.
 
 Two exact methods are provided: a dense Cholesky factorization of the
 increment covariance (reference, O(M^3) setup, at most 4096 steps) and
 circulant embedding of fractional Gaussian noise (Davies-Harte,
 O(M log M)), which writes only the Hermitian half of the embedded
-spectrum and synthesises a chunk of rows with one real FFT. Both
+spectrum and synthesises a chunk of rows with one real FFT into the
+call's output buffer; the scale of its bins is computed once per cached
+eigenvalue set (_circulant_bins, emptied by clear_caches). Both
 reproduce the analytic covariance
 
     E[dw_i dw_j] = 0.5 * tau^{2H} * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}),
@@ -30,6 +34,7 @@ embedding in a different regime and are out of scope.
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,7 +216,7 @@ def check_method(method: str, m_steps: int) -> None:
 
 def clear_caches() -> None:
     _cholesky_factor.cache_clear()
-    _circulant_sqrt_eigs.cache_clear()
+    _circulant_bins.cache_clear()
 
 
 @functools.lru_cache(maxsize=8)
@@ -242,34 +247,46 @@ def circulant_eigenvalues(gamma: np.ndarray) -> np.ndarray:
     return np.clip(eigs, 0.0, None)
 
 
+class _CirculantBins(NamedTuple):
+    """Read-only spectrum of the 2m circulant embedding of unit fGn."""
+
+    sqrt_eigs: np.ndarray  # square roots of its 2m eigenvalues
+    amp: np.ndarray  # sqrt_eigs[1:m] / sqrt(4m), the interior bins' scale
+    neg_amp: np.ndarray  # -amp
+
+
 @functools.lru_cache(maxsize=8)
-def _circulant_sqrt_eigs(m: int, h: HurstParameter) -> np.ndarray:
+def _circulant_bins(m: int, h: HurstParameter) -> _CirculantBins:
     sqrt_eigs = np.sqrt(circulant_eigenvalues(_fgn_covariance_seq(m, h)))
-    sqrt_eigs.flags.writeable = False
-    return sqrt_eigs
+    amp = sqrt_eigs[1:m] / np.sqrt(4 * m)
+    neg_amp = -amp
+    for array in (sqrt_eigs, amp, neg_amp):
+        array.flags.writeable = False
+    return _CirculantBins(sqrt_eigs, amp, neg_amp)
 
 
-def _synthesize_circulant(sqrt_eigs: np.ndarray, z: np.ndarray,
-                          m: int) -> np.ndarray:
+def _synthesize_circulant(bins: _CirculantBins, z: np.ndarray, m: int,
+                          half: np.ndarray, full: np.ndarray) -> np.ndarray:
     """Map 2m iid standard normals (last axis of z) to m exact fGn values.
 
     Davies-Harte: the spectrum w built from z is Hermitian (w[2m-k] =
     conj(w[k])), so fft(w) is real and equals the unnormalised inverse
-    real FFT of conj(w[:m+1]). Only that half spectrum is written, with
-    the imaginary signs flipped, and one length-2m real FFT per row
-    replaces the complex one.
+    real FFT of conj(w[:m+1]). Only that half spectrum is written, into
+    ``half`` (complex, last axis m + 1), with the imaginary signs
+    flipped, and one length-2m real FFT per row writes ``full`` (last
+    axis 2m); returns the view of its first m values. Both buffers are
+    overwritten whole, so one pair serves every chunk of a draw.
     """
     m2 = 2 * m
-    half = np.empty(z.shape[:-1] + (m + 1,), dtype=complex)
     re, im = half.real, half.imag
-    re[..., 0] = sqrt_eigs[0] * z[..., 0] / np.sqrt(m2)
-    re[..., m] = sqrt_eigs[m] * z[..., 1] / np.sqrt(m2)
+    re[..., 0] = bins.sqrt_eigs[0] * z[..., 0] / np.sqrt(m2)
+    re[..., m] = bins.sqrt_eigs[m] * z[..., 1] / np.sqrt(m2)
     im[..., 0] = 0.0
     im[..., m] = 0.0
-    amp = sqrt_eigs[1:m] / np.sqrt(2 * m2)
-    np.multiply(amp, z[..., 2::2], out=re[..., 1:m])
-    np.multiply(-amp, z[..., 3::2], out=im[..., 1:m])
-    return np.fft.irfft(half, m2, axis=-1, norm="forward")[..., :m]
+    np.multiply(bins.amp, z[..., 2::2], out=re[..., 1:m])
+    np.multiply(bins.neg_amp, z[..., 3::2], out=im[..., 1:m])
+    np.fft.irfft(half, m2, axis=-1, norm="forward", out=full)
+    return full[..., :m]
 
 
 def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
@@ -281,18 +298,23 @@ def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
     given, else into one buffer reused by every chunk, so a chunk must be
     consumed before the next is drawn. The seed words of every row come
     from one vectorised hash before the first chunk: its fixed cost is
-    paid once per call, not once per chunk.
+    paid once per call, not once per chunk. The work buffers (normals,
+    and for circulant the half spectrum and the FFT output) are
+    allocated once per call too: fresh ones per chunk would page-fault
+    every chunk in again.
     """
     m = grid.m_steps
     check_method(method, m)
     words = seed_words(seeds)
     scale = grid.tau**h.h
+    z = np.empty((min(chunk, len(words)), _row_normals(m, method)))
+    buffer = np.empty((len(z), m)) if out is None else None
     if method == "cholesky":
         factor = _cholesky_factor(m, h)
     else:
-        sqrt_eigs = _circulant_sqrt_eigs(m, h)
-    z = np.empty((min(chunk, len(words)), _row_normals(m, method)))
-    buffer = np.empty((len(z), m)) if out is None else None
+        bins = _circulant_bins(m, h)
+        half = np.empty((len(z), m + 1), dtype=complex)
+        full = np.empty((len(z), 2 * m))
     for lo in range(0, len(words), chunk):
         n = min(chunk, len(words) - lo)
         normals = standard_normal_rows(words[lo:lo + n], z[:n])
@@ -301,7 +323,8 @@ def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
             for row, row_normals in zip(rows, normals):
                 np.multiply(scale, factor @ row_normals, out=row)
         else:
-            np.multiply(scale, _synthesize_circulant(sqrt_eigs, normals, m),
+            np.multiply(scale, _synthesize_circulant(bins, normals, m,
+                                                     half[:n], full[:n]),
                         out=rows)
         yield lo, rows
 

@@ -42,6 +42,7 @@ __all__ = [
     "Trajectory",
     "implicit_euler_step",
     "linear_mild_reference",
+    "linear_support",
     "linear_weights",
     "restrict_config",
     "solve_endpoint",
@@ -401,9 +402,35 @@ def solve_path(config: SolverConfig,
 # lag with lam * lag > 746 are set to 0 without calling it.
 _EXP_ZERO_BELOW = -746.0
 
+# linear_support keeps the weights of at least 2^-64 of the largest.
+_SUPPORT_DECAY = 64.0 * math.log(2.0)
+
+
+def linear_support(lam: float, tau: float, m_steps: int,
+                   ratio: int | None = None) -> int:
+    """How many trailing linear_weights are at least 2^-64 of the largest.
+
+    An upper bound, capped at m_steps. The mild weights fall by
+    exp(-lam tau) per step back from the last increment, whose weight is
+    the largest, so ceil(64 ln 2 / (lam tau)) + 1 steps hold every weight
+    at or above 2^-64 of it; the scheme at ratio q falls by
+    r = 1/(1 + q tau lam) per block of q steps, which gives
+    q (ceil(64 ln 2 / -ln r) + 1) steps. The extra step or block keeps
+    the count safe from the rounding of the weights' exponents.
+    """
+    if ratio is None:
+        rate, block = lam * tau, 1
+    else:
+        rate = -math.log(1.0 / (1.0 + (tau * ratio) * lam))
+        block = ratio
+    blocks = _SUPPORT_DECAY / rate if rate > 0 else math.inf
+    if blocks >= m_steps:
+        return m_steps
+    return min(m_steps, block * (math.ceil(blocks) + 1))
+
 
 def linear_weights(lam: float, tau: float, m_steps: int,
-                   ratio: int | None = None):
+                   ratio: int | None = None, tail: int | None = None):
     """One mode's F = 0 endpoint as a linear map of its fine increments.
 
     With dW_j the mode's m_steps fine increments of length tau and
@@ -413,14 +440,20 @@ def linear_weights(lam: float, tau: float, m_steps: int,
     w[j] = exp(-lam (T - j tau)), w0 = exp(-lam T). ``ratio`` q gives the
     implicit Euler scheme on the increments aggregated q at a time:
     w = repeat(r^(m-i), q) for i = 0..m-1 and w0 = r^m, with
-    r = 1/(1 + (q tau) lam) and m = m_steps / q.
+    r = 1/(1 + (q tau) lam) and m = m_steps / q. ``tail`` L in
+    [1, m_steps] returns only the last L entries of w, bit for bit; with
+    L at least linear_support, every weight left out is below 2^-64 of
+    the largest.
     """
+    size = m_steps if tail is None else tail
+    if not 1 <= size <= m_steps:
+        raise ValueError(f"tail {tail} outside [1, {m_steps}]")
     if ratio is None:
         # j, then -lam times its lag T - j tau, then the weight, in one
         # buffer; the exponents rise with j (lam >= 0) or are all >= 0,
         # so the entries below the cut are a prefix
         t_end = m_steps * tau
-        w = np.arange(m_steps, dtype=float)
+        w = np.arange(m_steps - size, m_steps, dtype=float)
         np.multiply(w, tau, out=w)
         np.subtract(t_end, w, out=w)
         np.multiply(-lam, w, out=w)
@@ -432,7 +465,8 @@ def linear_weights(lam: float, tau: float, m_steps: int,
         raise ValueError(f"step ratio {ratio} does not divide {m_steps}")
     m = m_steps // ratio
     r = 1.0 / (1.0 + (tau * ratio) * lam)
-    return np.repeat(r ** np.arange(m, 0, -1), ratio), r**m
+    w = np.repeat(r ** np.arange(-(-size // ratio), 0, -1), ratio)
+    return w[w.size - size:], r**m
 
 
 def linear_mild_reference(config: SolverConfig,

@@ -174,7 +174,10 @@ def _batch_unit_fgn(method: str, m: int, h: HurstParameter, n_samples: int,
         factor = fbm._cholesky_factor(m, h)
         return rng.standard_normal((n_samples, m)) @ factor.T
     z = rng.standard_normal((n_samples, 2 * m))
-    return fbm._synthesize_circulant(fbm._circulant_sqrt_eigs(m, h), z, m)
+    return fbm._synthesize_circulant(
+        fbm._circulant_bins(m, h), z, m,
+        np.empty((n_samples, m + 1), dtype=complex),
+        np.empty((n_samples, 2 * m)))
 
 
 def test_criterion_1_fbm_exactness():

@@ -36,6 +36,14 @@ def scalar(grid, h, seed, method="circulant"):
     return increment_rows(grid, h, [seed], method)[0]
 
 
+def synthesize(m, h, z):
+    """fbm._synthesize_circulant on fresh work buffers."""
+    return fbm._synthesize_circulant(
+        fbm._circulant_bins(m, h), z, m,
+        np.empty(z.shape[:-1] + (m + 1,), dtype=complex),
+        np.empty(z.shape[:-1] + (2 * m,)))
+
+
 def as_sample(grid, h, rows):
     """Rows as a cylindrical sample, for aggregate_cylindrical."""
     return CylindricalFbmSample(grid=grid, values=rows, hurst=h, base_seed=0,
@@ -195,9 +203,8 @@ class TestGeneratorExactness:
     def test_circulant_gram_matrix(self, h):
         m = 16
         hh = hp(h)
-        sq = fbm._circulant_sqrt_eigs(m, hh)
         # one batch: row j of the result is the image of basis vector e_j
-        bmat = fbm._synthesize_circulant(sq, np.eye(2 * m), m).T
+        bmat = synthesize(m, hh, np.eye(2 * m)).T
         target = increment_covariance_matrix(IncrementGrid(m, 1.0), hh)
         assert np.abs(bmat @ bmat.T - target).max() < 1e-12
 
@@ -218,7 +225,7 @@ def _complex_fft_rows(grid, h, seeds):
     """The circulant synthesis as a full-length complex FFT, one row at a
     time: the reference the half-spectrum real FFT must reproduce."""
     m, m2 = grid.m_steps, 2 * grid.m_steps
-    sqrt_eigs = fbm._circulant_sqrt_eigs(m, h)
+    sqrt_eigs = fbm._circulant_bins(m, h).sqrt_eigs
     rows = []
     for seed in seeds:
         z = np.random.default_rng(seed).standard_normal(m2)
@@ -231,6 +238,28 @@ def _complex_fft_rows(grid, h, seeds):
             w[1:m] = head
             w[m + 1:] = np.conj(head[::-1])
         rows.append(grid.tau**h.h * np.fft.fft(w).real[:m])
+    return np.array(rows)
+
+
+def _allocating_rows(grid, h, seeds):
+    """The circulant synthesis one row at a time, each on a freshly
+    allocated half spectrum and FFT output: the reference the buffered
+    sampler must reproduce bit for bit."""
+    m, m2 = grid.m_steps, 2 * grid.m_steps
+    sqrt_eigs = np.sqrt(fbm.circulant_eigenvalues(
+        fbm._fgn_covariance_seq(m, h)))
+    rows = []
+    for seed in seeds:
+        z = np.random.default_rng(seed).standard_normal(m2)
+        half = np.empty(m + 1, dtype=complex)
+        half.real[0] = sqrt_eigs[0] * z[0] / np.sqrt(m2)
+        half.real[m] = sqrt_eigs[m] * z[1] / np.sqrt(m2)
+        half.imag[0] = half.imag[m] = 0.0
+        amp = sqrt_eigs[1:m] / np.sqrt(2 * m2)
+        np.multiply(amp, z[2::2], out=half.real[1:m])
+        np.multiply(-amp, z[3::2], out=half.imag[1:m])
+        synth = np.fft.irfft(half, m2, norm="forward")[:m]
+        rows.append(np.multiply(grid.tau**h.h, synth))
     return np.array(rows)
 
 
@@ -258,6 +287,37 @@ class TestIncrementRows:
         ref = _complex_fft_rows(grid, hp(), seeds)
         rows = increment_rows(grid, hp(), seeds)
         assert np.abs(rows - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("h", [0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 200, 2**12, 2**14, 2**16])
+    def test_buffered_rows_equal_allocating_synthesis(self, m, h):
+        grid = IncrementGrid(m_steps=m, tau=1.0 / m)
+        seeds = [derive_seed(41, s) for s in range(5)]
+        rows = increment_rows(grid, hp(h), seeds)
+        assert rows.tobytes() == _allocating_rows(grid, hp(h),
+                                                  seeds).tobytes()
+
+    @pytest.mark.parametrize("m", [3, 200, 2**12])
+    def test_one_work_buffer_pair_per_call(self, m, monkeypatch):
+        # a short last chunk too: 11 rows in chunks of 4, 4 and 3
+        irfft = np.fft.irfft
+        calls = []
+
+        def recording_irfft(a, *args, out=None, **kwargs):
+            calls.append((a.ctypes.data, out.ctypes.data, len(a)))
+            return irfft(a, *args, out=out, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+        monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", 4 * 8 * 2 * m)
+        grid = IncrementGrid(m_steps=m, tau=1.0 / m)
+        seeds = [derive_seed(42, s) for s in range(11)]
+        rows = increment_rows(grid, hp(), seeds)
+        assert [n for _, _, n in calls] == [4, 4, 3]
+        assert len({half for half, _, _ in calls}) == 1
+        assert len({full for _, full, _ in calls}) == 1
+        monkeypatch.undo()
+        assert rows.tobytes() == _allocating_rows(grid, hp(),
+                                                  seeds).tobytes()
 
     @pytest.mark.parametrize("m", [1, 3, 64])
     def test_cholesky_rows_are_per_row_gemv(self, m):
@@ -309,14 +369,14 @@ class TestFactorLimits:
         fbm.clear_caches()
         for m in range(1, 13):
             fbm._cholesky_factor(m, hp())
-            fbm._circulant_sqrt_eigs(m, hp())
-        for cached in (fbm._cholesky_factor, fbm._circulant_sqrt_eigs):
+            fbm._circulant_bins(m, hp())
+        for cached in (fbm._cholesky_factor, fbm._circulant_bins):
             info = cached.cache_info()
             assert info.maxsize == 8
             assert info.currsize == 8
         fbm.clear_caches()
         assert fbm._cholesky_factor.cache_info().currsize == 0
-        assert fbm._circulant_sqrt_eigs.cache_info().currsize == 0
+        assert fbm._circulant_bins.cache_info().currsize == 0
 
 
 HURST = st.floats(min_value=0.51, max_value=0.99)
@@ -337,8 +397,7 @@ class TestSamplerProperties:
     def test_exact_gram_matrix(self, m, h):
         hh = hp(h)
         target = increment_covariance_matrix(IncrementGrid(m, 1.0), hh)
-        circ = fbm._synthesize_circulant(fbm._circulant_sqrt_eigs(m, hh),
-                                         np.eye(2 * m), m).T
+        circ = synthesize(m, hh, np.eye(2 * m)).T
         assert np.abs(circ @ circ.T - target).max() < 1e-12
         chol = fbm._cholesky_factor(m, hh)
         assert np.abs(chol @ chol.T - target).max() < 1e-12

@@ -20,6 +20,7 @@ from fracspde.solver import (
     SolverConfig,
     implicit_euler_step,
     linear_mild_reference,
+    linear_support,
     linear_weights,
     restrict_config,
     solve_endpoint,
@@ -413,6 +414,52 @@ class TestStochasticConvolution:
             exact = phi[k] ** 2 * form(w) + (w0 * xi[k]) ** 2
             se = sq[:, k].std(ddof=1) / math.sqrt(n_samples)
             assert abs(sq[:, k].mean() - exact) < 3 * se, k
+
+
+class TestLinearSupport:
+    """linear_weights on the tail that linear_support keeps."""
+
+    LAMS = [0.1, 1.0, 10.0, 100.0, 800.0, 2500.0, 1e4, 4e4]
+    RATIOS = [None, 1, 2, 64]
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("m", [2**10, 2**16])
+    def test_tail_is_the_full_vectors_tail(self, m, ratio):
+        tau = 1.0 / m
+        for lam in self.LAMS:
+            full, w0 = linear_weights(lam, tau, m, ratio)
+            support = linear_support(lam, tau, m, ratio)
+            tails = (range(1, m + 1) if m <= 2**10 else
+                     sorted({1, 2, 3, 63, 64, 65, support, m - 1, m}
+                            | {2**k for k in range(17) if 2**k <= m}))
+            for size in tails:
+                w, w0_tail = linear_weights(lam, tau, m, ratio, size)
+                assert w.tobytes() == full[m - size:].tobytes(), (lam, size)
+                assert w0_tail == w0
+
+    @pytest.mark.parametrize("ratio", RATIOS)
+    @pytest.mark.parametrize("m", [2**10, 2**16])
+    def test_dropped_weights_are_negligible(self, m, ratio):
+        # every weight left out is below 2^-64 of the largest, and the
+        # support keeps at most two blocks more than it must
+        tau, block = 1.0 / m, ratio or 1
+        for lam in self.LAMS:
+            full, _ = linear_weights(lam, tau, m, ratio)
+            cut = 2.0**-64 * full.max()
+            support = linear_support(lam, tau, m, ratio)
+            assert 1 <= support <= m
+            assert np.all(full[:m - support] < cut), lam
+            needed = m - np.argmax(full >= cut)
+            assert support <= min(m, needed + 2 * block), lam
+
+    def test_support_edges(self):
+        for ratio in (None, 1, 4):
+            assert linear_support(0.0, 0.25, 8, ratio) == 8
+            assert linear_support(1e-300, 0.25, 8, ratio) == 8
+            assert linear_support(1e300, 0.25, 8, ratio) == (ratio or 1) * 2
+        for tail in (0, 9):
+            with pytest.raises(ValueError, match="tail"):
+                linear_weights(2.0, 0.25, 8, None, tail)
 
 
 class TestLinearConsistency:

@@ -51,8 +51,8 @@ from fracspde.verify import (
     expected_temporal_rms_errors,
     isometry_analytic_rhs,
     linear_endpoint_moments,
-    toeplitz_bilinear,
 )
+from oracles import toeplitz_bilinear
 
 H_VALUES = [0.55, 0.75, 0.95]
 H = HurstParameter(0.75)
@@ -537,8 +537,82 @@ class TestOraclesAgainstPreRefactorFormulas:
                                    np.sqrt(total), rtol=self.RTOL)
 
 
-# Prints the mild reference and two exact oracles at criterion 8's shape,
-# where the forms sum 2^16 + 1 bins.
+class TestTruncatedForms:
+    """The oracles evaluate each form on the tail of its weight
+    difference that solver.linear_support keeps; with the support forced
+    to M they evaluate the full-length forms. The two agree at the shapes
+    of criterion 8, the desk temporal protocol and the resolved temporal
+    protocol, both presets."""
+
+    RTOL = 1e-14
+    PRESETS = ("she-trace", "she-identity")
+
+    @staticmethod
+    def both(oracle, monkeypatch):
+        truncated = oracle()
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "linear_support",
+                          lambda lam, tau, m_steps, ratio=None: m_steps)
+            full = oracle()
+        return truncated, full
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_mild_errors_criterion_8(self, preset, monkeypatch):
+        cfg = she_problem(preset, n_modes=16, m_steps=2**16, base_seed=777,
+                          with_nonlinearity=False)
+        got, full = self.both(
+            lambda: expected_mild_rms_errors(cfg, [256, 512, 1024]),
+            monkeypatch)
+        np.testing.assert_allclose(got, full, rtol=self.RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_desk_temporal(self, preset, monkeypatch):
+        cfg = she_problem(preset, n_modes=64, m_steps=2**12, base_seed=0,
+                          with_nonlinearity=False)
+        for oracle in (
+                lambda: expected_temporal_rms_errors(
+                    cfg, [2**6, 2**7, 2**8, 2**9, 2**10]),
+                lambda: expected_mild_rms_errors(cfg, [2**6, 2**10]),
+                lambda: expected_increment_rms(cfg, [1, 8, 64, 4095], 0.5),
+                lambda: np.concatenate(linear_endpoint_moments(cfg))):
+            got, full = self.both(oracle, monkeypatch)
+            np.testing.assert_allclose(got, full, rtol=self.RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_resolved_temporal(self, preset, monkeypatch):
+        cfg = she_problem(preset, n_modes=64, m_steps=2**16, base_seed=0,
+                          with_nonlinearity=False)
+        got, full = self.both(
+            lambda: expected_temporal_rms_errors(
+                cfg, [2**6, 2**7, 2**8, 2**9, 2**10]),
+            monkeypatch)
+        np.testing.assert_allclose(got, full, rtol=self.RTOL, atol=0.0)
+
+    def test_forms_are_per_call_and_per_size(self, monkeypatch):
+        # criterion 8's shape: one form per power-of-two size and M, each
+        # built once within one oracle call and again in the next
+        cfg = she_problem("she-trace", n_modes=16, m_steps=2**16,
+                          base_seed=777, with_nonlinearity=False)
+        built = []
+        form = verify._toeplitz_quadratic_form
+
+        def recording_form(gamma):
+            built.append(gamma.size)
+            return form(gamma)
+
+        monkeypatch.setattr(verify, "_toeplitz_quadratic_form",
+                            recording_form)
+        for _ in range(2):
+            expected_mild_rms_errors(cfg, [256, 512, 1024])
+            sizes, built = built, []
+            assert len(sizes) == len(set(sizes)) <= 17
+            assert all(size & (size - 1) == 0 for size in sizes)
+            assert sum(size + 1 for size in sizes) < 2 * (2**16 + 1)
+
+
+# Prints the mild reference and three exact oracles: two at criterion 8's
+# shape, where the largest forms sum 2^16 + 1 bins, and the desk temporal
+# one, whose forms have several sizes.
 THREADS_SCRIPT = """
 from fracspde import experiments, fbm, rng, solver, verify
 
@@ -549,6 +623,10 @@ fine = fbm.generate_cylindrical_fbm(
 print(repr(solver.linear_mild_reference(p, fine).coeffs.tolist()))
 print(repr(verify.expected_mild_rms_errors(p, [256, 512, 1024]).tolist()))
 print(repr(verify.expected_increment_rms(p, [8, 16, 32], 0.0).tolist()))
+desk = experiments.she_problem("she-trace", n_modes=64, m_steps=2**12,
+                               base_seed=0, with_nonlinearity=False)
+print(repr(verify.expected_temporal_rms_errors(
+    desk, [64, 128, 256, 512, 1024]).tolist()))
 """
 
 
@@ -565,7 +643,7 @@ def test_oracles_independent_of_blas_threads():
                               env=env, capture_output=True, text=True,
                               timeout=300, check=True)
         outputs.append(proc.stdout)
-    assert outputs[0].count("\n") == 3
+    assert outputs[0].count("\n") == 4
     assert outputs[0] == outputs[1]
 
 
