@@ -26,7 +26,6 @@ from .spectral import (
     NemytskiiMap,
     SpectralOperator,
     SpectralState,
-    apply_nemytskii,
     dirichlet_laplacian,
     identity_noise,
     inverse_sine_transform,
@@ -43,7 +42,6 @@ from .spectral import (
 from .solver import (
     SolverConfig,
     Trajectory,
-    implicit_euler_step,
     linear_mild_reference,
     solve_endpoint,
     solve_path,

@@ -29,7 +29,7 @@ from .fbm import (
 )
 from .parallel import default_workers
 from .rng import derive_seed, seed_words, standard_normal_rows
-from .solver import solve_path
+from .solver import solve_endpoint, solve_path
 from .spectral import sine_grid, sine_transform
 from .experiments import SHE_PRESETS, _fmt, she_problem
 
@@ -289,8 +289,11 @@ def _cmd_solve(args, parser) -> int:
     noise = generate_cylindrical_fbm(problem.n_modes, problem.grid(),
                                      problem.hurst, problem.base_seed,
                                      problem.fbm_method)
-    trajectory = solve_path(problem, noise)
-    end = trajectory.endpoint()
+    if cfg["save_trajectory"]:
+        trajectory = solve_path(problem, noise)
+        end = trajectory.endpoint()
+    else:
+        end = solve_endpoint(problem, noise)
     physical = sine_transform(end.coeffs)
     xs = sine_grid(problem.n_modes)
 

@@ -38,10 +38,23 @@ N = 600), and won at every size checked from 614 to 699 and at 1021,
 1031, 2039 and 4093 (that scan ran scipy's DST-I, the same FFT). The
 studies run N = 512 and 4096.
 
-Every sweep works in place on state buffers allocated once per call
-(ufuncs with ``out=``), with the step factor broadcast once to the
-state's shape; it runs the same operations in the same order as the
-per-step expressions in its docstring, so the buffers change no bits.
+Every sweep works in place on state buffers allocated once per call,
+with the step factor, tau and dst_scale broadcast once to the state's
+shape: a ufunc takes an array operand faster than a Python float, and
+the product or quotient has the same bits. Each kind runs its own lean
+loop over the segment's increment rows, ufuncs with positional ``out``
+and no helper call per step, and performs the same operations in the
+same order as the per-step expressions in its docstring, so the buffers
+change no bits and a block sweep equals the plain per-step block loop
+bit for bit. At the block shape of the regularity suite, (64, 8) with
+F = sin, the work of a step is two ``np.dot`` calls and one ``np.sin``;
+the rest is per-call overhead, which the lean loop trims. Measured per
+step on one thread (same VM and numpy; median of 21 alternating runs of
+16 sweeps of 256 steps, ranges over three such runs), a loop of the
+same operations with two helper calls per step and Python-float
+operands against the lean one: 12.4-16.0 against 11.5-13.8
+us at (64, 8) with F = sin, 162-176 against 153-174 us at (512, 8) with
+the FFT form, whose transform dominates its step.
 """
 
 import numpy as np
@@ -79,56 +92,56 @@ def euler_sweep(x0, step_factor, tau, dw_scaled, f_kind, f_scale, dst_mat,
     x = x0.copy()
     factor = np.broadcast_to(
         step_factor.reshape((-1,) + (1,) * (x.ndim - 1)), x.shape).copy()
+    scale = np.full(x.shape, dst_scale)
+    tau_x = np.full(x.shape, tau)
     u = np.empty_like(x)
     fx = np.empty_like(x)
     if f_kind == F_SIN_FFT:
         dst = _Dst1(x.shape[0], x.shape[1:])
+        head = dst.head
+    add, multiply, divide, dot, sin = (np.add, np.multiply, np.divide,
+                                       np.dot, np.sin)
     out = np.empty((len(stops),) + x.shape)
     start = 0
     for i, stop in enumerate(stops):
-        steps = range(start, stop)
+        rows = dw_scaled[start:stop]
         if f_kind == F_ZERO:
-            for m in steps:
-                np.add(x, dw_scaled[m], out=x)
-                np.multiply(factor, x, out=x)
+            for dw in rows:
+                add(x, dw, x)
+                multiply(factor, x, x)
         elif f_kind == F_SCALED:
-            for m in steps:
-                np.multiply(f_scale, x, out=fx)
-                np.multiply(tau, fx, out=fx)
-                _advance(x, fx, dw_scaled[m], factor)
+            for dw in rows:
+                multiply(f_scale, x, fx)
+                multiply(tau_x, fx, fx)
+                add(x, fx, fx)
+                add(fx, dw, fx)
+                multiply(factor, fx, x)
         elif f_kind == F_SIN:
-            for m in steps:
-                np.dot(dst_mat, x, out=u)
-                np.multiply(dst_scale, u, out=u)
-                np.sin(u, out=u)
-                np.dot(dst_mat, u, out=fx)
-                _sine_step(x, fx, dw_scaled[m], factor, tau, dst_scale)
+            for dw in rows:
+                dot(dst_mat, x, u)
+                multiply(scale, u, u)
+                sin(u, u)
+                dot(dst_mat, u, fx)
+                divide(fx, scale, fx)
+                multiply(tau_x, fx, fx)
+                add(x, fx, fx)
+                add(fx, dw, fx)
+                multiply(factor, fx, x)
         else:
-            for m in steps:
-                np.copyto(dst.head, x)
+            for dw in rows:
+                np.copyto(head, x)
                 dst(u)
-                np.multiply(dst_scale, u, out=u)
-                np.sin(u, out=dst.head)
+                multiply(scale, u, u)
+                sin(u, head)
                 dst(fx)
-                _sine_step(x, fx, dw_scaled[m], factor, tau, dst_scale)
+                divide(fx, scale, fx)
+                multiply(tau_x, fx, fx)
+                add(x, fx, fx)
+                add(fx, dw, fx)
+                multiply(factor, fx, x)
         out[i] = x
         start = stop
     return out
-
-
-def _sine_step(x, fx, dw, factor, tau, dst_scale):
-    """x <- factor * (x + tau*(fx/dst_scale) + dw), with fx holding the
-    unscaled inverse transform of sin(u); overwrites fx."""
-    np.divide(fx, dst_scale, out=fx)
-    np.multiply(tau, fx, out=fx)
-    _advance(x, fx, dw, factor)
-
-
-def _advance(x, tau_fx, dw, factor):
-    """x <- factor * (x + tau_fx + dw); overwrites tau_fx."""
-    np.add(x, tau_fx, out=tau_fx)
-    np.add(tau_fx, dw, out=tau_fx)
-    np.multiply(factor, tau_fx, out=x)
 
 
 class _Dst1:
@@ -154,9 +167,9 @@ class _Dst1:
         self._factor = -float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
 
     def __call__(self, out):
-        np.negative(self._reversed, out=self._tail)
+        np.negative(self._reversed, self._tail)
         np.fft.rfft(self._ext, axis=0, out=self._spec)
-        return np.multiply(self._bins, self._factor, out=out)
+        return np.multiply(self._bins, self._factor, out)
 
 
 def _dst1(x, axis=0):

@@ -33,14 +33,12 @@ from .spectral import (
     NemytskiiMap,
     SpectralOperator,
     SpectralState,
-    apply_nemytskii,
     sine_matrix,
 )
 
 __all__ = [
     "SolverConfig",
     "Trajectory",
-    "implicit_euler_step",
     "linear_mild_reference",
     "linear_support",
     "linear_weights",
@@ -125,22 +123,6 @@ class Trajectory:
         return SpectralState(coeffs=self.states[m], time=m * self.tau)
 
 
-def implicit_euler_step(x: SpectralState, tau: float, op: SpectralOperator,
-                        f: NemytskiiMap, noise: DiagonalNoiseOperator,
-                        dw: np.ndarray) -> SpectralState:
-    """One step of the scheme from state x with noise increment vector dw."""
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    n = x.n_modes
-    dw = np.asarray(dw, dtype=float)
-    if op.n_modes != n or noise.n_modes < n or dw.shape != (n,):
-        raise ValueError("dimension mismatch in implicit_euler_step")
-    factor = 1.0 / (1.0 + tau * op.eigenvalues)
-    fx = apply_nemytskii(f, x).coeffs
-    coeffs = factor * (x.coeffs + tau * fx + noise.amplitudes[:n] * dw)
-    return SpectralState(coeffs=coeffs, time=x.time + tau)
-
-
 def _check_noise_sample(config: SolverConfig, sample: CylindricalFbmSample,
                         fine: bool = False) -> None:
     """Reject a sample that cannot drive config: too few modes, another
@@ -165,8 +147,9 @@ def _scaled_increments(config: SolverConfig,
                        sample: CylindricalFbmSample) -> np.ndarray:
     """(M, n_modes) array whose row m holds phi_n * dW_{n,m}."""
     n = config.n_modes
-    amps = config.noise.amplitudes[:n]
-    return np.ascontiguousarray((amps[:, None] * sample.values[:n]).T)
+    out = np.empty((config.m_steps, n))
+    return np.multiply(sample.values[:n].T, config.noise.amplitudes[:n],
+                       out=out)
 
 
 def _sweep_setup(config: SolverConfig):
@@ -219,7 +202,7 @@ def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
                                *sweep, stops)
 
 
-# Size of one block's scaled increments, (M, N, B) doubles, and the most
+# Size of one block's increments, M*N*B doubles, and the most
 # samples in one block. Peak memory, not speed, sets both: B = 4 at N = 64,
 # M = 2^14 and B = 8 at N = 32; the cap keeps small problems (the desk
 # spatial reference, N = 512 and M = 200) from sweeping every sample in
@@ -235,9 +218,10 @@ def _sample_blocks(config: SolverConfig, samples: int,
     Sample s draws from derive_seed(base_seed, SAMPLE_STREAM, s). Block
     membership follows the sample index and config's (M, N) only, never
     the worker count, so results are identical for any number of workers.
-    A block's raw (M, N, B) increments fit in _BLOCK_BYTES; the
-    regularity estimators fill that one buffer once for all the presets
-    of a call (_solve_presets), so B does not depend on their number.
+    A block's M*N*B increments fit in _BLOCK_BYTES; the regularity
+    estimators fill that one raw (N, B, M) buffer (_unit_increments)
+    once for all the presets of a call (_solve_presets), so B does not
+    depend on their number.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -313,41 +297,61 @@ _SWEEP_CHUNK_BYTES = 2**20
 
 
 def _unit_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
-    """The raw (M, N, B) fBm of a block: _block_increments with every
-    amplitude 1, an exact product."""
-    unit = replace(config.noise, amplitudes=np.ones(config.n_modes))
-    return _block_increments(replace(config, noise=unit), seeds)
+    """The raw fBm of a block in the sampler's own layout: an (N, B, M)
+    array whose entry [k, s] is mode k of the sample with seeds[s], the
+    increment_rows row of key mode_keys(seeds, N)[k, s], bit for bit.
+
+    The sampler writes the N*B rows, mode-major, straight into the array,
+    so no scaled or transposed copy is made (each preset's amplitudes
+    are applied by _solve_presets). Its chunks hold whole modes, B rows
+    each, as _block_increments draws them: fewer, larger chunks than
+    increment_rows' own, which draws faster.
+    """
+    n, b, m = config.n_modes, len(seeds), config.m_steps
+    rows = np.empty((n, b, m))
+    for _ in _increment_chunks(config.grid(), config.hurst,
+                               mode_keys(seeds, n).ravel(),
+                               config.fbm_method,
+                               _chunk_rows(m, config.fbm_method, b),
+                               out=rows.reshape(n * b, m)):
+        pass
+    return rows
 
 
 def _solve_presets(configs: list, dw: np.ndarray, stops) -> np.ndarray:
     """States at ``stops`` of a block of samples under every config.
 
     The configs differ in noise only (_check_presets), and dw holds the
-    block's raw (M, N, B) increments (_unit_increments; a view of its
-    leading modes serves a restricted config). All P presets are swept as
-    one (N, P*B) state, column p*B + s being preset p on sample s, a
-    chunk of steps at a time: the chunk's scratch holds
-    phi_p[n] * dW[m, n, s], the product _block_increments writes, so each
-    column's scaled increments keep their bits, and no (M, N, P*B) buffer
-    is built. ``stops`` are nondecreasing step indices in [0, M]. Returns
-    a (len(stops), N, P, B) array.
+    block's raw (N, B, M) increments in the sampler's layout
+    (_unit_increments; its leading modes, dw[:n], serve a restricted
+    config). All P presets are swept as one (N, P*B) state, column
+    p*B + s being preset p on sample s, a chunk of steps at a time: the
+    chunk's (steps, N, P*B) scratch holds phi_p[n] * dW[n, s, m], the
+    product _block_increments writes, so each column's scaled increments
+    keep their bits, and no (M, N, P*B) buffer is built. Each product is
+    taken over the sampler's contiguous rows and then copied, transposed,
+    into the scratch: a product that reads the rows transposed is about
+    three times slower. ``stops`` are nondecreasing step indices in
+    [0, M]. Returns a (len(stops), N, P, B) array.
     """
     config = configs[0]
-    n, m, b = config.n_modes, config.m_steps, dw.shape[2]
+    n, m, b = config.n_modes, config.m_steps, dw.shape[1]
     stops = [int(k) for k in stops]
-    amps = [c.noise.amplitudes[:n, None] for c in configs]
+    amps = [c.noise.amplitudes[:n, None, None] for c in configs]
     width = len(configs) * b
     x, step_factor, *sweep = _sweep_setup(config)
     x = np.repeat(x[:, None], width, axis=1)
     chunk = min(m, max(1, _SWEEP_CHUNK_BYTES // (8 * n * width)))
     scratch = np.empty((chunk, n, width))
+    products = np.empty((n, b, chunk))
     out = np.empty((len(stops), n, width))
     done = 0
     for m0 in range(0, m, chunk):
         m1 = min(m0 + chunk, m)
-        rows = scratch[:m1 - m0]
+        rows, product = scratch[:m1 - m0], products[:, :, :m1 - m0]
         for p, amp in enumerate(amps):
-            np.multiply(amp, dw[m0:m1], out=rows[:, :, p * b:(p + 1) * b])
+            np.multiply(amp, dw[:, :, m0:m1], out=product)
+            rows[:, :, p * b:(p + 1) * b] = product.transpose(2, 0, 1)
         upto = bisect.bisect_right(stops, m1, lo=done)
         states = kernels.euler_sweep(
             x, step_factor, config.tau, rows, *sweep,
@@ -372,10 +376,16 @@ def solve_endpoint(config: SolverConfig,
                    noise_sample: CylindricalFbmSample) -> SpectralState:
     """Run the scheme on one noise sample, storing nothing but the final
     state (the convergence studies sweep blocks of samples through
-    solve_stops instead)."""
+    solve_stops instead).
+
+    Raises FloatingPointError when the final state is not finite.
+    """
     _check_noise_sample(config, noise_sample)
     coeffs = solve_stops(config, _scaled_increments(config, noise_sample),
                          (config.m_steps,))[0]
+    if not np.isfinite(coeffs).all():
+        raise FloatingPointError(
+            f"non-finite state at the endpoint, step {config.m_steps}")
     return SpectralState(coeffs=coeffs, time=config.m_steps * config.tau)
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "NemytskiiMap",
     "SpectralOperator",
     "SpectralState",
-    "apply_nemytskii",
     "dirichlet_laplacian",
     "identity_noise",
     "inverse_sine_transform",
@@ -306,13 +305,3 @@ def inverse_sine_transform(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
     return kernels._dst1(values, axis=-1) / math.sqrt(n + 1)
-
-
-def apply_nemytskii(f: NemytskiiMap, x: SpectralState) -> SpectralState:
-    """F(x) in coefficients; pointwise kinds go through the sine grid."""
-    if f.kind == "zero":
-        return SpectralState(coeffs=np.zeros_like(x.coeffs), time=x.time)
-    if f.kind == "identity_scaled":
-        return SpectralState(coeffs=f.lipschitz_bound * x.coeffs, time=x.time)
-    u = sine_transform(x.coeffs)
-    return SpectralState(coeffs=inverse_sine_transform(np.sin(u)), time=x.time)

@@ -516,7 +516,7 @@ def _space_regularity_block(args) -> np.ndarray:
     out = np.empty((len(configs), len(seeds), len(deltas), len(n_ladder)))
     for j, n in enumerate(n_ladder):
         end = _solve_presets([restrict_config(c, n_modes=n) for c in configs],
-                             dw[:, :n, :], (configs[0].m_steps,))[0]
+                             dw[:n], (configs[0].m_steps,))[0]
         _require_finite(end, first)
         for i, delta in enumerate(deltas):
             out[:, :, i, j] = _weighted_sums(lam[:n] ** delta, end)

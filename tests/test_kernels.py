@@ -35,24 +35,26 @@ def sweep_args(n_modes, m_steps, f_kind, samples=None):
 
 
 def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, mat, scale):
-    """The scheme one step at a time for one sample: all M+1 states."""
+    """The scheme one step at a time, for one sample (x0 (N,)) or a block
+    (x0 (N, S), each product a matrix-matrix one): all M+1 states."""
     if f_kind == kernels.F_SIN_FFT:  # scipy's DST-I is the reference
         dst = pytest.importorskip("scipy.fft").dst
+    f = step_factor.reshape((-1,) + (1,) * (x0.ndim - 1))
     states = [x0]
     x = x0
     for m in range(dw.shape[0]):
         if f_kind == kernels.F_ZERO:
-            x = step_factor * (x + dw[m])
+            x = f * (x + dw[m])
         elif f_kind == kernels.F_SCALED:
-            x = step_factor * (x + tau * (f_scale * x) + dw[m])
+            x = f * (x + tau * (f_scale * x) + dw[m])
         elif f_kind == kernels.F_SIN:
             u = scale * np.dot(mat, x)
             fx = np.dot(mat, np.sin(u)) / scale
-            x = step_factor * (x + tau * fx + dw[m])
+            x = f * (x + tau * fx + dw[m])
         else:
-            u = scale * dst(x, type=1, norm="ortho")
-            fx = dst(np.sin(u), type=1, norm="ortho") / scale
-            x = step_factor * (x + tau * fx + dw[m])
+            u = scale * dst(x, type=1, norm="ortho", axis=0)
+            fx = dst(np.sin(u), type=1, norm="ortho", axis=0) / scale
+            x = f * (x + tau * fx + dw[m])
         states.append(x)
     return np.array(states)
 
@@ -100,6 +102,19 @@ def test_block_matches_single_samples(f_kind):
                                      *args[4:], stops)
         err = np.max(np.abs(block[..., s] - single))
         assert err <= 1e-14 * np.max(np.abs(single)), (s, err)
+
+
+@pytest.mark.parametrize("samples", [1, 3, 8])
+@pytest.mark.parametrize("f_kind", F_KINDS)
+def test_block_keeps_operation_order(f_kind, samples):
+    """A block sweep runs the plain per-step block loop's operations in
+    its order: every state agrees bit for bit, both F = sin forms too.
+    At N = 32, x / sqrt(N+1) and x * (1 / sqrt(N+1)) differ in about
+    half of the entries, so a reordered step shows within 64 steps."""
+    args = sweep_args(32, 64, f_kind, samples=samples)
+    out = kernels.euler_sweep(*args, range(65))
+    assert out.shape == (65, 32, samples)
+    assert np.array_equal(out, step_loop(*args))
 
 
 @pytest.mark.parametrize("stops", [(8, 4), (-1, 4), (4, 17)])

@@ -18,7 +18,6 @@ from fracspde.fbm import (
 from fracspde.rng import SAMPLE_STREAM, derive_seed
 from fracspde.solver import (
     SolverConfig,
-    implicit_euler_step,
     linear_mild_reference,
     linear_support,
     linear_weights,
@@ -39,6 +38,7 @@ from fracspde.spectral import (
     zero_noise,
 )
 from fracspde.verify import check_lambda_phi_bound
+from oracles import implicit_euler_step
 
 H = HurstParameter(0.75)
 RNG = np.random.default_rng(77)
@@ -199,6 +199,9 @@ class TestSolvePath:
             with pytest.raises(FloatingPointError,
                                match="non-finite state at step"):
                 solve_path(cfg, noise_for(cfg))
+            with pytest.raises(FloatingPointError,
+                               match="non-finite state at the endpoint"):
+                solve_endpoint(cfg, noise_for(cfg))
 
     def test_increment_shape_rejected(self):
         cfg = make_config(n=4, m=8)
@@ -227,6 +230,27 @@ class TestBlockIncrements:
             sample = generate_cylindrical_fbm(7, cfg.grid(), H, seed, method)
             assert np.array_equal(dw[:, :, s],
                                   solver._scaled_increments(cfg, sample))
+
+    # two circulant rows' normals (four Cholesky rows): a block of 7 * b
+    # rows spans two to seven chunks of whole modes, for either method
+    TINY_BUDGET = 2 * 2 * 12 * 8
+
+    @pytest.mark.parametrize("budget", [None, TINY_BUDGET])
+    @pytest.mark.parametrize("b", [1, 3, 4])
+    @pytest.mark.parametrize("method", ["circulant", "cholesky"])
+    def test_raw_rows_are_the_samplers_rows(self, method, b, budget,
+                                            monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", budget)
+        cfg = make_config(n=7, m=12, method=method)
+        seeds = tuple(derive_seed(9, SAMPLE_STREAM, s) for s in range(b))
+        rows = solver._unit_increments(cfg, seeds)
+        assert rows.shape == (7, b, 12)
+        keys = mode_keys(seeds, 7)
+        for k in range(7):
+            for s in range(b):
+                alone = increment_rows(cfg.grid(), H, [keys[k, s]], method)
+                assert np.array_equal(rows[k, s], alone[0]), (k, s)
 
 
 class TestFastSineSwitch:

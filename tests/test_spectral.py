@@ -18,7 +18,6 @@ from fracspde.spectral import (
     DiagonalNoiseOperator,
     SpectralOperator,
     SpectralState,
-    apply_nemytskii,
     dirichlet_laplacian,
     identity_noise,
     inverse_sine_transform,
@@ -33,6 +32,7 @@ from fracspde.spectral import (
     zero_map,
     zero_noise,
 )
+from oracles import apply_nemytskii
 
 RNG = np.random.default_rng(20240810)
 
