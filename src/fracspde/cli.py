@@ -308,8 +308,11 @@ def _cmd_solve(args, parser) -> int:
 
     if cfg["save_trajectory"]:
         traj_path = out_dir / f"solve_{cfg['preset']}_{tag}_trajectory.csv"
-        rows = [",".join(_fmt(c) for c in row) for row in trajectory.states]
-        traj_path.write_text("\n".join(rows) + "\n")
+        # row by row: the text of all rows would take several times the
+        # states' memory
+        with traj_path.open("w") as out:
+            out.writelines(",".join(_fmt(c) for c in row) + "\n"
+                           for row in trajectory.states)
         artifacts.append(traj_path)
 
     _write_manifest(out_dir, "solve", tag, cfg, cfg["seed"], artifacts,

@@ -214,12 +214,23 @@ def check_method(method: str, m_steps: int) -> None:
         )
 
 
+# every cache that clear_caches empties: this module's and verify's
+_CACHES = []
+
+
+def _bounded_cache(fn):
+    """functools.lru_cache of 8 entries, emptied by clear_caches."""
+    cached = functools.lru_cache(maxsize=8)(fn)
+    _CACHES.append(cached)
+    return cached
+
+
 def clear_caches() -> None:
-    _cholesky_factor.cache_clear()
-    _circulant_bins.cache_clear()
+    for cached in _CACHES:
+        cached.cache_clear()
 
 
-@functools.lru_cache(maxsize=8)
+@_bounded_cache
 def _cholesky_factor(m: int, h: HurstParameter) -> np.ndarray:
     check_method("cholesky", m)
     gamma = _fgn_covariance_seq(m - 1, h)
@@ -255,7 +266,7 @@ class _CirculantBins(NamedTuple):
     neg_amp: np.ndarray  # -amp
 
 
-@functools.lru_cache(maxsize=8)
+@_bounded_cache
 def _circulant_bins(m: int, h: HurstParameter) -> _CirculantBins:
     sqrt_eigs = np.sqrt(circulant_eigenvalues(_fgn_covariance_seq(m, h)))
     amp = sqrt_eigs[1:m] / np.sqrt(4 * m)

@@ -490,18 +490,32 @@ def linear_mild_reference(config: SolverConfig,
     numpy's pairwise sum (no BLAS dot, whose bits depend on its thread
     count). Serves as the oracle independent of the implicit Euler path
     in the linear case.
+
+    Only the last linear_support weights of a mode are built; their
+    products go into the tail of a zero-filled buffer of all M entries,
+    which is summed whole. The full length keeps the pairwise sum's tree,
+    so a dropped product (below 2^-64 of the largest weight times its
+    increment) changes a coefficient only if it would have survived the
+    rounding of that tree: at criterion 8's shape no coefficient moved.
+    A sum over the tail alone would regroup the terms and move last bits.
     """
     if config.nonlinearity.kind != "zero":
         raise ValueError("linear_mild_reference requires F = 0")
     _check_noise_sample(config, fine_sample, fine=True)
     n = config.n_modes
     grid = fine_sample.grid
+    m, tau = grid.m_steps, grid.tau
     lam = config.operator.eigenvalues[:n]
     phi = config.noise.amplitudes[:n]
     xi = config.initial.coeffs[:n]
     coeffs = np.empty(n)
+    products = np.zeros(m)
+    zero_below = m  # products[:zero_below] holds zeros only
     for k in range(n):
-        w, w0 = linear_weights(lam[k], grid.tau, grid.m_steps)
-        np.multiply(w, fine_sample.values[k], out=w)
-        coeffs[k] = w0 * xi[k] + phi[k] * np.sum(w)
+        cut = m - linear_support(lam[k], tau, m)
+        products[zero_below:cut] = 0.0
+        zero_below = cut
+        w, w0 = linear_weights(lam[k], tau, m, tail=m - cut)
+        np.multiply(w, fine_sample.values[k, cut:], out=products[cut:])
+        coeffs[k] = w0 * xi[k] + phi[k] * np.sum(products)
     return SpectralState(coeffs=coeffs, time=config.horizon)

@@ -24,6 +24,12 @@ difference d = h + t (h the dropped head, t the kept tail) then moves by
 the larger weight vector's largest; at the shapes of criterion 8 and of
 the desk and resolved temporal protocols the oracles moved by at most
 2.1e-16 relative from their full-length forms (tested within 1e-14).
+
+The forms are evaluated on unit-amplitude weight differences and scaled
+by phi_n^2 per preset. They depend only on the eigenvalues, the grid
+(tau, M, H) and the rungs or lags, so _unit_forms caches them
+(fbm.clear_caches empties it): a second preset on the same grid runs no
+FFT.
 """
 
 from dataclasses import dataclass
@@ -33,6 +39,7 @@ import numpy as np
 from .fbm import (
     HurstParameter,
     IncrementGrid,
+    _bounded_cache,
     _chunk_rows,
     _fgn_covariance_seq,
     _increment_chunks,
@@ -262,20 +269,16 @@ def _toeplitz_quadratic_form(gamma: np.ndarray):
     return form
 
 
-def _linear_response(config: SolverConfig):
-    """(lambda, phi, xi, Toeplitz form) of the F = 0 scheme on config's grid.
+def _grid_form(tau: float, m_steps: int, hurst: HurstParameter):
+    """The Toeplitz form of the increment covariance of a grid of m_steps
+    steps of length tau.
 
-    Every endpoint statistic of the linear scheme is a quadratic form in
-    the grid's increments, whose covariance the returned form applies.
     form(d) takes the weights of the last d.size increments only: fGn is
     stationary, so their covariance is the leading d.size block of the
-    grid's. The form of each size is built once per call of an oracle
-    (at most ceil(log2 M) + 1 sizes; see _form_size).
+    grid's. The form of each size is built on first use (at most
+    ceil(log2 M) + 1 sizes; see _form_size).
     """
-    n = config.n_modes
-    gamma = config.tau ** (2.0 * config.hurst.h) * _fgn_covariance_seq(
-        config.m_steps - 1, config.hurst
-    )
+    gamma = tau ** (2.0 * hurst.h) * _fgn_covariance_seq(m_steps - 1, hurst)
     forms = {}
 
     def form(d: np.ndarray) -> float:
@@ -283,8 +286,7 @@ def _linear_response(config: SolverConfig):
             forms[d.size] = _toeplitz_quadratic_form(gamma[:d.size])
         return forms[d.size](d)
 
-    return (config.operator.eigenvalues[:n], config.noise.amplitudes[:n],
-            config.initial.coeffs[:n], form)
+    return form
 
 
 def _form_size(support: int, m_steps: int) -> int:
@@ -294,18 +296,52 @@ def _form_size(support: int, m_steps: int) -> int:
     return min(m_steps, 1 << (support - 1).bit_length())
 
 
-def linear_endpoint_moments(config: SolverConfig):
-    """Exact per-mode (mean, variance) of the F = 0 scheme endpoint."""
-    lam, phi, xi, form = _linear_response(config)
-    m, tau = config.m_steps, config.tau
-    means = np.empty(lam.size)
-    variances = np.empty(lam.size)
+@_bounded_cache
+def _unit_forms(build, lam: bytes, tau: float, m_steps: int,
+                hurst: HurstParameter, arg):
+    """build(lam, tau, m_steps, form, arg) as two read-only (N, K) arrays.
+
+    The F = 0 oracles differ between presets only in the amplitudes phi
+    and the initial coefficients xi, so each is assembled from per-mode
+    parts that depend on neither: forms[i, k], the Toeplitz form of mode
+    i's unit-amplitude weight difference for the k-th rung or lag, and
+    decays[i, k], the matching difference of the weights of xi_i. They
+    are cached by every value they depend on (the eigenvalues as bytes);
+    a second preset on the same grid builds no form.
+    """
+    parts = build(np.frombuffer(lam), tau, m_steps,
+                  _grid_form(tau, m_steps, hurst), arg)
+    for array in parts:
+        array.flags.writeable = False
+    return parts
+
+
+def _response(config: SolverConfig, build, arg):
+    """(lambda, phi, xi, forms, decays) of the F = 0 scheme on config's
+    grid, the last two from _unit_forms(build, ..., arg)."""
+    n = config.n_modes
+    lam = config.operator.eigenvalues[:n]
+    forms, decays = _unit_forms(build, lam.tobytes(), config.tau,
+                                config.m_steps, config.hurst, arg)
+    return (lam, config.noise.amplitudes[:n], config.initial.coeffs[:n],
+            forms, decays)
+
+
+def _endpoint_forms(lam, tau, m, form, _):
+    """Column 0: the form of the scheme's weights and their w0."""
+    forms = np.empty((lam.size, 1))
+    decays = np.empty((lam.size, 1))
     for i in range(lam.size):
         size = _form_size(linear_support(lam[i], tau, m, 1), m)
-        w, w0 = linear_weights(lam[i], tau, m, 1, size)
-        means[i] = w0 * xi[i]
-        variances[i] = phi[i] ** 2 * form(w)
-    return means, variances
+        w, decays[i, 0] = linear_weights(lam[i], tau, m, 1, size)
+        forms[i, 0] = form(w)
+    return forms, decays
+
+
+def linear_endpoint_moments(config: SolverConfig):
+    """Exact per-mode (mean, variance) of the F = 0 scheme endpoint."""
+    _, phi, xi, forms, decays = _response(config, _endpoint_forms, None)
+    return decays[:, 0] * xi, phi**2 * forms[:, 0]
 
 
 def expected_sobolev_rms(config: SolverConfig, delta: float) -> float:
@@ -327,24 +363,12 @@ def expected_spatial_rms_errors(template: SolverConfig,
     return np.array([np.sqrt(np.sum(second[n:])) for n in ladder])
 
 
-def _coarse_rms_errors(template: SolverConfig, ladder: list,
-                       reference_ratio) -> np.ndarray:
-    """Exact RMS errors of coarse scheme runs against a linear reference.
-
-    The reference and every ladder run are linear maps of the template's
-    fine increments (solver.linear_weights: ``reference_ratio`` None for
-    the mild solution, 1 for the fine scheme; step ratio M_ref / M for a
-    rung). Each error is a Toeplitz quadratic form in the weight
-    difference on the support of both weights (_form_size), summed over
-    modes.
-    """
-    lam, phi, xi, form = _linear_response(template)
-    m_fine, tau = template.m_steps, template.tau
-    for m in ladder:
-        if m_fine % m:
-            raise ValueError(f"ladder step count {m} does not divide "
-                             f"{m_fine}")
-    err2 = np.zeros(len(ladder))
+def _coarse_forms(lam, tau, m_fine, form, arg):
+    """One column per rung: the form of the reference weights minus the
+    rung's, on the support of both (_form_size)."""
+    reference_ratio, ladder = arg
+    forms = np.empty((lam.size, len(ladder)))
+    decays = np.empty((lam.size, len(ladder)))
     for i in range(lam.size):
         support = linear_support(lam[i], tau, m_fine, reference_ratio)
         sizes = [_form_size(max(support, linear_support(
@@ -353,8 +377,31 @@ def _coarse_rms_errors(template: SolverConfig, ladder: list,
                                           reference_ratio, max(sizes))
         for k, (m, size) in enumerate(zip(ladder, sizes)):
             w, decay = linear_weights(lam[i], tau, m_fine, m_fine // m, size)
-            d = phi[i] * (w_ref[w_ref.size - size:] - w)
-            err2[k] += form(d) + ((decay_ref - decay) * xi[i]) ** 2
+            forms[i, k] = form(w_ref[w_ref.size - size:] - w)
+            decays[i, k] = decay_ref - decay
+    return forms, decays
+
+
+def _coarse_rms_errors(template: SolverConfig, ladder: list,
+                       reference_ratio) -> np.ndarray:
+    """Exact RMS errors of coarse scheme runs against a linear reference.
+
+    The reference and every ladder run are linear maps of the template's
+    fine increments (solver.linear_weights: ``reference_ratio`` None for
+    the mild solution, 1 for the fine scheme; step ratio M_ref / M for a
+    rung). Each error is phi^2 times a Toeplitz quadratic form in the
+    unit weight difference (_coarse_forms), plus the initial value's
+    term, summed over modes.
+    """
+    for m in ladder:
+        if template.m_steps % m:
+            raise ValueError(f"ladder step count {m} does not divide "
+                             f"{template.m_steps}")
+    _, phi, xi, forms, decays = _response(
+        template, _coarse_forms, (reference_ratio, tuple(ladder)))
+    err2 = np.zeros(len(ladder))
+    for i in range(phi.size):
+        err2 += phi[i] ** 2 * forms[i] + (decays[i] * xi[i]) ** 2
     return np.sqrt(err2)
 
 
@@ -383,17 +430,13 @@ def expected_mild_rms_errors(template: SolverConfig,
     return _coarse_rms_errors(template, ladder, None)
 
 
-def expected_increment_rms(config: SolverConfig, lag_steps: list,
-                           delta: float) -> np.ndarray:
-    """Exact L^2(Omega; V_delta) norm of X(T) - X(T - L*tau), F = 0."""
-    lam, phi, xi, form = _linear_response(config)
-    m, tau = config.m_steps, config.tau
-    for lag in lag_steps:
-        if not 1 <= lag < m:
-            raise ValueError(f"lag {lag} out of range [1, {m})")
-    total = np.zeros(len(lag_steps))
+def _increment_forms(lam, tau, m, form, lag_steps):
+    """One column per lag L: the form of the endpoint's weights minus
+    those of X(T - L tau), which are the weights of m - L steps shifted
+    back by L."""
+    forms = np.empty((lam.size, len(lag_steps)))
+    decays = np.empty((lam.size, len(lag_steps)))
     for i in range(lam.size):
-        # the lagged weights are those of m - lag steps, shifted back by lag
         support = linear_support(lam[i], tau, m, 1)
         sizes = [_form_size(min(m, lag + support), m) for lag in lag_steps]
         w_end, decay_end = linear_weights(lam[i], tau, m, 1, max(sizes))
@@ -401,9 +444,23 @@ def expected_increment_rms(config: SolverConfig, lag_steps: list,
             w_lag = np.zeros(size)
             w_lag[: size - lag], decay_lag = linear_weights(
                 lam[i], tau, m - lag, 1, size - lag)
-            d = phi[i] * (w_end[w_end.size - size:] - w_lag)
-            mean_diff = (decay_end - decay_lag) * xi[i]
-            total[k] += lam[i] ** delta * (form(d) + mean_diff**2)
+            forms[i, k] = form(w_end[w_end.size - size:] - w_lag)
+            decays[i, k] = decay_end - decay_lag
+    return forms, decays
+
+
+def expected_increment_rms(config: SolverConfig, lag_steps: list,
+                           delta: float) -> np.ndarray:
+    """Exact L^2(Omega; V_delta) norm of X(T) - X(T - L*tau), F = 0."""
+    for lag in lag_steps:
+        if not 1 <= lag < config.m_steps:
+            raise ValueError(f"lag {lag} out of range [1, {config.m_steps})")
+    lam, phi, xi, forms, decays = _response(
+        config, _increment_forms, tuple(int(lag) for lag in lag_steps))
+    total = np.zeros(len(lag_steps))
+    for i in range(lam.size):
+        total += lam[i] ** delta * (phi[i] ** 2 * forms[i]
+                                    + (decays[i] * xi[i]) ** 2)
     return np.sqrt(total)
 
 

@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -90,6 +93,28 @@ class TestSolve:
         first = [float(x) for x in rows[0].split(",")]
         assert first[0] == pytest.approx(0.7071067811865476, rel=1e-15)
         assert first[1:] == [0.0, 0.0, 0.0]
+
+    def test_trajectory_peak_memory_near_states_size(self, tmp_path):
+        # each run's peak RSS from os.wait4; the trajectory run may hold
+        # its (M + 1, N) states and little else beyond the endpoint run
+        modes, steps = 64, 2**16
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        peaks = []
+        for extra in ([], ["--save-trajectory"]):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "fracspde.cli", "solve", "--modes",
+                 str(modes), "--steps", str(steps), "--out-dir",
+                 str(tmp_path), "--tag", "m"] + extra,
+                env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            assert status == 0
+            peaks.append(usage.ru_maxrss * 1024)  # KiB on Linux
+        states = (steps + 1) * modes * 8
+        assert peaks[1] - peaks[0] <= 2 * states
+        rows = (tmp_path / "solve_she-trace_m_trajectory.csv").read_bytes()
+        assert rows.count(b"\n") == steps + 1
 
     def test_endpoint_csv_shape(self, tmp_path):
         assert run_cli(["solve", "--preset", "she-identity", "--modes", 8,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracspde import fbm
+from fracspde import fbm, verify
 from fracspde.fbm import (
     CirculantEmbeddingError,
     CylindricalFbmSample,
@@ -366,17 +366,25 @@ class TestFactorLimits:
             increment_rows(IncrementGrid(4, 0.25), hp(), [1], "wavelet")
 
     def test_caches_are_bounded(self):
+        # with verify's unit oracle forms, filled here by a stub builder
+        def build(lam, tau, m, form, arg):
+            return np.zeros((lam.size, 1)), np.zeros((lam.size, 1))
+
+        caches = (fbm._cholesky_factor, fbm._circulant_bins,
+                  verify._unit_forms)
         fbm.clear_caches()
         for m in range(1, 13):
             fbm._cholesky_factor(m, hp())
             fbm._circulant_bins(m, hp())
-        for cached in (fbm._cholesky_factor, fbm._circulant_bins):
+            verify._unit_forms(build, np.ones(2).tobytes(), 0.5, m, hp(),
+                               None)
+        for cached in caches:
             info = cached.cache_info()
             assert info.maxsize == 8
             assert info.currsize == 8
         fbm.clear_caches()
-        assert fbm._cholesky_factor.cache_info().currsize == 0
-        assert fbm._circulant_bins.cache_info().currsize == 0
+        for cached in caches:
+            assert cached.cache_info().currsize == 0
 
 
 HURST = st.floats(min_value=0.51, max_value=0.99)

@@ -37,6 +37,7 @@ from fracspde.spectral import (
     zero_map,
     zero_noise,
 )
+from fracspde.experiments import she_problem
 from fracspde.verify import check_lambda_phi_bound
 from oracles import implicit_euler_step
 
@@ -432,7 +433,9 @@ class TestStochasticConvolution:
                 grid=cfg.grid(), values=rows[s], hurst=H,
                 base_seed=int(seeds[s]), method="circulant")).coeffs ** 2
             for s in range(n_samples)])
-        lam, phi, xi, form = verify._linear_response(cfg)
+        lam, phi, xi = (cfg.operator.eigenvalues, cfg.noise.amplitudes,
+                        cfg.initial.coeffs)
+        form = verify._grid_form(cfg.tau, cfg.m_steps, cfg.hurst)
         for k in range(3):
             w, w0 = linear_weights(lam[k], cfg.tau, 256)
             exact = phi[k] ** 2 * form(w) + (w0 * xi[k]) ** 2
@@ -484,6 +487,54 @@ class TestLinearSupport:
         for tail in (0, 9):
             with pytest.raises(ValueError, match="tail"):
                 linear_weights(2.0, 0.25, 8, None, tail)
+
+
+def full_length_mild_reference(cfg, fine):
+    """linear_mild_reference contracting all M weights of every mode."""
+    n, grid = cfg.n_modes, fine.grid
+    coeffs = np.empty(n)
+    for k in range(n):
+        w, w0 = linear_weights(cfg.operator.eigenvalues[k], grid.tau,
+                               grid.m_steps)
+        coeffs[k] = (w0 * cfg.initial.coeffs[k] + cfg.noise.amplitudes[k]
+                     * np.sum(w * fine.values[k]))
+    return coeffs
+
+
+class TestMildReferenceSupport:
+    """linear_mild_reference builds only the weights linear_support keeps,
+    and sums their products in a full-length buffer."""
+
+    @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
+    def test_bits_of_full_contraction_at_criterion_8(self, preset):
+        # a sum over the support alone regroups the pairwise tree and
+        # moves last bits here
+        cfg = she_problem(preset, n_modes=16, m_steps=2**16, base_seed=777,
+                          with_nonlinearity=False)
+        for s in range(12):
+            fine = generate_cylindrical_fbm(
+                16, cfg.grid(), H, derive_seed(777, SAMPLE_STREAM, s))
+            got = linear_mild_reference(cfg, fine).coeffs
+            assert got.tobytes() == full_length_mild_reference(
+                cfg, fine).tobytes(), s
+
+    @pytest.mark.parametrize("m", [2**10, 2**16])
+    def test_agrees_across_lambda(self, m):
+        # the supports shrink from mode to mode, so the buffer's head must
+        # be cleared of the previous mode's products
+        lams = np.array([0.1, 1.0, 10.0, 100.0, 800.0, 2500.0, 1e4, 4e4])
+        cfg = SolverConfig(
+            n_modes=8, m_steps=4, horizon=1.0, hurst=H,
+            operator=SpectralOperator(eigenvalues=lams),
+            noise=identity_noise(8), nonlinearity=zero_map(),
+            initial=SpectralState(coeffs=np.linspace(1.0, -1.0, 8)),
+            base_seed=5)
+        for seed in range(4):
+            fine = generate_cylindrical_fbm(8, IncrementGrid(m, 1.0 / m), H,
+                                            seed)
+            np.testing.assert_allclose(
+                linear_mild_reference(cfg, fine).coeffs,
+                full_length_mild_reference(cfg, fine), rtol=1e-15, atol=0.0)
 
 
 class TestLinearConsistency:

@@ -549,11 +549,16 @@ class TestTruncatedForms:
 
     @staticmethod
     def both(oracle, monkeypatch):
+        # the cached unit forms are those of the support in force when
+        # they were built, so each side starts from an empty cache
+        fbm.clear_caches()
         truncated = oracle()
         with monkeypatch.context() as patch:
             patch.setattr(verify, "linear_support",
                           lambda lam, tau, m_steps, ratio=None: m_steps)
+            fbm.clear_caches()
             full = oracle()
+        fbm.clear_caches()
         return truncated, full
 
     @pytest.mark.parametrize("preset", PRESETS)
@@ -588,9 +593,10 @@ class TestTruncatedForms:
             monkeypatch)
         np.testing.assert_allclose(got, full, rtol=self.RTOL, atol=0.0)
 
-    def test_forms_are_per_call_and_per_size(self, monkeypatch):
+    def test_forms_are_per_grid_and_per_size(self, monkeypatch):
         # criterion 8's shape: one form per power-of-two size and M, each
-        # built once within one oracle call and again in the next
+        # built once for the grid; the next call reads the cached unit
+        # forms and builds none
         cfg = she_problem("she-trace", n_modes=16, m_steps=2**16,
                           base_seed=777, with_nonlinearity=False)
         built = []
@@ -602,26 +608,106 @@ class TestTruncatedForms:
 
         monkeypatch.setattr(verify, "_toeplitz_quadratic_form",
                             recording_form)
-        for _ in range(2):
-            expected_mild_rms_errors(cfg, [256, 512, 1024])
-            sizes, built = built, []
-            assert len(sizes) == len(set(sizes)) <= 17
-            assert all(size & (size - 1) == 0 for size in sizes)
-            assert sum(size + 1 for size in sizes) < 2 * (2**16 + 1)
+        fbm.clear_caches()
+        expected_mild_rms_errors(cfg, [256, 512, 1024])
+        assert len(built) == len(set(built)) <= 17
+        assert all(size & (size - 1) == 0 for size in built)
+        assert sum(size + 1 for size in built) < 2 * (2**16 + 1)
+        built.clear()
+        expected_mild_rms_errors(cfg, [256, 512, 1024])
+        assert built == []
 
 
-# Prints the mild reference and three exact oracles: two at criterion 8's
-# shape, where the largest forms sum 2^16 + 1 bins, and the desk temporal
-# one, whose forms have several sizes.
+class TestSharedUnitForms:
+    """The oracles assemble each preset's value from unit-amplitude forms
+    cached per grid (verify._unit_forms)."""
+
+    @staticmethod
+    def problem(preset="she-trace", **overrides):
+        shape = dict(n_modes=16, m_steps=2**12, base_seed=777,
+                     with_nonlinearity=False)
+        return she_problem(preset, **{**shape, **overrides})
+
+    def test_second_preset_runs_no_fft(self, monkeypatch):
+        fbm.clear_caches()
+        first = self.problem("she-trace", m_steps=2**16)
+        expected_mild_rms_errors(first, [256, 512, 1024])
+        calls = []
+        rfft = np.fft.rfft
+
+        def counting_rfft(*args, **kwargs):
+            calls.append(args[0].size)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        second = self.problem("she-identity", m_steps=2**16)
+        expected_mild_rms_errors(second, [256, 512, 1024])
+        assert calls == []
+
+    def test_cached_oracles_match_uncached(self, monkeypatch):
+        # a run of oracles that differ from the first in one value the
+        # forms depend on each (preset, reference, ladder, H, tau, M,
+        # eigenvalues, lags), evaluated through the cache and without it
+        base = self.problem()
+        calls = [
+            lambda: expected_mild_rms_errors(base, [256, 512, 1024]),
+            lambda: expected_mild_rms_errors(
+                self.problem("she-identity"), [256, 512, 1024]),
+            lambda: expected_temporal_rms_errors(base, [256, 512, 1024]),
+            lambda: expected_mild_rms_errors(base, [256, 1024]),
+            lambda: expected_mild_rms_errors(
+                self.problem(hurst=0.6), [256, 512, 1024]),
+            lambda: expected_mild_rms_errors(
+                self.problem(horizon=2.0), [256, 512, 1024]),
+            lambda: expected_mild_rms_errors(
+                self.problem(m_steps=2**13), [256, 512, 1024]),
+            lambda: expected_mild_rms_errors(
+                dataclasses.replace(base, operator=dataclasses.replace(
+                    base.operator,
+                    eigenvalues=2.0 * base.operator.eigenvalues)),
+                [256, 512, 1024]),
+            lambda: expected_increment_rms(base, [8, 16, 32], 0.5),
+            lambda: expected_increment_rms(base, [8, 16, 64], 0.5),
+            lambda: np.concatenate(linear_endpoint_moments(base)),
+            lambda: expected_sobolev_rms(self.problem("she-identity"), 0.5),
+        ]
+        fbm.clear_caches()
+        cached = [call() for call in calls]
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_unit_forms",
+                          verify._unit_forms.__wrapped__)
+            uncached = [call() for call in calls]
+        for k, (got, expected) in enumerate(zip(cached, uncached)):
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0,
+                                       err_msg=str(k))
+
+    def test_unit_forms_are_read_only(self):
+        fbm.clear_caches()
+        cfg = self.problem()
+        expected_mild_rms_errors(cfg, [256, 512])
+        forms, decays = verify._unit_forms(
+            verify._coarse_forms, cfg.operator.eigenvalues[:16].tobytes(),
+            cfg.tau, cfg.m_steps, cfg.hurst, (None, (256, 512)))
+        assert verify._unit_forms.cache_info().hits == 1
+        for array in (forms, decays):
+            assert array.shape == (16, 2)
+            assert not array.flags.writeable
+
+
+# Prints the mild reference of both presets and four exact oracles: three
+# at criterion 8's shape, where the largest forms sum 2^16 + 1 bins (the
+# second preset's from the unit forms the first one cached), and the desk
+# temporal one, whose forms have several sizes.
 THREADS_SCRIPT = """
 from fracspde import experiments, fbm, rng, solver, verify
 
-p = experiments.she_problem("she-trace", n_modes=16, m_steps=2**16,
-                            base_seed=777, with_nonlinearity=False)
-fine = fbm.generate_cylindrical_fbm(
-    16, p.grid(), p.hurst, rng.derive_seed(777, rng.SAMPLE_STREAM, 0))
-print(repr(solver.linear_mild_reference(p, fine).coeffs.tolist()))
-print(repr(verify.expected_mild_rms_errors(p, [256, 512, 1024]).tolist()))
+for preset in ("she-identity", "she-trace"):
+    p = experiments.she_problem(preset, n_modes=16, m_steps=2**16,
+                                base_seed=777, with_nonlinearity=False)
+    fine = fbm.generate_cylindrical_fbm(
+        16, p.grid(), p.hurst, rng.derive_seed(777, rng.SAMPLE_STREAM, 0))
+    print(repr(solver.linear_mild_reference(p, fine).coeffs.tolist()))
+    print(repr(verify.expected_mild_rms_errors(p, [256, 512, 1024]).tolist()))
 print(repr(verify.expected_increment_rms(p, [8, 16, 32], 0.0).tolist()))
 desk = experiments.she_problem("she-trace", n_modes=64, m_steps=2**12,
                                base_seed=0, with_nonlinearity=False)
@@ -643,7 +729,7 @@ def test_oracles_independent_of_blas_threads():
                               env=env, capture_output=True, text=True,
                               timeout=300, check=True)
         outputs.append(proc.stdout)
-    assert outputs[0].count("\n") == 4
+    assert outputs[0].count("\n") == 6
     assert outputs[0] == outputs[1]
 
 
