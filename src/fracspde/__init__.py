@@ -9,17 +9,13 @@ the driving noise is sampled exactly (Cholesky or circulant embedding).
 __version__ = "0.1.0"
 
 from .fbm import (
-    CirculantEmbeddingError,
     CylindricalFbmSample,
     HurstParameter,
     IncrementGrid,
     aggregate_cylindrical,
-    fbm_covariance,
     generate_cylindrical_fbm,
     increment_covariance,
-    increment_covariance_matrix,
     increment_rows,
-    kernel_phi,
 )
 from .spectral import (
     DiagonalNoiseOperator,
@@ -28,11 +24,7 @@ from .spectral import (
     SpectralState,
     dirichlet_laplacian,
     identity_noise,
-    inverse_sine_transform,
-    l2_norm,
-    noise_regularity_sum,
     sine_transform,
-    sobolev_norm,
     trace_class_noise,
     zero_map,
     scaled_identity_map,

@@ -47,13 +47,10 @@ __all__ = [
     "IncrementGrid",
     "aggregate_cylindrical",
     "check_method",
-    "fbm_covariance",
     "fgn_covariance",
     "generate_cylindrical_fbm",
     "increment_covariance",
-    "increment_covariance_matrix",
     "increment_rows",
-    "kernel_phi",
     "mode_keys",
 ]
 
@@ -122,27 +119,6 @@ class CylindricalFbmSample:
         return self.values.shape[0]
 
 
-def fbm_covariance(s: float, t: float, h: HurstParameter) -> float:
-    """fBm covariance R_H(s, t) = 0.5 (s^{2H} + t^{2H} - |t-s|^{2H})."""
-    if s < 0 or t < 0:
-        raise ValueError("fbm_covariance requires s, t >= 0")
-    p = 2.0 * h.h
-    return 0.5 * (s**p + t**p - abs(t - s) ** p)
-
-
-def kernel_phi(y: float, h: HurstParameter) -> float:
-    """Covariance kernel alpha_H |y|^{2H-2}; singular at y = 0.
-
-    Callers never integrate across y = 0 numerically: diagonal cells use
-    the closed form tau^{2H} instead.
-    """
-    y = np.asarray(y, dtype=float)
-    if np.any(y == 0.0):
-        raise ValueError("kernel_phi is singular at y = 0")
-    out = h.alpha_h * np.abs(y) ** (2.0 * h.h - 2.0)
-    return out if out.ndim else float(out)
-
-
 def fgn_covariance(k: int, h: HurstParameter) -> float:
     """Autocovariance of unit-spacing fGn at lag k (variance 1 at k=0)."""
     k = abs(int(k))
@@ -166,14 +142,6 @@ def _fgn_covariance_seq(m: int, h: HurstParameter) -> np.ndarray:
     k = np.arange(m + 1, dtype=float)
     p = 2.0 * h.h
     return 0.5 * ((k + 1) ** p - 2.0 * k**p + np.abs(k - 1) ** p)
-
-
-def increment_covariance_matrix(grid: IncrementGrid,
-                                h: HurstParameter) -> np.ndarray:
-    """Full analytic M x M increment covariance (Toeplitz)."""
-    gamma = grid.tau ** (2.0 * h.h) * _fgn_covariance_seq(grid.m_steps - 1, h)
-    idx = np.arange(grid.m_steps)
-    return gamma[np.abs(idx[:, None] - idx[None, :])]
 
 
 # ---------------------------------------------------------------------------

@@ -23,44 +23,22 @@ __all__ = [
     "SpectralState",
     "dirichlet_laplacian",
     "identity_noise",
-    "inverse_sine_transform",
-    "l2_norm",
-    "noise_regularity_sum",
     "scaled_identity_map",
     "sine_grid",
     "sine_map",
     "sine_matrix",
     "sine_transform",
-    "sobolev_norm",
     "trace_class_noise",
     "zero_map",
     "zero_noise",
 ]
 
-DIRICHLET_EXTENSION = "dirichlet"
-
-
-def _dirichlet_eigenvalue(n: np.ndarray) -> np.ndarray:
-    return (np.pi * n) ** 2
-
-
-# Eigenvalue formulas usable beyond the stored truncation (tail sums).
-# Keyed by name so operators stay picklable for process pools.
-_EXTENSIONS = {DIRICHLET_EXTENSION: _dirichlet_eigenvalue}
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralOperator:
-    """Positive self-adjoint operator given by its eigenvalue sequence.
-
-    ``extension`` optionally names a formula for eigenvalues beyond the
-    stored truncation, needed only for tail sums such as
-    noise_regularity_sum.
-    """
+    """Positive self-adjoint operator given by its eigenvalue sequence."""
 
     eigenvalues: np.ndarray
-    description: str = "custom"
-    extension: str | None = None
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)
@@ -68,34 +46,19 @@ class SpectralOperator:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
         if lam[0] <= 0 or np.any(np.diff(lam) < 0):
             raise ValueError("eigenvalues must be positive and nondecreasing")
-        if self.extension is not None and self.extension not in _EXTENSIONS:
-            raise ValueError(f"unknown eigenvalue extension {self.extension!r}")
         object.__setattr__(self, "eigenvalues", lam)
 
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
-    def eigenvalues_upto(self, k_max: int) -> np.ndarray:
-        """lambda_1 .. lambda_{k_max}, using the extension formula if needed."""
-        if k_max <= self.n_modes:
-            return self.eigenvalues[:k_max]
-        if self.extension is None:
-            raise ValueError(
-                f"operator stores {self.n_modes} eigenvalues and declares no "
-                f"extension formula; cannot reach k_max={k_max}"
-            )
-        return _EXTENSIONS[self.extension](np.arange(1, k_max + 1, dtype=float))
-
 
 def dirichlet_laplacian(n_modes: int) -> SpectralOperator:
     """Dirichlet Laplacian on (0,1): lambda_n = (n pi)^2, e_n = sqrt(2) sin(n pi x)."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    lam = _dirichlet_eigenvalue(np.arange(1, n_modes + 1, dtype=float))
-    return SpectralOperator(eigenvalues=lam,
-                            description="dirichlet-laplacian-(0,1)",
-                            extension=DIRICHLET_EXTENSION)
+    n = np.arange(1, n_modes + 1, dtype=float)
+    return SpectralOperator(eigenvalues=(np.pi * n) ** 2)
 
 
 NOISE_KINDS = ("identity", "trace_class_logsq", "custom")
@@ -130,19 +93,6 @@ class DiagonalNoiseOperator:
     @property
     def n_modes(self) -> int:
         return self.amplitudes.size
-
-    def amplitudes_upto(self, k_max: int) -> np.ndarray:
-        """phi_1 .. phi_{k_max}, extending by the kind's formula if needed."""
-        if k_max <= self.n_modes:
-            return self.amplitudes[:k_max]
-        if self.kind == "identity":
-            return np.ones(k_max)
-        if self.kind == "trace_class_logsq":
-            return _trace_class_amplitudes(k_max)
-        raise ValueError(
-            f"custom noise stores {self.n_modes} amplitudes; cannot reach "
-            f"k_max={k_max}"
-        )
 
 
 def _trace_class_amplitudes(n_modes: int) -> np.ndarray:
@@ -220,44 +170,6 @@ def sine_map() -> NemytskiiMap:
 
 
 # ---------------------------------------------------------------------------
-# coefficientwise operations
-
-
-def _check_dims(op: SpectralOperator, x: SpectralState) -> None:
-    if op.n_modes != x.n_modes:
-        raise ValueError(
-            f"dimension mismatch: operator has {op.n_modes} modes, state has "
-            f"{x.n_modes}"
-        )
-
-
-def l2_norm(x: SpectralState) -> float:
-    """L2 norm of the represented function (Parseval)."""
-    return float(np.linalg.norm(x.coeffs))
-
-
-def sobolev_norm(op: SpectralOperator, delta: float, x: SpectralState) -> float:
-    """Norm of V_delta = dom(A^{delta/2}): ||lambda^{delta/2} coeffs||."""
-    _check_dims(op, x)
-    return float(np.linalg.norm(op.eigenvalues ** (delta / 2.0) * x.coeffs))
-
-
-def noise_regularity_sum(op: SpectralOperator, phi: DiagonalNoiseOperator,
-                         beta: float, k_max: int) -> float:
-    """Partial sum of ||A^{(beta-1)/2} Phi||^2_{HS}: sum lambda_n^{beta-1} phi_n^2.
-
-    Stabilizing partial sums certify a beta as admissible; growth past
-    any bound flags the admissibility boundary (e.g. beta >= 1/2 for
-    Q = I in one dimension).
-    """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    lam = op.eigenvalues_upto(k_max)
-    amp = phi.amplitudes_upto(k_max)
-    return float(np.sum(lam ** (beta - 1.0) * amp**2))
-
-
-# ---------------------------------------------------------------------------
 # interior sine-grid transforms (Dirichlet collocation)
 
 
@@ -298,10 +210,3 @@ def sine_transform(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[-1]
     return math.sqrt(n + 1) * kernels._dst1(coeffs, axis=-1)
-
-
-def inverse_sine_transform(values: np.ndarray) -> np.ndarray:
-    """Recover coefficients from sine-grid values (exact round trip)."""
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    return kernels._dst1(values, axis=-1) / math.sqrt(n + 1)

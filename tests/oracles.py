@@ -4,21 +4,77 @@ They judge fast paths in fracspde without sharing their code: the
 Toeplitz bilinear form here, a matrix-vector product of its own, checks
 the support-truncated quadratic forms of fracspde.verify, and the
 one-step scheme (implicit_euler_step with apply_nemytskii) checks the
-Euler sweep of fracspde.kernels.
+Euler sweep of fracspde.kernels. The analytic covariances (fbm_covariance,
+increment_covariance_matrix) are the targets of the sampler tests, and
+the norms measure the semigroup and the projection.
 """
+
+import math
 
 import numpy as np
 
+from fracspde import kernels
+from fracspde.fbm import HurstParameter, IncrementGrid, _fgn_covariance_seq
 from fracspde.spectral import (
     DiagonalNoiseOperator,
     NemytskiiMap,
     SpectralOperator,
     SpectralState,
-    inverse_sine_transform,
     sine_transform,
 )
 
-__all__ = ["apply_nemytskii", "implicit_euler_step", "toeplitz_bilinear"]
+__all__ = [
+    "apply_nemytskii",
+    "fbm_covariance",
+    "implicit_euler_step",
+    "increment_covariance_matrix",
+    "inverse_sine_transform",
+    "l2_norm",
+    "sobolev_norm",
+    "toeplitz_bilinear",
+]
+
+
+def fbm_covariance(s: float, t: float, h: HurstParameter) -> float:
+    """fBm covariance R_H(s, t) = 0.5 (s^{2H} + t^{2H} - |t-s|^{2H})."""
+    if s < 0 or t < 0:
+        raise ValueError("fbm_covariance requires s, t >= 0")
+    p = 2.0 * h.h
+    return 0.5 * (s**p + t**p - abs(t - s) ** p)
+
+
+def increment_covariance_matrix(grid: IncrementGrid,
+                                h: HurstParameter) -> np.ndarray:
+    """Full analytic M x M increment covariance (Toeplitz)."""
+    gamma = grid.tau ** (2.0 * h.h) * _fgn_covariance_seq(grid.m_steps - 1, h)
+    idx = np.arange(grid.m_steps)
+    return gamma[np.abs(idx[:, None] - idx[None, :])]
+
+
+def _check_dims(op: SpectralOperator, x: SpectralState) -> None:
+    if op.n_modes != x.n_modes:
+        raise ValueError(
+            f"dimension mismatch: operator has {op.n_modes} modes, state has "
+            f"{x.n_modes}"
+        )
+
+
+def l2_norm(x: SpectralState) -> float:
+    """L2 norm of the represented function (Parseval)."""
+    return float(np.linalg.norm(x.coeffs))
+
+
+def sobolev_norm(op: SpectralOperator, delta: float, x: SpectralState) -> float:
+    """Norm of V_delta = dom(A^{delta/2}): ||lambda^{delta/2} coeffs||."""
+    _check_dims(op, x)
+    return float(np.linalg.norm(op.eigenvalues ** (delta / 2.0) * x.coeffs))
+
+
+def inverse_sine_transform(values: np.ndarray) -> np.ndarray:
+    """Recover coefficients from sine-grid values (exact round trip)."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    return kernels._dst1(values, axis=-1) / math.sqrt(n + 1)
 
 
 def _toeplitz_matvec(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:

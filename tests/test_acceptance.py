@@ -53,7 +53,6 @@ from fracspde.fbm import (
     IncrementGrid,
     aggregate_cylindrical,
     generate_cylindrical_fbm,
-    increment_covariance_matrix,
 )
 from fracspde.rng import SAMPLE_STREAM, derive_seed
 from fracspde.solver import (
@@ -61,6 +60,7 @@ from fracspde.solver import (
     restrict_config,
     solve_endpoint,
 )
+from oracles import increment_covariance_matrix
 
 H_GRID = [0.55, 0.75, 0.95]
 H = HurstParameter(0.75)

@@ -1,7 +1,8 @@
 """Every exported name resolves: each module's __all__, every name the
 package's __init__ re-exports from its modules, and every fracspde name
-the benchmark's workload script calls. Test-only references live in
-tests/oracles.py, not in the package."""
+the benchmark's workload script calls. The package re-exports only what
+a CLI command reaches or the reachability audit allow-lists. Test-only
+references live in tests/oracles.py, not in the package."""
 
 import ast
 import importlib
@@ -37,6 +38,25 @@ def test_package_reexports_resolve():
                 assert alias.name in module.__all__, (node.module, alias.name)
 
 
+def test_package_reexports_only_reached_or_allowed_names():
+    """A re-exported function is reached by the audit's commands or is on
+    its allow-list; a re-exported class has a method that is (its body,
+    which runs at import, does not count)."""
+    from test_reachability import ALLOWED, defined_functions, probe
+
+    _, reached = probe()
+    kept = (reached | set(ALLOWED)) & set(defined_functions())
+    tree = ast.parse(Path(fracspde.__file__).read_text())
+    names = [f"{node.module}.{alias.name}" for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names]
+    assert names
+    orphans = [name for name in names
+               if name not in kept
+               and not any(key.startswith(name + ".") for key in kept)]
+    assert orphans == []
+
+
 def test_benchmark_workload_calls_resolve():
     """Every attribute that perfbench/workload.py reads from a fracspde
     module it imports (fbm, solver, verify, rng, experiments, cli,
@@ -67,7 +87,7 @@ def test_test_oracles_live_outside_the_package():
     import oracles
 
     assert oracles.__all__
-    for name in oracles.__all__ + ["_toeplitz_matvec"]:
+    for name in oracles.__all__ + ["_toeplitz_matvec", "_check_dims"]:
         assert hasattr(oracles, name)
         for module in MODULES:
             assert not hasattr(importlib.import_module(f"fracspde.{module}"),

@@ -14,15 +14,13 @@ from fracspde.fbm import (
     HurstParameter,
     IncrementGrid,
     aggregate_cylindrical,
-    fbm_covariance,
     generate_cylindrical_fbm,
     increment_covariance,
-    increment_covariance_matrix,
     increment_rows,
-    kernel_phi,
     mode_keys,
 )
 from fracspde.rng import MODE_STREAM, derive_seed
+from oracles import fbm_covariance, increment_covariance_matrix
 
 H_VALUES = [0.55, 0.75, 0.95]
 
@@ -112,36 +110,6 @@ class TestFbmCovariance:
         prods = inc[:, 0] * (inc[:, 0] + inc[:, 1])
         se = prods.std(ddof=1) / math.sqrt(n)
         assert abs(prods.mean() - math.sqrt(2.0)) < 3 * se
-
-
-class TestKernelPhi:
-    def test_unit_argument_gives_alpha(self):
-        assert kernel_phi(1.0, hp()) == 0.375
-
-    @pytest.mark.parametrize("h", H_VALUES)
-    def test_even(self, h):
-        assert kernel_phi(-2.0, hp(h)) == kernel_phi(2.0, hp(h))
-
-    def test_half_argument_frozen(self):
-        assert kernel_phi(0.5, hp()) == pytest.approx(
-            0.5303300858899107, rel=1e-15
-        )
-
-    def test_singularity_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_phi(0.0, hp())
-
-    def test_matches_mixed_derivative_of_covariance(self):
-        # phi(t-s) = d^2 R_H / ds dt away from the diagonal
-        h = hp()
-        s0, t0, eps = 1.0, 1.5, 1e-4
-        mixed = (
-            fbm_covariance(s0 + eps, t0 + eps, h)
-            - fbm_covariance(s0 + eps, t0 - eps, h)
-            - fbm_covariance(s0 - eps, t0 + eps, h)
-            + fbm_covariance(s0 - eps, t0 - eps, h)
-        ) / (4 * eps**2)
-        assert mixed == pytest.approx(kernel_phi(t0 - s0, h), rel=1e-6)
 
 
 class TestIncrementCovariance:

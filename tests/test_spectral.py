@@ -1,5 +1,5 @@
 """Spectral calculus: operator, semigroup and step factor as the solver
-applies them, transforms, noise sums."""
+applies them, transforms, norms."""
 
 import math
 
@@ -20,19 +20,20 @@ from fracspde.spectral import (
     SpectralState,
     dirichlet_laplacian,
     identity_noise,
-    inverse_sine_transform,
-    l2_norm,
-    noise_regularity_sum,
     scaled_identity_map,
     sine_map,
     sine_matrix,
     sine_transform,
-    sobolev_norm,
     trace_class_noise,
     zero_map,
     zero_noise,
 )
-from oracles import apply_nemytskii
+from oracles import (
+    apply_nemytskii,
+    inverse_sine_transform,
+    l2_norm,
+    sobolev_norm,
+)
 
 RNG = np.random.default_rng(20240810)
 
@@ -56,11 +57,6 @@ class TestDirichletLaplacian:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             dirichlet_laplacian(0)
-
-    def test_extension_beyond_stored(self):
-        op = dirichlet_laplacian(4)
-        lam = op.eigenvalues_upto(10)
-        assert lam[9] == pytest.approx((10 * math.pi) ** 2, rel=1e-15)
 
     def test_custom_operator_validation(self):
         with pytest.raises(ValueError):
@@ -197,35 +193,6 @@ class TestNoiseOperators:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
             DiagonalNoiseOperator(amplitudes=np.array([-1.0]), beta=1.0)
-
-    def test_custom_cannot_extend(self):
-        noise = DiagonalNoiseOperator(amplitudes=np.ones(3), beta=1.0)
-        with pytest.raises(ValueError):
-            noise.amplitudes_upto(5)
-
-
-class TestNoiseRegularitySum:
-    def test_identity_beta_zero_is_basel(self):
-        op = dirichlet_laplacian(4)
-        total = noise_regularity_sum(op, identity_noise(4), 0.0, 100000)
-        assert total == pytest.approx(1.0 / 6.0, abs=2e-6)
-
-    def test_trace_class_beta_one_cauchy(self):
-        op = dirichlet_laplacian(4)
-        noise = trace_class_noise(4)
-        sums = [noise_regularity_sum(op, noise, 1.0, k)
-                for k in (1000, 10000, 100000)]
-        assert sums[0] < sums[1] < sums[2]
-        assert sums[1] - sums[0] > sums[2] - sums[1]
-        assert sums[2] == pytest.approx(2.0228839425785248, rel=1e-12)
-
-    def test_identity_beta_above_half_diverges(self):
-        op = dirichlet_laplacian(4)
-        noise = identity_noise(4)
-        s3 = noise_regularity_sum(op, noise, 0.6, 1000)
-        s4 = noise_regularity_sum(op, noise, 0.6, 10000)
-        assert (s4 - s3) / s3 > 0.01
-        assert s3 == pytest.approx(6.191061131257803, rel=1e-12)
 
 
 class TestSineTransform:

@@ -18,7 +18,6 @@ from fracspde.fbm import (
     IncrementGrid,
     generate_cylindrical_fbm,
     increment_covariance,
-    increment_covariance_matrix,
     increment_rows,
     mode_keys,
 )
@@ -52,7 +51,7 @@ from fracspde.verify import (
     isometry_analytic_rhs,
     linear_endpoint_moments,
 )
-from oracles import toeplitz_bilinear
+from oracles import increment_covariance_matrix, toeplitz_bilinear
 
 H_VALUES = [0.55, 0.75, 0.95]
 H = HurstParameter(0.75)
