@@ -33,8 +33,6 @@ from .spectral import (
 )
 from .solver import (
     SolverConfig,
-    Trajectory,
     linear_mild_reference,
     solve_endpoint,
-    solve_path,
 )

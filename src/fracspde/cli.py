@@ -29,7 +29,7 @@ from .fbm import (
 )
 from .parallel import default_workers
 from .rng import derive_seed, seed_words, standard_normal_rows
-from .solver import solve_endpoint, solve_path
+from .solver import _solve_block, solve_endpoint
 from .spectral import sine_grid, sine_transform
 from .experiments import SHE_PRESETS, _fmt, she_problem
 
@@ -290,18 +290,24 @@ def _cmd_solve(args, parser) -> int:
                                      problem.hurst, problem.base_seed,
                                      problem.fbm_method)
     if cfg["save_trajectory"]:
-        trajectory = solve_path(problem, noise)
-        end = trajectory.endpoint()
+        states = _solve_block([problem], noise.values[:, None, :],
+                              [(problem.n_modes, 1)],
+                              range(problem.m_steps + 1))[0][:, :, 0, 0]
+        bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+        if bad.size:
+            raise FloatingPointError(
+                f"non-finite state at step {bad[0]} of {problem.m_steps}")
+        coeffs = states[-1]
     else:
-        end = solve_endpoint(problem, noise)
-    physical = sine_transform(end.coeffs)
+        coeffs = solve_endpoint(problem, noise).coeffs
+    physical = sine_transform(coeffs)
     xs = sine_grid(problem.n_modes)
 
     artifacts = []
     end_path = out_dir / f"solve_{cfg['preset']}_{tag}.csv"
     lines = ["mode,coefficient,grid_x,physical_value"]
     for n in range(problem.n_modes):
-        lines.append(f"{n + 1},{_fmt(end.coeffs[n])},{_fmt(xs[n])},"
+        lines.append(f"{n + 1},{_fmt(coeffs[n])},{_fmt(xs[n])},"
                      f"{_fmt(physical[n])}")
     end_path.write_text("\n".join(lines) + "\n")
     artifacts.append(end_path)
@@ -311,13 +317,13 @@ def _cmd_solve(args, parser) -> int:
         # row by row: the text of all rows would take several times the
         # states' memory
         with traj_path.open("w") as out:
-            out.writelines(",".join(_fmt(c) for c in row) + "\n"
-                           for row in trajectory.states)
+            out.writelines(",".join(map(_fmt, row.tolist())) + "\n"
+                           for row in states)
         artifacts.append(traj_path)
 
     _write_manifest(out_dir, "solve", tag, cfg, cfg["seed"], artifacts,
                     started)
-    print(f"endpoint L2 norm {np.linalg.norm(end.coeffs):.6f}; "
+    print(f"endpoint L2 norm {np.linalg.norm(coeffs):.6f}; "
           f"wrote {end_path}")
     return 0
 

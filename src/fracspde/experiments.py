@@ -19,15 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fbm import HurstParameter, _aggregate_values
+from .fbm import HurstParameter
 from .parallel import parallel_map
 from .solver import (
     SolverConfig,
-    _block_increments,
     _require_finite,
     _sample_blocks,
-    restrict_config,
-    solve_stops,
+    _solve_block,
+    _unit_increments,
 )
 from .spectral import (
     SpectralState,
@@ -206,26 +205,22 @@ def _study_block(args) -> np.ndarray:
     """Per-sample errors, (B, rungs), of one block of consecutive samples.
 
     The reference and every rung sweep the block's (N, B) states driven by
-    one (M, N, B) increment buffer: a temporal rung sums the buffer's
-    fine increments by its step ratio, a spatial rung reads its leading
-    modes.
+    its raw increments in one solver._solve_block call: a temporal rung
+    m is (N, M // m), the fine increments summed M // m at a time, a
+    spatial rung n is (n, 1), the leading n modes.
     """
     study, first, seeds = args
     template = study.problem
-    m_ref = template.m_steps
-    dw = _block_increments(template, seeds)
-    ref = solve_stops(template, dw, (m_ref,))[0]
-    errors = np.empty((len(seeds), len(study.ladder)))
-    for j, rung in enumerate(study.ladder):
-        if study.axis == "temporal":
-            diff = ref - solve_stops(
-                restrict_config(template, m_steps=rung),
-                _aggregate_values(dw, m_ref // rung, axis=0), (rung,))[0]
-        else:
-            diff = ref.copy()
-            diff[:rung] -= solve_stops(
-                restrict_config(template, n_modes=rung), dw[:, :rung, :],
-                (m_ref,))[0]
+    n_ref, m_ref = template.n_modes, template.m_steps
+    rungs = [(n_ref, m_ref // r) if study.axis == "temporal" else (r, 1)
+             for r in study.ladder]
+    ends = _solve_block([template], _unit_increments(template, seeds),
+                        [(n_ref, 1)] + rungs, (m_ref,))
+    ref = ends[0][0, :, 0]
+    errors = np.empty((len(seeds), len(rungs)))
+    for j, ((n, _), end) in enumerate(zip(rungs, ends[1:])):
+        diff = ref.copy()
+        diff[:n] -= end[0, :, 0]
         errors[:, j] = [np.linalg.norm(d) for d in diff.T]
     _require_finite(errors.T, first)
     return errors

@@ -2,9 +2,10 @@
 
 The time-stepping loop has a hard sequential dependence, so per-step
 overhead dominates once the mode count is small. ``euler_sweep`` is the one
-sweep behind endpoints, trajectories and the regularity estimators: it
-advances one sample (an (N,) state) or a block of samples (an (N, S)
-state) and keeps only the states at the step indices a caller asks for.
+sweep, and ``solver._solve_block`` its one caller, behind endpoints,
+trajectories, the studies and the regularity estimators: it advances one
+sample (an (N,) state) or a block of samples (an (N, S) state) and keeps
+only the states at the step indices a caller asks for.
 For one sample its loop performs the same operations, in the same order,
 as a plain per-step loop; a block turns each matrix-vector product into a
 matrix-matrix product, whose results can differ from the per-sample ones
@@ -23,7 +24,7 @@ relative), not bit for bit. The FFT form equals
 ``scipy.fft.dst(type=1, norm="ortho")`` bit for bit: both run pocketfft's
 real FFT of the odd extension and scale by 1/sqrt(2(N+1)) computed in
 long double, so numpy alone carries the transform and no run imports
-scipy. ``solver.solve_stops`` picks F_SIN_FFT at N >=
+scipy. ``solver._sweep_setup`` picks F_SIN_FFT at N >=
 ``_FAST_SINE_MIN_MODES`` = 512 and F_SIN below it; the kind is fixed per
 sweep, so no step branches on N. Measured per step on one thread
 (2-vCPU VM whose speed swings up to 1.7x, numpy 2.4, numpy's DST-I; best

@@ -23,6 +23,7 @@ from .fbm import (
     CylindricalFbmSample,
     HurstParameter,
     IncrementGrid,
+    _aggregate_values,
     _chunk_rows,
     _increment_chunks,
     mode_keys,
@@ -38,14 +39,11 @@ from .spectral import (
 
 __all__ = [
     "SolverConfig",
-    "Trajectory",
     "linear_mild_reference",
     "linear_support",
     "linear_weights",
     "restrict_config",
     "solve_endpoint",
-    "solve_path",
-    "solve_stops",
 ]
 
 _F_CODES = {"zero": kernels.F_ZERO, "identity_scaled": kernels.F_SCALED,
@@ -110,19 +108,6 @@ def restrict_config(config: SolverConfig, n_modes: int | None = None,
                    m_steps=config.m_steps if m_steps is None else m_steps)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """All M+1 states of one solve as an (M+1, N) array, row m at time
-    m * tau."""
-
-    states: np.ndarray
-    tau: float
-
-    def endpoint(self) -> SpectralState:
-        m = self.states.shape[0] - 1
-        return SpectralState(coeffs=self.states[m], time=m * self.tau)
-
-
 def _check_noise_sample(config: SolverConfig, sample: CylindricalFbmSample,
                         fine: bool = False) -> None:
     """Reject a sample that cannot drive config: too few modes, another
@@ -143,19 +128,16 @@ def _check_noise_sample(config: SolverConfig, sample: CylindricalFbmSample,
                          f"config horizon {config.horizon}")
 
 
-def _scaled_increments(config: SolverConfig,
-                       sample: CylindricalFbmSample) -> np.ndarray:
-    """(M, n_modes) array whose row m holds phi_n * dW_{n,m}."""
-    n = config.n_modes
-    out = np.empty((config.m_steps, n))
-    return np.multiply(sample.values[:n].T, config.noise.amplitudes[:n],
-                       out=out)
-
-
 def _sweep_setup(config: SolverConfig):
     """(x0, step_factor, f_kind, f_scale, dst_mat, dst_scale) of config's
     sweep: the initial state and the kernels.euler_sweep arguments that
-    depend on the operator and the nonlinearity, not on the noise."""
+    depend on the operator and the nonlinearity, not on the noise.
+
+    F = sin runs the dense sine matrix below
+    ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and numpy's fast DST-I
+    from there on, where it is faster per step (see ``kernels``); the two
+    agree to rounding (tested within 1e-12 relative).
+    """
     n = config.n_modes
     lam = config.operator.eigenvalues[:n]
     step_factor = 1.0 / (1.0 + config.tau * lam)
@@ -171,35 +153,6 @@ def _sweep_setup(config: SolverConfig):
             dst_mat = np.ascontiguousarray(sine_matrix(n))
     x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)
     return x0, step_factor, f_kind, f_scale, dst_mat, dst_scale
-
-
-def solve_stops(config: SolverConfig, dw_scaled: np.ndarray,
-                stops) -> np.ndarray:
-    """Run the scheme on scaled increments, keeping the states at ``stops``.
-
-    dw_scaled is (M, n_modes) for one sample, or (M, n_modes, S) for a
-    block of S samples started from the same initial state; row m holds
-    phi_n * dW_{n,m}. ``stops`` are nondecreasing step indices in [0, M]
-    (0 is the initial state). Returns a (len(stops), n_modes[, S]) array.
-
-    F = sin runs the dense sine matrix below
-    ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and numpy's fast DST-I
-    from there on, where it is faster per step (see ``kernels``); the two
-    agree to rounding (tested within 1e-12 relative). A block's states
-    can differ from one-sample sweeps in the last bits (matrix-matrix
-    against matrix-vector products on the dense path).
-    """
-    n = config.n_modes
-    if dw_scaled.shape[:2] != (config.m_steps, n):
-        raise ValueError(
-            f"increments shaped {dw_scaled.shape}, config expects "
-            f"({config.m_steps}, {n}[, samples])"
-        )
-    x0, step_factor, *sweep = _sweep_setup(config)
-    if dw_scaled.ndim == 3:
-        x0 = np.repeat(x0[:, None], dw_scaled.shape[2], axis=1)
-    return kernels.euler_sweep(x0, step_factor, config.tau, dw_scaled,
-                               *sweep, stops)
 
 
 # Size of one block's increments, M*N*B doubles, and the most
@@ -218,10 +171,9 @@ def _sample_blocks(config: SolverConfig, samples: int,
     Sample s draws from derive_seed(base_seed, SAMPLE_STREAM, s). Block
     membership follows the sample index and config's (M, N) only, never
     the worker count, so results are identical for any number of workers.
-    A block's M*N*B increments fit in _BLOCK_BYTES; the regularity
-    estimators fill that one raw (N, B, M) buffer (_unit_increments)
-    once for all the presets of a call (_solve_presets), so B does not
-    depend on their number.
+    A block's M*N*B increments fit in _BLOCK_BYTES: the one raw (N, B, M)
+    buffer (_unit_increments) that drives every preset and every rung of
+    the block (_solve_block), so B depends on neither number.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -233,34 +185,7 @@ def _sample_blocks(config: SolverConfig, samples: int,
             for first in range(0, samples, size)]
 
 
-def _block_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
-    """(M, N, B) scaled increments; column s is the sample with seeds[s].
-
-    Row k of a sample draws its fBm from the seed derived from (seed, k),
-    as generate_cylindrical_fbm does, times the noise amplitude phi_k, so
-    column s equals _scaled_increments of that sample bit for bit. The
-    N*B keys and their generator states are each hashed in one pass;
-    the rows are then drawn mode-major, a group of whole modes at a
-    time, which keeps a group's normals within fbm._ROW_CHUNK_BYTES
-    (unless one mode's B rows exceed it) and writes each group into its
-    (M, modes, B) slab of the buffer, times the amplitudes, directly.
-    """
-    n, b = config.n_modes, len(seeds)
-    amps = config.noise.amplitudes[:n]
-    grid = config.grid()
-    dw = np.empty((config.m_steps, n, b))
-    for lo, rows in _increment_chunks(
-            grid, config.hurst, mode_keys(seeds, n).ravel(),
-            config.fbm_method,
-            _chunk_rows(config.m_steps, config.fbm_method, b)):
-        k0, k1 = lo // b, (lo + len(rows)) // b
-        np.multiply(amps[k0:k1, None],
-                    rows.reshape(k1 - k0, b, -1).transpose(2, 0, 1),
-                    out=dw[:, k0:k1, :])
-    return dw
-
-
-# Fields in which the configs of one _solve_presets call must agree: all
+# Fields in which the configs of one _solve_block call must agree: all
 # but ``noise``, so every preset is driven by the same fBm.
 _SHARED_FIELDS = ("n_modes", "m_steps", "horizon", "hurst", "operator",
                   "nonlinearity", "initial", "base_seed", "fbm_method")
@@ -291,8 +216,9 @@ def _check_presets(configs) -> list:
     return configs
 
 
-# Scratch of one chunk of _solve_presets' scaled increments, (steps, N,
-# P*B) doubles: 256 steps at N = 64 and P*B = 8.
+# Scratch of one chunk of _solve_block's scaled increments, (steps, N,
+# P*B) doubles: 256 steps at N = 64 and P*B = 8 (rounded to a multiple of
+# the largest step ratio).
 _SWEEP_CHUNK_BYTES = 2**20
 
 
@@ -303,9 +229,9 @@ def _unit_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
 
     The sampler writes the N*B rows, mode-major, straight into the array,
     so no scaled or transposed copy is made (each preset's amplitudes
-    are applied by _solve_presets). Its chunks hold whole modes, B rows
-    each, as _block_increments draws them: fewer, larger chunks than
-    increment_rows' own, which draws faster.
+    are applied by _solve_block). Its chunks hold whole modes, B rows
+    each: fewer, larger chunks than increment_rows' own, which draws
+    faster.
     """
     n, b, m = config.n_modes, len(seeds), config.m_steps
     rows = np.empty((n, b, m))
@@ -318,47 +244,70 @@ def _unit_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
     return rows
 
 
-def _solve_presets(configs: list, dw: np.ndarray, stops) -> np.ndarray:
-    """States at ``stops`` of a block of samples under every config.
+def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
+    """States at ``stops`` of a block of samples, under every config, at
+    every rung.
 
     The configs differ in noise only (_check_presets), and dw holds the
     block's raw (N, B, M) increments in the sampler's layout
-    (_unit_increments; its leading modes, dw[:n], serve a restricted
-    config). All P presets are swept as one (N, P*B) state, column
-    p*B + s being preset p on sample s, a chunk of steps at a time: the
-    chunk's (steps, N, P*B) scratch holds phi_p[n] * dW[n, s, m], the
-    product _block_increments writes, so each column's scaled increments
-    keep their bits, and no (M, N, P*B) buffer is built. Each product is
-    taken over the sampler's contiguous rows and then copied, transposed,
-    into the scratch: a product that reads the rows transposed is about
-    three times slower. ``stops`` are nondecreasing step indices in
-    [0, M]. Returns a (len(stops), N, P, B) array.
+    (_unit_increments). Rung (n, q) is restrict_config(config, n_modes=n,
+    m_steps=M // q): the first n modes, driven by the fine increments
+    summed q at a time. ``stops`` are nondecreasing fine steps in [0, M],
+    each a multiple of every q. Returns, per rung, a
+    (len(stops), n, P, B) array.
+
+    All P presets are swept as one (n, P*B) state, column p*B + s being
+    preset p on sample s, a chunk of fine steps at a time; the chunk is a
+    multiple of the largest q. The chunk's (steps, N, P*B) scratch holds
+    phi_p[k] * dW[k, s, m], each product taken over the sampler's
+    contiguous rows and then copied, transposed, into the scratch (a
+    product that reads the rows transposed is about three times slower).
+    Every rung then advances on the scratch's leading n modes, summed in
+    order q at a time (fbm._aggregate_values) for q > 1: the sums that
+    aggregating the whole scaled (M, N, B) block takes, so no bit depends
+    on the chunk, and no (M, N, P*B) buffer is built.
     """
     config = configs[0]
-    n, m, b = config.n_modes, config.m_steps, dw.shape[1]
+    m, b = config.m_steps, dw.shape[1]
     stops = [int(k) for k in stops]
-    amps = [c.noise.amplitudes[:n, None, None] for c in configs]
+    if any(m % q or any(k % q for k in stops) for _, q in rungs):
+        raise ValueError(f"stops {stops} and M = {m} must be multiples of "
+                         f"every step ratio of {rungs}")
+    top = max(n for n, _ in rungs)
+    q_top = max(q for _, q in rungs)
+    amps = [c.noise.amplitudes[:top, None, None] for c in configs]
     width = len(configs) * b
-    x, step_factor, *sweep = _sweep_setup(config)
-    x = np.repeat(x[:, None], width, axis=1)
-    chunk = min(m, max(1, _SWEEP_CHUNK_BYTES // (8 * n * width)))
-    scratch = np.empty((chunk, n, width))
-    products = np.empty((n, b, chunk))
-    out = np.empty((len(stops), n, width))
+    chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * top * width))
+    chunk = min(m, max(q_top, chunk - chunk % q_top))
+    scratch = np.empty((chunk, top, width))
+    products = np.empty((top, b, chunk))
+    setups, states, outs = [], [], []
+    for n, q in rungs:
+        rung = restrict_config(config, n_modes=n, m_steps=m // q)
+        x, step_factor, *sweep = _sweep_setup(rung)
+        setups.append((n, q, step_factor, rung.tau, sweep))
+        states.append(np.repeat(x[:, None], width, axis=1))
+        outs.append(np.empty((len(stops), n, width)))
     done = 0
     for m0 in range(0, m, chunk):
         m1 = min(m0 + chunk, m)
         rows, product = scratch[:m1 - m0], products[:, :, :m1 - m0]
         for p, amp in enumerate(amps):
-            np.multiply(amp, dw[:, :, m0:m1], out=product)
+            np.multiply(amp, dw[:top, :, m0:m1], out=product)
             rows[:, :, p * b:(p + 1) * b] = product.transpose(2, 0, 1)
         upto = bisect.bisect_right(stops, m1, lo=done)
-        states = kernels.euler_sweep(
-            x, step_factor, config.tau, rows, *sweep,
-            [k - m0 for k in stops[done:upto]] + [m1 - m0])
-        out[done:upto] = states[:-1]
-        x, done = states[-1], upto
-    return out.reshape(len(stops), n, len(configs), b)
+        for r, (n, q, step_factor, tau, sweep) in enumerate(setups):
+            lead = rows[:, :n]
+            kept = kernels.euler_sweep(
+                states[r], step_factor, tau,
+                lead if q == 1 else _aggregate_values(lead, q, axis=0),
+                *sweep, [(k - m0) // q for k in stops[done:upto]]
+                + [(m1 - m0) // q])
+            outs[r][done:upto] = kept[:-1]
+            states[r] = kept[-1]
+        done = upto
+    return [out.reshape(len(stops), n, len(configs), b)
+            for out, (n, _) in zip(outs, rungs)]
 
 
 def _require_finite(values: np.ndarray, first: int) -> None:
@@ -375,36 +324,18 @@ def _require_finite(values: np.ndarray, first: int) -> None:
 def solve_endpoint(config: SolverConfig,
                    noise_sample: CylindricalFbmSample) -> SpectralState:
     """Run the scheme on one noise sample, storing nothing but the final
-    state (the convergence studies sweep blocks of samples through
-    solve_stops instead).
+    state: _solve_block on a block of that one sample.
 
     Raises FloatingPointError when the final state is not finite.
     """
     _check_noise_sample(config, noise_sample)
-    coeffs = solve_stops(config, _scaled_increments(config, noise_sample),
-                         (config.m_steps,))[0]
+    n = config.n_modes
+    coeffs = _solve_block([config], noise_sample.values[:n, None, :],
+                          [(n, 1)], (config.m_steps,))[0][0, :, 0, 0]
     if not np.isfinite(coeffs).all():
         raise FloatingPointError(
             f"non-finite state at the endpoint, step {config.m_steps}")
     return SpectralState(coeffs=coeffs, time=config.m_steps * config.tau)
-
-
-def solve_path(config: SolverConfig,
-               noise_sample: CylindricalFbmSample) -> Trajectory:
-    """Run the scheme keeping all M+1 states.
-
-    Raises FloatingPointError, naming the first such step, when a state
-    is not finite.
-    """
-    _check_noise_sample(config, noise_sample)
-    states = solve_stops(config, _scaled_increments(config, noise_sample),
-                         range(config.m_steps + 1))
-    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
-    if bad.size:
-        raise FloatingPointError(
-            f"non-finite state at step {bad[0]} of {config.m_steps}"
-        )
-    return Trajectory(states=states, tau=config.tau)
 
 
 # exp(x) rounds to 0 below this, and numpy's exp is slow there (about 18 ns

@@ -195,7 +195,7 @@ def sine_matrix(n_modes: int) -> np.ndarray:
 
     Physical values are sqrt(N+1) * (S @ coeffs); used by the Euler
     sweep for F = sin below ``kernels._FAST_SINE_MIN_MODES`` modes
-    (``solver.solve_stops``), and as the O(N^2) oracle for the fast
+    (``solver._sweep_setup``), and as the O(N^2) oracle for the fast
     transform. Only those small matrices (at most 2 MiB each) are cached;
     a larger one, which no production path uses, is built on every call.
     """

@@ -55,11 +55,10 @@ from .solver import (
     _check_presets,
     _require_finite,
     _sample_blocks,
-    _solve_presets,
+    _solve_block,
     _unit_increments,
     linear_support,
     linear_weights,
-    restrict_config,
 )
 
 __all__ = [
@@ -487,8 +486,10 @@ def estimate_time_regularity(configs, delta: float, lag_steps: list,
     ``configs`` is a sequence of configs that agree in everything but
     ``noise`` (else ValueError naming the first field that differs); one
     report is returned per config, in order. Every preset is driven by
-    the same fBm samples, drawn once per block (solver._solve_presets):
-    a config's report is the one it gets alone, bit for bit.
+    the same fBm samples, drawn once per block (solver._solve_block):
+    a config's report is the one it gets alone, bit for bit below 32
+    modes and on the fast sine path; on the dense F = sin path from 32
+    modes the wider matrix product may move its last bits.
 
     Lags should be >= 8 steps so the scheme's own discretization bias is
     subdominant to the Hölder scaling being measured.
@@ -541,10 +542,11 @@ def _time_regularity_block(args) -> np.ndarray:
     configs, lag_steps, delta, first, seeds = args
     m = configs[0].m_steps
     stops = [m - lag for lag in reversed(lag_steps)] + [m]
-    states = _solve_presets(configs, _unit_increments(configs[0], seeds),
-                            stops)  # (stops, N, P, B)
+    n = configs[0].n_modes
+    states = _solve_block(configs, _unit_increments(configs[0], seeds),
+                          [(n, 1)], stops)[0]  # (stops, N, P, B)
     _require_finite(states, first)
-    weights = configs[0].operator.eigenvalues[: configs[0].n_modes] ** delta
+    weights = configs[0].operator.eigenvalues[:n] ** delta
     diffs = states[-1] - states[-2::-1]  # (lags, N, P, B), lag_steps order
     return _weighted_sums(weights, diffs)
 
@@ -568,12 +570,11 @@ def _space_regularity_block(args) -> np.ndarray:
     samples under each of the P configs; every rung reads the leading
     modes of the same increments."""
     configs, n_ladder, deltas, first, seeds = args
-    dw = _unit_increments(configs[0], seeds)
+    ends = _solve_block(configs, _unit_increments(configs[0], seeds),
+                        [(n, 1) for n in n_ladder], (configs[0].m_steps,))
     lam = configs[0].operator.eigenvalues[: configs[0].n_modes]
     out = np.empty((len(configs), len(seeds), len(deltas), len(n_ladder)))
-    for j, n in enumerate(n_ladder):
-        end = _solve_presets([restrict_config(c, n_modes=n) for c in configs],
-                             dw[:n], (configs[0].m_steps,))[0]
+    for j, (n, (end,)) in enumerate(zip(n_ladder, ends)):
         _require_finite(end, first)
         for i, delta in enumerate(deltas):
             out[:, :, i, j] = _weighted_sums(lam[:n] ** delta, end)
@@ -587,7 +588,9 @@ def estimate_space_regularity(configs, n_ladder: list, deltas: list,
     ``configs`` is a sequence of configs that agree in everything but
     ``noise`` (else ValueError naming the first field that differs).
     Returns, per config in order, one report per requested delta; each
-    is the one the config gets alone, bit for bit.
+    is the one the config gets alone, bit for bit below 32 modes and on
+    the fast sine path (the last bits may move on the dense F = sin path
+    from 32 modes, as in estimate_time_regularity).
 
     One noise draw per sample drives every rung (mode nesting), so the
     per-sample norm ladders are monotone by construction and the growth

@@ -6,7 +6,9 @@ the support-truncated quadratic forms of fracspde.verify, and the
 one-step scheme (implicit_euler_step with apply_nemytskii) checks the
 Euler sweep of fracspde.kernels. The analytic covariances (fbm_covariance,
 increment_covariance_matrix) are the targets of the sampler tests, and
-the norms measure the semigroup and the projection.
+the norms measure the semigroup and the projection. _block_increments,
+the scaled (M, N, B) block that the studies once swept whole, checks the
+chunked rungs of fracspde.solver._solve_block.
 """
 
 import math
@@ -14,7 +16,14 @@ import math
 import numpy as np
 
 from fracspde import kernels
-from fracspde.fbm import HurstParameter, IncrementGrid, _fgn_covariance_seq
+from fracspde.fbm import (
+    HurstParameter,
+    IncrementGrid,
+    _chunk_rows,
+    _fgn_covariance_seq,
+    _increment_chunks,
+    mode_keys,
+)
 from fracspde.spectral import (
     DiagonalNoiseOperator,
     NemytskiiMap,
@@ -116,3 +125,30 @@ def implicit_euler_step(x: SpectralState, tau: float, op: SpectralOperator,
     fx = apply_nemytskii(f, x).coeffs
     coeffs = factor * (x.coeffs + tau * fx + noise.amplitudes[:n] * dw)
     return SpectralState(coeffs=coeffs, time=x.time + tau)
+
+
+def _block_increments(config, seeds: tuple) -> np.ndarray:
+    """(M, N, B) scaled increments; column s is the sample with seeds[s].
+
+    Row k of a sample draws its fBm from the seed derived from (seed, k),
+    as generate_cylindrical_fbm does, times the noise amplitude phi_k, so
+    column s equals that sample's values[:N].T times phi bit for bit. The
+    N*B keys and their generator states are each hashed in one pass;
+    the rows are then drawn mode-major, a group of whole modes at a
+    time, which keeps a group's normals within fbm._ROW_CHUNK_BYTES
+    (unless one mode's B rows exceed it) and writes each group into its
+    (M, modes, B) slab of the buffer, times the amplitudes, directly.
+    """
+    n, b = config.n_modes, len(seeds)
+    amps = config.noise.amplitudes[:n]
+    grid = config.grid()
+    dw = np.empty((config.m_steps, n, b))
+    for lo, rows in _increment_chunks(
+            grid, config.hurst, mode_keys(seeds, n).ravel(),
+            config.fbm_method,
+            _chunk_rows(config.m_steps, config.fbm_method, b)):
+        k0, k1 = lo // b, (lo + len(rows)) // b
+        np.multiply(amps[k0:k1, None],
+                    rows.reshape(k1 - k0, b, -1).transpose(2, 0, 1),
+                    out=dw[:, k0:k1, :])
+    return dw

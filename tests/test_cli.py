@@ -152,7 +152,12 @@ class TestSolve:
         assert "circulant" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_non_finite_state_exits_1(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("extra, message", [
+        ([], "non-finite state at the endpoint"),
+        (["--save-trajectory"], "non-finite state at step"),
+    ], ids=["endpoint", "trajectory"])
+    def test_non_finite_state_exits_1(self, tmp_path, monkeypatch, capsys,
+                                      extra, message):
         # F(u) = 1e12 u far above lambda_N: every step multiplies the
         # state by about 1e10 until it overflows
         original = cli.she_problem
@@ -164,10 +169,10 @@ class TestSolve:
         monkeypatch.setattr(cli, "she_problem", blowing_up)
         with np.errstate(over="ignore", invalid="ignore"):
             code = run_cli(["solve", "--modes", 4, "--steps", 64,
-                            "--out-dir", tmp_path, "--tag", "nan"])
+                            "--out-dir", tmp_path, "--tag", "nan"] + extra)
         assert code == 1
-        assert "non-finite state" in capsys.readouterr().err
-        assert not (tmp_path / "solve_she-trace_nan.csv").exists()
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestConverge:

@@ -87,7 +87,8 @@ def test_test_oracles_live_outside_the_package():
     import oracles
 
     assert oracles.__all__
-    for name in oracles.__all__ + ["_toeplitz_matvec", "_check_dims"]:
+    for name in oracles.__all__ + ["_toeplitz_matvec", "_check_dims",
+                                   "_block_increments"]:
         assert hasattr(oracles, name)
         for module in MODULES:
             assert not hasattr(importlib.import_module(f"fracspde.{module}"),

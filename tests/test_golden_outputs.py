@@ -1,0 +1,108 @@
+"""Output identity: the primary outputs of a small CLI matrix keep their
+bytes.
+
+COMMANDS run through fracspde.cli.main in one child process (one worker,
+one BLAS thread), and the sha256 of every file they write, run manifests
+excepted (they carry wall-clock data), must equal the hash recorded in
+golden_outputs.json. A refactor that moves a bit of any report fails
+here. ``python tests/test_golden_outputs.py --record`` rewrites the
+hashes; a change that does so names the byte change it makes.
+
+The F = sin outputs depend on which BLAS kernel runs, so the file also
+records the numpy build's BLAS and the SIMD extensions numpy found on
+the host (blas_config); a failure says whether they differ from the
+recorded ones, since a host difference is not a byte change of the code.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fracspde"
+GOLDEN = Path(__file__).with_name("golden_outputs.json")
+
+# argv of fracspde.cli.main; the child appends --out-dir
+COMMANDS = [
+    ["converge", "--axis", axis, "--preset", preset, "--samples", "4",
+     "--tag", f"{axis}-{preset}"]
+    for axis in ("time", "space") for preset in ("she-trace", "she-identity")
+] + [
+    ["solve", "--modes", str(n), "--steps", "64", "--tag", f"n{n}{suffix}"]
+    + flags
+    for n in (16, 600)
+    for suffix, flags in (("", []), ("-path", ["--save-trajectory"]))
+] + [
+    ["verify", "--suite", "regularity", "--samples", "4", "--tag", "reg"],
+]
+
+CHILD = """
+import json, sys
+from fracspde import cli
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+print(json.dumps([cli.main(argv + ["--out-dir", out]) for argv in commands]))
+"""
+
+
+def output_hashes() -> dict:
+    """File name -> sha256 of every primary output of COMMANDS."""
+    env = dict(os.environ, FRACSPDE_WORKERS="1", OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [str(PACKAGE.parent)]
+                   + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    with tempfile.TemporaryDirectory() as out:
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, out, json.dumps(COMMANDS)],
+            env=env, cwd=out, capture_output=True, text=True, timeout=300,
+            check=True)
+        codes = json.loads(proc.stdout.strip().splitlines()[-1])
+        if codes != [0] * len(COMMANDS):
+            raise RuntimeError(f"exit codes {codes}: {proc.stderr}")
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(Path(out).iterdir())
+                if not path.name.endswith("_manifest.json")}
+
+
+def blas_config() -> dict:
+    """numpy's version, its BLAS build and the host's SIMD extensions, as
+    np.show_config reports them."""
+    config = {"numpy": np.__version__}
+    try:
+        shown = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 only prints
+        return config
+    blas = shown.get("Build Dependencies", {}).get("blas", {})
+    config["blas"] = {key: blas.get(key) for key in
+                      ("name", "version", "openblas configuration")}
+    config["simd"] = shown.get("SIMD Extensions", {})
+    config["host"] = shown.get("Machine Information", {}).get("host", {})
+    return config
+
+
+def test_primary_outputs_keep_their_bytes():
+    recorded = json.loads(GOLDEN.read_text())
+    hashes = output_hashes()
+    if hashes != recorded["hashes"]:
+        config = blas_config()
+        host = ("the same as the recorded one" if config == recorded["config"]
+                else f"{config}, recorded on {recorded['config']}")
+        moved = sorted(name for name in hashes.keys() | recorded["hashes"]
+                       if hashes.get(name) != recorded["hashes"].get(name))
+        assert hashes == recorded["hashes"], (
+            f"outputs {moved} changed bytes; BLAS and SIMD config: {host}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden_outputs.py --record")
+    GOLDEN.write_text(json.dumps({"config": blas_config(),
+                                  "hashes": output_hashes()},
+                                 indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

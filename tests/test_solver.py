@@ -23,8 +23,6 @@ from fracspde.solver import (
     linear_weights,
     restrict_config,
     solve_endpoint,
-    solve_path,
-    solve_stops,
 )
 from fracspde.spectral import (
     SpectralOperator,
@@ -39,7 +37,7 @@ from fracspde.spectral import (
 )
 from fracspde.experiments import she_problem
 from fracspde.verify import check_lambda_phi_bound
-from oracles import implicit_euler_step
+from oracles import _block_increments, implicit_euler_step
 
 H = HurstParameter(0.75)
 RNG = np.random.default_rng(77)
@@ -65,6 +63,14 @@ def noise_for(config, seed=None):
         config.n_modes, config.grid(), config.hurst,
         config.base_seed if seed is None else seed, config.fbm_method,
     )
+
+
+def path_of(config, sample):
+    """All M + 1 states of one sample as an (M + 1, N) array, through the
+    block driver, as ``solve --save-trajectory`` runs it."""
+    return solver._solve_block(
+        [config], sample.values[:, None, :], [(config.n_modes, 1)],
+        range(config.m_steps + 1))[0][:, :, 0, 0]
 
 
 class TestImplicitEulerStep:
@@ -121,10 +127,10 @@ class TestSolvePath:
     def test_noise_free_geometric_decay(self):
         cfg = make_config(n=3, m=10, noise=zero_noise(3),
                           initial=np.array([1.0, 2.0, -1.0]))
-        traj = solve_path(cfg, noise_for(cfg))
+        states = path_of(cfg, noise_for(cfg))
         factors = 1.0 / (1.0 + cfg.tau * cfg.operator.eigenvalues)
-        assert traj.states.shape == (11, 3)
-        for m, state in enumerate(traj.states):
+        assert states.shape == (11, 3)
+        for m, state in enumerate(states):
             np.testing.assert_allclose(
                 state, factors**m * cfg.initial.coeffs, rtol=1e-13
             )
@@ -169,8 +175,7 @@ class TestSolvePath:
             cfg = make_config(n=5, m=12, horizon=12.0 * tau_scale,
                               noise=zero_noise(5),
                               initial=RNG.standard_normal(5))
-            traj = solve_path(cfg, noise_for(cfg))
-            norms = [np.linalg.norm(s) for s in traj.states]
+            norms = [np.linalg.norm(s) for s in path_of(cfg, noise_for(cfg))]
             assert all(b <= a * (1 + 1e-14)
                        for a, b in zip(norms, norms[1:]))
 
@@ -186,28 +191,25 @@ class TestSolvePath:
         with pytest.raises(ValueError):
             solve_endpoint(cfg, small)
 
-    def test_trajectory_endpoint_matches_solve_endpoint(self):
-        cfg = make_config(n=6, m=16, f=sine_map())
-        sample = noise_for(cfg)
-        end = solve_path(cfg, sample).endpoint()
-        assert np.array_equal(end.coeffs, solve_endpoint(cfg, sample).coeffs)
-        assert end.time == solve_endpoint(cfg, sample).time
-
     def test_non_finite_state_raises(self):
-        # F(u) = 1e12 u far above lambda_N: the state overflows
+        # F(u) = 1e12 u far above lambda_N: the state overflows; the path
+        # keeps the non-finite rows (solve --save-trajectory names the
+        # first), the endpoint raises
         cfg = make_config(n=4, m=64, f=scaled_identity_map(1e12))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError,
-                               match="non-finite state at step"):
-                solve_path(cfg, noise_for(cfg))
+            finite = np.isfinite(path_of(cfg, noise_for(cfg))).all(axis=1)
+            assert finite[0] and not finite[-1]
             with pytest.raises(FloatingPointError,
                                match="non-finite state at the endpoint"):
                 solve_endpoint(cfg, noise_for(cfg))
 
-    def test_increment_shape_rejected(self):
+    def test_step_ratio_must_divide_stops(self):
         cfg = make_config(n=4, m=8)
-        with pytest.raises(ValueError, match="increments"):
-            solve_stops(cfg, np.zeros((8, 3)), (8,))
+        rows = noise_for(cfg).values[:, None, :]
+        with pytest.raises(ValueError, match="multiples"):
+            solver._solve_block([cfg], rows, [(4, 2)], (8, 3))
+        with pytest.raises(ValueError, match="multiples"):
+            solver._solve_block([cfg], rows, [(4, 3)], (6,))
 
 
 class TestBlockIncrements:
@@ -225,12 +227,12 @@ class TestBlockIncrements:
             monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", budget)
         cfg = make_config(n=7, m=12, method=method)
         seeds = tuple(derive_seed(5, SAMPLE_STREAM, s) for s in range(b))
-        dw = solver._block_increments(cfg, seeds)
+        dw = _block_increments(cfg, seeds)
         assert dw.shape == (12, 7, b)
         for s, seed in enumerate(seeds):
             sample = generate_cylindrical_fbm(7, cfg.grid(), H, seed, method)
             assert np.array_equal(dw[:, :, s],
-                                  solver._scaled_increments(cfg, sample))
+                                  sample.values.T * cfg.noise.amplitudes)
 
     # two circulant rows' normals (four Cholesky rows): a block of 7 * b
     # rows spans two to seven chunks of whole modes, for either method
@@ -255,20 +257,23 @@ class TestBlockIncrements:
 
 
 class TestFastSineSwitch:
-    """solve_stops runs F = sin through the dense sine matrix below
+    """The block driver runs F = sin through the dense sine matrix below
     kernels._FAST_SINE_MIN_MODES and through the FFT from there on."""
 
     def sweep(self, n, f_kind):
         cfg = make_config(n=n, m=12, horizon=0.06, f=sine_map(),
                           noise=identity_noise(n))
-        dw = solver._scaled_increments(cfg, noise_for(cfg))
+        values = noise_for(cfg).values
         mat = (np.ascontiguousarray(spectral.sine_matrix(n))
                if f_kind == kernels.F_SIN else None)
         lam = cfg.operator.eigenvalues
         expected = kernels.euler_sweep(
-            cfg.initial.coeffs.copy(), 1.0 / (1.0 + cfg.tau * lam), cfg.tau,
-            dw, f_kind, 1.0, mat, math.sqrt(n + 1), (4, 12))
-        return solve_stops(cfg, dw, (4, 12)), expected
+            cfg.initial.coeffs[:, None], 1.0 / (1.0 + cfg.tau * lam),
+            cfg.tau, values.T[:, :, None], f_kind, 1.0, mat,
+            math.sqrt(n + 1), (4, 12))
+        out = solver._solve_block([cfg], values[:, None, :], [(n, 1)],
+                                  (4, 12))[0]
+        return out[:, :, 0], expected
 
     def test_dense_just_below(self):
         out, dense = self.sweep(511, kernels.F_SIN)

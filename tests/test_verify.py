@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspde import fbm, solver, verify
+from fracspde import fbm, kernels, solver, verify
 from fracspde.experiments import fit_slope, she_problem
 from fracspde.fbm import (
     CylindricalFbmSample,
@@ -26,7 +26,6 @@ from fracspde.solver import (
     SolverConfig,
     restrict_config,
     solve_endpoint,
-    solve_path,
 )
 from fracspde.spectral import (
     SpectralState,
@@ -51,7 +50,11 @@ from fracspde.verify import (
     isometry_analytic_rhs,
     linear_endpoint_moments,
 )
-from oracles import increment_covariance_matrix, toeplitz_bilinear
+from oracles import (
+    _block_increments,
+    increment_covariance_matrix,
+    toeplitz_bilinear,
+)
 
 H_VALUES = [0.55, 0.75, 0.95]
 H = HurstParameter(0.75)
@@ -881,21 +884,50 @@ class TestRegularityBlocks:
     @pytest.mark.parametrize("chunk_steps", [1, 5, 64])
     def test_preset_sweep_matches_scaled_block(self, n_modes, chunk_steps,
                                                monkeypatch):
-        # each column of the chunked (N, P*B) sweep equals the one-preset
-        # sweep of its scaled block; N = 512 runs F = sin through DST-I
+        # every rung (n, q) of the chunked (n, P*B) sweep equals the sweep
+        # of the presets' scaled blocks, stacked and whole, restricted to
+        # n modes and summed q at a time over all M steps; N = 512 runs
+        # F = sin through DST-I, its rungs below 512 the dense matrix.
+        # Each preset's columns also equal its one-preset sweep, except on
+        # the dense path from 32 modes on, where a (n, P*B) product need
+        # not have the bits of a (n, B) one
         configs = [she_problem(p, n_modes=n_modes, m_steps=64, base_seed=7)
                    for p in self.BOTH]
         seeds = (11, 12, 13)
         width = len(configs) * len(seeds)
         monkeypatch.setattr(solver, "_SWEEP_CHUNK_BYTES",
                             chunk_steps * 8 * n_modes * width)
-        stops = (0, 3, 5, 5, 40, 64)
-        stacked = solver._solve_presets(
-            configs, solver._unit_increments(configs[0], seeds), stops)
-        for p, cfg in enumerate(configs):
-            alone = solver.solve_stops(
-                cfg, solver._block_increments(cfg, seeds), stops)
-            assert np.array_equal(stacked[:, :, p, :], alone)
+        rows = solver._unit_increments(configs[0], seeds)
+        blocks = [_block_increments(c, seeds) for c in configs]
+        stacked_block = np.concatenate(blocks, axis=2)  # column p*B + s
+
+        def whole_sweep(block, n, q, stops):
+            rung = restrict_config(configs[0], n_modes=n, m_steps=64 // q)
+            x0, step_factor, *sweep = solver._sweep_setup(rung)
+            return kernels.euler_sweep(
+                np.repeat(x0[:, None], block.shape[2], axis=1), step_factor,
+                rung.tau, fbm._aggregate_values(block[:, :n], q, axis=0),
+                *sweep, [k // q for k in stops])
+
+        cases = [
+            ([(n_modes, 1), (n_modes // 2, 1)], (0, 3, 5, 5, 40, 64)),
+            ([(n_modes, 4), (n_modes // 2, 16), (n_modes // 4, 1),
+              (n_modes // 4, 4)], (0, 16, 16, 48, 64)),
+        ]
+        for rungs, stops in cases:
+            stacked = solver._solve_block(configs, rows, rungs, stops)
+            for (n, q), states in zip(rungs, stacked):
+                assert states.shape == (len(stops), n, len(configs),
+                                        len(seeds))
+                whole = whole_sweep(stacked_block, n, q, stops)
+                assert np.array_equal(states.reshape(whole.shape), whole), \
+                    (n, q)
+                if 32 <= n < kernels._FAST_SINE_MIN_MODES:
+                    continue
+                for p, block in enumerate(blocks):
+                    assert np.array_equal(states[:, :, p, :],
+                                          whole_sweep(block, n, q, stops)), \
+                        (n, q, p)
 
     def test_weighted_sums_match_loop(self):
         states = np.random.default_rng(0).normal(size=(3, 37, 2, 5))
@@ -955,7 +987,9 @@ class TestRegularityBlocks:
             noise = generate_cylindrical_fbm(
                 cfg.n_modes, cfg.grid(), cfg.hurst,
                 derive_seed(cfg.base_seed, SAMPLE_STREAM, s))
-            states = solve_path(cfg, noise).states
+            states = solver._solve_block(
+                [cfg], noise.values[:, None, :], [(cfg.n_modes, 1)],
+                range(m + 1))[0][:, :, 0, 0]
             sq.append([np.sum((states[m] - states[m - lag]) ** 2)
                        for lag in self.LAGS])
         np.testing.assert_allclose(self.run_time()[0],
