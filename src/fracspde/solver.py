@@ -129,30 +129,38 @@ def _check_noise_sample(config: SolverConfig, sample: CylindricalFbmSample,
 
 
 def _sweep_setup(config: SolverConfig):
-    """(x0, step_factor, f_kind, f_scale, dst_mat, dst_scale) of config's
+    """(x0, step_factor, f_kind, f_scale, sin_in, sin_out) of config's
     sweep: the initial state and the kernels.euler_sweep arguments that
-    depend on the operator and the nonlinearity, not on the noise.
+    depend on the operator, the nonlinearity and tau, not on the noise.
 
-    F = sin runs the dense sine matrix below
+    F = sin runs the dense sine matrix S below
     ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and numpy's fast DST-I
     from there on, where it is faster per step (see ``kernels``); the two
-    agree to rounding (tested within 1e-12 relative).
+    agree to rounding (tested within 1e-12 relative). The dense step's
+    constants are folded into its two matrices, built here once per rung:
+    sin_in = sqrt(N+1) S maps coefficients to grid values and sin_out =
+    (tau/sqrt(N+1)) diag(step_factor) S maps sin of them back, so a step
+    is step_factor * (x + dW) + sin_out @ sin(sin_in @ x). That tracks
+    the unfolded step step_factor * (x + tau (S @ sin(sqrt(N+1) S @ x)) /
+    sqrt(N+1) + dW) to rounding (tested within 1e-13 relative over 2^12
+    steps). Other kinds take None for both matrices.
     """
     n = config.n_modes
     lam = config.operator.eigenvalues[:n]
     step_factor = 1.0 / (1.0 + config.tau * lam)
     f_kind = _F_CODES[config.nonlinearity.kind]
     f_scale = config.nonlinearity.lipschitz_bound
-    dst_mat = None
-    dst_scale = 1.0
+    sin_in = sin_out = None
     if f_kind == kernels.F_SIN:
-        dst_scale = math.sqrt(n + 1)
         if n >= kernels._FAST_SINE_MIN_MODES:
             f_kind = kernels.F_SIN_FFT
         else:
-            dst_mat = np.ascontiguousarray(sine_matrix(n))
+            mat = sine_matrix(n)
+            root = math.sqrt(n + 1)
+            sin_in = root * mat
+            sin_out = (config.tau / root) * step_factor[:, None] * mat
     x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)
-    return x0, step_factor, f_kind, f_scale, dst_mat, dst_scale
+    return x0, step_factor, f_kind, f_scale, sin_in, sin_out
 
 
 # Size of one block's increments, M*N*B doubles, and the most

@@ -487,9 +487,12 @@ def estimate_time_regularity(configs, delta: float, lag_steps: list,
     ``noise`` (else ValueError naming the first field that differs); one
     report is returned per config, in order. Every preset is driven by
     the same fBm samples, drawn once per block (solver._solve_block):
-    a config's report is the one it gets alone, bit for bit below 32
-    modes and on the fast sine path; on the dense F = sin path from 32
-    modes the wider matrix product may move its last bits.
+    a config's report is the one it gets alone, bit for bit for F = 0,
+    the scaled F and the fast sine path. On the dense F = sin path the
+    (n, P*B) product may have other last bits than a (n, B) one: with
+    OpenBLAS and P = 2, states differed by up to 1.6e-16 of the largest
+    at B = 2 to 4 from 16 modes, and at no mode count up to 511 at B = 1
+    or 8.
 
     Lags should be >= 8 steps so the scheme's own discretization bias is
     subdominant to the Hölder scaling being measured.
@@ -588,9 +591,9 @@ def estimate_space_regularity(configs, n_ladder: list, deltas: list,
     ``configs`` is a sequence of configs that agree in everything but
     ``noise`` (else ValueError naming the first field that differs).
     Returns, per config in order, one report per requested delta; each
-    is the one the config gets alone, bit for bit below 32 modes and on
-    the fast sine path (the last bits may move on the dense F = sin path
-    from 32 modes, as in estimate_time_regularity).
+    is the one the config gets alone, bit for bit but on the dense
+    F = sin path, whose last bits may move (as in
+    estimate_time_regularity).
 
     One noise draw per sample drives every rung (mode nesting), so the
     per-sample norm ladders are monotone by construction and the growth

@@ -6,7 +6,9 @@ the support-truncated quadratic forms of fracspde.verify, and the
 one-step scheme (implicit_euler_step with apply_nemytskii) checks the
 Euler sweep of fracspde.kernels. The analytic covariances (fbm_covariance,
 increment_covariance_matrix) are the targets of the sampler tests, and
-the norms measure the semigroup and the projection. _block_increments,
+the norms measure the semigroup and the projection. unfolded_sin_sweep,
+the dense F = sin step with its constants applied one by one, checks the
+folded step of the sweep. _block_increments,
 the scaled (M, N, B) block that the studies once swept whole, checks the
 chunked rungs of fracspde.solver._solve_block.
 """
@@ -29,6 +31,7 @@ from fracspde.spectral import (
     NemytskiiMap,
     SpectralOperator,
     SpectralState,
+    sine_matrix,
     sine_transform,
 )
 
@@ -41,6 +44,7 @@ __all__ = [
     "l2_norm",
     "sobolev_norm",
     "toeplitz_bilinear",
+    "unfolded_sin_sweep",
 ]
 
 
@@ -125,6 +129,27 @@ def implicit_euler_step(x: SpectralState, tau: float, op: SpectralOperator,
     fx = apply_nemytskii(f, x).coeffs
     coeffs = factor * (x.coeffs + tau * fx + noise.amplitudes[:n] * dw)
     return SpectralState(coeffs=coeffs, time=x.time + tau)
+
+
+def unfolded_sin_sweep(x0: np.ndarray, step_factor: np.ndarray, tau: float,
+                       dw: np.ndarray, stops) -> np.ndarray:
+    """States at ``stops`` of the F = sin scheme, one step at a time with
+    the dense sine matrix S and every constant applied on its own:
+    x <- step_factor * (x + tau * (S @ sin(sqrt(N+1) S @ x)) / sqrt(N+1)
+    + dW). x0 is (N,) or (N, S), dw (M, N) or (M, N, S)."""
+    n = x0.shape[0]
+    mat = sine_matrix(n)
+    scale = math.sqrt(n + 1)
+    f = step_factor.reshape((-1,) + (1,) * (x0.ndim - 1))
+    states = {0: x0}
+    x = x0
+    for m in range(1, max(stops) + 1):
+        u = scale * np.dot(mat, x)
+        fx = np.dot(mat, np.sin(u)) / scale
+        x = f * (x + tau * fx + dw[m - 1])
+        if m in stops:
+            states[m] = x
+    return np.array([states[k] for k in stops])
 
 
 def _block_increments(config, seeds: tuple) -> np.ndarray:

@@ -5,8 +5,10 @@ COMMANDS run through fracspde.cli.main in one child process (one worker,
 one BLAS thread), and the sha256 of every file they write, run manifests
 excepted (they carry wall-clock data), must equal the hash recorded in
 golden_outputs.json. A refactor that moves a bit of any report fails
-here. ``python tests/test_golden_outputs.py --record`` rewrites the
-hashes; a change that does so names the byte change it makes.
+here. ``python tests/test_golden_outputs.py --record NAME...`` rewrites
+the hashes of the named outputs only, and writes nothing and exits
+non-zero if an output it was not given moved too; a change that
+re-records names the byte change it makes.
 
 The F = sin outputs depend on which BLAS kernel runs, so the file also
 records the numpy build's BLAS and the SIMD extensions numpy found on
@@ -23,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fracspde"
@@ -86,6 +89,13 @@ def blas_config() -> dict:
     return config
 
 
+def moved_outputs(hashes: dict, recorded: dict) -> list:
+    """Names of the outputs whose hash differs from (or is missing in)
+    the recorded ones."""
+    return sorted(name for name in hashes.keys() | recorded
+                  if hashes.get(name) != recorded.get(name))
+
+
 def test_primary_outputs_keep_their_bytes():
     recorded = json.loads(GOLDEN.read_text())
     hashes = output_hashes()
@@ -93,16 +103,54 @@ def test_primary_outputs_keep_their_bytes():
         config = blas_config()
         host = ("the same as the recorded one" if config == recorded["config"]
                 else f"{config}, recorded on {recorded['config']}")
-        moved = sorted(name for name in hashes.keys() | recorded["hashes"]
-                       if hashes.get(name) != recorded["hashes"].get(name))
+        moved = moved_outputs(hashes, recorded["hashes"])
         assert hashes == recorded["hashes"], (
             f"outputs {moved} changed bytes; BLAS and SIMD config: {host}")
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_golden_outputs.py --record")
+def record(names: list) -> None:
+    """Rewrite the recorded hashes of ``names``; SystemExit, writing
+    nothing, if another output moved."""
+    recorded = json.loads(GOLDEN.read_text())["hashes"]
+    hashes = output_hashes()
+    unknown = sorted(set(names) - hashes.keys() - recorded.keys())
+    if unknown:
+        sys.exit(f"no output named {unknown}")
+    unnamed = sorted(set(moved_outputs(hashes, recorded)) - set(names))
+    if unnamed:
+        sys.exit(f"outputs {unnamed} moved too; nothing written")
+    for name in names:
+        if name in hashes:
+            recorded[name] = hashes[name]
+        else:
+            recorded.pop(name, None)
     GOLDEN.write_text(json.dumps({"config": blas_config(),
-                                  "hashes": output_hashes()},
+                                  "hashes": recorded},
                                  indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    print(f"recorded {names} in {GOLDEN}")
+
+
+def test_record_rewrites_named_hashes_only(tmp_path, monkeypatch):
+    module = sys.modules[__name__]
+    golden = tmp_path / "golden.json"
+    before = json.dumps({"config": {}, "hashes": {"a": "1", "b": "2",
+                                                  "c": "3"}})
+    golden.write_text(before)
+    monkeypatch.setattr(module, "GOLDEN", golden)
+    monkeypatch.setattr(module, "output_hashes",
+                        lambda: {"a": "9", "b": "2", "d": "4"})
+    for names, message in ((["a"], r"\['c', 'd'\] moved too"),
+                           (["a", "c", "x"], r"no output named \['x'\]")):
+        with pytest.raises(SystemExit, match=message):
+            record(names)
+        assert golden.read_text() == before
+    record(["a", "c", "d"])
+    assert json.loads(golden.read_text())["hashes"] == {
+        "a": "9", "b": "2", "d": "4"}
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--record"] or not sys.argv[2:]:
+        sys.exit("usage: python tests/test_golden_outputs.py --record "
+                 "NAME...")
+    record(sys.argv[2:])

@@ -24,21 +24,31 @@ def sweep_args(n_modes, m_steps, f_kind, samples=None):
     tail = () if samples is None else (samples,)
     dw = RNG.standard_normal((m_steps, n_modes) + tail) * tau**0.75
     x0 = RNG.standard_normal((n_modes,) + tail)
+    sin_in = sin_out = None
     if f_kind == kernels.F_SIN:
-        mat = np.ascontiguousarray(sine_matrix(n_modes))
-        scale = math.sqrt(n_modes + 1)
-    else:
-        mat = None
-        scale = (math.sqrt(n_modes + 1) if f_kind == kernels.F_SIN_FFT
-                 else 1.0)
-    return x0, step_factor, tau, dw, f_kind, 1.0, mat, scale
+        mat = sine_matrix(n_modes)
+        root = math.sqrt(n_modes + 1)
+        sin_in = root * mat
+        sin_out = (tau / root) * step_factor[:, None] * mat
+    return x0, step_factor, tau, dw, f_kind, 1.0, sin_in, sin_out
 
 
-def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, mat, scale):
+def matrix_product(mat, x):
+    """mat @ x as the sweep forms it: a one-column block as two copies of
+    the column, so that BLAS runs gemm on it as on any wider block."""
+    if x.shape[1:] == (1,):
+        return np.dot(mat, np.repeat(x, 2, axis=1))[:, :1]
+    return np.dot(mat, x)
+
+
+def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, sin_in, sin_out):
     """The scheme one step at a time, for one sample (x0 (N,)) or a block
-    (x0 (N, S), each product a matrix-matrix one): all M+1 states."""
+    (x0 (N, S), each product a matrix-matrix one): all M+1 states. F_SIN
+    runs the folded step the sweep runs (oracles.unfolded_sin_sweep is
+    the step it folds)."""
     if f_kind == kernels.F_SIN_FFT:  # scipy's DST-I is the reference
         dst = pytest.importorskip("scipy.fft").dst
+        scale = math.sqrt(x0.shape[0] + 1)
     f = step_factor.reshape((-1,) + (1,) * (x0.ndim - 1))
     states = [x0]
     x = x0
@@ -48,9 +58,8 @@ def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, mat, scale):
         elif f_kind == kernels.F_SCALED:
             x = f * (x + tau * (f_scale * x) + dw[m])
         elif f_kind == kernels.F_SIN:
-            u = scale * np.dot(mat, x)
-            fx = np.dot(mat, np.sin(u)) / scale
-            x = f * (x + tau * fx + dw[m])
+            x = f * (x + dw[m]) + matrix_product(
+                sin_out, np.sin(matrix_product(sin_in, x)))
         else:
             u = scale * dst(x, type=1, norm="ortho", axis=0)
             fx = dst(np.sin(u), type=1, norm="ortho", axis=0) / scale
@@ -110,11 +119,27 @@ def test_block_keeps_operation_order(f_kind, samples):
     """A block sweep runs the plain per-step block loop's operations in
     its order: every state agrees bit for bit, both F = sin forms too.
     At N = 32, x / sqrt(N+1) and x * (1 / sqrt(N+1)) differ in about
-    half of the entries, so a reordered step shows within 64 steps."""
+    half of the entries, so a reordered FFT step shows within 64 steps,
+    as does a folded step that distributes the step factor over x + dW."""
     args = sweep_args(32, 64, f_kind, samples=samples)
     out = kernels.euler_sweep(*args, range(65))
     assert out.shape == (65, 32, samples)
     assert np.array_equal(out, step_loop(*args))
+
+
+@pytest.mark.parametrize("n_modes", [8, 64, 511])
+def test_one_column_block_equals_its_column_in_wider_blocks(n_modes):
+    """A one-column dense F = sin sweep has the bits of that sample's
+    column in a two-column block (OpenBLAS's gemv, which a one-column
+    product would run, gives other bits than its gemm)."""
+    args = sweep_args(n_modes, 32, kernels.F_SIN, samples=2)
+    x0, step_factor, tau, dw = args[:4]
+    pair = kernels.euler_sweep(*args, (8, 32))
+    for s in range(2):
+        alone = kernels.euler_sweep(x0[:, s:s + 1].copy(), step_factor, tau,
+                                    np.ascontiguousarray(dw[:, :, s:s + 1]),
+                                    *args[4:], (8, 32))
+        assert np.array_equal(alone[..., 0], pair[..., s]), s
 
 
 @pytest.mark.parametrize("stops", [(8, 4), (-1, 4), (4, 17)])
@@ -130,15 +155,23 @@ def test_sweep_rejects_unknown_kind():
         kernels.euler_sweep(*args, (16,))
 
 
+@pytest.mark.parametrize("samples", [None, 3])
+@pytest.mark.parametrize("which", [6, 7])
+@pytest.mark.parametrize("bad", [None, np.eye(11), np.eye(12)[:, :11]])
+def test_dense_sine_rejects_wrong_matrices(bad, which, samples):
+    args = list(sweep_args(12, 16, kernels.F_SIN, samples))
+    args[which] = bad
+    with pytest.raises(ValueError, match=r"\(12, 12\) sine matrices"):
+        kernels.euler_sweep(*args, (16,))
+
+
 @pytest.mark.parametrize("samples", [None, 4])
 @pytest.mark.parametrize("n_modes", [300, 512, 1024])
 def test_fast_sine_matches_dense(n_modes, samples):
     """The FFT sweep tracks the dense-matrix sweep to rounding, for one
     sample and for a block, at sizes on both sides of the switch."""
     dense_args = sweep_args(n_modes, 40, kernels.F_SIN, samples)
-    fast_args = dense_args[:4] + (kernels.F_SIN_FFT, 1.0,
-                                  None,
-                                  dense_args[7])
+    fast_args = dense_args[:4] + (kernels.F_SIN_FFT, 1.0, None, None)
     stops = (0, 10, 40)
     dense = kernels.euler_sweep(*dense_args, stops)
     fast = kernels.euler_sweep(*fast_args, stops)
