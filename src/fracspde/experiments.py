@@ -94,17 +94,15 @@ def _is_power_of_two(n: int) -> bool:
 class ConvergenceStudy:
     """One resolution-ladder experiment against a finer reference.
 
-    ``problem`` is the SolverConfig at the reference resolution; ladder
-    runs are derived from it by restriction, which is exactly the
-    aggregation/nesting coupling.
+    ``problem`` is the SolverConfig at the reference resolution (N, M),
+    and its base_seed seeds the samples. Each ladder entry is a rung
+    (n, q) of solver._solve_block (``rungs``): the first n modes, driven
+    by the fine increments summed q at a time.
     """
 
     axis: str  # "temporal" | "spatial"
     ladder: tuple
-    reference_resolution: int
-    fixed_other_axis: int
     samples: int
-    base_seed: int
     problem: SolverConfig
 
     def __post_init__(self):
@@ -116,26 +114,30 @@ class ConvergenceStudy:
             raise ValueError("ladder must be a nonempty increasing sequence")
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
+        n_ref, m_ref = self.problem.n_modes, self.problem.m_steps
         if self.axis == "temporal":
-            if self.problem.m_steps != self.reference_resolution:
-                raise ValueError("problem.m_steps must equal the reference")
-            for m in ladder + (self.reference_resolution,):
+            for m in ladder + (m_ref,):
                 if not _is_power_of_two(m):
                     raise ValueError(f"temporal resolutions must be powers "
                                      f"of two, got {m}")
-            for m in ladder:
-                if m > self.reference_resolution or \
-                        self.reference_resolution % m:
-                    raise ValueError(
-                        f"ladder entry {m} must divide the reference "
-                        f"{self.reference_resolution}"
-                    )
+                if m > m_ref:
+                    raise ValueError(f"ladder entry {m} must divide the "
+                                     f"reference {m_ref}")
         else:
-            if self.problem.n_modes != self.reference_resolution:
-                raise ValueError("problem.n_modes must equal the reference")
-            if ladder[-1] > self.reference_resolution:
-                raise ValueError("spatial ladder exceeds the reference")
+            for n in ladder:
+                if not 1 <= n <= n_ref:
+                    raise ValueError(f"spatial ladder entry {n} outside "
+                                     f"[1, {n_ref}]")
         object.__setattr__(self, "ladder", ladder)
+
+    @property
+    def rungs(self) -> list:
+        """The ladder as solver._solve_block rungs (n, q): temporal m is
+        (N, M // m), spatial n is (n, 1)."""
+        n_ref, m_ref = self.problem.n_modes, self.problem.m_steps
+        if self.axis == "temporal":
+            return [(n_ref, m_ref // m) for m in self.ladder]
+        return [(n, 1) for n in self.ladder]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +147,9 @@ class ErrorReport:
     ``theoretical_slope`` is the paper's asymptotic exponent for the
     study's axis. It is not the slope a finite protocol is expected to
     fit: the exact expectation of the F = 0 scheme on the same protocol
-    comes from ``verify.expected_temporal_rms_errors`` /
-    ``expected_spatial_rms_errors`` and can lie well above it (README,
-    "Desk-scale protocols vs asymptotic rates").
+    comes from ``verify.expected_rms_errors(problem, study.rungs)`` and
+    can lie well above it (README, "Desk-scale protocols vs asymptotic
+    rates").
     """
 
     resolutions: np.ndarray
@@ -204,18 +206,16 @@ def _fit_or_nan(xs: np.ndarray, ys: np.ndarray):
 def _study_block(args) -> np.ndarray:
     """Per-sample errors, (B, rungs), of one block of consecutive samples.
 
-    The reference and every rung sweep the block's (N, B) states driven by
-    its raw increments in one solver._solve_block call: a temporal rung
-    m is (N, M // m), the fine increments summed M // m at a time, a
-    spatial rung n is (n, 1), the leading n modes.
+    The reference (N, 1) and every rung of study.rungs sweep the block's
+    (N, B) states driven by its raw increments in one
+    solver._solve_block call.
     """
     study, first, seeds = args
     template = study.problem
-    n_ref, m_ref = template.n_modes, template.m_steps
-    rungs = [(n_ref, m_ref // r) if study.axis == "temporal" else (r, 1)
-             for r in study.ladder]
+    rungs = study.rungs
     ends = _solve_block([template], _unit_increments(template, seeds),
-                        [(n_ref, 1)] + rungs, (m_ref,))
+                        [(template.n_modes, 1)] + rungs,
+                        (template.m_steps,))
     ref = ends[0][0, :, 0]
     errors = np.empty((len(seeds), len(rungs)))
     for j, ((n, _), end) in enumerate(zip(rungs, ends[1:])):
@@ -228,13 +228,14 @@ def _study_block(args) -> np.ndarray:
 
 def _study_metadata(study: ConvergenceStudy, extra: dict) -> dict:
     p = study.problem
+    temporal = study.axis == "temporal"
     meta = {
         "axis": study.axis,
         "ladder": list(study.ladder),
-        "reference_resolution": study.reference_resolution,
-        "fixed_other_axis": study.fixed_other_axis,
+        "reference_resolution": p.m_steps if temporal else p.n_modes,
+        "fixed_other_axis": p.n_modes if temporal else p.m_steps,
         "samples": study.samples,
-        "base_seed": study.base_seed,
+        "base_seed": p.base_seed,
         "horizon": p.horizon,
         "hurst": p.hurst.h,
         "noise_kind": p.noise.kind,
@@ -250,19 +251,20 @@ def _study_metadata(study: ConvergenceStudy, extra: dict) -> dict:
 def run_study(study: ConvergenceStudy, workers: int = 1) -> ErrorReport:
     """Errors of every rung against the study's reference, on either axis.
 
-    Sample s draws from derive_seed(study.base_seed, SAMPLE_STREAM, s);
-    fixed blocks of consecutive samples (solver._sample_blocks) are mapped
-    over ``workers`` processes. A temporal slope is fitted against the
-    step size tau, so its theoretical value is (2H + beta - 1)/2; a
-    spatial one against N, reported as the positive decay order, so its
-    theoretical value is 2H + beta - 1 (the lambda_{N+1} form doubled
-    through lambda_N ~ N^2 pi^2). Both are the paper's asymptotic
-    exponents, not the slopes a finite protocol is expected to fit: for
-    those, fit ``verify.expected_temporal_rms_errors`` /
-    ``expected_spatial_rms_errors`` on the same ladder.
+    Sample s draws from derive_seed(study.problem.base_seed,
+    SAMPLE_STREAM, s); fixed blocks of consecutive samples
+    (solver._sample_blocks) are mapped over ``workers`` processes. A
+    temporal slope is fitted against the step size tau, so its
+    theoretical value is (2H + beta - 1)/2; a spatial one against N,
+    reported as the positive decay order, so its theoretical value is
+    2H + beta - 1 (the lambda_{N+1} form doubled through
+    lambda_N ~ N^2 pi^2). Both are the paper's asymptotic exponents, not
+    the slopes a finite protocol is expected to fit: for those, fit
+    ``verify.expected_rms_errors(problem, study.rungs)`` on the same
+    ladder, with the problem's F set to 0.
     """
     args = [(study, first, seeds) for first, seeds in
-            _sample_blocks(study.problem, study.samples, study.base_seed)]
+            _sample_blocks(study.problem, study.samples)]
     errors = np.concatenate(parallel_map(_study_block, args, workers))
     stats = [rms_error(errors[:, i]) for i in range(len(study.ladder))]
     rms = np.array([s[0] for s in stats])
@@ -295,8 +297,8 @@ def run_study(study: ConvergenceStudy, workers: int = 1) -> ErrorReport:
 # the reference resolution is M (temporal) or N (spatial). The temporal
 # reference ratio is 4 at both scales, and at tau = 1/200 implicit Euler
 # damps every mode n >= 5, so the exact F = 0 expected slopes
-# (``verify.expected_temporal_rms_errors`` / ``expected_spatial_rms_errors``)
-# lie above the asymptotic ``theoretical_slope`` of the report:
+# (``verify.expected_rms_errors(problem, study.rungs)``) lie above the
+# asymptotic ``theoretical_slope`` of the report:
 # 0.969 (trace) / 0.627 (identity) for desk temporal against 0.75 / 0.50,
 # 0.998 / 0.628 for paper temporal, and 2.097 / 1.247 for spatial at both
 # scales against 1.5 / 1.0.
@@ -316,12 +318,9 @@ def protocol_study(axis: str, scale: str, preset: str, base_seed: int,
     n, m, ladder, default_samples = PROTOCOLS[(axis, scale)]
     problem = she_problem(preset, n_modes=n, m_steps=m, base_seed=base_seed,
                           fbm_method=fbm_method)
-    temporal = axis == "temporal"
     return ConvergenceStudy(axis=axis, ladder=ladder,
-                            reference_resolution=m if temporal else n,
-                            fixed_other_axis=n if temporal else m,
                             samples=samples or default_samples,
-                            base_seed=base_seed, problem=problem)
+                            problem=problem)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ bit for bit (tested within 1e-13 relative over 2^12 steps at N = 8, 64
 and 511). F_SIN_FFT runs that unfolded step with the orthonormal DST-I
 as numpy's ``rfft`` of length 2(N+1) (O(N log N), no matrix; ``_Dst1``);
 folding its constants saved under 2% there (32.8 against 32.3 ms per 200
-steps at (512, 8)), so it keeps the unfolded step. The two forms agree to rounding (tested within
-1e-12 relative). The FFT form equals ``scipy.fft.dst(type=1,
-norm="ortho")`` bit for bit: both run pocketfft's real FFT of the odd
-extension and scale by 1/sqrt(2(N+1)) computed in long double, so numpy
-alone carries the transform and no run imports scipy.
+steps at (512, 8)), so it keeps the unfolded step. The two forms agree
+to rounding (tested within 1e-12 relative). The FFT form equals
+``scipy.fft.dst(type=1, norm="ortho")`` bit for bit: both run
+pocketfft's real FFT of the odd extension and scale by 1/sqrt(2(N+1))
+computed in long double, so numpy alone carries the transform and no
+run imports scipy.
 ``solver._sweep_setup`` picks F_SIN_FFT at N >= ``_FAST_SINE_MIN_MODES``
 = 512 and F_SIN below it; the kind is fixed per sweep, so no step
 branches on N. Measured per step on one thread (2-vCPU VM whose speed

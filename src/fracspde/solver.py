@@ -172,22 +172,22 @@ _BLOCK_BYTES = 32 * 2**20
 _BLOCK_SAMPLES = 8
 
 
-def _sample_blocks(config: SolverConfig, samples: int,
-                   base_seed: int) -> list:
+def _sample_blocks(config: SolverConfig, samples: int) -> list:
     """(first index, seeds) of fixed blocks of consecutive samples.
 
-    Sample s draws from derive_seed(base_seed, SAMPLE_STREAM, s). Block
-    membership follows the sample index and config's (M, N) only, never
-    the worker count, so results are identical for any number of workers.
-    A block's M*N*B increments fit in _BLOCK_BYTES: the one raw (N, B, M)
-    buffer (_unit_increments) that drives every preset and every rung of
-    the block (_solve_block), so B depends on neither number.
+    Sample s draws from derive_seed(config.base_seed, SAMPLE_STREAM, s).
+    Block membership follows the sample index and config's (M, N) only,
+    never the worker count, so results are identical for any number of
+    workers. A block's M*N*B increments fit in _BLOCK_BYTES: the one raw
+    (N, B, M) buffer (_unit_increments) that drives every preset and
+    every rung of the block (_solve_block), so B depends on neither
+    number.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     size = min(_BLOCK_SAMPLES, max(
         1, _BLOCK_BYTES // (8 * config.m_steps * config.n_modes)))
-    seeds = derive_seed(base_seed, SAMPLE_STREAM,
+    seeds = derive_seed(config.base_seed, SAMPLE_STREAM,
                         np.arange(samples)).tolist()
     return [(first, tuple(seeds[first:first + size]))
             for first in range(0, samples, size)]

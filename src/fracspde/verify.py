@@ -25,9 +25,12 @@ the larger weight vector's largest; at the shapes of criterion 8 and of
 the desk and resolved temporal protocols the oracles moved by at most
 2.1e-16 relative from their full-length forms (tested within 1e-14).
 
-The forms are evaluated on unit-amplitude weight differences and scaled
-by phi_n^2 per preset. They depend only on the eigenvalues, the grid
-(tau, M, H) and the rungs or lags, so _unit_forms caches them
+One builder, _unit_forms, serves every oracle: the forms of a
+reference's weights minus those of the scheme at step ratio q on
+M - lag steps, shifted back by lag, plus the reference's own. They are
+evaluated on unit-amplitude weights and scaled by phi_n^2 per preset.
+They depend only on the eigenvalues, the grid (tau, M, H), the
+reference and the (q, lag) specs, so _unit_forms caches them
 (fbm.clear_caches empties it): a second preset on the same grid runs no
 FFT.
 """
@@ -72,9 +75,8 @@ __all__ = [
     "estimate_space_regularity",
     "estimate_time_regularity",
     "expected_increment_rms",
+    "expected_rms_errors",
     "expected_sobolev_rms",
-    "expected_spatial_rms_errors",
-    "expected_temporal_rms_errors",
     "linear_endpoint_moments",
     "phi_cell_quadrature",
 ]
@@ -296,50 +298,73 @@ def _form_size(support: int, m_steps: int) -> int:
 
 
 @_bounded_cache
-def _unit_forms(build, lam: bytes, tau: float, m_steps: int,
-                hurst: HurstParameter, arg):
-    """build(lam, tau, m_steps, form, arg) as two read-only (N, K) arrays.
+def _unit_forms(lam: bytes, tau: float, m_steps: int, hurst: HurstParameter,
+                reference_ratio, specs: tuple, reads: tuple):
+    """Two read-only (N, K + 1) arrays (forms, decays) of unit-amplitude
+    F = 0 weights, cached by every value they depend on (the eigenvalues
+    as bytes), so a second preset on the same grid builds no form.
 
-    The F = 0 oracles differ between presets only in the amplitudes phi
-    and the initial coefficients xi, so each is assembled from per-mode
-    parts that depend on neither: forms[i, k], the Toeplitz form of mode
-    i's unit-amplitude weight difference for the k-th rung or lag, and
-    decays[i, k], the matching difference of the weights of xi_i. They
-    are cached by every value they depend on (the eigenvalues as bytes);
-    a second preset on the same grid builds no form.
+    The reference is solver.linear_weights at ``reference_ratio`` on the
+    grid's M steps (None: the mild solution). Column k < K is spec
+    k = (q, lag), the scheme at step ratio q on M - lag steps shifted
+    back by lag: forms[i, k] is the Toeplitz form of mode i's reference
+    weights minus the spec's, on the support of both (_form_size), and
+    decays[i, k] the difference of their weights of xi_i. Column K is
+    the reference alone. Column k is built for the modes in
+    range(*reads[k]) only, and is NaN elsewhere.
     """
-    parts = build(np.frombuffer(lam), tau, m_steps,
-                  _grid_form(tau, m_steps, hurst), arg)
-    for array in parts:
+    lam = np.frombuffer(lam)
+    form = _grid_form(tau, m_steps, hurst)
+    forms = np.full((lam.size, len(reads)), np.nan)
+    decays = np.full((lam.size, len(reads)), np.nan)
+    for i in range(lam.size):
+        columns = [k for k, (lo, hi) in enumerate(reads) if lo <= i < hi]
+        if not columns:
+            continue
+        ref_support = linear_support(lam[i], tau, m_steps, reference_ratio)
+        sizes = []
+        for k in columns:
+            support = ref_support
+            if k < len(specs):
+                q, lag = specs[k]
+                support = max(support, min(m_steps, lag + linear_support(
+                    lam[i], tau, m_steps - lag, q)))
+            sizes.append(_form_size(support, m_steps))
+        w_ref, decay_ref = linear_weights(lam[i], tau, m_steps,
+                                          reference_ratio, max(sizes))
+        for k, size in zip(columns, sizes):
+            w, decay = 0.0, 0.0  # column K: the reference alone
+            if k < len(specs):
+                q, lag = specs[k]
+                w, decay = linear_weights(lam[i], tau, m_steps - lag, q,
+                                          size - lag)
+                if lag:
+                    w = np.concatenate([w, np.zeros(lag)])
+            # a temporary difference, freed before the next is made: one
+            # kept alive made the criterion 8 oracle about 5% slower
+            forms[i, k] = form(w_ref[w_ref.size - size:] - w)
+            decays[i, k] = decay_ref - decay
+    for array in (forms, decays):
         array.flags.writeable = False
-    return parts
+    return forms, decays
 
 
-def _response(config: SolverConfig, build, arg):
+def _response(config: SolverConfig, reference_ratio, specs, reads):
     """(lambda, phi, xi, forms, decays) of the F = 0 scheme on config's
-    grid, the last two from _unit_forms(build, ..., arg)."""
+    grid, the last two from _unit_forms."""
     n = config.n_modes
     lam = config.operator.eigenvalues[:n]
-    forms, decays = _unit_forms(build, lam.tobytes(), config.tau,
-                                config.m_steps, config.hurst, arg)
+    forms, decays = _unit_forms(lam.tobytes(), config.tau, config.m_steps,
+                                config.hurst, reference_ratio, tuple(specs),
+                                tuple(reads))
     return (lam, config.noise.amplitudes[:n], config.initial.coeffs[:n],
             forms, decays)
 
 
-def _endpoint_forms(lam, tau, m, form, _):
-    """Column 0: the form of the scheme's weights and their w0."""
-    forms = np.empty((lam.size, 1))
-    decays = np.empty((lam.size, 1))
-    for i in range(lam.size):
-        size = _form_size(linear_support(lam[i], tau, m, 1), m)
-        w, decays[i, 0] = linear_weights(lam[i], tau, m, 1, size)
-        forms[i, 0] = form(w)
-    return forms, decays
-
-
 def linear_endpoint_moments(config: SolverConfig):
     """Exact per-mode (mean, variance) of the F = 0 scheme endpoint."""
-    _, phi, xi, forms, decays = _response(config, _endpoint_forms, None)
+    _, phi, xi, forms, decays = _response(config, 1, (),
+                                          ((0, config.n_modes),))
     return decays[:, 0] * xi, phi**2 * forms[:, 0]
 
 
@@ -350,70 +375,44 @@ def expected_sobolev_rms(config: SolverConfig, delta: float) -> float:
     return float(np.sqrt(np.sum(lam**delta * (means**2 + variances))))
 
 
-def expected_spatial_rms_errors(template: SolverConfig,
-                                ladder: list) -> np.ndarray:
-    """Exact coupled-noise spatial errors ||X_ref - X_N|| for F = 0.
+def expected_rms_errors(template: SolverConfig, rungs,
+                        reference_ratio=1) -> np.ndarray:
+    """Exact coupled-noise RMS errors of F = 0 rungs against a reference.
 
-    With nested noise and F = 0 the first N modes cancel exactly, so the
-    error is the reference's energy in modes N+1..N_ref.
+    ``template`` is the reference resolution (N, M). Rung (n, q) is the
+    scheme on the first n modes, driven by the fine increments summed q
+    at a time (solver._solve_block); the reference is the scheme at step
+    ratio ``reference_ratio`` (None: the mild solution). Both are linear
+    maps of the fine increments, so a rung's squared error sums, below
+    n, phi^2 times the form of the weight difference plus the initial
+    value's term (0 where q is the reference's ratio), and from n on the
+    reference's second moment (_unit_forms). ValueError unless every n
+    lies in [1, N] and every q divides M.
     """
-    means, variances = linear_endpoint_moments(template)
-    second = means**2 + variances
-    return np.array([np.sqrt(np.sum(second[n:])) for n in ladder])
-
-
-def _coarse_forms(lam, tau, m_fine, form, arg):
-    """One column per rung: the form of the reference weights minus the
-    rung's, on the support of both (_form_size)."""
-    reference_ratio, ladder = arg
-    forms = np.empty((lam.size, len(ladder)))
-    decays = np.empty((lam.size, len(ladder)))
-    for i in range(lam.size):
-        support = linear_support(lam[i], tau, m_fine, reference_ratio)
-        sizes = [_form_size(max(support, linear_support(
-            lam[i], tau, m_fine, m_fine // m)), m_fine) for m in ladder]
-        w_ref, decay_ref = linear_weights(lam[i], tau, m_fine,
-                                          reference_ratio, max(sizes))
-        for k, (m, size) in enumerate(zip(ladder, sizes)):
-            w, decay = linear_weights(lam[i], tau, m_fine, m_fine // m, size)
-            forms[i, k] = form(w_ref[w_ref.size - size:] - w)
-            decays[i, k] = decay_ref - decay
-    return forms, decays
-
-
-def _coarse_rms_errors(template: SolverConfig, ladder: list,
-                       reference_ratio) -> np.ndarray:
-    """Exact RMS errors of coarse scheme runs against a linear reference.
-
-    The reference and every ladder run are linear maps of the template's
-    fine increments (solver.linear_weights: ``reference_ratio`` None for
-    the mild solution, 1 for the fine scheme; step ratio M_ref / M for a
-    rung). Each error is phi^2 times a Toeplitz quadratic form in the
-    unit weight difference (_coarse_forms), plus the initial value's
-    term, summed over modes.
-    """
-    for m in ladder:
-        if template.m_steps % m:
-            raise ValueError(f"ladder step count {m} does not divide "
-                             f"{template.m_steps}")
+    n_ref, m = template.n_modes, template.m_steps
+    rungs = [(int(n), int(q)) for n, q in rungs]
+    for n, q in rungs:
+        if not 1 <= n <= n_ref:
+            raise ValueError(f"rung {(n, q)}: mode count {n} outside "
+                             f"[1, {n_ref}]")
+        if q < 1 or m % q:
+            raise ValueError(f"rung {(n, q)}: step ratio {q} does not "
+                             f"divide {m}")
+    ratios = list(dict.fromkeys(q for _, q in rungs if q != reference_ratio))
+    reads = [(0, max(n for n, r in rungs if r == q)) for q in ratios]
+    reads.append((min((n for n, _ in rungs), default=n_ref), n_ref))
     _, phi, xi, forms, decays = _response(
-        template, _coarse_forms, (reference_ratio, tuple(ladder)))
-    err2 = np.zeros(len(ladder))
-    for i in range(phi.size):
-        err2 += phi[i] ** 2 * forms[i] + (decays[i] * xi[i]) ** 2
+        template, reference_ratio, [(q, 0) for q in ratios], reads)
+    terms = phi[:, None] ** 2 * forms + (decays * xi[:, None]) ** 2
+    picked = np.zeros((n_ref, len(rungs)))
+    for k, (n, q) in enumerate(rungs):
+        if q != reference_ratio:
+            picked[:n, k] = terms[:n, ratios.index(q)]
+        picked[n:, k] = terms[n:, -1]
+    err2 = np.zeros(len(rungs))
+    for row in picked:  # mode by mode, in order, not np.sum's pairwise sum
+        err2 += row
     return np.sqrt(err2)
-
-
-def expected_temporal_rms_errors(template: SolverConfig,
-                                 ladder: list) -> np.ndarray:
-    """Exact coupled-noise temporal errors ||X_{M} - X_{M_ref}|| for F = 0.
-
-    Both resolutions are linear maps of the same fine increments: the
-    reference weights each fine increment j by r_f^{M_ref - j}; the
-    ladder run at step ratio q weights it by r_c^{M - (j // q)}. The
-    error is then a Toeplitz quadratic form in the weight difference.
-    """
-    return _coarse_rms_errors(template, ladder, 1)
 
 
 def expected_mild_rms_errors(template: SolverConfig,
@@ -422,44 +421,37 @@ def expected_mild_rms_errors(template: SolverConfig,
 
     The template's grid is the fine one driving linear_mild_reference;
     ladder entries are coarse step counts run by the scheme on
-    aggregated increments. Both are linear maps of the same fine
-    increments, the mild side weighting increment j by
+    aggregated increments: expected_rms_errors at rungs (N, M // m)
+    against the mild solution, which weights fine increment j by
     exp(-lambda (T - j tau_f)).
     """
-    return _coarse_rms_errors(template, ladder, None)
-
-
-def _increment_forms(lam, tau, m, form, lag_steps):
-    """One column per lag L: the form of the endpoint's weights minus
-    those of X(T - L tau), which are the weights of m - L steps shifted
-    back by L."""
-    forms = np.empty((lam.size, len(lag_steps)))
-    decays = np.empty((lam.size, len(lag_steps)))
-    for i in range(lam.size):
-        support = linear_support(lam[i], tau, m, 1)
-        sizes = [_form_size(min(m, lag + support), m) for lag in lag_steps]
-        w_end, decay_end = linear_weights(lam[i], tau, m, 1, max(sizes))
-        for k, (lag, size) in enumerate(zip(lag_steps, sizes)):
-            w_lag = np.zeros(size)
-            w_lag[: size - lag], decay_lag = linear_weights(
-                lam[i], tau, m - lag, 1, size - lag)
-            forms[i, k] = form(w_end[w_end.size - size:] - w_lag)
-            decays[i, k] = decay_end - decay_lag
-    return forms, decays
+    for m in ladder:
+        if m < 1 or template.m_steps % m:
+            raise ValueError(f"ladder step count {m} does not divide "
+                             f"{template.m_steps}")
+    return expected_rms_errors(
+        template, [(template.n_modes, template.m_steps // m) for m in ladder],
+        reference_ratio=None)
 
 
 def expected_increment_rms(config: SolverConfig, lag_steps: list,
                            delta: float) -> np.ndarray:
-    """Exact L^2(Omega; V_delta) norm of X(T) - X(T - L*tau), F = 0."""
+    """Exact L^2(Omega; V_delta) norm of X(T) - X(T - L*tau), F = 0.
+
+    X(T - L tau) is the scheme on M - L steps shifted back by L: spec
+    (1, L) of _unit_forms against the fine scheme.
+    """
     for lag in lag_steps:
         if not 1 <= lag < config.m_steps:
             raise ValueError(f"lag {lag} out of range [1, {config.m_steps})")
+    n = config.n_modes
     lam, phi, xi, forms, decays = _response(
-        config, _increment_forms, tuple(int(lag) for lag in lag_steps))
+        config, 1, [(1, int(lag)) for lag in lag_steps],
+        [(0, n)] * len(lag_steps) + [(n, n)])
     total = np.zeros(len(lag_steps))
     for i in range(lam.size):
-        total += lam[i] ** delta * (phi[i] ** 2 * forms[i]
-                                    + (decays[i] * xi[i]) ** 2)
+        total += lam[i] ** delta * (phi[i] ** 2 * forms[i, :-1]
+                                    + (decays[i, :-1] * xi[i]) ** 2)
     return np.sqrt(total)
 
 
@@ -505,8 +497,7 @@ def estimate_time_regularity(configs, delta: float, lag_steps: list,
     if lag_steps[0] < 1 or lag_steps[-1] >= config.m_steps:
         raise ValueError("lags must lie inside the trajectory")
     args = [(configs, tuple(lag_steps), delta, first, seeds)
-            for first, seeds in _sample_blocks(config, samples,
-                                                config.base_seed)]
+            for first, seeds in _sample_blocks(config, samples)]
     # (P, samples, lags) in C order, so each preset's mean over samples
     # adds them in the order of a one-preset (samples, lags) array
     sq = np.concatenate(parallel_map(_time_regularity_block, args, workers),
@@ -605,8 +596,7 @@ def estimate_space_regularity(configs, n_ladder: list, deltas: list,
     if n_ladder[-1] > template.n_modes:
         raise ValueError("ladder exceeds the template's mode count")
     args = [(configs, tuple(n_ladder), tuple(deltas), first, seeds)
-            for first, seeds in _sample_blocks(template, samples,
-                                                template.base_seed)]
+            for first, seeds in _sample_blocks(template, samples)]
     # (P, samples, deltas, rungs)
     sq = np.concatenate(parallel_map(_space_regularity_block, args, workers),
                         axis=1)

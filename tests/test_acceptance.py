@@ -15,8 +15,9 @@ reference ratio is 4, so the exact F = 0 expected slopes are 0.969 /
 rates"). _judge_against_oracle therefore asserts, per study:
 
 (a) every rung's rms error within 4 standard errors of the exact
-    Toeplitz second-moment oracle (verify.expected_*_rms_errors) for the
-    same protocol, the convention of test_experiments' oracle tests;
+    Toeplitz second-moment oracle (verify.expected_rms_errors at the
+    study's rungs) for the same protocol, the convention of
+    test_experiments' oracle tests;
 (b) the fitted slope within 3 Monte Carlo standard errors of the
     oracle's slope, the standard error propagated from the per-rung
     std_errors through the OLS weights (delta method);
@@ -106,9 +107,7 @@ def _f0_oracle(study: ConvergenceStudy, preset: str,
     linear = she_problem(preset, n_modes=p.n_modes, m_steps=p.m_steps,
                          base_seed=0, horizon=p.horizon, hurst=hurst,
                          with_nonlinearity=False)
-    if study.axis == "temporal":
-        return verify.expected_temporal_rms_errors(linear, list(study.ladder))
-    return verify.expected_spatial_rms_errors(linear, list(study.ladder))
+    return verify.expected_rms_errors(linear, study.rungs)
 
 
 def _judge_against_oracle(report: ErrorReport, exact_errors: np.ndarray,
@@ -383,12 +382,8 @@ def test_oracle_judge_rejects_wrong_hurst():
         for hurst in (0.70, 0.75, 0.80):
             problem = she_problem("she-identity", n_modes=n, m_steps=m,
                                   base_seed=20240803, hurst=hurst)
-            study = ConvergenceStudy(
-                axis=axis, ladder=ladder,
-                reference_resolution=m if axis == "temporal" else n,
-                fixed_other_axis=n if axis == "temporal" else m,
-                samples=128, base_seed=20240803, problem=problem,
-            )
+            study = ConvergenceStudy(axis=axis, ladder=ladder, samples=128,
+                                     problem=problem)
             exact = _f0_oracle(study, "she-identity", hurst=0.75)
             verdicts[hurst] = _judge_against_oracle(run_study(study), exact,
                                                     tolerance)
@@ -542,14 +537,11 @@ def test_criterion_9_determinism(tmp_path):
     started = time.monotonic()
     problem = she_problem("she-trace", n_modes=8, m_steps=2**9, base_seed=12)
     temporal = ConvergenceStudy(axis="temporal", ladder=(64, 128, 256),
-                                reference_resolution=2**9,
-                                fixed_other_axis=8, samples=8, base_seed=12,
-                                problem=problem)
+                                samples=8, problem=problem)
     sp_problem = she_problem("she-identity", n_modes=64, m_steps=50,
                              base_seed=13)
-    spatial = ConvergenceStudy(axis="spatial", ladder=(2, 4, 8),
-                               reference_resolution=64, fixed_other_axis=50,
-                               samples=8, base_seed=13, problem=sp_problem)
+    spatial = ConvergenceStudy(axis="spatial", ladder=(2, 4, 8), samples=8,
+                               problem=sp_problem)
     same = True
     for name, study in (("t", temporal), ("s", spatial)):
         paths = {}
@@ -608,13 +600,14 @@ def test_resolved_regime_rates():
     temporal = she_problem("she-identity", n_modes=64, m_steps=2**16,
                            base_seed=0, with_nonlinearity=False)
     ladder = [2**6, 2**7, 2**8, 2**9, 2**10]
-    errs = verify.expected_temporal_rms_errors(temporal, ladder)
+    errs = verify.expected_rms_errors(temporal,
+                                      [(64, 2**16 // m) for m in ladder])
     slope_t = fit_slope(1.0 / np.array(ladder, float), errs)[0]
 
     spatial = she_problem("she-identity", n_modes=128, m_steps=2**12,
                           base_seed=0, with_nonlinearity=False)
     n_ladder = [2, 4, 8, 16]
-    errs_s = verify.expected_spatial_rms_errors(spatial, n_ladder)
+    errs_s = verify.expected_rms_errors(spatial, [(n, 1) for n in n_ladder])
     slope_s = -fit_slope(np.array(n_ladder, float), errs_s)[0]
     elapsed = time.monotonic() - started
     passed = abs(slope_t - 0.5) <= 0.1 and abs(slope_s - 1.0) <= 0.15

@@ -21,10 +21,7 @@ from fracspde.fbm import aggregate_cylindrical, generate_cylindrical_fbm
 from fracspde.rng import SAMPLE_STREAM, derive_seed
 from fracspde.solver import restrict_config, solve_endpoint
 from fracspde.spectral import scaled_identity_map
-from fracspde.verify import (
-    expected_spatial_rms_errors,
-    expected_temporal_rms_errors,
-)
+from fracspde.verify import expected_rms_errors
 
 RNG = np.random.default_rng(8)
 
@@ -80,23 +77,29 @@ class TestStudyValidation:
     def test_temporal_requires_powers_of_two(self):
         problem = she_problem("she-trace", n_modes=4, m_steps=64, base_seed=0)
         with pytest.raises(ValueError):
-            ConvergenceStudy(axis="temporal", ladder=(12, 24),
-                             reference_resolution=64, fixed_other_axis=4,
-                             samples=4, base_seed=0, problem=problem)
+            ConvergenceStudy(axis="temporal", ladder=(12, 24), samples=4,
+                             problem=problem)
 
     def test_temporal_requires_divisibility(self):
         problem = she_problem("she-trace", n_modes=4, m_steps=64, base_seed=0)
         with pytest.raises(ValueError):
-            ConvergenceStudy(axis="temporal", ladder=(128,),
-                             reference_resolution=64, fixed_other_axis=4,
-                             samples=4, base_seed=0, problem=problem)
+            ConvergenceStudy(axis="temporal", ladder=(128,), samples=4,
+                             problem=problem)
 
     def test_spatial_ladder_bounded_by_reference(self):
         problem = she_problem("she-trace", n_modes=8, m_steps=10, base_seed=0)
         with pytest.raises(ValueError):
-            ConvergenceStudy(axis="spatial", ladder=(4, 16),
-                             reference_resolution=8, fixed_other_axis=10,
-                             samples=4, base_seed=0, problem=problem)
+            ConvergenceStudy(axis="spatial", ladder=(4, 16), samples=4,
+                             problem=problem)
+
+    def test_spatial_ladder_entries_in_range(self):
+        # a bad entry is named when the study is built, before any block
+        # draws its noise
+        problem = she_problem("she-trace", n_modes=8, m_steps=10, base_seed=0)
+        for ladder, bad in (((0, 2, 4), 0), ((-3, 2), -3), ((2, 9), 9)):
+            with pytest.raises(ValueError, match=f"entry {bad} outside"):
+                ConvergenceStudy(axis="spatial", ladder=ladder, samples=4,
+                                 problem=problem)
 
     def test_desk_presets_construct(self):
         t = protocol_study("temporal", "desk", "she-trace", base_seed=1)
@@ -116,8 +119,9 @@ class TestStudyValidation:
             assert study.ladder == ladder
             assert study.samples == 7
             assert study.problem.fbm_method == "cholesky"
-            assert study.reference_resolution == (
-                m if axis == "temporal" else n)
+            assert study.rungs == (
+                [(n, m // r) for r in ladder] if axis == "temporal"
+                else [(r, 1) for r in ladder])
             assert protocol_study(axis, scale, "she-trace",
                                   base_seed=3).samples == samples
 
@@ -131,9 +135,7 @@ class TestTemporalStudy:
                               base_seed=5, with_nonlinearity=False,
                               with_noise=False)
         study = ConvergenceStudy(axis="temporal", ladder=(256, 512, 1024),
-                                 reference_resolution=2**14,
-                                 fixed_other_axis=4, samples=3, base_seed=5,
-                                 problem=problem)
+                                 samples=3, problem=problem)
         report = run_study(study)
         lam = problem.operator.eigenvalues[0]
         xi = problem.initial.coeffs[0]
@@ -148,21 +150,18 @@ class TestTemporalStudy:
     def test_matches_linear_oracle(self):
         problem = she_problem("she-identity", n_modes=8, m_steps=128,
                               base_seed=9, with_nonlinearity=False)
-        study = ConvergenceStudy(axis="temporal", ladder=(16, 32),
-                                 reference_resolution=128,
-                                 fixed_other_axis=8, samples=64, base_seed=9,
+        study = ConvergenceStudy(axis="temporal", ladder=(16, 32), samples=64,
                                  problem=problem)
         report = run_study(study)
-        oracle = expected_temporal_rms_errors(problem, [16, 32])
+        oracle = expected_rms_errors(problem, study.rungs)
         for rms, se, target in zip(report.rms_errors, report.std_errors,
                                    oracle):
             assert abs(rms - target) < 4 * se
 
     def test_equal_resolution_rung_is_exact_zero(self):
         problem = she_problem("she-trace", n_modes=4, m_steps=32, base_seed=2)
-        study = ConvergenceStudy(axis="temporal", ladder=(16, 32),
-                                 reference_resolution=32, fixed_other_axis=4,
-                                 samples=3, base_seed=2, problem=problem)
+        study = ConvergenceStudy(axis="temporal", ladder=(16, 32), samples=3,
+                                 problem=problem)
         errors = np.array([
             run_study(study).rms_errors[-1]
         ])
@@ -172,9 +171,7 @@ class TestTemporalStudy:
         for preset, theo in (("she-trace", 0.75), ("she-identity", 0.5)):
             problem = she_problem(preset, n_modes=4, m_steps=32, base_seed=2)
             study = ConvergenceStudy(axis="temporal", ladder=(4, 8, 16),
-                                     reference_resolution=32,
-                                     fixed_other_axis=4, samples=3,
-                                     base_seed=2, problem=problem)
+                                     samples=3, problem=problem)
             assert run_study(study).theoretical_slope == theo
 
 
@@ -183,9 +180,7 @@ class TestSpatialStudy:
         problem = she_problem("she-trace", n_modes=16, m_steps=20,
                               base_seed=3, with_nonlinearity=False,
                               with_noise=False)
-        study = ConvergenceStudy(axis="spatial", ladder=(1, 2, 4),
-                                 reference_resolution=16,
-                                 fixed_other_axis=20, samples=3, base_seed=3,
+        study = ConvergenceStudy(axis="spatial", ladder=(1, 2, 4), samples=3,
                                  problem=problem)
         report = run_study(study)
         assert np.all(report.rms_errors == 0.0)
@@ -193,12 +188,10 @@ class TestSpatialStudy:
     def test_matches_linear_oracle(self):
         problem = she_problem("she-identity", n_modes=32, m_steps=25,
                               base_seed=7, with_nonlinearity=False)
-        study = ConvergenceStudy(axis="spatial", ladder=(4, 8),
-                                 reference_resolution=32,
-                                 fixed_other_axis=25, samples=64,
-                                 base_seed=7, problem=problem)
+        study = ConvergenceStudy(axis="spatial", ladder=(4, 8), samples=64,
+                                 problem=problem)
         report = run_study(study)
-        oracle = expected_spatial_rms_errors(problem, [4, 8])
+        oracle = expected_rms_errors(problem, study.rungs)
         for rms, se, target in zip(report.rms_errors, report.std_errors,
                                    oracle):
             assert abs(rms - target) < 4 * se
@@ -207,9 +200,7 @@ class TestSpatialStudy:
         for preset, theo in (("she-trace", 1.5), ("she-identity", 1.0)):
             problem = she_problem(preset, n_modes=8, m_steps=10, base_seed=1)
             study = ConvergenceStudy(axis="spatial", ladder=(2, 4, 8),
-                                     reference_resolution=8,
-                                     fixed_other_axis=10, samples=3,
-                                     base_seed=1, problem=problem)
+                                     samples=3, problem=problem)
             assert run_study(study).theoretical_slope == theo
 
 
@@ -247,8 +238,7 @@ class TestWorkerIndependence:
     def test_temporal_report_identical_across_worker_counts(self):
         problem = she_problem("she-trace", n_modes=8, m_steps=64, base_seed=4)
         study = ConvergenceStudy(axis="temporal", ladder=(8, 16, 32),
-                                 reference_resolution=64, fixed_other_axis=8,
-                                 samples=6, base_seed=4, problem=problem)
+                                 samples=6, problem=problem)
         one = run_study(study, workers=1)
         many = run_study(study, workers=3)
         assert np.array_equal(one.rms_errors, many.rms_errors)
@@ -265,7 +255,7 @@ def _per_sample_errors(study):
     for s in range(study.samples):
         fine = generate_cylindrical_fbm(
             template.n_modes, template.grid(), template.hurst,
-            derive_seed(study.base_seed, SAMPLE_STREAM, s),
+            derive_seed(template.base_seed, SAMPLE_STREAM, s),
             template.fbm_method)
         ref = solve_endpoint(template, fine).coeffs
         row = []
@@ -285,11 +275,8 @@ def _per_sample_errors(study):
 
 def _study(axis, n, m, ladder, samples=7, preset="she-trace", seed=4):
     problem = she_problem(preset, n_modes=n, m_steps=m, base_seed=seed)
-    return ConvergenceStudy(
-        axis=axis, ladder=ladder,
-        reference_resolution=m if axis == "temporal" else n,
-        fixed_other_axis=n if axis == "temporal" else m,
-        samples=samples, base_seed=seed, problem=problem)
+    return ConvergenceStudy(axis=axis, ladder=ladder, samples=samples,
+                            problem=problem)
 
 
 STUDIES = {
@@ -343,7 +330,7 @@ class TestStudyBlocks:
                                   ("spatial", "desk", 8),
                                   ("spatial", "paper", 5)):
             study = protocol_study(axis, scale, "she-trace", base_seed=0)
-            blocks = solver._sample_blocks(study.problem, 9, 0)
+            blocks = solver._sample_blocks(study.problem, 9)
             assert len(blocks[0][1]) == size
 
     @pytest.mark.parametrize("axis,n,m,ladder", [
@@ -361,7 +348,7 @@ class TestStudyBlocks:
         blocked = np.concatenate([
             experiments._study_block((study, first, seeds))
             for first, seeds in solver._sample_blocks(
-                study.problem, study.samples, study.base_seed)])
+                study.problem, study.samples)])
         np.testing.assert_allclose(blocked, oracle, rtol=1e-12, atol=0.0)
         report = run_study(study)
         np.testing.assert_allclose(
@@ -384,9 +371,8 @@ class TestStudyBlocks:
 class TestReportFiles:
     def test_csv_and_json_round_trip(self, tmp_path):
         problem = she_problem("she-trace", n_modes=4, m_steps=32, base_seed=2)
-        study = ConvergenceStudy(axis="temporal", ladder=(4, 8, 16),
-                                 reference_resolution=32, fixed_other_axis=4,
-                                 samples=4, base_seed=2, problem=problem)
+        study = ConvergenceStudy(axis="temporal", ladder=(4, 8, 16), samples=4,
+                                 problem=problem)
         report = run_study(study)
         csv_path, json_path = write_report(report, tmp_path, "example")
         lines = csv_path.read_text().strip().splitlines()
@@ -402,9 +388,8 @@ class TestReportFiles:
     def test_report_bytes_reproducible(self, tmp_path):
         problem = she_problem("she-identity", n_modes=4, m_steps=32,
                               base_seed=6)
-        study = ConvergenceStudy(axis="temporal", ladder=(4, 8, 16),
-                                 reference_resolution=32, fixed_other_axis=4,
-                                 samples=4, base_seed=6, problem=problem)
+        study = ConvergenceStudy(axis="temporal", ladder=(4, 8, 16), samples=4,
+                                 problem=problem)
         a = write_report(run_study(study, workers=1), tmp_path, "a")
         b = write_report(run_study(study, workers=2), tmp_path, "b")
         assert a[0].read_bytes() == b[0].read_bytes()

@@ -334,18 +334,15 @@ class TestFactorLimits:
             increment_rows(IncrementGrid(4, 0.25), hp(), [1], "wavelet")
 
     def test_caches_are_bounded(self):
-        # with verify's unit oracle forms, filled here by a stub builder
-        def build(lam, tau, m, form, arg):
-            return np.zeros((lam.size, 1)), np.zeros((lam.size, 1))
-
+        # with verify's unit oracle forms, here with no column to build
         caches = (fbm._cholesky_factor, fbm._circulant_bins,
                   verify._unit_forms)
         fbm.clear_caches()
         for m in range(1, 13):
             fbm._cholesky_factor(m, hp())
             fbm._circulant_bins(m, hp())
-            verify._unit_forms(build, np.ones(2).tobytes(), 0.5, m, hp(),
-                               None)
+            verify._unit_forms(np.ones(2).tobytes(), 0.5, m, hp(), 1, (),
+                               ((2, 2),))
         for cached in caches:
             info = cached.cache_info()
             assert info.maxsize == 8

@@ -61,15 +61,10 @@ ALLOWED = {
     "solver.linear_support": "solver.linear_mild_reference",
     "solver.linear_weights": "solver.linear_mild_reference",
     "verify.expected_mild_rms_errors": "tests/test_acceptance.py",
-    "verify.expected_temporal_rms_errors": "tests",
-    "verify.expected_spatial_rms_errors": "tests",
+    "verify.expected_rms_errors": "tests",
     "verify.expected_sobolev_rms": "tests",
     "verify.expected_increment_rms": "tests",
     "verify.linear_endpoint_moments": "verify.expected_sobolev_rms",
-    "verify._coarse_rms_errors": "verify.expected_mild_rms_errors",
-    "verify._coarse_forms": "verify._coarse_rms_errors",
-    "verify._increment_forms": "verify.expected_increment_rms",
-    "verify._endpoint_forms": "verify.linear_endpoint_moments",
     "verify._response": "verify.linear_endpoint_moments",
     "verify._unit_forms": "verify._response",
     "verify._grid_form": "verify._unit_forms",
@@ -77,7 +72,7 @@ ALLOWED = {
     "verify._toeplitz_quadratic_form": "verify._grid_form",
     "verify._toeplitz_quadratic_form.<locals>.form":
         "verify._toeplitz_quadratic_form",
-    "verify._form_size": "verify._endpoint_forms",
+    "verify._form_size": "verify._unit_forms",
     # criterion 7, the Sobolev-norm ladder
     "verify.estimate_space_regularity": "tests/test_acceptance.py",
     "verify._space_regularity_block": "verify.estimate_space_regularity",

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from fracspde import fbm, kernels, solver, verify
-from fracspde.experiments import fit_slope, she_problem
+from fracspde.experiments import fit_slope, rms_error, she_problem
 from fracspde.fbm import (
     CylindricalFbmSample,
     HurstParameter,
@@ -44,9 +45,8 @@ from fracspde.verify import (
     estimate_time_regularity,
     expected_increment_rms,
     expected_mild_rms_errors,
+    expected_rms_errors,
     expected_sobolev_rms,
-    expected_spatial_rms_errors,
-    expected_temporal_rms_errors,
     isometry_analytic_rhs,
     linear_endpoint_moments,
 )
@@ -58,6 +58,11 @@ from oracles import (
 
 H_VALUES = [0.55, 0.75, 0.95]
 H = HurstParameter(0.75)
+
+
+def temporal_rungs(cfg, ladder):
+    """Rungs (N, M // m) of a temporal ladder of step counts m."""
+    return [(cfg.n_modes, cfg.m_steps // m) for m in ladder]
 
 
 def linear_config(n, m, noise, horizon=1.0, seed=3, initial=None):
@@ -263,7 +268,7 @@ class TestLinearOracles:
 
     def test_spatial_errors_nested_tail(self):
         cfg = linear_config(8, 10, identity_noise(8))
-        errs = expected_spatial_rms_errors(cfg, [2, 4])
+        errs = expected_rms_errors(cfg, [(2, 1), (4, 1)])
         means, variances = linear_endpoint_moments(cfg)
         second = means**2 + variances
         assert errs[0] == pytest.approx(math.sqrt(second[2:].sum()),
@@ -276,7 +281,7 @@ class TestLinearOracles:
 
         cfg = linear_config(6, 64, identity_noise(6), seed=97)
         ladder = [8, 16]
-        oracle = expected_temporal_rms_errors(cfg, ladder)
+        oracle = expected_rms_errors(cfg, temporal_rungs(cfg, ladder))
         n_samples = 4000
         seeds = derive_seed(97, SAMPLE_STREAM, np.arange(n_samples))
         # rows[s] is generate_cylindrical_fbm(6, cfg.grid(), H,
@@ -397,8 +402,9 @@ class TestOraclesAgainstToeplitzBilinear:
         w_ref = [r[i] ** np.arange(m, 0, -1) for i in range(lam.size)]
         expected = self.coarse_errors(cfg, lam, phi, xi, gamma, ladder,
                                       w_ref, r**m)
-        np.testing.assert_allclose(expected_temporal_rms_errors(cfg, ladder),
-                                   expected, rtol=self.RTOL)
+        np.testing.assert_allclose(
+            expected_rms_errors(cfg, temporal_rungs(cfg, ladder)), expected,
+            rtol=self.RTOL)
 
     @pytest.mark.parametrize("preset", PRESETS)
     def test_mild_rms_errors(self, preset):
@@ -414,10 +420,11 @@ class TestOraclesAgainstToeplitzBilinear:
 
     def test_ladder_must_divide(self):
         cfg = self.parts("she-identity")[0]
-        for oracle in (expected_temporal_rms_errors,
-                       expected_mild_rms_errors):
+        with pytest.raises(ValueError):
+            expected_rms_errors(cfg, [(cfg.n_modes, 5)])
+        for ladder in ([5], [7], [96]):
             with pytest.raises(ValueError):
-                oracle(cfg, [5])
+                expected_mild_rms_errors(cfg, ladder)
 
     @pytest.mark.parametrize("m_steps", [1, 2, 7])
     def test_short_grids(self, m_steps):
@@ -431,6 +438,42 @@ class TestOraclesAgainstToeplitzBilinear:
                 assert variances[i] == pytest.approx(
                     phi[i] ** 2 * toeplitz_bilinear(gamma, w, w),
                     rel=self.RTOL, abs=0.0)
+
+
+class TestRungOracle:
+    """expected_rms_errors at rungs (n, q) that drop modes and aggregate
+    steps at once, against the block solver, and its range checks."""
+
+    def test_rejects_out_of_range_rungs(self):
+        cfg = linear_config(8, 10, identity_noise(8))
+        for rung in ((20, 1), (9, 1), (-1, 1), (0, 1), (2, 3), (2, 0),
+                     (2, -2), (2, 20)):
+            with pytest.raises(ValueError, match=re.escape(f"rung {rung}")):
+                expected_rms_errors(cfg, [(2, 1), rung])
+
+    @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
+    def test_block_solver_within_4_se(self, preset):
+        # F = 0: each rung's Monte Carlo rms error of solver._solve_block
+        # against the fine reference lies within 4 SE of the oracle
+        cfg = she_problem(preset, n_modes=8, m_steps=64, base_seed=31,
+                          with_nonlinearity=False)
+        rungs = [(2, 8), (3, 1), (4, 4), (6, 2), (8, 16)]
+        errors = []
+        for _, seeds in solver._sample_blocks(cfg, 400):
+            ends = solver._solve_block(
+                [cfg], solver._unit_increments(cfg, seeds),
+                [(cfg.n_modes, 1)] + rungs, (cfg.m_steps,))
+            ref = ends[0][0, :, 0]
+            block = []
+            for (n, _), end in zip(rungs, ends[1:]):
+                diff = ref.copy()
+                diff[:n] -= end[0, :, 0]
+                block.append(np.linalg.norm(diff, axis=0))
+            errors.append(np.array(block).T)
+        errors = np.concatenate(errors)
+        for k, oracle in enumerate(expected_rms_errors(cfg, rungs)):
+            rms, se = rms_error(errors[:, k])
+            assert abs(rms - oracle) < 4 * se, (rungs[k], rms, oracle, se)
 
 
 def _pre_refactor_form(gamma):
@@ -465,28 +508,44 @@ class TestOraclesAgainstPreRefactorFormulas:
         return (cfg.operator.eigenvalues[:n], cfg.noise.amplitudes[:n],
                 cfg.initial.coeffs[:n], _pre_refactor_form(gamma), r)
 
-    def coarse_errors(self, cfg, ladder, reference):
+    def coarse_errors(self, cfg, rungs, reference):
+        """Full-length errors at rungs (n, q): below n the form of the
+        reference weights minus the scheme's at step ratio q, from n on
+        the reference's own second moment."""
         lam, phi, xi, form, _ = self.parts(cfg)
-        err2 = np.zeros(len(ladder))
+        err2 = np.zeros(len(rungs))
         for i in range(lam.size):
             w_ref, decay_ref = reference(lam[i])
-            for k, m in enumerate(ladder):
-                q = cfg.m_steps // m
-                r_c = 1.0 / (1.0 + (cfg.tau * q) * lam[i])
-                w = np.repeat(r_c ** np.arange(m, 0, -1), q)
+            for k, (n, q) in enumerate(rungs):
+                w, decay = 0.0, 0.0
+                if i < n:
+                    m = cfg.m_steps // q
+                    r_c = 1.0 / (1.0 + (cfg.tau * q) * lam[i])
+                    w, decay = np.repeat(r_c ** np.arange(m, 0, -1), q), r_c**m
                 err2[k] += (form(phi[i] * (w_ref - w))
-                            + ((decay_ref - r_c**m) * xi[i]) ** 2)
+                            + ((decay_ref - decay) * xi[i]) ** 2)
         return np.sqrt(err2)
+
+    @staticmethod
+    def mild(cfg):
+        lags = cfg.horizon - np.arange(cfg.m_steps) * cfg.tau
+        return lambda lam: (np.exp(-lam * lags), np.exp(-lam * cfg.horizon))
+
+    @staticmethod
+    def scheme(cfg):
+        def reference(lam):
+            r = 1.0 / (1.0 + cfg.tau * lam)
+            return r ** np.arange(cfg.m_steps, 0, -1), r**cfg.m_steps
+
+        return reference
 
     @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
     def test_mild_errors_criterion_8(self, preset):
         cfg = she_problem(preset, n_modes=16, m_steps=2**16, base_seed=777,
                           with_nonlinearity=False)
         ladder = [2**8, 2**9, 2**10]
-        lags = cfg.horizon - np.arange(cfg.m_steps) * cfg.tau
-        expected = self.coarse_errors(
-            cfg, ladder, lambda lam: (np.exp(-lam * lags),
-                                      np.exp(-lam * cfg.horizon)))
+        expected = self.coarse_errors(cfg, temporal_rungs(cfg, ladder),
+                                      self.mild(cfg))
         np.testing.assert_allclose(expected_mild_rms_errors(cfg, ladder),
                                    expected, rtol=self.RTOL)
 
@@ -494,15 +553,25 @@ class TestOraclesAgainstPreRefactorFormulas:
     def test_temporal_errors_desk(self, preset):
         cfg = she_problem(preset, n_modes=64, m_steps=2**12, base_seed=0,
                           with_nonlinearity=False)
-        ladder = [2**6, 2**7, 2**8, 2**9, 2**10]
-
-        def reference(lam):
-            r = 1.0 / (1.0 + cfg.tau * lam)
-            return r ** np.arange(cfg.m_steps, 0, -1), r**cfg.m_steps
-
+        rungs = temporal_rungs(cfg, [2**6, 2**7, 2**8, 2**9, 2**10])
         np.testing.assert_allclose(
-            expected_temporal_rms_errors(cfg, ladder),
-            self.coarse_errors(cfg, ladder, reference), rtol=self.RTOL)
+            expected_rms_errors(cfg, rungs),
+            self.coarse_errors(cfg, rungs, self.scheme(cfg)), rtol=self.RTOL)
+
+    @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
+    def test_mixed_rungs_desk(self, preset):
+        # rungs that drop modes and aggregate steps at once, against the
+        # fine scheme and the mild solution; (64, 1) is exact
+        cfg = she_problem(preset, n_modes=64, m_steps=2**12, base_seed=0,
+                          with_nonlinearity=False)
+        rungs = [(4, 64), (8, 32), (20, 16), (32, 1), (48, 4), (64, 1),
+                 (64, 2)]
+        for ratio, reference in ((1, self.scheme(cfg)),
+                                 (None, self.mild(cfg))):
+            np.testing.assert_allclose(
+                expected_rms_errors(cfg, rungs, reference_ratio=ratio),
+                self.coarse_errors(cfg, rungs, reference), rtol=self.RTOL,
+                atol=0.0, err_msg=str(ratio))
 
     @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
     def test_spatial_errors_desk(self, preset):
@@ -516,8 +585,9 @@ class TestOraclesAgainstPreRefactorFormulas:
             + phi[i] ** 2 * form(r[i] ** np.arange(m, 0, -1))
             for i in range(lam.size)])
         expected = [math.sqrt(second[n:].sum()) for n in ladder]
-        np.testing.assert_allclose(expected_spatial_rms_errors(cfg, ladder),
-                                   expected, rtol=self.RTOL)
+        np.testing.assert_allclose(
+            expected_rms_errors(cfg, [(n, 1) for n in ladder]), expected,
+            rtol=self.RTOL)
 
     @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
     def test_increment_rms_regularity_suite(self, preset):
@@ -577,8 +647,10 @@ class TestTruncatedForms:
         cfg = she_problem(preset, n_modes=64, m_steps=2**12, base_seed=0,
                           with_nonlinearity=False)
         for oracle in (
-                lambda: expected_temporal_rms_errors(
-                    cfg, [2**6, 2**7, 2**8, 2**9, 2**10]),
+                lambda: expected_rms_errors(cfg, temporal_rungs(
+                    cfg, [2**6, 2**7, 2**8, 2**9, 2**10])),
+                lambda: expected_rms_errors(
+                    cfg, [(4, 64), (16, 8), (40, 1), (64, 2)]),
                 lambda: expected_mild_rms_errors(cfg, [2**6, 2**10]),
                 lambda: expected_increment_rms(cfg, [1, 8, 64, 4095], 0.5),
                 lambda: np.concatenate(linear_endpoint_moments(cfg))):
@@ -590,8 +662,8 @@ class TestTruncatedForms:
         cfg = she_problem(preset, n_modes=64, m_steps=2**16, base_seed=0,
                           with_nonlinearity=False)
         got, full = self.both(
-            lambda: expected_temporal_rms_errors(
-                cfg, [2**6, 2**7, 2**8, 2**9, 2**10]),
+            lambda: expected_rms_errors(cfg, temporal_rungs(
+                cfg, [2**6, 2**7, 2**8, 2**9, 2**10])),
             monkeypatch)
         np.testing.assert_allclose(got, full, rtol=self.RTOL, atol=0.0)
 
@@ -655,7 +727,9 @@ class TestSharedUnitForms:
             lambda: expected_mild_rms_errors(base, [256, 512, 1024]),
             lambda: expected_mild_rms_errors(
                 self.problem("she-identity"), [256, 512, 1024]),
-            lambda: expected_temporal_rms_errors(base, [256, 512, 1024]),
+            lambda: expected_rms_errors(
+                base, temporal_rungs(base, [256, 512, 1024])),
+            lambda: expected_rms_errors(base, [(4, 16), (16, 1), (8, 1)]),
             lambda: expected_mild_rms_errors(base, [256, 1024]),
             lambda: expected_mild_rms_errors(
                 self.problem(hurst=0.6), [256, 512, 1024]),
@@ -687,19 +761,24 @@ class TestSharedUnitForms:
         fbm.clear_caches()
         cfg = self.problem()
         expected_mild_rms_errors(cfg, [256, 512])
+        # the rungs (16, 16) and (16, 8) read their ratio columns at
+        # every mode and the reference's own at none
         forms, decays = verify._unit_forms(
-            verify._coarse_forms, cfg.operator.eigenvalues[:16].tobytes(),
-            cfg.tau, cfg.m_steps, cfg.hurst, (None, (256, 512)))
+            cfg.operator.eigenvalues[:16].tobytes(), cfg.tau, cfg.m_steps,
+            cfg.hurst, None, ((16, 0), (8, 0)), ((0, 16), (0, 16), (16, 16)))
         assert verify._unit_forms.cache_info().hits == 1
         for array in (forms, decays):
-            assert array.shape == (16, 2)
+            assert array.shape == (16, 3)
             assert not array.flags.writeable
+            assert np.isfinite(array[:, :2]).all()
+            assert np.isnan(array[:, 2]).all()
 
 
 # Prints the mild reference of both presets and four exact oracles: three
 # at criterion 8's shape, where the largest forms sum 2^16 + 1 bins (the
-# second preset's from the unit forms the first one cached), and the desk
-# temporal one, whose forms have several sizes.
+# second preset's from the unit forms the first one cached), and mixed
+# rungs (n, q) on the desk temporal grid, whose forms have several sizes
+# and which read the reference's own column above n.
 THREADS_SCRIPT = """
 from fracspde import experiments, fbm, rng, solver, verify
 
@@ -713,8 +792,8 @@ for preset in ("she-identity", "she-trace"):
 print(repr(verify.expected_increment_rms(p, [8, 16, 32], 0.0).tolist()))
 desk = experiments.she_problem("she-trace", n_modes=64, m_steps=2**12,
                                base_seed=0, with_nonlinearity=False)
-print(repr(verify.expected_temporal_rms_errors(
-    desk, [64, 128, 256, 512, 1024]).tolist()))
+print(repr(verify.expected_rms_errors(
+    desk, [(8, 64), (16, 32), (32, 16), (40, 1), (64, 4)]).tolist()))
 """
 
 
@@ -837,7 +916,7 @@ class TestRegularityBlocks:
     def test_blocks_of_three(self, monkeypatch):
         cfg = self.time_config()
         self.set_block(monkeypatch, cfg, 3)
-        blocks = solver._sample_blocks(cfg, 8, cfg.base_seed)
+        blocks = solver._sample_blocks(cfg, 8)
         assert [(first, len(seeds)) for first, seeds in blocks] == [
             (0, 3), (3, 3), (6, 2)]
         assert [seed for _, seeds in blocks for seed in seeds] == [
@@ -847,7 +926,7 @@ class TestRegularityBlocks:
         for n_modes, size in ((64, 4), (32, 8)):
             cfg = she_problem("she-trace", n_modes=n_modes, m_steps=2**14,
                               base_seed=0)
-            assert len(solver._sample_blocks(cfg, 9, 0)[0][1]) == size
+            assert len(solver._sample_blocks(cfg, 9)[0][1]) == size
 
     @pytest.mark.parametrize("run", ["run_time", "run_space"])
     def test_worker_count_invariant(self, run, monkeypatch):
@@ -860,8 +939,7 @@ class TestRegularityBlocks:
     @pytest.mark.parametrize("run", ["run_time", "run_space"])
     def test_block_size_invariant(self, run, monkeypatch):
         # the last size is the default one
-        assert len(solver._sample_blocks(self.time_config(), 9, 0)[0][1]) \
-            == 8
+        assert len(solver._sample_blocks(self.time_config(), 9)[0][1]) == 8
         for presets in (self.BOTH[:1], self.BOTH):
             results = []
             for size in (1, 3, 8):
