@@ -8,9 +8,9 @@ term that shrinks with the reference ratio (see the analysis notes in
 the README for why the fixed desk protocols overshoot the asymptotic
 slopes).
 
-One runner serves both axes: it sweeps fixed blocks of consecutive
-samples, and per-sample results are reduced in sample order, so reports
-are byte-identical for any worker count given the same base seed.
+One runner serves both axes: run_study is one solver.sample_map call
+with _rung_errors as its reducer, so reports are byte-identical for any
+worker count given the same base seed.
 """
 
 import json
@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fbm import HurstParameter
-from .parallel import parallel_map
-from .solver import (
-    SolverConfig,
-    _require_finite,
-    _sample_blocks,
-    _solve_block,
-    _unit_increments,
-)
+from .solver import SolverConfig, _check_rungs, sample_map
 from .spectral import (
     SpectralState,
     dirichlet_laplacian,
@@ -114,21 +107,13 @@ class ConvergenceStudy:
             raise ValueError("ladder must be a nonempty increasing sequence")
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
-        n_ref, m_ref = self.problem.n_modes, self.problem.m_steps
+        object.__setattr__(self, "ladder", ladder)
         if self.axis == "temporal":
-            for m in ladder + (m_ref,):
+            for m in ladder + (self.problem.m_steps,):
                 if not _is_power_of_two(m):
                     raise ValueError(f"temporal resolutions must be powers "
                                      f"of two, got {m}")
-                if m > m_ref:
-                    raise ValueError(f"ladder entry {m} must divide the "
-                                     f"reference {m_ref}")
-        else:
-            for n in ladder:
-                if not 1 <= n <= n_ref:
-                    raise ValueError(f"spatial ladder entry {n} outside "
-                                     f"[1, {n_ref}]")
-        object.__setattr__(self, "ladder", ladder)
+        _check_rungs(self.problem, self.rungs)
 
     @property
     def rungs(self) -> list:
@@ -203,26 +188,17 @@ def _fit_or_nan(xs: np.ndarray, ys: np.ndarray):
         return math.nan, math.nan
 
 
-def _study_block(args) -> np.ndarray:
-    """Per-sample errors, (B, rungs), of one block of consecutive samples.
-
-    The reference (N, 1) and every rung of study.rungs sweep the block's
-    (N, B) states driven by its raw increments in one
-    solver._solve_block call.
-    """
-    study, first, seeds = args
-    template = study.problem
-    rungs = study.rungs
-    ends = _solve_block([template], _unit_increments(template, seeds),
-                        [(template.n_modes, 1)] + rungs,
-                        (template.m_steps,))
-    ref = ends[0][0, :, 0]
-    errors = np.empty((len(seeds), len(rungs)))
-    for j, ((n, _), end) in enumerate(zip(rungs, ends[1:])):
-        diff = ref.copy()
-        diff[:n] -= end[0, :, 0]
-        errors[:, j] = [np.linalg.norm(d) for d in diff.T]
-    _require_finite(errors.T, first)
+def _rung_errors(config: SolverConfig, states: list) -> np.ndarray:
+    """Per-sample errors, (P, B, rungs), of every rung after the first
+    against the first, the reference (N, 1): sample_map's reducer for
+    run_study."""
+    ref = states[0][0]  # (N, P, B)
+    errors = np.empty(ref.shape[1:] + (len(states) - 1,))
+    for j, end in enumerate(states[1:]):
+        for p in range(ref.shape[1]):
+            diff = ref[:, p].copy()
+            diff[:end.shape[1]] -= end[0, :, p]
+            errors[p, :, j] = [np.linalg.norm(d) for d in diff.T]
     return errors
 
 
@@ -251,25 +227,24 @@ def _study_metadata(study: ConvergenceStudy, extra: dict) -> dict:
 def run_study(study: ConvergenceStudy, workers: int = 1) -> ErrorReport:
     """Errors of every rung against the study's reference, on either axis.
 
-    Sample s draws from derive_seed(study.problem.base_seed,
-    SAMPLE_STREAM, s); fixed blocks of consecutive samples
-    (solver._sample_blocks) are mapped over ``workers`` processes. A
-    temporal slope is fitted against the step size tau, so its
-    theoretical value is (2H + beta - 1)/2; a spatial one against N,
-    reported as the positive decay order, so its theoretical value is
-    2H + beta - 1 (the lambda_{N+1} form doubled through
-    lambda_N ~ N^2 pi^2). Both are the paper's asymptotic exponents, not
-    the slopes a finite protocol is expected to fit: for those, fit
-    ``verify.expected_rms_errors(problem, study.rungs)`` on the same
-    ladder, with the problem's F set to 0.
+    One solver.sample_map call over ``workers`` processes sweeps the
+    reference (N, 1) and study.rungs on sample s's noise, drawn from
+    derive_seed(study.problem.base_seed, SAMPLE_STREAM, s), and
+    _rung_errors reduces them. A temporal slope is fitted against the
+    step size tau, so its theoretical value is (2H + beta - 1)/2; a
+    spatial one against N, reported as the positive decay order, so its
+    theoretical value is 2H + beta - 1 (the lambda_{N+1} form doubled
+    through lambda_N ~ N^2 pi^2). Both are the paper's asymptotic
+    exponents, not the slopes a finite protocol is expected to fit: for
+    those, fit ``verify.expected_rms_errors(problem, study.rungs)`` on
+    the same ladder, with the problem's F set to 0.
     """
-    args = [(study, first, seeds) for first, seeds in
-            _sample_blocks(study.problem, study.samples)]
-    errors = np.concatenate(parallel_map(_study_block, args, workers))
+    p = study.problem
+    errors, = sample_map([p], study.samples, [(p.n_modes, 1)] + study.rungs,
+                         (p.m_steps,), _rung_errors, workers=workers)
     stats = [rms_error(errors[:, i]) for i in range(len(study.ladder))]
     rms = np.array([s[0] for s in stats])
     ses = np.array([s[1] for s in stats])
-    p = study.problem
     order = 2.0 * p.hurst.h + p.noise.beta - 1.0
     ladder = np.array(study.ladder, dtype=float)
     if study.axis == "temporal":

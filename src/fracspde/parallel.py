@@ -24,8 +24,9 @@ def parallel_map(fn, args_list, workers: int = 1) -> list:
     """Map fn over args_list, in order; workers <= 1 runs inline."""
     if workers <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
-    # imported here: a one-worker run never starts a pool
+    # imported here: a one-worker run never starts a pool. A forking pool
+    # starts all its processes at once, so it gets no more than the items
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(args_list))) as pool:
         return list(pool.map(fn, args_list))

@@ -28,6 +28,7 @@ from .fbm import (
     _increment_chunks,
     mode_keys,
 )
+from .parallel import parallel_map
 from .rng import SAMPLE_STREAM, derive_seed
 from .spectral import (
     DiagonalNoiseOperator,
@@ -43,6 +44,7 @@ __all__ = [
     "linear_support",
     "linear_weights",
     "restrict_config",
+    "sample_map",
     "solve_endpoint",
 ]
 
@@ -163,6 +165,27 @@ def _sweep_setup(config: SolverConfig):
     return x0, step_factor, f_kind, f_scale, sin_in, sin_out
 
 
+def _check_rungs(config: SolverConfig, rungs, stops=()) -> list:
+    """The rungs as int pairs (n, q); ValueError naming the first rung
+    with n outside [1, N] or q not dividing M and every stop, else the
+    first stop outside [0, M] or below the one before it."""
+    rungs = [(int(n), int(q)) for n, q in rungs]
+    if not rungs:
+        raise ValueError("need at least one rung")
+    n_ref, m, stops = config.n_modes, config.m_steps, [int(k) for k in stops]
+    for n, q in rungs:
+        if not 1 <= n <= n_ref:
+            raise ValueError(f"rung {(n, q)}: mode count {n} outside "
+                             f"[1, {n_ref}]")
+        if q < 1 or m % q or any(k % q for k in stops):
+            raise ValueError(f"rung {(n, q)}: step ratio {q} does not "
+                             f"divide M = {m} and every stop")
+    for lo, k in zip([0] + stops, stops):
+        if not lo <= k <= m:
+            raise ValueError(f"stop {k} outside [{lo}, {m}]")
+    return rungs
+
+
 # Size of one block's increments, M*N*B doubles, and the most
 # samples in one block. Peak memory, not speed, sets both: B = 4 at N = 64,
 # M = 2^14 and B = 8 at N = 32; the cap keeps small problems (the desk
@@ -261,7 +284,7 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     (_unit_increments). Rung (n, q) is restrict_config(config, n_modes=n,
     m_steps=M // q): the first n modes, driven by the fine increments
     summed q at a time. ``stops`` are nondecreasing fine steps in [0, M],
-    each a multiple of every q. Returns, per rung, a
+    each a multiple of every q (_check_rungs). Returns, per rung, a
     (len(stops), n, P, B) array.
 
     All P presets are swept as one (n, P*B) state, column p*B + s being
@@ -278,9 +301,7 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     config = configs[0]
     m, b = config.m_steps, dw.shape[1]
     stops = [int(k) for k in stops]
-    if any(m % q or any(k % q for k in stops) for _, q in rungs):
-        raise ValueError(f"stops {stops} and M = {m} must be multiples of "
-                         f"every step ratio of {rungs}")
+    rungs = _check_rungs(config, rungs, stops)
     top = max(n for n, _ in rungs)
     q_top = max(q for _, q in rungs)
     amps = [c.noise.amplitudes[:top, None, None] for c in configs]
@@ -318,15 +339,36 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
             for out, (n, _) in zip(outs, rungs)]
 
 
-def _require_finite(values: np.ndarray, first: int) -> None:
-    """Raise FloatingPointError naming the samples (last axis) whose
-    values are not all finite; ``first`` indexes column 0."""
-    bad = np.flatnonzero(
-        ~np.isfinite(values).reshape(-1, values.shape[-1]).all(axis=0))
-    if bad.size:
-        raise FloatingPointError(
-            f"non-finite state in samples {[first + int(b) for b in bad]}"
-        )
+def sample_map(configs, samples: int, rungs, stops, reduce, args=(),
+               workers: int = 1) -> np.ndarray:
+    """The one Monte Carlo loop of the studies and regularity estimates:
+    reduce's (P, B, ...) values of every block, joined in sample order
+    as (P, samples, ...), the same for any worker count.
+
+    Presets, rungs and stops are checked before any draw. Each fixed
+    block (_sample_blocks) is drawn once and swept (_solve_block); if
+    its states are all finite, reduce(configs[0], states, *args), a
+    module-level function, reduces the per-rung (stops, n, P, B) states.
+    """
+    configs, stops = _check_presets(configs), tuple(stops)
+    rungs = _check_rungs(configs[0], rungs, stops)
+    jobs = [(configs, rungs, stops, reduce, tuple(args), first, seeds)
+            for first, seeds in _sample_blocks(configs[0], samples)]
+    return np.concatenate(parallel_map(_map_block, jobs, workers), axis=1)
+
+
+def _map_block(job) -> np.ndarray:
+    """sample_map's values of one block; FloatingPointError names the
+    samples whose states are not all finite."""
+    configs, rungs, stops, reduce, args, first, seeds = job
+    states = _solve_block(configs, _unit_increments(configs[0], seeds),
+                          rungs, stops)
+    finite = np.logical_and.reduce([np.isfinite(x).reshape(
+        -1, len(seeds)).all(axis=0) for x in states])
+    bad = [first + int(s) for s in np.flatnonzero(~finite)]
+    if bad:
+        raise FloatingPointError(f"non-finite state in samples {bad}")
+    return reduce(configs[0], states, *args)
 
 
 def solve_endpoint(config: SolverConfig,

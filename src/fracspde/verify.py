@@ -51,17 +51,14 @@ from .fbm import (
     mode_keys,
 )
 from .experiments import fit_slope
-from .parallel import parallel_map
 from .rng import SAMPLE_STREAM, derive_seed
 from .solver import (
     SolverConfig,
     _check_presets,
-    _require_finite,
-    _sample_blocks,
-    _solve_block,
-    _unit_increments,
+    _check_rungs,
     linear_support,
     linear_weights,
+    sample_map,
 )
 
 __all__ = [
@@ -386,18 +383,11 @@ def expected_rms_errors(template: SolverConfig, rungs,
     maps of the fine increments, so a rung's squared error sums, below
     n, phi^2 times the form of the weight difference plus the initial
     value's term (0 where q is the reference's ratio), and from n on the
-    reference's second moment (_unit_forms). ValueError unless every n
-    lies in [1, N] and every q divides M.
+    reference's second moment (_unit_forms). ValueError on an empty
+    list or a bad rung (solver._check_rungs).
     """
-    n_ref, m = template.n_modes, template.m_steps
-    rungs = [(int(n), int(q)) for n, q in rungs]
-    for n, q in rungs:
-        if not 1 <= n <= n_ref:
-            raise ValueError(f"rung {(n, q)}: mode count {n} outside "
-                             f"[1, {n_ref}]")
-        if q < 1 or m % q:
-            raise ValueError(f"rung {(n, q)}: step ratio {q} does not "
-                             f"divide {m}")
+    n_ref = template.n_modes
+    rungs = _check_rungs(template, rungs)
     ratios = list(dict.fromkeys(q for _, q in rungs if q != reference_ratio))
     reads = [(0, max(n for n, r in rungs if r == q)) for q in ratios]
     reads.append((min((n for n, _ in rungs), default=n_ref), n_ref))
@@ -478,7 +468,7 @@ def estimate_time_regularity(configs, delta: float, lag_steps: list,
     ``configs`` is a sequence of configs that agree in everything but
     ``noise`` (else ValueError naming the first field that differs); one
     report is returned per config, in order. Every preset is driven by
-    the same fBm samples, drawn once per block (solver._solve_block):
+    the same fBm samples, drawn once per block (solver.sample_map):
     a config's report is the one it gets alone, bit for bit for F = 0,
     the scaled F and the fast sine path. On the dense F = sin path the
     (n, P*B) product may have other last bits than a (n, B) one: with
@@ -491,17 +481,17 @@ def estimate_time_regularity(configs, delta: float, lag_steps: list,
     """
     configs = _check_presets(configs)
     config = configs[0]
+    m = config.m_steps
     lag_steps = sorted(int(lag) for lag in lag_steps)
     if len(lag_steps) < 3:
         raise ValueError("need at least 3 lags to fit an exponent")
-    if lag_steps[0] < 1 or lag_steps[-1] >= config.m_steps:
+    if lag_steps[0] < 1 or lag_steps[-1] >= m:
         raise ValueError("lags must lie inside the trajectory")
-    args = [(configs, tuple(lag_steps), delta, first, seeds)
-            for first, seeds in _sample_blocks(config, samples)]
     # (P, samples, lags) in C order, so each preset's mean over samples
     # adds them in the order of a one-preset (samples, lags) array
-    sq = np.concatenate(parallel_map(_time_regularity_block, args, workers),
-                        axis=1)
+    sq = sample_map(configs, samples, [(config.n_modes, 1)],
+                    [m - lag for lag in reversed(lag_steps)] + [m],
+                    _lag_sums, (delta,), workers)
     lag_times = config.tau * np.array(lag_steps, dtype=float)
     reports = []
     for preset, preset_sq in zip(configs, sq):
@@ -530,18 +520,13 @@ def _weighted_sums(weights: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.sum(weights * terms**2, axis=-1)
 
 
-def _time_regularity_block(args) -> np.ndarray:
-    """Squared V_delta lag differences, (P, B, lags), of one block of
-    samples under each of the P configs."""
-    configs, lag_steps, delta, first, seeds = args
-    m = configs[0].m_steps
-    stops = [m - lag for lag in reversed(lag_steps)] + [m]
-    n = configs[0].n_modes
-    states = _solve_block(configs, _unit_increments(configs[0], seeds),
-                          [(n, 1)], stops)[0]  # (stops, N, P, B)
-    _require_finite(states, first)
-    weights = configs[0].operator.eigenvalues[:n] ** delta
-    diffs = states[-1] - states[-2::-1]  # (lags, N, P, B), lag_steps order
+def _lag_sums(config: SolverConfig, states: list, delta: float):
+    """Squared V_delta lag differences, (P, B, lags), from the states at
+    stops M - L (lags L descending) and M: sample_map's reducer for
+    estimate_time_regularity."""
+    path, = states  # (stops, N, P, B)
+    weights = config.operator.eigenvalues[:config.n_modes] ** delta
+    diffs = path[-1] - path[-2::-1]  # (lags, N, P, B), lags ascending
     return _weighted_sums(weights, diffs)
 
 
@@ -559,19 +544,17 @@ class SpaceRegularityReport:
         return float(self.rms_norms[-1] / self.rms_norms[0])
 
 
-def _space_regularity_block(args) -> np.ndarray:
-    """Squared Sobolev norms, (P, B, deltas, rungs), of one block of
-    samples under each of the P configs; every rung reads the leading
-    modes of the same increments."""
-    configs, n_ladder, deltas, first, seeds = args
-    ends = _solve_block(configs, _unit_increments(configs[0], seeds),
-                        [(n, 1) for n in n_ladder], (configs[0].m_steps,))
-    lam = configs[0].operator.eigenvalues[: configs[0].n_modes]
-    out = np.empty((len(configs), len(seeds), len(deltas), len(n_ladder)))
-    for j, (n, (end,)) in enumerate(zip(n_ladder, ends)):
-        _require_finite(end, first)
+def _norm_ladders(config: SolverConfig, states: list, deltas: tuple):
+    """Squared Sobolev norms, (P, B, deltas, rungs), of the endpoint at
+    every rung (n, 1): sample_map's reducer for
+    estimate_space_regularity."""
+    lam = config.operator.eigenvalues[:config.n_modes]
+    p, b = states[0].shape[2:]
+    out = np.empty((p, b, len(deltas), len(states)))
+    for j, (end,) in enumerate(states):
         for i, delta in enumerate(deltas):
-            out[:, :, i, j] = _weighted_sums(lam[:n] ** delta, end)
+            out[:, :, i, j] = _weighted_sums(lam[:end.shape[0]] ** delta,
+                                             end)
     return out
 
 
@@ -591,15 +574,11 @@ def estimate_space_regularity(configs, n_ladder: list, deltas: list,
     ratios carry very little sampling noise.
     """
     configs = _check_presets(configs)
-    template = configs[0]
     n_ladder = sorted(int(n) for n in n_ladder)
-    if n_ladder[-1] > template.n_modes:
-        raise ValueError("ladder exceeds the template's mode count")
-    args = [(configs, tuple(n_ladder), tuple(deltas), first, seeds)
-            for first, seeds in _sample_blocks(template, samples)]
     # (P, samples, deltas, rungs)
-    sq = np.concatenate(parallel_map(_space_regularity_block, args, workers),
-                        axis=1)
+    sq = sample_map(configs, samples, [(n, 1) for n in n_ladder],
+                    (configs[0].m_steps,), _norm_ladders, (tuple(deltas),),
+                    workers)
     return [
         [SpaceRegularityReport(delta=float(d), n_ladder=list(n_ladder),
                                rms_norms=rms[i], sample_count=samples)

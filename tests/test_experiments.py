@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,7 +98,8 @@ class TestStudyValidation:
         # draws its noise
         problem = she_problem("she-trace", n_modes=8, m_steps=10, base_seed=0)
         for ladder, bad in (((0, 2, 4), 0), ((-3, 2), -3), ((2, 9), 9)):
-            with pytest.raises(ValueError, match=f"entry {bad} outside"):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"rung {(bad, 1)}")):
                 ConvergenceStudy(axis="spatial", ladder=ladder, samples=4,
                                  problem=problem)
 
@@ -345,10 +347,10 @@ class TestStudyBlocks:
         # DST-I from 512 on; both paths pick the same transform
         study = _study(axis, n, m, ladder, samples=5, seed=21)
         oracle = _per_sample_errors(study)
-        blocked = np.concatenate([
-            experiments._study_block((study, first, seeds))
-            for first, seeds in solver._sample_blocks(
-                study.problem, study.samples)])
+        p = study.problem
+        blocked, = solver.sample_map(
+            [p], study.samples, [(p.n_modes, 1)] + study.rungs,
+            (p.m_steps,), experiments._rung_errors)
         np.testing.assert_allclose(blocked, oracle, rtol=1e-12, atol=0.0)
         report = run_study(study)
         np.testing.assert_allclose(

@@ -75,7 +75,7 @@ ALLOWED = {
     "verify._form_size": "verify._unit_forms",
     # criterion 7, the Sobolev-norm ladder
     "verify.estimate_space_regularity": "tests/test_acceptance.py",
-    "verify._space_regularity_block": "verify.estimate_space_regularity",
+    "verify._norm_ladders": "verify.estimate_space_regularity",
     "verify.SpaceRegularityReport.growth_ratio": "tests/test_acceptance.py",
 }
 
@@ -196,6 +196,20 @@ def test_allow_list_entries_exist_and_their_consumers_read_them():
                    for tree in _consumer_trees(consumer, functions)):
             stale.append((key, consumer))
     assert stale == []
+
+
+# Names that only solver, home of the one Monte Carlo map
+# (solver.sample_map), may reference in src/: the sample blocks, their
+# draw and the worker pool.
+MAP_ONLY = {"_sample_blocks", "_unit_increments", "parallel_map"}
+
+
+def test_only_the_map_cuts_draws_and_maps_blocks():
+    users = sorted((path.stem, name)
+                   for path in PACKAGE.glob("*.py") if path.stem != "solver"
+                   for name in MAP_ONLY & _names_read(
+                       ast.parse(path.read_text())))
+    assert users == []
 
 
 def main() -> int:

@@ -210,9 +210,9 @@ class TestSolvePath:
     def test_step_ratio_must_divide_stops(self):
         cfg = make_config(n=4, m=8)
         rows = noise_for(cfg).values[:, None, :]
-        with pytest.raises(ValueError, match="multiples"):
+        with pytest.raises(ValueError, match="does not divide"):
             solver._solve_block([cfg], rows, [(4, 2)], (8, 3))
-        with pytest.raises(ValueError, match="multiples"):
+        with pytest.raises(ValueError, match="does not divide"):
             solver._solve_block([cfg], rows, [(4, 3)], (6,))
 
 
@@ -258,6 +258,53 @@ class TestBlockIncrements:
             for s in range(b):
                 alone = increment_rows(cfg.grid(), H, [keys[k, s]], method)
                 assert np.array_equal(rows[k, s], alone[0]), (k, s)
+
+
+def _endpoints(config, states):
+    """A sample_map reducer: the first rung's last state, (P, B, n)."""
+    return states[0][-1].transpose(1, 2, 0)
+
+
+class TestSampleMap:
+    """solver.sample_map: the one Monte Carlo loop of the studies and the
+    regularity estimators."""
+
+    @pytest.mark.parametrize("rungs,stops,match", [
+        ([], (8,), "need at least one rung"),
+        ([(4, 1), (5, 1)], (8,), r"rung \(5, 1\)"),
+        ([(4, 1), (0, 2)], (8,), r"rung \(0, 2\)"),
+        ([(4, 3)], (), r"rung \(4, 3\)"),
+        ([(4, 2)], (4, 6, 3), r"rung \(4, 2\)"),
+        ([(4, 1)], (4, 9), "stop 9 outside"),
+        ([(4, 1)], (-1, 8), "stop -1 outside"),
+        ([(4, 1)], (6, 4), "stop 4 outside"),
+    ], ids=["empty", "n-above-N", "n-zero", "q-not-dividing-M",
+            "q-not-dividing-a-stop", "stop-above-M", "stop-negative",
+            "stops-descending"])
+    def test_rejects_before_any_draw(self, rungs, stops, match,
+                                     monkeypatch):
+        cfg = make_config(n=4, m=8)
+        draws = []
+        chunks = solver._increment_chunks
+        monkeypatch.setattr(solver, "_increment_chunks",
+                            lambda *a, **k: draws.append(1) or chunks(*a, **k))
+        with pytest.raises(ValueError, match=match):
+            solver.sample_map([cfg], 3, rungs, stops, _endpoints)
+        assert draws == []
+        solver.sample_map([cfg], 3, [(4, 1)], (8,), _endpoints)
+        assert draws == [1]
+
+    def test_joins_blocks_in_sample_order(self, monkeypatch):
+        cfg = make_config(n=4, m=8)
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 2 * 8 * 8 * 4)
+        out = solver.sample_map([cfg], 5, [(4, 1), (2, 2)], (4, 8),
+                                _endpoints)
+        assert out.shape == (1, 5, 4)
+        for s in range(5):
+            sample = noise_for(cfg, derive_seed(cfg.base_seed,
+                                                SAMPLE_STREAM, s))
+            assert np.array_equal(out[0, s],
+                                  solve_endpoint(cfg, sample).coeffs)
 
 
 class TestFastSineSwitch:

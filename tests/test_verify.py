@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracspde import fbm, kernels, solver, verify
+from fracspde import experiments, fbm, kernels, solver, verify
 from fracspde.experiments import fit_slope, rms_error, she_problem
 from fracspde.fbm import (
     CylindricalFbmSample,
@@ -453,24 +453,14 @@ class TestRungOracle:
 
     @pytest.mark.parametrize("preset", ["she-trace", "she-identity"])
     def test_block_solver_within_4_se(self, preset):
-        # F = 0: each rung's Monte Carlo rms error of solver._solve_block
-        # against the fine reference lies within 4 SE of the oracle
+        # F = 0: each rung's Monte Carlo rms error, from the study's own
+        # map and reducer, against the fine reference lies within 4 SE of
+        # the oracle
         cfg = she_problem(preset, n_modes=8, m_steps=64, base_seed=31,
                           with_nonlinearity=False)
         rungs = [(2, 8), (3, 1), (4, 4), (6, 2), (8, 16)]
-        errors = []
-        for _, seeds in solver._sample_blocks(cfg, 400):
-            ends = solver._solve_block(
-                [cfg], solver._unit_increments(cfg, seeds),
-                [(cfg.n_modes, 1)] + rungs, (cfg.m_steps,))
-            ref = ends[0][0, :, 0]
-            block = []
-            for (n, _), end in zip(rungs, ends[1:]):
-                diff = ref.copy()
-                diff[:n] -= end[0, :, 0]
-                block.append(np.linalg.norm(diff, axis=0))
-            errors.append(np.array(block).T)
-        errors = np.concatenate(errors)
+        errors, = solver.sample_map([cfg], 400, [(cfg.n_modes, 1)] + rungs,
+                                    (cfg.m_steps,), experiments._rung_errors)
         for k, oracle in enumerate(expected_rms_errors(cfg, rungs)):
             rms, se = rms_error(errors[:, k])
             assert abs(rms - oracle) < 4 * se, (rungs[k], rms, oracle, se)
@@ -867,6 +857,26 @@ class TestSpaceRegularity:
                                              deltas=(0.0, 0.9), samples=12)
         for report in reports:
             assert np.all(np.diff(report.rms_norms) > 0)
+
+    @pytest.mark.parametrize("ladder,match", [
+        ((0, 2, 4), re.escape("rung (0, 1)")),
+        ((), "need at least one rung"),
+        ((2, 9), re.escape("rung (9, 1)")),
+    ], ids=["zero", "empty", "above-N"])
+    def test_bad_ladder_rejected_before_any_draw(self, ladder, match,
+                                                 monkeypatch):
+        cfg = linear_config(8, 32, identity_noise(8))
+        draws = []
+        chunks = solver._increment_chunks
+        monkeypatch.setattr(solver, "_increment_chunks",
+                            lambda *a, **k: draws.append(1) or chunks(*a, **k))
+        with pytest.raises(ValueError, match=match):
+            estimate_space_regularity([cfg], n_ladder=ladder, deltas=(0.0,),
+                                      samples=3)
+        assert draws == []
+        estimate_space_regularity([cfg], n_ladder=(2, 8), deltas=(0.0,),
+                                  samples=3)
+        assert draws == [1]
 
     def test_matches_exact_oracle_statistically(self):
         cfg = linear_config(16, 32, identity_noise(16), seed=29)
