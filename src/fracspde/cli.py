@@ -6,9 +6,10 @@ Every command writes its primary outputs plus a JSON run manifest (the
 manifest is written last and is the only artifact carrying wall-clock
 fields, so reruns with equal flags are byte-identical elsewhere).
 
-Flag values override config-file entries (--config, flat ``key = value``
-lines mirroring flag names; a key that names no flag is rejected), which
-override preset defaults.
+Each flag's default is declared once, in the parser. Config-file values
+(--config, flat ``key = value`` lines mirroring flag names; a key that
+names no flag is rejected) are converted as their flags' values and
+become the command's defaults, so a flag on the command line wins.
 """
 
 import argparse
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__, experiments, verify
 from .fbm import (
+    GENERATOR_METHODS,
     HurstParameter,
     IncrementGrid,
     check_method,
@@ -29,7 +31,7 @@ from .fbm import (
 )
 from .parallel import default_workers
 from .rng import derive_seed, seed_words, standard_normal_rows
-from .solver import _solve_block, solve_endpoint
+from .solver import _solve_block
 from .spectral import sine_grid, sine_transform
 from .experiments import SHE_PRESETS, _fmt, she_problem
 
@@ -53,68 +55,61 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """dest -> argparse action, for the flags of subcommand ``command``."""
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in subparsers.choices[command]._actions}
+def _value(parser: argparse.ArgumentParser, action, label: str, raw: str):
+    """Convert a string as argparse converts the flag's value; a switch
+    takes 1/true/yes or 0/false/no.
 
-
-def _convert(parser: argparse.ArgumentParser, action, label: str, raw: str):
-    """Convert a string as argparse converts the flag's value.
-
-    ``label`` names the value in the message when it does not convert,
-    which is a usage error (exit 2).
+    ``label`` names the value in the message when it does not convert or
+    is not one of the flag's choices, which is a usage error (exit 2).
     """
-    if action is not None and action.nargs == 0:  # store_true switch
+    if action.nargs == 0:  # store_true switch
         word = raw.lower()
         if word in ("1", "true", "yes"):
             return True
         if word in ("0", "false", "no"):
             return False
         parser.error(f"{label} = {raw!r} is not a boolean")
-    convert = action.type if action is not None and action.type else str
     try:
-        value = convert(raw)
-    except (TypeError, ValueError):
-        parser.error(f"{label} = {raw!r} is not a valid {convert.__name__}")
-    if action is not None and action.choices and value not in action.choices:
-        parser.error(f"{label} = {raw!r} is not one of "
-                     f"{', '.join(action.choices)}")
+        value = parser._get_value(action, raw)
+        parser._check_value(action, value)
+    except argparse.ArgumentError as exc:
+        parser.error(f"{label} = {raw!r}: {exc.message}")
     return value
 
 
-def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser,
-             defaults: dict) -> dict:
-    """Merge CLI flags over config-file values over defaults.
+def _parse_args(parser: argparse.ArgumentParser, argv) -> tuple:
+    """(command, cfg): cfg maps each flag of the command to its value.
 
-    A config key that names no flag of the subcommand is a usage error
-    (exit 2), so a misspelt key never runs the default silently.
+    Values of a --config file are converted as their flags' values and
+    become the command's defaults, so a flag on the command line wins over
+    the file, which wins over the parser's default. A config key that
+    names no flag of the command is a usage error (exit 2), so a misspelt
+    key never runs the default silently.
     """
-    file_values = {}
-    if getattr(args, "config", None):
+    args = parser.parse_args(argv)
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)
+               ).choices[args.command]
+    actions = {a.dest: a for a in sub._actions
+               if a.dest not in ("help", "config")}
+    if args.config:
         file_values = _read_config_file(args.config)
-    unknown = [key for key in file_values if key not in defaults]
-    if unknown:
-        parser.error(f"config key(s) {', '.join(unknown)} name no flag of "
-                     f"{args.command}")
-    actions = _flag_actions(parser, args.command)
-    resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        action = actions.get(key)
-        if cli_value == [] and action is not None and action.nargs is None:
+        unknown = [key for key in file_values if key not in actions]
+        if unknown:
+            sub.error(f"config key(s) {', '.join(unknown)} name no flag of "
+                      f"{args.command}")
+        sub.set_defaults(**{
+            key: _value(sub, actions[key], f"config value {key}", raw)
+            for key, raw in file_values.items()})
+        args = parser.parse_args(argv)
+    cfg = vars(args)
+    command = cfg.pop("command")
+    del cfg["config"]
+    for dest, action in actions.items():
+        if cfg[dest] == [] and action.nargs is None:
             # argparse drops the literal "--" of "--flag=--" and stores []
-            resolved[key] = _convert(parser, action,
-                                     action.option_strings[0], "--")
-        elif cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_values:
-            resolved[key] = _convert(parser, action, f"config value {key}",
-                                     file_values[key])
-        else:
-            resolved[key] = default
-    return resolved
+            cfg[dest] = _value(sub, action, action.option_strings[0], "--")
+    return command, cfg
 
 
 def _require_method(parser: argparse.ArgumentParser, method: str,
@@ -130,6 +125,14 @@ def _require_samples(parser: argparse.ArgumentParser, samples) -> None:
     """Fewer than two samples give no standard error (exit 2)."""
     if samples is not None and samples < 2:
         parser.error(f"--samples must be >= 2, got {samples}")
+
+
+def _write_rows(path: Path, rows) -> None:
+    """One CSV line per row, written as it is formatted: the text of all
+    rows would take several times their values' memory."""
+    with path.open("w") as out:
+        out.writelines(",".join(map(_fmt, row.tolist())) + "\n"
+                       for row in rows)
 
 
 def _write_manifest(out_dir: Path, command: str, tag: str, config: dict,
@@ -152,7 +155,8 @@ def _write_manifest(out_dir: Path, command: str, tag: str, config: dict,
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out-dir", default=None,
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out-dir", default="runs",
                         help="output directory (default: runs)")
     parser.add_argument("--tag", default=None,
                         help="output name tag (default: UTC timestamp)")
@@ -171,46 +175,41 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-fbm", help="sample cylindrical fBm increments")
-    gen.add_argument("--hurst", type=float, default=None)
-    gen.add_argument("--steps", type=int, default=None)
-    gen.add_argument("--tau", type=float, default=None)
-    gen.add_argument("--modes", type=int, default=None)
-    gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--method", default=None,
-                     choices=("cholesky", "circulant"))
+    gen.add_argument("--hurst", type=float, default=0.75)
+    gen.add_argument("--steps", type=int, default=64)
+    gen.add_argument("--tau", type=float, default=None,
+                     help="step size (default: 1 / steps)")
+    gen.add_argument("--modes", type=int, default=1)
+    gen.add_argument("--method", default="circulant",
+                     choices=GENERATOR_METHODS)
     _add_common(gen)
 
     solve = sub.add_parser("solve", help="solve one path of a preset problem")
-    solve.add_argument("--preset", default=None, choices=SHE_PRESETS)
-    solve.add_argument("--modes", type=int, default=None)
-    solve.add_argument("--steps", type=int, default=None)
-    solve.add_argument("--horizon", type=float, default=None)
-    solve.add_argument("--hurst", type=float, default=None)
-    solve.add_argument("--seed", type=int, default=None)
-    solve.add_argument("--method", default=None,
-                       choices=("cholesky", "circulant"))
-    solve.add_argument("--zero-noise", action="store_true", default=None)
-    solve.add_argument("--zero-nonlinearity", action="store_true",
-                       default=None)
-    solve.add_argument("--save-trajectory", action="store_true", default=None)
+    solve.add_argument("--preset", default="she-trace", choices=SHE_PRESETS)
+    solve.add_argument("--modes", type=int, default=64)
+    solve.add_argument("--steps", type=int, default=256)
+    solve.add_argument("--horizon", type=float, default=1.0)
+    solve.add_argument("--hurst", type=float, default=0.75)
+    solve.add_argument("--method", default="circulant",
+                       choices=GENERATOR_METHODS)
+    solve.add_argument("--zero-noise", action="store_true")
+    solve.add_argument("--zero-nonlinearity", action="store_true")
+    solve.add_argument("--save-trajectory", action="store_true")
     _add_common(solve)
 
     conv = sub.add_parser("converge", help="run a convergence study")
     conv.add_argument("--axis", default=None, choices=("time", "space"))
     conv.add_argument("--preset", default=None, choices=SHE_PRESETS)
-    conv.add_argument("--paper-scale", action="store_true", default=None)
+    conv.add_argument("--paper-scale", action="store_true")
     conv.add_argument("--samples", type=int, default=None)
-    conv.add_argument("--seed", type=int, default=None)
-    conv.add_argument("--method", default=None,
-                      choices=("cholesky", "circulant"))
+    conv.add_argument("--method", default="circulant",
+                      choices=GENERATOR_METHODS)
     conv.add_argument("--workers", type=int, default=None)
     _add_common(conv)
 
     ver = sub.add_parser("verify", help="run analytic verification suites")
-    ver.add_argument("--suite", default=None,
-                     help="isometry | phi | lambda-phi | regularity | all")
+    ver.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     ver.add_argument("--samples", type=int, default=None)
-    ver.add_argument("--seed", type=int, default=None)
     ver.add_argument("--workers", type=int, default=None)
     _add_common(ver)
 
@@ -221,11 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # gen-fbm
 
 
-def _cmd_gen_fbm(args, parser) -> int:
-    cfg = _resolve(args, parser, {
-        "hurst": 0.75, "steps": 64, "tau": None, "modes": 1, "seed": 0,
-        "method": "circulant", "out_dir": "runs", "tag": None,
-    })
+def _cmd_gen_fbm(cfg: dict, parser) -> int:
     if not 0.5 < cfg["hurst"] < 1.0:
         parser.error("--hurst must be in (0.5, 1)")
     if cfg["steps"] < 1:
@@ -234,8 +229,8 @@ def _cmd_gen_fbm(args, parser) -> int:
         parser.error("--modes must be >= 1")
     if cfg["tau"] is None:
         cfg["tau"] = 1.0 / cfg["steps"]
-    if not cfg["tau"] > 0:
-        parser.error("--tau must be positive")
+    if not 0 < cfg["tau"] < np.inf:
+        parser.error("--tau must be positive and finite")
     _require_method(parser, cfg["method"], cfg["steps"])
     started = time.monotonic()
     tag = cfg["tag"] or _timestamp()
@@ -250,8 +245,7 @@ def _cmd_gen_fbm(args, parser) -> int:
         cfg["method"],
     )
     csv_path = out_dir / f"fbm_{tag}.csv"
-    lines = [",".join(_fmt(v) for v in row) for row in sample.values]
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_rows(csv_path, sample.values)
     _write_manifest(out_dir, "gen-fbm", tag, cfg, cfg["seed"], [csv_path],
                     started)
     print(f"wrote {csv_path} ({cfg['modes']} modes x {cfg['steps']} steps)")
@@ -262,13 +256,7 @@ def _cmd_gen_fbm(args, parser) -> int:
 # solve
 
 
-def _cmd_solve(args, parser) -> int:
-    cfg = _resolve(args, parser, {
-        "preset": "she-trace", "modes": 64, "steps": 256, "horizon": 1.0,
-        "hurst": 0.75, "seed": 0, "method": "circulant",
-        "zero_noise": False, "zero_nonlinearity": False,
-        "save_trajectory": False, "out_dir": "runs", "tag": None,
-    })
+def _cmd_solve(cfg: dict, parser) -> int:
     if not 0.5 < cfg["hurst"] < 1.0:
         parser.error("--hurst must be in (0.5, 1)")
     if cfg["modes"] < 1 or cfg["steps"] < 1:
@@ -289,17 +277,15 @@ def _cmd_solve(args, parser) -> int:
     noise = generate_cylindrical_fbm(problem.n_modes, problem.grid(),
                                      problem.hurst, problem.base_seed,
                                      problem.fbm_method)
-    if cfg["save_trajectory"]:
-        states = _solve_block([problem], noise.values[:, None, :],
-                              [(problem.n_modes, 1)],
-                              range(problem.m_steps + 1))[0][:, :, 0, 0]
-        bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
-        if bad.size:
-            raise FloatingPointError(
-                f"non-finite state at step {bad[0]} of {problem.m_steps}")
-        coeffs = states[-1]
-    else:
-        coeffs = solve_endpoint(problem, noise).coeffs
+    m = problem.m_steps
+    stops = range(m + 1) if cfg["save_trajectory"] else (m,)
+    states = _solve_block([problem], noise.values[:, None, :],
+                          [(problem.n_modes, 1)], stops)[0][:, :, 0, 0]
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        raise FloatingPointError(
+            f"non-finite state at step {stops[bad[0]]} of {m}")
+    coeffs = states[-1]
     physical = sine_transform(coeffs)
     xs = sine_grid(problem.n_modes)
 
@@ -314,11 +300,7 @@ def _cmd_solve(args, parser) -> int:
 
     if cfg["save_trajectory"]:
         traj_path = out_dir / f"solve_{cfg['preset']}_{tag}_trajectory.csv"
-        # row by row: the text of all rows would take several times the
-        # states' memory
-        with traj_path.open("w") as out:
-            out.writelines(",".join(map(_fmt, row.tolist())) + "\n"
-                           for row in states)
+        _write_rows(traj_path, states)
         artifacts.append(traj_path)
 
     _write_manifest(out_dir, "solve", tag, cfg, cfg["seed"], artifacts,
@@ -332,12 +314,7 @@ def _cmd_solve(args, parser) -> int:
 # converge
 
 
-def _cmd_converge(args, parser) -> int:
-    cfg = _resolve(args, parser, {
-        "axis": None, "preset": None, "paper_scale": False, "samples": None,
-        "seed": 0, "method": "circulant", "workers": None,
-        "out_dir": "runs", "tag": None,
-    })
+def _cmd_converge(cfg: dict, parser) -> int:
     if cfg["axis"] not in ("time", "space"):
         parser.error("--axis must be time or space")
     if cfg["preset"] not in SHE_PRESETS:
@@ -461,15 +438,7 @@ _SUITES = {
 }
 
 
-def _cmd_verify(args, parser) -> int:
-    cfg = _resolve(args, parser, {
-        "suite": "all", "samples": None, "seed": 0, "workers": None,
-        "out_dir": "runs", "tag": None,
-    })
-    if cfg["suite"] not in tuple(_SUITES) + ("all",):
-        parser.error(
-            f"--suite must be one of {', '.join(_SUITES)} or all"
-        )
+def _cmd_verify(cfg: dict, parser) -> int:
     _require_samples(parser, cfg["samples"])
     names = list(_SUITES) if cfg["suite"] == "all" else [cfg["suite"]]
     default_samples = {"isometry": 10000, "regularity": 96}
@@ -509,9 +478,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        command, cfg = _parse_args(parser, argv)
+        return _COMMANDS[command](cfg, parser)
     except SystemExit:
         raise
     except Exception as exc:  # exit-code contract: 1 for any failure

@@ -1,5 +1,6 @@
 """CLI surface: flags, exit codes, file outputs, manifests."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -21,6 +22,22 @@ from fracspde.spectral import scaled_identity_map
 
 def run_cli(argv):
     return main([str(a) for a in argv])
+
+
+# Runs each argv of fracspde.cli (JSON in sys.argv[1]) in a process of its
+# own and prints their peak RSS in bytes, from os.wait4 (None if a run
+# failed). Started in this small process, not in the test's: a child's
+# ru_maxrss starts at the RSS of the process it was forked from.
+PEAKS = """
+import json, os, subprocess, sys
+peaks = []
+for argv in json.loads(sys.argv[1]):
+    proc = subprocess.Popen([sys.executable, "-m", "fracspde.cli"] + argv,
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    peaks.append(usage.ru_maxrss * 1024 if status == 0 else None)  # KiB
+print(json.dumps(peaks))
+"""
 
 
 class TestGenFbm:
@@ -52,6 +69,15 @@ class TestGenFbm:
                      "--out-dir", tmp_path])
         assert err.value.code == 2
         assert "--hurst" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", ["inf", "nan", "0"])
+    def test_non_finite_or_zero_tau_exits_2(self, tau, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["gen-fbm", "--tau", tau, "--steps", 4,
+                     "--out-dir", tmp_path / "out"])
+        assert err.value.code == 2
+        assert "--tau must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_method_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -95,24 +121,27 @@ class TestSolve:
         assert first[1:] == [0.0, 0.0, 0.0]
 
     def test_trajectory_peak_memory_near_states_size(self, tmp_path):
-        # each run's peak RSS from os.wait4; the trajectory run may hold
-        # its (M + 1, N) states and little else beyond the endpoint run
+        # the trajectory run may hold its (M + 1, N) states and little else
+        # beyond the endpoint run, and gen-fbm its (N, M) increments beyond
+        # a one-mode run
         modes, steps = 64, 2**16
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        peaks = []
-        for extra in ([], ["--save-trajectory"]):
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "fracspde.cli", "solve", "--modes",
-                 str(modes), "--steps", str(steps), "--out-dir",
-                 str(tmp_path), "--tag", "m"] + extra,
-                env=env, stdout=subprocess.DEVNULL)
-            _, status, usage = os.wait4(proc.pid, 0)
-            assert status == 0
-            peaks.append(usage.ru_maxrss * 1024)  # KiB on Linux
-        states = (steps + 1) * modes * 8
-        assert peaks[1] - peaks[0] <= 2 * states
+        tail = ["--steps", str(steps), "--out-dir", str(tmp_path),
+                "--tag", "m"]
+        runs = [["solve", "--modes", str(modes)],
+                ["solve", "--modes", str(modes), "--save-trajectory"],
+                ["gen-fbm", "--modes", "1"],
+                ["gen-fbm", "--modes", str(modes)]]
+        argvs = json.dumps([run + tail for run in runs])
+        proc = subprocess.run([sys.executable, "-c", PEAKS, argvs], env=env,
+                              capture_output=True, text=True, check=True)
+        peaks = json.loads(proc.stdout)
+        assert None not in peaks, peaks
+        solve, trajectory, gen_one, gen_all = peaks
+        assert trajectory - solve <= 2 * (steps + 1) * modes * 8
+        assert gen_all - gen_one <= 2 * modes * steps * 8
         rows = (tmp_path / "solve_she-trace_m_trajectory.csv").read_bytes()
         assert rows.count(b"\n") == steps + 1
 
@@ -153,7 +182,7 @@ class TestSolve:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra, message", [
-        ([], "non-finite state at the endpoint"),
+        ([], "non-finite state at step 64 of 64"),
         (["--save-trajectory"], "non-finite state at step"),
     ], ids=["endpoint", "trajectory"])
     def test_non_finite_state_exits_1(self, tmp_path, monkeypatch, capsys,
@@ -281,10 +310,15 @@ class TestVerifyCommand:
         assert "--samples must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_unknown_suite_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["verify", "--suite", "meta", "--out-dir", tmp_path])
-        assert err.value.code == 2
+    def test_unknown_suite_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite = meta\n")
+        for source in (["--suite", "meta"], ["--config", cfg]):
+            with pytest.raises(SystemExit) as err:
+                run_cli(["verify", *source, "--out-dir", tmp_path / "out"])
+            assert err.value.code == 2
+            assert "invalid choice: 'meta'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:
@@ -387,10 +421,28 @@ def _flag_values(action):
     return values.map(lambda text: (f"{flag}={text}", text))
 
 
+def _file_texts(action):
+    """Strategy for the config-file text of one flag; a switch's may be
+    false."""
+    if action.nargs == 0:
+        return st.sampled_from(["1", "true", "yes", "True", "0", "false",
+                                "no", "NO"])
+    return _flag_values(action).map(lambda value: value[1])
+
+
+def _as_value(action, text):
+    """The value that ``text`` stands for as the flag's value."""
+    if action.nargs == 0:
+        return text.lower() in ("1", "true", "yes")
+    return (action.type or str)(text)
+
+
 def _command_flags(command):
-    actions = cli._flag_actions(cli._build_parser(), command)
-    return {dest: a for dest, a in actions.items()
-            if dest not in ("help", "config")}
+    """dest -> argparse action, for the flags of ``command``."""
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in subparsers.choices[command]._actions
+            if a.dest not in ("help", "config")}
 
 
 @st.composite
@@ -402,52 +454,121 @@ def _flag_sets(draw):
                      for dest in chosen}
 
 
+@st.composite
+def _placed_flags(draw):
+    """A command, and for some of its flags a command-line (word, text),
+    a config-file text, or both."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    flags = _command_flags(command)
+    line, file = {}, {}
+    for dest in draw(st.lists(st.sampled_from(sorted(flags)), unique=True)):
+        where = draw(st.sampled_from(["line", "file", "both"]))
+        if where != "file":
+            line[dest] = draw(_flag_values(flags[dest]))
+        if where != "line":
+            file[dest] = draw(_file_texts(flags[dest]))
+    return command, line, file
+
+
+def _write_config(path, values):
+    path.write_text("".join(f"{dest} = {text}\n"
+                            for dest, text in values.items()))
+    return str(path)
+
+
+# every command's defaults, as its run manifest records them
+DEFAULTS = {
+    "gen-fbm": {
+        "hurst": 0.75, "steps": 64, "tau": None, "modes": 1, "seed": 0,
+        "method": "circulant", "out_dir": "runs", "tag": None,
+    },
+    "solve": {
+        "preset": "she-trace", "modes": 64, "steps": 256, "horizon": 1.0,
+        "hurst": 0.75, "seed": 0, "method": "circulant",
+        "zero_noise": False, "zero_nonlinearity": False,
+        "save_trajectory": False, "out_dir": "runs", "tag": None,
+    },
+    "converge": {
+        "axis": None, "preset": None, "paper_scale": False, "samples": None,
+        "seed": 0, "method": "circulant", "workers": None,
+        "out_dir": "runs", "tag": None,
+    },
+    "verify": {
+        "suite": "all", "samples": None, "seed": 0, "workers": None,
+        "out_dir": "runs", "tag": None,
+    },
+}
+
+
 class TestConfigRoundTrip:
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_defaults_as_manifests_record_them(self, command):
+        assert cli._parse_args(cli._build_parser(), [command]) == (
+            command, DEFAULTS[command])
+
     @settings(max_examples=60, deadline=None, database=None)
     @given(case=_flag_sets())
     def test_file_value_resolves_like_flag(self, case):
         """Every value written to a config file resolves to what the same
         value resolves to as a flag."""
         command, values = case
-        parser = cli._build_parser()
-        defaults = {dest: None for dest in _command_flags(command)}
         argv = [command] + [word for word, _ in values.values()]
-        from_flags = cli._resolve(parser.parse_args(argv), parser, defaults)
+        from_flags = cli._parse_args(cli._build_parser(), argv)
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "run.cfg"
-            path.write_text("".join(f"{dest} = {text}\n"
-                                    for dest, (_, text) in values.items()))
-            args = parser.parse_args([command, "--config", str(path)])
-            from_file = cli._resolve(args, parser, defaults)
+            path = _write_config(Path(tmp) / "run.cfg",
+                                 {dest: text
+                                  for dest, (_, text) in values.items()})
+            from_file = cli._parse_args(cli._build_parser(),
+                                        [command, "--config", path])
         assert from_file == from_flags
         for dest in values:
-            assert type(from_file[dest]) is type(from_flags[dest])
+            assert type(from_file[1][dest]) is type(from_flags[1][dest])
+
+    @settings(max_examples=60, deadline=None, database=None,
+              derandomize=True)
+    @given(case=_placed_flags())
+    def test_flag_over_file_over_default(self, case):
+        """A flag on the command line wins over its config-file value,
+        which wins over the parser's default."""
+        command, line, file = case
+        flags = _command_flags(command)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_config(Path(tmp) / "run.cfg", file)
+            _, cfg = cli._parse_args(
+                cli._build_parser(),
+                [command, "--config", path] + [w for w, _ in line.values()])
+        for dest, action in flags.items():
+            if dest in line:
+                want = _as_value(action, line[dest][1])
+            elif dest in file:
+                want = _as_value(action, file[dest])
+            else:
+                want = action.default
+            assert cfg[dest] == want, dest
+            assert type(cfg[dest]) is type(want), dest
 
     @pytest.mark.parametrize("dest", ["out_dir", "tag"])
     def test_double_dash_value_resolves_like_file(self, dest, tmp_path):
         """argparse stores "--flag=--" as []; it resolves to "--", as the
         same value in a config file does."""
-        parser = cli._build_parser()
         flag = "--" + dest.replace("_", "-")
-        from_flag = cli._resolve(parser.parse_args(["solve", f"{flag}=--"]),
-                                 parser, {dest: None})
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{dest} = --\n")
-        from_file = cli._resolve(
-            parser.parse_args(["solve", "--config", str(path)]), parser,
-            {dest: None})
-        assert from_flag == from_file == {dest: "--"}
+        from_flag = cli._parse_args(cli._build_parser(),
+                                    ["solve", f"{flag}=--"])
+        path = _write_config(tmp_path / "run.cfg", {dest: "--"})
+        from_file = cli._parse_args(cli._build_parser(),
+                                    ["solve", "--config", path])
+        assert from_flag == from_file
+        assert from_flag[1][dest] == "--"
 
     def test_double_dash_seed_exits_2_as_in_file(self, tmp_path, capsys):
-        parser = cli._build_parser()
         with pytest.raises(SystemExit) as err:
-            cli._resolve(parser.parse_args(["solve", "--seed=--"]), parser,
-                         {"seed": None})
+            cli._parse_args(cli._build_parser(), ["solve", "--seed=--"])
         assert err.value.code == 2
-        assert "'--' is not a valid int" in capsys.readouterr().err
-        path = tmp_path / "run.cfg"
-        path.write_text("seed = --\n")
+        assert "invalid int value: '--'" in capsys.readouterr().err
+        path = _write_config(tmp_path / "run.cfg", {"seed": "--"})
         with pytest.raises(SystemExit) as err:
-            cli._resolve(parser.parse_args(["solve", "--config", str(path)]),
-                         parser, {"seed": None})
+            cli._parse_args(cli._build_parser(),
+                            ["solve", "--config", path])
         assert err.value.code == 2
+        assert ("config value seed = '--': invalid int value: '--'"
+                in capsys.readouterr().err)

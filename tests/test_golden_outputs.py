@@ -4,7 +4,8 @@ bytes.
 COMMANDS run through fracspde.cli.main in one child process (one worker,
 one BLAS thread), and the sha256 of every file they write, run manifests
 excepted (they carry wall-clock data), must equal the hash recorded in
-golden_outputs.json. A refactor that moves a bit of any report fails
+golden_outputs.json. One run reads its flags from CONFIG, a file written
+beside the output directory. A refactor that moves a bit of any report fails
 here. ``python tests/test_golden_outputs.py --record NAME...`` rewrites
 the hashes of the named outputs only, and writes nothing and exits
 non-zero if an output it was not given moved too; a change that
@@ -31,7 +32,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fracspde"
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 
-# argv of fracspde.cli.main; the child appends --out-dir
+# argv of fracspde.cli.main; the child appends --out-dir, and {config}
+# names the file that holds CONFIG
 COMMANDS = [
     ["converge", "--axis", axis, "--preset", preset, "--samples", "4",
      "--tag", f"{axis}-{preset}"]
@@ -43,7 +45,14 @@ COMMANDS = [
     for suffix, flags in (("", []), ("-path", ["--save-trajectory"]))
 ] + [
     ["verify", "--suite", "regularity", "--samples", "4", "--tag", "reg"],
+] + [
+    ["gen-fbm", "--modes", "3", "--method", method, "--tag", method]
+    for method in ("circulant", "cholesky")
+] + [
+    ["solve", "--config", "{config}", "--tag", "config"],
 ]
+
+CONFIG = "# flat key = value lines\nmodes = 8\nsave-trajectory = yes\n"
 
 CHILD = """
 import json, sys
@@ -60,16 +69,21 @@ def output_hashes() -> dict:
                PYTHONPATH=os.pathsep.join(
                    [str(PACKAGE.parent)]
                    + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    with tempfile.TemporaryDirectory() as out:
+    with tempfile.TemporaryDirectory() as tmp:
+        out, config = Path(tmp, "out"), Path(tmp, "run.cfg")
+        out.mkdir()
+        config.write_text(CONFIG)
+        commands = [[arg.format(config=config) for arg in argv]
+                    for argv in COMMANDS]
         proc = subprocess.run(
-            [sys.executable, "-c", CHILD, out, json.dumps(COMMANDS)],
+            [sys.executable, "-c", CHILD, str(out), json.dumps(commands)],
             env=env, cwd=out, capture_output=True, text=True, timeout=300,
             check=True)
         codes = json.loads(proc.stdout.strip().splitlines()[-1])
         if codes != [0] * len(COMMANDS):
             raise RuntimeError(f"exit codes {codes}: {proc.stderr}")
         return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(Path(out).iterdir())
+                for path in sorted(out.iterdir())
                 if not path.name.endswith("_manifest.json")}
 
 

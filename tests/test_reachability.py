@@ -24,7 +24,7 @@ PACKAGE = ROOT / "src" / "fracspde"
 # argv of fracspde.cli.main; the probe appends --out-dir and sets
 # FRACSPDE_WORKERS=1, so no pool starts (parallel.default_workers). The
 # first run has no --tag (cli._timestamp), and one run reads CONFIG from a
-# file that the probe writes (cli._read_config_file, cli._convert).
+# file that the probe writes (cli._read_config_file, cli._value).
 COMMANDS = [
     ["gen-fbm", "--method", "circulant", "--modes", "3"],
     ["gen-fbm", "--method", "cholesky", "--modes", "3", "--tag", "chol"],
@@ -47,9 +47,14 @@ CONFIG = "# flat key = value lines\nmodes = 8\nsave-trajectory = yes\n"
 # Unreached functions that stay, each with the consumer that reads it:
 # "tests" (any tests/*.py), a repo file, or another entry's function.
 ALLOWED = {
-    # the frozen linear-oracle workload aggregates its fine draw
+    # the frozen linear-oracle workload aggregates its fine draw and
+    # solves each rung's sample
     "fbm.aggregate_cylindrical": "perfbench/workload.py",
     "fbm._coarse_grid": "fbm.aggregate_cylindrical",
+    "solver.solve_endpoint": "perfbench/workload.py",
+    "solver._check_noise_sample": "solver.solve_endpoint",
+    "fbm.CylindricalFbmSample.modes": "solver._check_noise_sample",
+    "fbm.IncrementGrid.horizon": "solver._check_noise_sample",
     # tests empty the factor and form caches between cases
     "fbm.clear_caches": "tests",
     # the tests' overflow device (F = 1e12 u); perfbench/tests asserts
