@@ -30,7 +30,7 @@ from .fbm import (
     generate_cylindrical_fbm,
 )
 from .parallel import default_workers
-from .rng import derive_seed, seed_words, standard_normal_rows
+from .rng import NormalDrawer, derive_seed, pcg64_states, seed_words
 from .solver import _solve_block
 from .spectral import sine_grid, sine_transform
 from .experiments import SHE_PRESETS, _fmt, she_problem
@@ -261,6 +261,8 @@ def _cmd_solve(cfg: dict, parser) -> int:
         parser.error("--hurst must be in (0.5, 1)")
     if cfg["modes"] < 1 or cfg["steps"] < 1:
         parser.error("--modes and --steps must be >= 1")
+    if not 0 < cfg["horizon"] < np.inf:
+        parser.error("--horizon must be positive and finite")
     _require_method(parser, cfg["method"], cfg["steps"])
     started = time.monotonic()
     tag = cfg["tag"] or _timestamp()
@@ -394,8 +396,8 @@ def _suite_isometry(seed: int, samples: int, workers: int) -> dict:
     h = HurstParameter(0.75)
     grid = IncrementGrid(m_steps=6, tau=0.25)
     trials = 5
-    psis = standard_normal_rows(
-        seed_words([derive_seed(seed, 9)]),
+    psis = NormalDrawer().fill(
+        pcg64_states(seed_words([derive_seed(seed, 9)])),
         np.empty((1, trials * grid.m_steps * 12)),
     ).reshape(trials, grid.m_steps, 4, 3)
     worst_z = 0.0

@@ -7,12 +7,13 @@ row is bit-identical whatever else is in the batch; the cylindrical
 generator and (through its chunk iterator, _increment_chunks) the
 solver's sample blocks and the isometry check are calls of it, and all
 three key mode k of a sample by mode_keys. Row i's normals are those of
-np.random.default_rng(seeds[i]), drawn by rng.standard_normal_rows from
-seed words hashed for the whole batch in one vectorised pass
-(rng.seed_words). A chunk of rows holds at most _ROW_CHUNK_BYTES of
-normals, which keeps its temporaries small, and every chunk of one call
-reuses one set of work buffers (normals, half spectrum, FFT output), so
-a draw of many chunks page-faults its buffers in once, not per chunk.
+np.random.default_rng(seeds[i]), drawn by one rng.NormalDrawer per call
+from PCG64 states computed for the whole batch in one vectorised pass
+(rng.seed_words, rng.pcg64_states). A chunk of rows holds at most
+_ROW_CHUNK_BYTES of normals, which keeps its temporaries small, and
+every chunk of one call reuses one drawer and one set of work buffers
+(normals, half spectrum, FFT output), so a draw of many chunks
+page-faults its buffers in once, not per chunk.
 
 Two exact methods are provided: a dense Cholesky factorization of the
 increment covariance (reference, O(M^3) setup, at most 4096 steps) and
@@ -38,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import MODE_STREAM, derive_seed, seed_words, standard_normal_rows
+from .rng import (MODE_STREAM, NormalDrawer, derive_seed, pcg64_states,
+                  seed_words)
 
 __all__ = [
     "CirculantEmbeddingError",
@@ -275,8 +277,9 @@ def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
 
     The rows are written into out[first:first + len(rows)] when out is
     given, else into one buffer reused by every chunk, so a chunk must be
-    consumed before the next is drawn. The seed words of every row come
-    from one vectorised hash before the first chunk: its fixed cost is
+    consumed before the next is drawn. The PCG64 states of every row
+    come from one vectorised hash and seeding pass before the first
+    chunk, and one NormalDrawer draws every chunk: their fixed costs are
     paid once per call, not once per chunk. The work buffers (normals,
     and for circulant the half spectrum and the FFT output) are
     allocated once per call too: fresh ones per chunk would page-fault
@@ -284,9 +287,10 @@ def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
     """
     m = grid.m_steps
     check_method(method, m)
-    words = seed_words(seeds)
+    states = pcg64_states(seed_words(seeds))
+    drawer = NormalDrawer()
     scale = grid.tau**h.h
-    z = np.empty((min(chunk, len(words)), _row_normals(m, method)))
+    z = np.empty((min(chunk, len(states)), _row_normals(m, method)))
     buffer = np.empty((len(z), m)) if out is None else None
     if method == "cholesky":
         factor = _cholesky_factor(m, h)
@@ -294,9 +298,9 @@ def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
         bins = _circulant_bins(m, h)
         half = np.empty((len(z), m + 1), dtype=complex)
         full = np.empty((len(z), 2 * m))
-    for lo in range(0, len(words), chunk):
-        n = min(chunk, len(words) - lo)
-        normals = standard_normal_rows(words[lo:lo + n], z[:n])
+    for lo in range(0, len(states), chunk):
+        n = min(chunk, len(states) - lo)
+        normals = drawer.fill(states[lo:lo + n], z[:n])
         rows = buffer[:n] if out is None else out[lo:lo + n]
         if method == "cholesky":
             for row, row_normals in zip(rows, normals):
@@ -314,7 +318,7 @@ def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
 
     Returns a (len(seeds), m_steps) array. Row i is drawn from seeds[i]
     alone (2m standard normals for circulant, m for cholesky, from
-    rng.standard_normal_rows), so it is bit-identical whatever the other
+    rng.NormalDrawer), so it is bit-identical whatever the other
     seeds are and however the rows are chunked internally.
 
     Parameters

@@ -3,27 +3,26 @@ Monte Carlo streams.
 
 The seeds and draws are numpy's own: derive_seed(base, *key) equals
 SeedSequence(base, spawn_key=key).generate_state(1, np.uint64)[0], and
-row i of standard_normal_rows(seed_words(seeds), out) equals
-default_rng(seeds[i]).standard_normal. Both are computed by a vectorised
-port of numpy's SeedSequence (the 4-word pool hash and generate_state)
-and of PCG64's pcg_setseq_128 seeding (O'Neill 2014): the keys of a
-whole sample block are hashed in one pass of numpy operations, not one
-SeedSequence object per row, and each row's 128-bit PCG64 state is
-assigned to one reused Generator. tests/test_rng.py checks the port
-against numpy bit for bit: a numpy release that changed its seeding would
-fail there instead of shifting outputs silently.
+row i of NormalDrawer().fill(pcg64_states(seed_words(seeds)), out)
+equals default_rng(seeds[i]).standard_normal. Both are computed by a
+vectorised port of numpy's SeedSequence (the 4-word pool hash and
+generate_state) and of PCG64's pcg_setseq_128 seeding (O'Neill 2014):
+the keys of a whole sample block are hashed, and their 128-bit PCG64
+states computed, in one pass of numpy operations each, not one
+SeedSequence object per row, and each row's state is written straight
+into the struct of one reused bit generator before its row is drawn.
+tests/test_rng.py checks the port against numpy bit for bit, and the
+drawer reads its first state back through numpy's public API: a numpy
+release that changed its seeding or its state layout would fail there
+instead of shifting outputs silently."""
 
-Derived streams are independent of each other and of the schedule that
-consumes them: worker count and execution order never change the draws.
-"""
-
+import ctypes
 import operator
 
 import numpy as np
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
 
 # Stream tags keep per-mode and per-sample derivations disjoint.
 MODE_STREAM = 0
@@ -36,8 +35,10 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 
-# Multiplier of PCG64's 128-bit LCG (PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Multiplier of PCG64's 128-bit LCG (PCG_DEFAULT_MULTIPLIER_128), as
+# its low and high 64-bit halves.
+_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
 
 # The hash below runs on Python ints (one key) or uint64 arrays (a batch
 # of keys) alike: a word is a value below 2^32, and every product or
@@ -153,29 +154,97 @@ def seed_words(seeds) -> np.ndarray:
     return _hash_rows([_as_uint64(seeds).ravel()], 4)
 
 
-def standard_normal_rows(words: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Fill row i of the 2-D array out with standard normals from the
-    seed words words[i] (see seed_words): row i equals
-    np.random.default_rng(seed).standard_normal for the seed behind it.
-    Returns out.
+def _mul_hi64(a, b):
+    """High 64-bit words of the 128-bit products a * b (uint64 arrays),
+    from 32-bit limbs: every partial product and column sum fits 64 bits,
+    and each column's carry is added explicitly."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    lo_lo, lo_hi = a_lo * b_lo, a_lo * b_hi
+    hi_lo, hi_hi = a_hi * b_lo, a_hi * b_hi
+    middle = (lo_lo >> 32) + (lo_hi & _MASK32) + (hi_lo & _MASK32)
+    return hi_hi + (lo_hi >> 32) + (hi_lo >> 32) + (middle >> 32)
 
-    Each row's words (s_hi, s_lo, i_hi, i_lo) become a PCG64 state as
-    pcg_setseq_128_srandom_r makes it, modulo 2^128: inc = i << 1 | 1
-    and state = (inc + s) * multiplier + inc. The state is assigned to
-    one reused Generator.
+
+def _add128(a_lo, a_hi, b_lo, b_hi):
+    """(a + b) mod 2^128 on (low, high) 64-bit word pairs."""
+    lo = a_lo + b_lo
+    return lo, a_hi + b_hi + (lo < a_lo)
+
+
+def pcg64_states(words: np.ndarray) -> np.ndarray:
+    """The PCG64 state that np.random.PCG64 seeds from each row of seed
+    words (see seed_words), as a (rows, 4) uint64 array [state_lo,
+    state_hi, inc_lo, inc_hi].
+
+    A port of pcg_setseq_128_srandom_r to uint64 arrays: each row's
+    words (s_hi, s_lo, i_hi, i_lo) give inc = i << 1 | 1 and state =
+    (inc + s) * multiplier + inc, modulo 2^128, the 128-bit words held
+    as two 64-bit halves that wrap modulo 2^64.
     """
-    if len(words) != len(out):
-        raise ValueError(f"{len(words)} seeds for {len(out)} rows")
-    bit_generator = np.random.PCG64(0)  # every row assigns its own state
-    generator = np.random.Generator(bit_generator)
-    for row, (s_hi, s_lo, i_hi, i_lo) in zip(out, words.tolist()):
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.standard_normal(out=row)
-    return out
+    s_hi, s_lo, i_hi, i_lo = np.asarray(words, dtype=np.uint64).T
+    inc_lo, inc_hi = i_lo << 1 | 1, i_hi << 1 | i_lo >> 63
+    lo, hi = _add128(inc_lo, inc_hi, s_lo, s_hi)
+    hi = _mul_hi64(lo, _PCG_MULT_LO) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    lo, hi = _add128(lo * _PCG_MULT_LO, hi, inc_lo, inc_hi)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _pcg_struct(bit_generator) -> np.ndarray:
+    """numpy's pcg64_random_t of bit_generator as a writable (2, 2)
+    uint64 view, [[state_lo, state_hi], [inc_lo, inc_hi]]: the layout of
+    two native little-endian 128-bit integers. ctypes.state_address
+    points at numpy's pcg64_state, whose first field is a pointer to
+    that struct. The view does not keep bit_generator alive."""
+    address = ctypes.c_void_p.from_address(
+        bit_generator.ctypes.state_address).value
+    words = (ctypes.c_uint64 * 4).from_address(address)
+    return np.ctypeslib.as_array(words).reshape(2, 2)
+
+
+class NormalDrawer:
+    """Rows of standard normals, each from its own PCG64 state, through
+    one reused bit generator.
+
+    fill(states, out) fills row i of out from states[i] (see
+    pcg64_states): row i equals np.random.default_rng(seed)
+    .standard_normal for the seed behind it. Per row it copies the 32
+    bytes of the state into the bit generator's struct and draws; the
+    bit generator's buffered 32-bit half stays empty, as PCG64 seeds it,
+    because standard_normal draws whole 64-bit words only.
+
+    The first state written is read back through the public
+    bit_generator.state before anything is drawn: a numpy whose struct
+    is laid out otherwise raises RuntimeError instead of drawing other
+    numbers.
+    """
+
+    def __init__(self):
+        self._bit_generator = np.random.PCG64(0)  # every row writes its own
+        self._generator = np.random.Generator(self._bit_generator)
+        self._struct = _pcg_struct(self._bit_generator)
+        self._checked = False
+
+    def _check(self, state: np.ndarray) -> None:
+        want_state, want_inc = (int(lo) | int(hi) << 64
+                                for lo, hi in state.tolist())
+        got = self._bit_generator.state
+        if (got["state"] != {"state": want_state, "inc": want_inc}
+                or got["has_uint32"] != 0):
+            raise RuntimeError(
+                f"numpy {np.__version__} does not lay out PCG64's state as"
+                f" fracspde.rng writes it: wrote state {want_state:#x} and"
+                f" inc {want_inc:#x}, numpy reads {got}")
+        self._checked = True
+
+    def fill(self, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill row i of the 2-D array out from states[i]; returns out."""
+        if len(states) != len(out):
+            raise ValueError(f"{len(states)} states for {len(out)} rows")
+        struct, draw = self._struct, self._generator.standard_normal
+        for row, state in zip(out, states.reshape(-1, 2, 2)):
+            struct[...] = state
+            if not self._checked:
+                self._check(state)
+            draw(out=row)
+        return out

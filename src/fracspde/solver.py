@@ -35,6 +35,7 @@ from .spectral import (
     NemytskiiMap,
     SpectralOperator,
     SpectralState,
+    _grid_sine_matrix,
     sine_matrix,
 )
 
@@ -139,13 +140,14 @@ def _sweep_setup(config: SolverConfig):
     ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and numpy's fast DST-I
     from there on, where it is faster per step (see ``kernels``); the two
     agree to rounding (tested within 1e-12 relative). The dense step's
-    constants are folded into its two matrices, built here once per rung:
-    sin_in = sqrt(N+1) S maps coefficients to grid values and sin_out =
-    (tau/sqrt(N+1)) diag(step_factor) S maps sin of them back, so a step
-    is step_factor * (x + dW) + sin_out @ sin(sin_in @ x). That tracks
-    the unfolded step step_factor * (x + tau (S @ sin(sqrt(N+1) S @ x)) /
-    sqrt(N+1) + dW) to rounding (tested within 1e-13 relative over 2^12
-    steps). Other kinds take None for both matrices.
+    constants are folded into its two matrices: sin_in = sqrt(N+1) S
+    maps coefficients to grid values (built once per N and cached,
+    spectral._grid_sine_matrix) and sin_out = (tau/sqrt(N+1))
+    diag(step_factor) S, built here per rung, maps sin of them back, so
+    a step is step_factor * (x + dW) + sin_out @ sin(sin_in @ x). That
+    tracks the unfolded step step_factor * (x + tau (S @ sin(sqrt(N+1) S
+    @ x)) / sqrt(N+1) + dW) to rounding (tested within 1e-13 relative
+    over 2^12 steps). Other kinds take None for both matrices.
     """
     n = config.n_modes
     lam = config.operator.eigenvalues[:n]
@@ -158,9 +160,9 @@ def _sweep_setup(config: SolverConfig):
             f_kind = kernels.F_SIN_FFT
         else:
             mat = sine_matrix(n)
-            root = math.sqrt(n + 1)
-            sin_in = root * mat
-            sin_out = (config.tau / root) * step_factor[:, None] * mat
+            sin_in = _grid_sine_matrix(n)
+            sin_out = ((config.tau / math.sqrt(n + 1)) * step_factor[:, None]
+                       * mat)
     x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)
     return x0, step_factor, f_kind, f_scale, sin_in, sin_out
 

@@ -205,6 +205,18 @@ def sine_matrix(n_modes: int) -> np.ndarray:
     return _build_sine_matrix(n_modes)
 
 
+@functools.lru_cache(maxsize=16)
+def _grid_sine_matrix(n_modes: int) -> np.ndarray:
+    """sqrt(N+1) * sine_matrix(N), read-only: the dense map from
+    coefficients to values on the sine grid, which the dense F = sin
+    step applies (solver._sweep_setup, which calls it below
+    kernels._FAST_SINE_MIN_MODES modes only, where sine_matrix caches
+    too)."""
+    mat = math.sqrt(n_modes + 1) * sine_matrix(n_modes)
+    mat.flags.writeable = False
+    return mat
+
+
 def sine_transform(coeffs: np.ndarray) -> np.ndarray:
     """Evaluate u(x_k) = sum_n c_n sqrt(2) sin(n pi x_k) on the sine grid."""
     coeffs = np.asarray(coeffs, dtype=float)

@@ -181,6 +181,17 @@ class TestSolve:
         assert "circulant" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan", "0", "-1"])
+    def test_non_finite_or_non_positive_horizon_exits_2(
+            self, horizon, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["solve", "--horizon", horizon, "--modes", 4, "--steps",
+                     8, "--out-dir", tmp_path / "out"])
+        assert err.value.code == 2
+        assert ("--horizon must be positive and finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("extra, message", [
         ([], "non-finite state at step 64 of 64"),
         (["--save-trajectory"], "non-finite state at step"),

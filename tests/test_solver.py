@@ -259,6 +259,21 @@ class TestBlockIncrements:
                 alone = increment_rows(cfg.grid(), H, [keys[k, s]], method)
                 assert np.array_equal(rows[k, s], alone[0]), (k, s)
 
+    @pytest.mark.parametrize("chunk_bytes", [2**10, 2**14, 2**20, 2**26])
+    @pytest.mark.parametrize("method", ["circulant", "cholesky"])
+    def test_raw_rows_equal_for_any_block_and_chunk_size(
+            self, method, chunk_bytes, monkeypatch):
+        """One normal drawer serves every chunk of a block: a sample's
+        rows do not depend on the block size or on where chunks end."""
+        cfg = make_config(n=7, m=40, method=method)
+        seeds = tuple(derive_seed(10, SAMPLE_STREAM, s) for s in range(9))
+        whole = increment_rows(cfg.grid(), H, mode_keys(seeds, 7).ravel(),
+                               method).reshape(7, 9, 40)
+        monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", chunk_bytes)
+        for b in range(1, 10):
+            assert np.array_equal(solver._unit_increments(cfg, seeds[:b]),
+                                  whole[:, :b]), b
+
 
 def _endpoints(config, states):
     """A sample_map reducer: the first rung's last state, (P, B, n)."""
@@ -334,6 +349,13 @@ class TestFastSineSwitch:
     def test_fast_at_constant(self):
         out, fast = self.sweep(512, kernels.F_SIN_FFT)
         assert np.array_equal(out, fast)
+
+    def test_grid_sine_matrix_built_once_per_n(self):
+        cfg = make_config(n=9, m=12, f=sine_map(), noise=identity_noise(9))
+        sin_in = solver._sweep_setup(cfg)[4]
+        again = solver._sweep_setup(restrict_config(cfg, m_steps=6))[4]
+        assert again is sin_in and not sin_in.flags.writeable
+        assert np.array_equal(sin_in, math.sqrt(10) * spectral.sine_matrix(9))
 
     def test_fast_path_builds_no_sine_matrix(self, monkeypatch):
         def refuse(n_modes):
