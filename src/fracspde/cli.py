@@ -2,9 +2,12 @@
 studies, execute the verification suites.
 
 Exit codes: 0 success, 1 computational or check failure, 2 usage error.
-Every command writes its primary outputs plus a JSON run manifest (the
-manifest is written last and is the only artifact carrying wall-clock
-fields, so reruns with equal flags are byte-identical elsewhere).
+Each command is a check and a run. The check builds the run's inputs
+from the library types, whose ValueError is a usage error raised before
+anything is written; main is the one frame around the run: it times it,
+makes the output directory and writes the JSON run manifest last (the
+only artifact carrying wall-clock fields, so reruns with equal flags are
+byte-identical elsewhere).
 
 Each flag's default is declared once, in the parser. Config-file values
 (--config, flat ``key = value`` lines mirroring flag names; a key that
@@ -29,9 +32,8 @@ from .fbm import (
     check_method,
     generate_cylindrical_fbm,
 )
-from .parallel import default_workers
 from .rng import NormalDrawer, derive_seed, pcg64_states, seed_words
-from .solver import _solve_block
+from .solver import SolverConfig, _solve_block
 from .spectral import sine_grid, sine_transform
 from .experiments import SHE_PRESETS, _fmt, she_problem
 
@@ -112,21 +114,6 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> tuple:
     return command, cfg
 
 
-def _require_method(parser: argparse.ArgumentParser, method: str,
-                    m_steps: int) -> None:
-    """A generator that cannot sample m_steps is a usage error (exit 2)."""
-    try:
-        check_method(method, m_steps)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _require_samples(parser: argparse.ArgumentParser, samples) -> None:
-    """Fewer than two samples give no standard error (exit 2)."""
-    if samples is not None and samples < 2:
-        parser.error(f"--samples must be >= 2, got {samples}")
-
-
 def _write_rows(path: Path, rows) -> None:
     """One CSV line per row, written as it is formatted: the text of all
     rows would take several times their values' memory."""
@@ -136,11 +123,11 @@ def _write_rows(path: Path, rows) -> None:
 
 
 def _write_manifest(out_dir: Path, command: str, tag: str, config: dict,
-                    seed, artifacts: list, started: float) -> Path:
+                    artifacts: list, started: float) -> None:
     payload = {
         "command": command,
         "config": config,
-        "seed": seed,
+        "seed": config["seed"],
         "artifact_paths": [str(p) for p in artifacts],
         "version": __version__,
         "duration_seconds": time.monotonic() - started,
@@ -151,7 +138,6 @@ def _write_manifest(out_dir: Path, command: str, tag: str, config: dict,
     for artifact in artifacts:
         if not Path(artifact).exists():  # pragma: no cover - safety net
             raise RuntimeError(f"artifact missing at exit: {artifact}")
-    return path
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -204,13 +190,13 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--samples", type=int, default=None)
     conv.add_argument("--method", default="circulant",
                       choices=GENERATOR_METHODS)
-    conv.add_argument("--workers", type=int, default=None)
+    conv.add_argument("--workers", type=int, default=1)
     _add_common(conv)
 
     ver = sub.add_parser("verify", help="run analytic verification suites")
     ver.add_argument("--suite", default="all", choices=(*_SUITES, "all"))
     ver.add_argument("--samples", type=int, default=None)
-    ver.add_argument("--workers", type=int, default=None)
+    ver.add_argument("--workers", type=int, default=1)
     _add_common(ver)
 
     return parser
@@ -220,55 +206,31 @@ def _build_parser() -> argparse.ArgumentParser:
 # gen-fbm
 
 
-def _cmd_gen_fbm(cfg: dict, parser) -> int:
-    if not 0.5 < cfg["hurst"] < 1.0:
-        parser.error("--hurst must be in (0.5, 1)")
-    if cfg["steps"] < 1:
-        parser.error("--steps must be >= 1")
+def _check_gen_fbm(cfg: dict) -> tuple:
+    if cfg["tau"] is None and cfg["steps"] >= 1:
+        cfg["tau"] = 1.0 / cfg["steps"]  # the manifest records the step run
+    grid = IncrementGrid(m_steps=cfg["steps"], tau=cfg["tau"])
+    check_method(cfg["method"], grid.m_steps)
     if cfg["modes"] < 1:
-        parser.error("--modes must be >= 1")
-    if cfg["tau"] is None:
-        cfg["tau"] = 1.0 / cfg["steps"]
-    if not 0 < cfg["tau"] < np.inf:
-        parser.error("--tau must be positive and finite")
-    _require_method(parser, cfg["method"], cfg["steps"])
-    started = time.monotonic()
-    tag = cfg["tag"] or _timestamp()
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise ValueError(f"modes must be >= 1, got {cfg['modes']}")
+    return grid, HurstParameter(cfg["hurst"])
 
-    sample = generate_cylindrical_fbm(
-        cfg["modes"],
-        IncrementGrid(m_steps=cfg["steps"], tau=cfg["tau"]),
-        HurstParameter(cfg["hurst"]),
-        cfg["seed"],
-        cfg["method"],
-    )
+
+def _run_gen_fbm(inputs: tuple, cfg: dict, out_dir: Path, tag: str) -> tuple:
+    grid, hurst = inputs
+    sample = generate_cylindrical_fbm(cfg["modes"], grid, hurst, cfg["seed"],
+                                      cfg["method"])
     csv_path = out_dir / f"fbm_{tag}.csv"
     _write_rows(csv_path, sample.values)
-    _write_manifest(out_dir, "gen-fbm", tag, cfg, cfg["seed"], [csv_path],
-                    started)
     print(f"wrote {csv_path} ({cfg['modes']} modes x {cfg['steps']} steps)")
-    return 0
+    return 0, [csv_path]
 
 
 # ---------------------------------------------------------------------------
 # solve
 
 
-def _cmd_solve(cfg: dict, parser) -> int:
-    if not 0.5 < cfg["hurst"] < 1.0:
-        parser.error("--hurst must be in (0.5, 1)")
-    if cfg["modes"] < 1 or cfg["steps"] < 1:
-        parser.error("--modes and --steps must be >= 1")
-    if not 0 < cfg["horizon"] < np.inf:
-        parser.error("--horizon must be positive and finite")
-    _require_method(parser, cfg["method"], cfg["steps"])
-    started = time.monotonic()
-    tag = cfg["tag"] or _timestamp()
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def _check_solve(cfg: dict) -> SolverConfig:
     problem = she_problem(
         cfg["preset"], n_modes=cfg["modes"], m_steps=cfg["steps"],
         base_seed=cfg["seed"], horizon=cfg["horizon"], hurst=cfg["hurst"],
@@ -276,6 +238,12 @@ def _cmd_solve(cfg: dict, parser) -> int:
         with_nonlinearity=not cfg["zero_nonlinearity"],
         with_noise=not cfg["zero_noise"],
     )
+    check_method(problem.fbm_method, problem.m_steps)
+    return problem
+
+
+def _run_solve(problem: SolverConfig, cfg: dict, out_dir: Path,
+               tag: str) -> tuple:
     noise = generate_cylindrical_fbm(problem.n_modes, problem.grid(),
                                      problem.hurst, problem.base_seed,
                                      problem.fbm_method)
@@ -291,59 +259,50 @@ def _cmd_solve(cfg: dict, parser) -> int:
     physical = sine_transform(coeffs)
     xs = sine_grid(problem.n_modes)
 
-    artifacts = []
     end_path = out_dir / f"solve_{cfg['preset']}_{tag}.csv"
     lines = ["mode,coefficient,grid_x,physical_value"]
     for n in range(problem.n_modes):
         lines.append(f"{n + 1},{_fmt(coeffs[n])},{_fmt(xs[n])},"
                      f"{_fmt(physical[n])}")
     end_path.write_text("\n".join(lines) + "\n")
-    artifacts.append(end_path)
+    artifacts = [end_path]
 
     if cfg["save_trajectory"]:
         traj_path = out_dir / f"solve_{cfg['preset']}_{tag}_trajectory.csv"
         _write_rows(traj_path, states)
         artifacts.append(traj_path)
 
-    _write_manifest(out_dir, "solve", tag, cfg, cfg["seed"], artifacts,
-                    started)
     print(f"endpoint L2 norm {np.linalg.norm(coeffs):.6f}; "
           f"wrote {end_path}")
-    return 0
+    return 0, artifacts
 
 
 # ---------------------------------------------------------------------------
 # converge
 
 
-def _cmd_converge(cfg: dict, parser) -> int:
-    if cfg["axis"] not in ("time", "space"):
-        parser.error("--axis must be time or space")
-    if cfg["preset"] not in SHE_PRESETS:
-        parser.error(f"--preset must be one of {SHE_PRESETS}")
-    _require_samples(parser, cfg["samples"])
-    workers = cfg["workers"] if cfg["workers"] else default_workers()
-    started = time.monotonic()
-    tag = cfg["tag"] or _timestamp()
-    out_dir = Path(cfg["out_dir"])
-
-    axis_name = "temporal" if cfg["axis"] == "time" else "spatial"
+def _check_converge(cfg: dict) -> experiments.ConvergenceStudy:
+    axis = {"time": "temporal", "space": "spatial"}.get(cfg["axis"])
+    if axis is None:
+        raise ValueError("--axis must be time or space")
     study = experiments.protocol_study(
-        axis_name, "paper" if cfg["paper_scale"] else "desk", cfg["preset"],
-        cfg["seed"], cfg["samples"], cfg["method"])
-    _require_method(parser, cfg["method"], study.problem.m_steps)
-    report = experiments.run_study(study, workers=workers)
+        axis, "paper" if cfg["paper_scale"] else "desk",
+        cfg["preset"], cfg["seed"], cfg["samples"], cfg["method"])
+    check_method(cfg["method"], study.problem.m_steps)
+    return study
 
-    basename = (f"{axis_name}_{study.problem.noise.kind}_"
+
+def _run_converge(study: experiments.ConvergenceStudy, cfg: dict,
+                  out_dir: Path, tag: str) -> tuple:
+    report = experiments.run_study(study, workers=cfg["workers"])
+    basename = (f"{study.axis}_{study.problem.noise.kind}_"
                 f"H{study.problem.hurst.h}_{tag}")
     csv_path, json_path = experiments.write_report(report, out_dir, basename)
-    _write_manifest(out_dir, "converge", tag, cfg, cfg["seed"],
-                    [csv_path, json_path], started)
     print(f"fitted slope {report.fitted_slope:.4f} "
           f"(+- {report.slope_confidence_halfwidth:.4f}), "
           f"theoretical slope {report.theoretical_slope}")
     print(f"wrote {csv_path}")
-    return 0
+    return 0, [csv_path, json_path]
 
 
 # ---------------------------------------------------------------------------
@@ -440,21 +399,21 @@ _SUITES = {
 }
 
 
-def _cmd_verify(cfg: dict, parser) -> int:
-    _require_samples(parser, cfg["samples"])
+def _check_verify(cfg: dict) -> dict:
+    """Suite name -> its sample count."""
+    if cfg["samples"] is not None and cfg["samples"] < 2:
+        raise ValueError(f"samples must be >= 2, got {cfg['samples']}")
     names = list(_SUITES) if cfg["suite"] == "all" else [cfg["suite"]]
     default_samples = {"isometry": 10000, "regularity": 96}
-    workers = cfg["workers"] if cfg["workers"] else default_workers()
-    started = time.monotonic()
-    tag = cfg["tag"] or _timestamp()
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    return {name: (default_samples.get(name, 0) if cfg["samples"] is None
+                   else cfg["samples"]) for name in names}
 
+
+def _run_verify(suites: dict, cfg: dict, out_dir: Path, tag: str) -> tuple:
     results = {}
     all_passed = True
-    for name in names:
-        samples = cfg["samples"] or default_samples.get(name, 0)
-        results[name] = _SUITES[name](cfg["seed"], samples, workers)
+    for name, samples in suites.items():
+        results[name] = _SUITES[name](cfg["seed"], samples, cfg["workers"])
         all_passed &= results[name]["passed"]
         status = "PASS" if results[name]["passed"] else "FAIL"
         print(f"[{status}] suite {name}")
@@ -464,17 +423,18 @@ def _cmd_verify(cfg: dict, parser) -> int:
         json.dumps({"passed": all_passed, "suites": results}, indent=2,
                    sort_keys=True, default=float) + "\n"
     )
-    _write_manifest(out_dir, "verify", tag, cfg, cfg["seed"], [report_path],
-                    started)
     print(f"wrote {report_path}")
-    return 0 if all_passed else 1
+    return (0 if all_passed else 1), [report_path]
 
 
+# command -> (check, run). check(cfg) builds the run's inputs and raises
+# ValueError on a bad one; run(inputs, cfg, out_dir, tag) returns the exit
+# code and the artifacts it wrote.
 _COMMANDS = {
-    "gen-fbm": _cmd_gen_fbm,
-    "solve": _cmd_solve,
-    "converge": _cmd_converge,
-    "verify": _cmd_verify,
+    "gen-fbm": (_check_gen_fbm, _run_gen_fbm),
+    "solve": (_check_solve, _run_solve),
+    "converge": (_check_converge, _run_converge),
+    "verify": (_check_verify, _run_verify),
 }
 
 
@@ -482,7 +442,20 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         command, cfg = _parse_args(parser, argv)
-        return _COMMANDS[command](cfg, parser)
+        check, run = _COMMANDS[command]
+        try:
+            if cfg.get("workers", 1) < 1:
+                raise ValueError(f"workers must be >= 1, got {cfg['workers']}")
+            inputs = check(cfg)
+        except ValueError as exc:  # usage error: nothing is written
+            parser.error(str(exc))
+        started = time.monotonic()
+        tag = cfg["tag"] or _timestamp()
+        out_dir = Path(cfg["out_dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        code, artifacts = run(inputs, cfg, out_dir, tag)
+        _write_manifest(out_dir, command, tag, cfg, artifacts, started)
+        return code
     except SystemExit:
         raise
     except Exception as exc:  # exit-code contract: 1 for any failure

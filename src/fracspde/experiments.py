@@ -58,6 +58,8 @@ def she_problem(preset: str, n_modes: int, m_steps: int,
     """
     if preset not in SHE_PRESETS:
         raise ValueError(f"unknown preset {preset!r}; use one of {SHE_PRESETS}")
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if with_noise:
         noise = (identity_noise(n_modes) if preset == "she-identity"
                  else trace_class_noise(n_modes))
@@ -103,8 +105,9 @@ class ConvergenceStudy:
             raise ValueError(f"axis must be temporal or spatial, not"
                              f" {self.axis!r}")
         ladder = tuple(int(x) for x in self.ladder)
-        if not ladder or sorted(ladder) != list(ladder):
-            raise ValueError("ladder must be a nonempty increasing sequence")
+        if not ladder or sorted(set(ladder)) != list(ladder):
+            raise ValueError("ladder must be a nonempty strictly increasing"
+                             " sequence")
         if self.samples < 2:
             raise ValueError("samples must be >= 2")
         object.__setattr__(self, "ladder", ladder)
@@ -290,11 +293,11 @@ def protocol_study(axis: str, scale: str, preset: str, base_seed: int,
                    fbm_method: str = "circulant") -> ConvergenceStudy:
     """The pinned protocol PROTOCOLS[(axis, scale)] for one SHE preset;
     ``samples`` defaults to the protocol's count."""
-    n, m, ladder, default_samples = PROTOCOLS[(axis, scale)]
+    n, m, ladder, default = PROTOCOLS[(axis, scale)]
     problem = she_problem(preset, n_modes=n, m_steps=m, base_seed=base_seed,
                           fbm_method=fbm_method)
     return ConvergenceStudy(axis=axis, ladder=ladder,
-                            samples=samples or default_samples,
+                            samples=default if samples is None else samples,
                             problem=problem)
 
 

@@ -93,8 +93,9 @@ class IncrementGrid:
     def __post_init__(self):
         if self.m_steps < 1:
             raise ValueError(f"m_steps must be >= 1, got {self.m_steps}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(
+                f"tau must be positive and finite, got {self.tau}")
 
     @property
     def horizon(self) -> float:

@@ -5,20 +5,6 @@ seed, so output is identical for any worker count; reductions over the
 returned list must keep the sample order to stay bit-deterministic.
 """
 
-import os
-
-WORKERS_ENV = "FRACSPDE_WORKERS"
-
-
-def default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
-
 
 def parallel_map(fn, args_list, workers: int = 1) -> list:
     """Map fn over args_list, in order; workers <= 1 runs inline."""

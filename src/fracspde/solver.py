@@ -79,8 +79,9 @@ class SolverConfig:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
         if self.m_steps < 1:
             raise ValueError(f"m_steps must be >= 1, got {self.m_steps}")
-        if not self.horizon > 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(
+                f"horizon must be positive and finite, got {self.horizon}")
         for name, size in (("operator", self.operator.n_modes),
                            ("noise", self.noise.n_modes),
                            ("initial", self.initial.n_modes)):

@@ -68,7 +68,7 @@ class TestGenFbm:
             run_cli(["gen-fbm", "--hurst", 0.5, "--steps", 4,
                      "--out-dir", tmp_path])
         assert err.value.code == 2
-        assert "--hurst" in capsys.readouterr().err
+        assert "hurst must be in" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau", ["inf", "nan", "0"])
     def test_non_finite_or_zero_tau_exits_2(self, tau, tmp_path, capsys):
@@ -76,7 +76,7 @@ class TestGenFbm:
             run_cli(["gen-fbm", "--tau", tau, "--steps", 4,
                      "--out-dir", tmp_path / "out"])
         assert err.value.code == 2
-        assert "--tau must be positive and finite" in capsys.readouterr().err
+        assert "tau must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_bad_method_rejected(self, tmp_path):
@@ -188,7 +188,7 @@ class TestSolve:
             run_cli(["solve", "--horizon", horizon, "--modes", 4, "--steps",
                      8, "--out-dir", tmp_path / "out"])
         assert err.value.code == 2
-        assert ("--horizon must be positive and finite"
+        assert ("horizon must be positive and finite"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
@@ -259,7 +259,7 @@ class TestConverge:
             run_cli(["converge", "--axis", "space", "--preset", "she-trace",
                      "--samples", samples, "--out-dir", tmp_path / "out"])
         assert err.value.code == 2
-        assert "--samples must be >= 2" in capsys.readouterr().err
+        assert "samples must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_axis_exits_2(self, tmp_path):
@@ -318,7 +318,7 @@ class TestVerifyCommand:
             run_cli(["verify", "--suite", "isometry", "--samples", samples,
                      "--out-dir", tmp_path / "out"])
         assert err.value.code == 2
-        assert "--samples must be >= 2" in capsys.readouterr().err
+        assert "samples must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_suite_exits_2(self, tmp_path, capsys):
@@ -330,6 +330,51 @@ class TestVerifyCommand:
             assert err.value.code == 2
             assert "invalid choice: 'meta'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# (argv, message) of one bad input per case; CONVERGE is a valid converge
+# argv without the flag under test
+CONVERGE = ["converge", "--axis", "space", "--preset", "she-trace"]
+USAGE_ERRORS = [
+    (["gen-fbm", "--hurst", "0.5"], "hurst must be in (0.5, 1)"),
+    (["gen-fbm", "--steps", "0"], "m_steps must be >= 1"),
+    (["gen-fbm", "--modes", "0"], "modes must be >= 1"),
+    (["gen-fbm", "--tau", "nan"], "tau must be positive and finite"),
+    (["gen-fbm", "--tau", "inf"], "tau must be positive and finite"),
+    (["gen-fbm", "--method", "cholesky", "--steps", "8192"], "circulant"),
+    (["solve", "--hurst", "1.0"], "hurst must be in (0.5, 1)"),
+    (["solve", "--modes", "0"], "n_modes must be >= 1"),
+    (["solve", "--modes", "-1"], "n_modes must be >= 1"),
+    (["solve", "--steps", "0"], "m_steps must be >= 1"),
+    (["solve", "--horizon", "inf"], "horizon must be positive and finite"),
+    (["solve", "--horizon", "nan"], "horizon must be positive and finite"),
+    (["solve", "--method", "cholesky", "--steps", "8192"], "circulant"),
+    (["converge", "--preset", "she-trace"], "--axis must be time or space"),
+    (["converge", "--axis", "time"], "unknown preset None"),
+    (CONVERGE + ["--samples", "0"], "samples must be >= 2"),
+    (CONVERGE + ["--samples", "1"], "samples must be >= 2"),
+    (CONVERGE + ["--workers", "0"], "workers must be >= 1"),
+    (CONVERGE + ["--workers", "-1"], "workers must be >= 1"),
+    (["converge", "--axis", "time", "--preset", "she-trace", "--paper-scale",
+      "--method", "cholesky"], "circulant"),
+    (["verify", "--samples", "0"], "samples must be >= 2"),
+    (["verify", "--samples", "1"], "samples must be >= 2"),
+    (["verify", "--workers", "0"], "workers must be >= 1"),
+    (["verify", "--workers", "-1"], "workers must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in USAGE_ERRORS])
+def test_bad_input_exits_2_before_any_output(argv, message, tmp_path,
+                                             capsys):
+    """Every command checks its inputs before the run: a bad one exits 2
+    and leaves neither an output directory nor a manifest."""
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--out-dir", tmp_path / "out", "--tag", "bad"])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -501,11 +546,11 @@ DEFAULTS = {
     },
     "converge": {
         "axis": None, "preset": None, "paper_scale": False, "samples": None,
-        "seed": 0, "method": "circulant", "workers": None,
+        "seed": 0, "method": "circulant", "workers": 1,
         "out_dir": "runs", "tag": None,
     },
     "verify": {
-        "suite": "all", "samples": None, "seed": 0, "workers": None,
+        "suite": "all", "samples": None, "seed": 0, "workers": 1,
         "out_dir": "runs", "tag": None,
     },
 }

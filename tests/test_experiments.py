@@ -103,6 +103,19 @@ class TestStudyValidation:
                 ConvergenceStudy(axis="spatial", ladder=ladder, samples=4,
                                  problem=problem)
 
+    @pytest.mark.parametrize("ladder", [(2, 2, 4), (2, 2, 2), (4, 2)])
+    def test_ladder_must_strictly_increase(self, ladder):
+        # a repeated rung is swept twice, and (2, 2, 2) fits a NaN slope
+        problem = she_problem("she-trace", n_modes=8, m_steps=10, base_seed=0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ConvergenceStudy(axis="spatial", ladder=ladder, samples=4,
+                             problem=problem)
+
+    def test_zero_samples_is_a_count_not_the_default(self):
+        with pytest.raises(ValueError, match="samples must be >= 2"):
+            protocol_study("spatial", "desk", "she-trace", base_seed=0,
+                           samples=0)
+
     def test_desk_presets_construct(self):
         t = protocol_study("temporal", "desk", "she-trace", base_seed=1)
         assert t.ladder == (64, 128, 256, 512, 1024)
@@ -409,6 +422,12 @@ class TestPresetProblem:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             she_problem("she-unknown", n_modes=4, m_steps=8, base_seed=0)
+
+    @pytest.mark.parametrize("n_modes", [0, -1])
+    def test_no_modes_is_named_before_building(self, n_modes):
+        with pytest.raises(ValueError, match="n_modes must be >= 1"):
+            she_problem("she-identity", n_modes=n_modes, m_steps=8,
+                        base_seed=0)
 
     def test_trace_second_amplitude(self):
         problem = she_problem("she-trace", n_modes=4, m_steps=8, base_seed=0)

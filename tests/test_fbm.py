@@ -74,6 +74,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             IncrementGrid(m_steps=m, tau=tau)
 
+    @pytest.mark.parametrize("tau", [np.inf, np.nan])
+    def test_rejects_non_finite_tau(self, tau):
+        with pytest.raises(ValueError,
+                           match="tau must be positive and finite"):
+            IncrementGrid(m_steps=4, tau=tau)
+
 
 class TestFbmCovariance:
     def test_diagonal_is_power_law(self):

@@ -64,7 +64,7 @@ print(json.dumps([cli.main(argv + ["--out-dir", out]) for argv in commands]))
 
 def output_hashes() -> dict:
     """File name -> sha256 of every primary output of COMMANDS."""
-    env = dict(os.environ, FRACSPDE_WORKERS="1", OMP_NUM_THREADS="1",
+    env = dict(os.environ, OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    [str(PACKAGE.parent)]

@@ -35,10 +35,8 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 
 
 def test_runs_load_no_scipy_and_no_pool(tmp_path):
-    env = dict(os.environ, FRACSPDE_WORKERS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")]
-                                 if p]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True,
                           timeout=600, check=True)

@@ -21,10 +21,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fracspde"
 
-# argv of fracspde.cli.main; the probe appends --out-dir and sets
-# FRACSPDE_WORKERS=1, so no pool starts (parallel.default_workers). The
-# first run has no --tag (cli._timestamp), and one run reads CONFIG from a
-# file that the probe writes (cli._read_config_file, cli._value).
+# argv of fracspde.cli.main; the probe appends --out-dir, and --workers
+# defaults to 1, so no pool starts. The first run has no --tag
+# (cli._timestamp), and one run reads CONFIG from a file that the probe
+# writes (cli._read_config_file, cli._value).
 COMMANDS = [
     ["gen-fbm", "--method", "circulant", "--modes", "3"],
     ["gen-fbm", "--method", "cholesky", "--modes", "3", "--tag", "chol"],
@@ -128,7 +128,7 @@ def defined_functions() -> dict:
 @functools.lru_cache(maxsize=1)
 def probe() -> tuple:
     """(exit codes of COMMANDS, frozenset of reached 'module.qualname')."""
-    env = dict(os.environ, FRACSPDE_WORKERS="1", OMP_NUM_THREADS="1",
+    env = dict(os.environ, OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    [str(PACKAGE.parent)]

@@ -189,6 +189,12 @@ class TestSolvePath:
         with pytest.raises(ValueError):
             solve_endpoint(cfg, wrong)
 
+    @pytest.mark.parametrize("horizon", [np.inf, np.nan, 0.0, -1.0])
+    def test_non_finite_or_non_positive_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError,
+                           match="horizon must be positive and finite"):
+            make_config(horizon=horizon)
+
     def test_too_few_modes_rejected(self):
         cfg = make_config(n=4, m=8)
         small = generate_cylindrical_fbm(2, cfg.grid(), H, 3)
