@@ -30,7 +30,8 @@ from .fbm import (
     HurstParameter,
     IncrementGrid,
     check_method,
-    generate_cylindrical_fbm,
+    increment_rows,
+    mode_keys,
 )
 from .rng import NormalDrawer, derive_seed, pcg64_states, seed_words
 from .solver import SolverConfig, _solve_block
@@ -218,10 +219,10 @@ def _check_gen_fbm(cfg: dict) -> tuple:
 
 def _run_gen_fbm(inputs: tuple, cfg: dict, out_dir: Path, tag: str) -> tuple:
     grid, hurst = inputs
-    sample = generate_cylindrical_fbm(cfg["modes"], grid, hurst, cfg["seed"],
-                                      cfg["method"])
+    rows = increment_rows(grid, hurst, mode_keys([cfg["seed"]], cfg["modes"]),
+                          cfg["method"])
     csv_path = out_dir / f"fbm_{tag}.csv"
-    _write_rows(csv_path, sample.values)
+    _write_rows(csv_path, rows[:, 0])
     print(f"wrote {csv_path} ({cfg['modes']} modes x {cfg['steps']} steps)")
     return 0, [csv_path]
 
@@ -231,26 +232,24 @@ def _run_gen_fbm(inputs: tuple, cfg: dict, out_dir: Path, tag: str) -> tuple:
 
 
 def _check_solve(cfg: dict) -> SolverConfig:
-    problem = she_problem(
+    return she_problem(
         cfg["preset"], n_modes=cfg["modes"], m_steps=cfg["steps"],
         base_seed=cfg["seed"], horizon=cfg["horizon"], hurst=cfg["hurst"],
         fbm_method=cfg["method"],
         with_nonlinearity=not cfg["zero_nonlinearity"],
         with_noise=not cfg["zero_noise"],
     )
-    check_method(problem.fbm_method, problem.m_steps)
-    return problem
 
 
 def _run_solve(problem: SolverConfig, cfg: dict, out_dir: Path,
                tag: str) -> tuple:
-    noise = generate_cylindrical_fbm(problem.n_modes, problem.grid(),
-                                     problem.hurst, problem.base_seed,
-                                     problem.fbm_method)
+    dw = increment_rows(problem.grid(), problem.hurst,
+                        mode_keys([problem.base_seed], problem.n_modes),
+                        problem.fbm_method)
     m = problem.m_steps
     stops = range(m + 1) if cfg["save_trajectory"] else (m,)
-    states = _solve_block([problem], noise.values[:, None, :],
-                          [(problem.n_modes, 1)], stops)[0][:, :, 0, 0]
+    states = _solve_block([problem], dw, [(problem.n_modes, 1)],
+                          stops)[0][:, :, 0, 0]
     bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
     if bad.size:
         raise FloatingPointError(
@@ -285,11 +284,9 @@ def _check_converge(cfg: dict) -> experiments.ConvergenceStudy:
     axis = {"time": "temporal", "space": "spatial"}.get(cfg["axis"])
     if axis is None:
         raise ValueError("--axis must be time or space")
-    study = experiments.protocol_study(
+    return experiments.protocol_study(
         axis, "paper" if cfg["paper_scale"] else "desk",
         cfg["preset"], cfg["seed"], cfg["samples"], cfg["method"])
-    check_method(cfg["method"], study.problem.m_steps)
-    return study
 
 
 def _run_converge(study: experiments.ConvergenceStudy, cfg: dict,

@@ -1,19 +1,17 @@
 """Exact sampling of fractional Gaussian noise and cylindrical fBm.
 
 Increments, not path values, are the canonical representation: the
-implicit Euler scheme consumes only the per-step noise. One sampler,
-increment_rows, draws a batch of rows, row i from seeds[i] alone, so a
-row is bit-identical whatever else is in the batch; the cylindrical
-generator and (through its chunk iterator, _increment_chunks) the
-solver's sample blocks and the isometry check are calls of it, and all
-three key mode k of a sample by mode_keys. Row i's normals are those of
-np.random.default_rng(seeds[i]), drawn by one rng.NormalDrawer per call
-from PCG64 states computed for the whole batch in one vectorised pass
-(rng.seed_words, rng.pcg64_states). A chunk of rows holds at most
-_ROW_CHUNK_BYTES of normals, which keeps its temporaries small, and
-every chunk of one call reuses one drawer and one set of work buffers
-(normals, half spectrum, FFT output), so a draw of many chunks
-page-faults its buffers in once, not per chunk.
+implicit Euler scheme consumes only the per-step noise. One sampler call,
+increment_rows, makes every draw: it returns one row per seed, in the
+shape of the seeds, each row drawn from its seed alone, so a row is
+bit-identical whatever else is in the batch. Mode k of a sample is keyed
+by mode_keys, so a block of samples is one call on its (N, B) key array:
+the solver's (N, B, M) rows, a block of one seed for gen-fbm and solve,
+and, transposed, the isometry check's sample-major rows. A row's normals
+are those of np.random.default_rng(seed), from PCG64 states computed for
+the whole call in one vectorised pass (rng.seed_words, rng.pcg64_states).
+The call draws chunks of whole rows of the key array, each within
+_ROW_CHUNK_BYTES of normals, through one reused set of work buffers.
 
 Two exact methods are provided: a dense Cholesky factorization of the
 increment covariance (reference, O(M^3) setup, at most 4096 steps) and
@@ -34,6 +32,7 @@ embedding in a different regime and are out of scope.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -154,22 +153,11 @@ def _fgn_covariance_seq(m: int, h: HurstParameter) -> np.ndarray:
 # M = 2^14. Beyond it only the circulant embedding is allowed.
 _CHOLESKY_MAX_STEPS = 4096
 
-# Normals drawn per chunk of rows in increment_rows, per group of whole
-# modes in the solver's block fill and per group of whole samples in the
-# isometry check; bounds the chunk's temporaries (normals, half spectrum,
-# FFT output) to a few hundred KiB.
+# Normals drawn per chunk of whole key rows in increment_rows (whole
+# modes of a solver block, whole samples of an isometry block); bounds
+# the chunk's temporaries (normals, half spectrum, FFT output) to a few
+# hundred KiB.
 _ROW_CHUNK_BYTES = 2**18
-
-
-def _row_normals(m_steps: int, method: str) -> int:
-    return 2 * m_steps if method == "circulant" else m_steps
-
-
-def _chunk_rows(m_steps: int, method: str, group: int = 1) -> int:
-    """Rows whose normals fit in _ROW_CHUNK_BYTES, rounded down to whole
-    groups of `group` rows (at least one group)."""
-    rows = _ROW_CHUNK_BYTES // (8 * _row_normals(m_steps, method))
-    return max(1, rows // group) * group
 
 
 def check_method(method: str, m_steps: int) -> None:
@@ -271,28 +259,51 @@ def _synthesize_circulant(bins: _CirculantBins, z: np.ndarray, m: int,
     return full[..., :m]
 
 
-def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
-                      method: str, chunk: int, out: np.ndarray = None):
-    """Yield (first row, rows) for consecutive chunks of at most `chunk`
-    rows of increment_rows(grid, h, seeds, method), bit for bit.
+def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
+                   method: str = "circulant") -> np.ndarray:
+    """Exact fBm increments on the grid, one row per seed.
 
-    The rows are written into out[first:first + len(rows)] when out is
-    given, else into one buffer reused by every chunk, so a chunk must be
-    consumed before the next is drawn. The PCG64 states of every row
-    come from one vectorised hash and seeding pass before the first
-    chunk, and one NormalDrawer draws every chunk: their fixed costs are
-    paid once per call, not once per chunk. The work buffers (normals,
-    and for circulant the half spectrum and the FFT output) are
-    allocated once per call too: fresh ones per chunk would page-fault
-    every chunk in again.
+    Returns an array of shape np.shape(seeds) + (m_steps,): the row at
+    each index of seeds is drawn from that seed alone (2m standard
+    normals for circulant, m for cholesky, from rng.NormalDrawer), so it
+    is bit-identical whatever the other seeds are and however the rows
+    are chunked. A block's mode_keys(seeds, N) gives its (N, B, M) rows.
+
+    The rows are drawn in chunks of whole rows of the key array (seeds[i]
+    for a run of i), each chunk's normals within _ROW_CHUNK_BYTES unless
+    one key row exceeds it. The PCG64 states of every row come from one
+    vectorised hash and seeding pass, one NormalDrawer draws every chunk,
+    and the work buffers (normals, and for circulant the half spectrum
+    and the FFT output) are allocated once per call: fresh ones per chunk
+    would page-fault every chunk in again.
+
+    Parameters
+    ----------
+    grid : IncrementGrid
+        Uniform time mesh.
+    h : HurstParameter
+        Hurst index in (1/2, 1).
+    seeds : int, sequence or array of int
+        64-bit seeds, one per row, of any shape.
+    method : {"circulant", "cholesky"}
+        circulant embeds the fGn covariance in a 2M circulant and
+        synthesises a chunk of rows with one half-length real FFT
+        (O(M log M) per row); cholesky multiplies each row's normals by
+        the dense factor (reference, at most _CHOLESKY_MAX_STEPS steps).
     """
     m = grid.m_steps
     check_method(method, m)
+    # the shape only: as an array, Python-int seeds >= 2^63 turn to floats
+    shape = np.shape(seeds)
+    out = np.empty(shape + (m,))
+    flat = out.reshape(-1, m)
+    width = 2 * m if method == "circulant" else m  # normals per row
+    group = math.prod(shape[1:]) or 1  # rows per key row
+    chunk = max(1, _ROW_CHUNK_BYTES // (8 * width * group)) * group
     states = pcg64_states(seed_words(seeds))
     drawer = NormalDrawer()
     scale = grid.tau**h.h
-    z = np.empty((min(chunk, len(states)), _row_normals(m, method)))
-    buffer = np.empty((len(z), m)) if out is None else None
+    z = np.empty((min(chunk, len(states)), width))
     if method == "cholesky":
         factor = _cholesky_factor(m, h)
     else:
@@ -302,7 +313,7 @@ def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
     for lo in range(0, len(states), chunk):
         n = min(chunk, len(states) - lo)
         normals = drawer.fill(states[lo:lo + n], z[:n])
-        rows = buffer[:n] if out is None else out[lo:lo + n]
+        rows = flat[lo:lo + n]
         if method == "cholesky":
             for row, row_normals in zip(rows, normals):
                 np.multiply(scale, factor @ row_normals, out=row)
@@ -310,36 +321,6 @@ def _increment_chunks(grid: IncrementGrid, h: HurstParameter, seeds,
             np.multiply(scale, _synthesize_circulant(bins, normals, m,
                                                      half[:n], full[:n]),
                         out=rows)
-        yield lo, rows
-
-
-def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
-                   method: str = "circulant") -> np.ndarray:
-    """Exact fBm increments on the grid, one row per seed.
-
-    Returns a (len(seeds), m_steps) array. Row i is drawn from seeds[i]
-    alone (2m standard normals for circulant, m for cholesky, from
-    rng.NormalDrawer), so it is bit-identical whatever the other
-    seeds are and however the rows are chunked internally.
-
-    Parameters
-    ----------
-    grid : IncrementGrid
-        Uniform time mesh.
-    h : HurstParameter
-        Hurst index in (1/2, 1).
-    seeds : sequence or array of int
-        64-bit seeds, one per row.
-    method : {"circulant", "cholesky"}
-        circulant embeds the fGn covariance in a 2M circulant and
-        synthesises a chunk of rows with one half-length real FFT
-        (O(M log M) per row); cholesky multiplies each row's normals by
-        the dense factor (reference, at most _CHOLESKY_MAX_STEPS steps).
-    """
-    out = np.empty((len(seeds), grid.m_steps))
-    for _ in _increment_chunks(grid, h, seeds, method,
-                               _chunk_rows(grid.m_steps, method), out):
-        pass
     return out
 
 

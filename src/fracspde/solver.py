@@ -24,8 +24,8 @@ from .fbm import (
     HurstParameter,
     IncrementGrid,
     _aggregate_values,
-    _chunk_rows,
-    _increment_chunks,
+    check_method,
+    increment_rows,
     mode_keys,
 )
 from .parallel import parallel_map
@@ -95,6 +95,7 @@ class SolverConfig:
                 f"noise beta={self.noise.beta} outside admissible "
                 f"({lo}, 1] for H={self.hurst.h}"
             )
+        check_method(self.fbm_method, self.m_steps)
 
     @property
     def tau(self) -> float:
@@ -205,9 +206,9 @@ def _sample_blocks(config: SolverConfig, samples: int) -> list:
     Block membership follows the sample index and config's (M, N) only,
     never the worker count, so results are identical for any number of
     workers. A block's M*N*B increments fit in _BLOCK_BYTES: the one raw
-    (N, B, M) buffer (_unit_increments) that drives every preset and
-    every rung of the block (_solve_block), so B depends on neither
-    number.
+    (N, B, M) draw, increment_rows on the block's mode_keys(seeds, N),
+    that drives every preset and every rung of the block (_solve_block),
+    so B depends on neither number.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -256,39 +257,18 @@ def _check_presets(configs) -> list:
 _SWEEP_CHUNK_BYTES = 2**20
 
 
-def _unit_increments(config: SolverConfig, seeds: tuple) -> np.ndarray:
-    """The raw fBm of a block in the sampler's own layout: an (N, B, M)
-    array whose entry [k, s] is mode k of the sample with seeds[s], the
-    increment_rows row of key mode_keys(seeds, N)[k, s], bit for bit.
-
-    The sampler writes the N*B rows, mode-major, straight into the array,
-    so no scaled or transposed copy is made (each preset's amplitudes
-    are applied by _solve_block). Its chunks hold whole modes, B rows
-    each: fewer, larger chunks than increment_rows' own, which draws
-    faster.
-    """
-    n, b, m = config.n_modes, len(seeds), config.m_steps
-    rows = np.empty((n, b, m))
-    for _ in _increment_chunks(config.grid(), config.hurst,
-                               mode_keys(seeds, n).ravel(),
-                               config.fbm_method,
-                               _chunk_rows(m, config.fbm_method, b),
-                               out=rows.reshape(n * b, m)):
-        pass
-    return rows
-
-
 def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     """States at ``stops`` of a block of samples, under every config, at
     every rung.
 
     The configs differ in noise only (_check_presets), and dw holds the
-    block's raw (N, B, M) increments in the sampler's layout
-    (_unit_increments). Rung (n, q) is restrict_config(config, n_modes=n,
-    m_steps=M // q): the first n modes, driven by the fine increments
-    summed q at a time. ``stops`` are nondecreasing fine steps in [0, M],
-    each a multiple of every q (_check_rungs). Returns, per rung, a
-    (len(stops), n, P, B) array.
+    block's raw (N, B, M) increments: increment_rows on its
+    mode_keys(seeds, N), whose entry [k, s] is mode k of sample s. Rung
+    (n, q) is restrict_config(config, n_modes=n, m_steps=M // q): the
+    first n modes, driven by the fine increments summed q at a time.
+    ``stops`` are nondecreasing fine steps in [0, M], each a multiple of
+    every q (_check_rungs). Returns, per rung, a (len(stops), n, P, B)
+    array.
 
     All P presets are swept as one (n, P*B) state, column p*B + s being
     preset p on sample s, a chunk of fine steps at a time; the chunk is a
@@ -364,14 +344,16 @@ def _map_block(job) -> np.ndarray:
     """sample_map's values of one block; FloatingPointError names the
     samples whose states are not all finite."""
     configs, rungs, stops, reduce, args, first, seeds = job
-    states = _solve_block(configs, _unit_increments(configs[0], seeds),
-                          rungs, stops)
+    config = configs[0]
+    dw = increment_rows(config.grid(), config.hurst,
+                        mode_keys(seeds, config.n_modes), config.fbm_method)
+    states = _solve_block(configs, dw, rungs, stops)
     finite = np.logical_and.reduce([np.isfinite(x).reshape(
         -1, len(seeds)).all(axis=0) for x in states])
     bad = [first + int(s) for s in np.flatnonzero(~finite)]
     if bad:
         raise FloatingPointError(f"non-finite state in samples {bad}")
-    return reduce(configs[0], states, *args)
+    return reduce(config, states, *args)
 
 
 def solve_endpoint(config: SolverConfig,

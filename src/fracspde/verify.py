@@ -43,11 +43,10 @@ from .fbm import (
     HurstParameter,
     IncrementGrid,
     _bounded_cache,
-    _chunk_rows,
     _fgn_covariance_seq,
-    _increment_chunks,
     fgn_covariance,
     increment_covariance,
+    increment_rows,
     mode_keys,
 )
 from .experiments import fit_slope
@@ -202,6 +201,11 @@ def isometry_analytic_rhs(psis: list, grid: IncrementGrid,
     return total
 
 
+# Size of one isometry block's increments, B*K*M doubles: the draw's
+# memory does not grow with the sample count.
+_ISOMETRY_BLOCK_BYTES = 2**20
+
+
 def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
                        samples: int, seed: int,
                        method: str = "cholesky") -> IsometryCheck:
@@ -209,6 +213,10 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
 
     Each Psi_i maps the first K noise modes into R^d; all matrices must
     share one shape. The harness asserts |mc - analytic| <= 3 std errors.
+    Sample s draws from seed_s = derive_seed(seed, SAMPLE_STREAM, s); a
+    fixed block of samples is one increment_rows call on its sample-major
+    keys mode_keys(block, K).T, so the result does not depend on the
+    block size.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -218,15 +226,12 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
     (d, k_modes), = shapes
     stacked = np.stack(psis)  # (m, d, k)
     sq = np.empty(samples)
-    # sample s is generate_cylindrical_fbm(k_modes, grid, h, seed_s,
-    # method), seed_s = derive_seed(seed, SAMPLE_STREAM, s); the rows are
-    # drawn sample-major, a group of whole samples at a time
     sample_seeds = derive_seed(seed, SAMPLE_STREAM, np.arange(samples))
-    for lo, rows in _increment_chunks(
-            grid, h, mode_keys(sample_seeds, k_modes).T.ravel(), method,
-            _chunk_rows(grid.m_steps, method, k_modes)):
-        for s, values in enumerate(rows.reshape(-1, k_modes, grid.m_steps),
-                                   lo // k_modes):
+    size = max(1, _ISOMETRY_BLOCK_BYTES // (8 * k_modes * grid.m_steps))
+    for lo in range(0, samples, size):
+        rows = increment_rows(
+            grid, h, mode_keys(sample_seeds[lo:lo + size], k_modes).T, method)
+        for s, values in enumerate(rows, lo):
             v = np.einsum("idk,ki->d", stacked, values)
             sq[s] = v @ v
     mc = float(sq.mean())

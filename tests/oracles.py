@@ -21,9 +21,8 @@ from fracspde import kernels
 from fracspde.fbm import (
     HurstParameter,
     IncrementGrid,
-    _chunk_rows,
     _fgn_covariance_seq,
-    _increment_chunks,
+    increment_rows,
     mode_keys,
 )
 from fracspde.spectral import (
@@ -158,22 +157,12 @@ def _block_increments(config, seeds: tuple) -> np.ndarray:
     Row k of a sample draws its fBm from the seed derived from (seed, k),
     as generate_cylindrical_fbm does, times the noise amplitude phi_k, so
     column s equals that sample's values[:N].T times phi bit for bit. The
-    N*B keys and their generator states are each hashed in one pass;
-    the rows are then drawn mode-major, a group of whole modes at a
-    time, which keeps a group's normals within fbm._ROW_CHUNK_BYTES
-    (unless one mode's B rows exceed it) and writes each group into its
-    (M, modes, B) slab of the buffer, times the amplitudes, directly.
+    block's (N, B, M) rows are one increment_rows call on its mode keys.
     """
-    n, b = config.n_modes, len(seeds)
-    amps = config.noise.amplitudes[:n]
-    grid = config.grid()
-    dw = np.empty((config.m_steps, n, b))
-    for lo, rows in _increment_chunks(
-            grid, config.hurst, mode_keys(seeds, n).ravel(),
-            config.fbm_method,
-            _chunk_rows(config.m_steps, config.fbm_method, b)):
-        k0, k1 = lo // b, (lo + len(rows)) // b
-        np.multiply(amps[k0:k1, None],
-                    rows.reshape(k1 - k0, b, -1).transpose(2, 0, 1),
-                    out=dw[:, k0:k1, :])
+    n = config.n_modes
+    rows = increment_rows(config.grid(), config.hurst, mode_keys(seeds, n),
+                          config.fbm_method)
+    dw = np.empty((config.m_steps, n, len(seeds)))
+    np.multiply(config.noise.amplitudes[:n, None], rows.transpose(2, 0, 1),
+                out=dw)
     return dw

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from fracspde import experiments, solver
+from fracspde import experiments, fbm, solver
 from fracspde.experiments import (
     PROTOCOLS,
     ConvergenceStudy,
@@ -111,6 +111,11 @@ class TestStudyValidation:
             ConvergenceStudy(axis="spatial", ladder=ladder, samples=4,
                              problem=problem)
 
+    def test_unknown_method_rejected_when_built(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            protocol_study("spatial", "desk", "she-trace", base_seed=0,
+                           fbm_method="wavelet")
+
     def test_zero_samples_is_a_count_not_the_default(self):
         with pytest.raises(ValueError, match="samples must be >= 2"):
             protocol_study("spatial", "desk", "she-trace", base_seed=0,
@@ -128,12 +133,20 @@ class TestStudyValidation:
 
     def test_protocol_table(self):
         for (axis, scale), (n, m, ladder, samples) in PROTOCOLS.items():
+            if m > fbm._CHOLESKY_MAX_STEPS:
+                # a config the sampler cannot draw is rejected when built
+                with pytest.raises(ValueError, match="circulant"):
+                    protocol_study(axis, scale, "she-trace", base_seed=3,
+                                   fbm_method="cholesky")
+                method = "circulant"
+            else:
+                method = "cholesky"
             study = protocol_study(axis, scale, "she-trace", base_seed=3,
-                                   samples=7, fbm_method="cholesky")
+                                   samples=7, fbm_method=method)
             assert (study.problem.n_modes, study.problem.m_steps) == (n, m)
             assert study.ladder == ladder
             assert study.samples == 7
-            assert study.problem.fbm_method == "cholesky"
+            assert study.problem.fbm_method == method
             assert study.rungs == (
                 [(n, m // r) for r in ladder] if axis == "temporal"
                 else [(r, 1) for r in ladder])
@@ -422,6 +435,16 @@ class TestPresetProblem:
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             she_problem("she-unknown", n_modes=4, m_steps=8, base_seed=0)
+
+    def test_unknown_method_rejected_when_built(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            she_problem("she-trace", n_modes=4, m_steps=8, base_seed=0,
+                        fbm_method="wavelet")
+
+    def test_cholesky_beyond_its_limit_rejected_when_built(self):
+        with pytest.raises(ValueError, match="limited to 4096 steps"):
+            she_problem("she-trace", n_modes=4, m_steps=8192, base_seed=0,
+                        fbm_method="cholesky")
 
     @pytest.mark.parametrize("n_modes", [0, -1])
     def test_no_modes_is_named_before_building(self, n_modes):

@@ -311,6 +311,48 @@ class TestIncrementRows:
             grid, hp(), [derive_seed(8, MODE_STREAM, k) for k in range(5)])
         assert np.array_equal(cyl.values, rows)
 
+    @pytest.mark.parametrize("method", ["circulant", "cholesky"])
+    def test_rows_take_the_shape_of_the_seeds(self, method):
+        # a block's (N, B) mode keys give its (N, B, M) rows, any key
+        # array the rows of its flattened keys, and a list of Python
+        # ints from 2^63 on the rows of their uint64 values
+        grid = IncrementGrid(m_steps=12, tau=1.0 / 12)
+        big = [3, 2**64 - 1, 2**63 + 5]
+        keys = mode_keys(big, 4)
+        rows = increment_rows(grid, hp(), keys, method)
+        assert rows.shape == (4, 3, 12)
+        assert np.array_equal(
+            rows.reshape(12, 12),
+            increment_rows(grid, hp(), keys.ravel(), method))
+        assert np.array_equal(increment_rows(grid, hp(), keys.T, method),
+                              rows.transpose(1, 0, 2))
+        assert np.array_equal(
+            increment_rows(grid, hp(), int(keys[1, 2]), method), rows[1, 2])
+        assert np.array_equal(
+            increment_rows(grid, hp(), big, method),
+            increment_rows(grid, hp(), np.array(big, dtype=np.uint64),
+                           method))
+        assert increment_rows(grid, hp(), keys[:, :0], method).shape == (
+            4, 0, 12)
+
+    @pytest.mark.parametrize("budget_rows,chunks", [(5, [3, 3, 3, 3]),
+                                                    (7, [6, 6]),
+                                                    (2, [3, 3, 3, 3])])
+    def test_chunks_hold_whole_key_rows(self, budget_rows, chunks,
+                                        monkeypatch):
+        # (4, 3) keys: a chunk holds whole rows of 3 keys, at least one
+        irfft = np.fft.irfft
+        sizes = []
+        monkeypatch.setattr(np.fft, "irfft", lambda a, *args, **kwargs: (
+            sizes.append(len(a)) or irfft(a, *args, **kwargs)))
+        monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", budget_rows * 8 * 2 * 12)
+        grid = IncrementGrid(m_steps=12, tau=1.0 / 12)
+        rows = increment_rows(grid, hp(), mode_keys([1, 2, 3], 4))
+        assert sizes == chunks
+        monkeypatch.undo()
+        assert np.array_equal(
+            rows, increment_rows(grid, hp(), mode_keys([1, 2, 3], 4)))
+
     def test_no_seeds_no_rows(self):
         grid = IncrementGrid(m_steps=4, tau=0.25)
         assert increment_rows(grid, hp(), []).shape == (0, 4)

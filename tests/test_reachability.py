@@ -47,8 +47,9 @@ CONFIG = "# flat key = value lines\nmodes = 8\nsave-trajectory = yes\n"
 # Unreached functions that stay, each with the consumer that reads it:
 # "tests" (any tests/*.py), a repo file, or another entry's function.
 ALLOWED = {
-    # the frozen linear-oracle workload aggregates its fine draw and
-    # solves each rung's sample
+    # the frozen linear-oracle workload draws its fine sample, aggregates
+    # it and solves each rung's sample
+    "fbm.generate_cylindrical_fbm": "perfbench/workload.py",
     "fbm.aggregate_cylindrical": "perfbench/workload.py",
     "fbm._coarse_grid": "fbm.aggregate_cylindrical",
     "solver.solve_endpoint": "perfbench/workload.py",
@@ -204,15 +205,29 @@ def test_allow_list_entries_exist_and_their_consumers_read_them():
 
 
 # Names that only solver, home of the one Monte Carlo map
-# (solver.sample_map), may reference in src/: the sample blocks, their
-# draw and the worker pool.
-MAP_ONLY = {"_sample_blocks", "_unit_increments", "parallel_map"}
+# (solver.sample_map), may reference in src/: the sample blocks and the
+# worker pool.
+MAP_ONLY = {"_sample_blocks", "parallel_map"}
 
 
 def test_only_the_map_cuts_draws_and_maps_blocks():
     users = sorted((path.stem, name)
                    for path in PACKAGE.glob("*.py") if path.stem != "solver"
                    for name in MAP_ONLY & _names_read(
+                       ast.parse(path.read_text())))
+    assert users == []
+
+
+# The sampler's chunk rule, which only fbm may reference in src/ and in
+# the tests' oracles: every other draw is one fbm.increment_rows call.
+CHUNK_RULE = {"_increment_chunks", "_chunk_rows", "_ROW_CHUNK_BYTES"}
+
+
+def test_only_the_sampler_knows_its_chunk_rule():
+    paths = [path for path in PACKAGE.glob("*.py") if path.stem != "fbm"]
+    users = sorted((path.stem, name)
+                   for path in paths + [ROOT / "tests" / "oracles.py"]
+                   for name in CHUNK_RULE & _names_read(
                        ast.parse(path.read_text())))
     assert users == []
 

@@ -257,9 +257,9 @@ class TestBlockIncrements:
             monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", budget)
         cfg = make_config(n=7, m=12, method=method)
         seeds = tuple(derive_seed(9, SAMPLE_STREAM, s) for s in range(b))
-        rows = solver._unit_increments(cfg, seeds)
-        assert rows.shape == (7, b, 12)
         keys = mode_keys(seeds, 7)
+        rows = increment_rows(cfg.grid(), H, keys, method)
+        assert rows.shape == (7, b, 12)
         for k in range(7):
             for s in range(b):
                 alone = increment_rows(cfg.grid(), H, [keys[k, s]], method)
@@ -270,15 +270,18 @@ class TestBlockIncrements:
     def test_raw_rows_equal_for_any_block_and_chunk_size(
             self, method, chunk_bytes, monkeypatch):
         """One normal drawer serves every chunk of a block: a sample's
-        rows do not depend on the block size or on where chunks end."""
+        rows, drawn on the block's (N, B) keys, equal per-key draws
+        whatever the block size or where chunks end."""
         cfg = make_config(n=7, m=40, method=method)
         seeds = tuple(derive_seed(10, SAMPLE_STREAM, s) for s in range(9))
-        whole = increment_rows(cfg.grid(), H, mode_keys(seeds, 7).ravel(),
-                               method).reshape(7, 9, 40)
+        keys = mode_keys(seeds, 7)
+        singles = np.array([[increment_rows(cfg.grid(), H, [key], method)[0]
+                             for key in row] for row in keys])
         monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", chunk_bytes)
         for b in range(1, 10):
-            assert np.array_equal(solver._unit_increments(cfg, seeds[:b]),
-                                  whole[:, :b]), b
+            assert np.array_equal(
+                increment_rows(cfg.grid(), H, mode_keys(seeds[:b], 7),
+                               method), singles[:, :b]), b
 
 
 def _endpoints(config, states):
@@ -306,9 +309,9 @@ class TestSampleMap:
                                      monkeypatch):
         cfg = make_config(n=4, m=8)
         draws = []
-        chunks = solver._increment_chunks
-        monkeypatch.setattr(solver, "_increment_chunks",
-                            lambda *a, **k: draws.append(1) or chunks(*a, **k))
+        draw = solver.increment_rows
+        monkeypatch.setattr(solver, "increment_rows",
+                            lambda *a, **k: draws.append(1) or draw(*a, **k))
         with pytest.raises(ValueError, match=match):
             solver.sample_map([cfg], 3, rungs, stops, _endpoints)
         assert draws == []

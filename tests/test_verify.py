@@ -208,6 +208,30 @@ class TestItoIsometry:
         assert check.mc_lhs == float(np.mean(sq))
         assert check.std_error == float(np.std(sq, ddof=1) / np.sqrt(31))
 
+    @pytest.mark.parametrize("method", ["cholesky", "circulant"])
+    def test_same_check_for_any_block_size(self, method, monkeypatch):
+        # 31 samples of 2 modes on 4 steps: one block at the default size,
+        # then blocks of 1 and of 7 (the last one partial); each sampler
+        # call draws one block's sample-major keys, so the draw's memory
+        # does not grow with the sample count
+        grid = IncrementGrid(m_steps=4, tau=0.25)
+        psis = [np.random.default_rng(i).standard_normal((3, 2))
+                for i in range(4)]
+        draw = verify.increment_rows
+        checks = []
+        for block in (31, 1, 7):
+            if block != 31:
+                monkeypatch.setattr(verify, "_ISOMETRY_BLOCK_BYTES",
+                                    block * 8 * 2 * 4)
+            keys = []
+            monkeypatch.setattr(
+                verify, "increment_rows",
+                lambda *a: keys.append(np.shape(a[2])) or draw(*a))
+            checks.append(check_ito_isometry(psis, grid, H, 31, 88, method))
+            assert keys == [(min(block, 31 - lo), 2)
+                            for lo in range(0, 31, block)]
+        assert checks[1] == checks[0] and checks[2] == checks[0]
+
 
 class TestPowerLawFit:
     def test_exact_power_law(self):
@@ -867,9 +891,9 @@ class TestSpaceRegularity:
                                                  monkeypatch):
         cfg = linear_config(8, 32, identity_noise(8))
         draws = []
-        chunks = solver._increment_chunks
-        monkeypatch.setattr(solver, "_increment_chunks",
-                            lambda *a, **k: draws.append(1) or chunks(*a, **k))
+        draw = solver.increment_rows
+        monkeypatch.setattr(solver, "increment_rows",
+                            lambda *a, **k: draws.append(1) or draw(*a, **k))
         with pytest.raises(ValueError, match=match):
             estimate_space_regularity([cfg], n_ladder=ladder, deltas=(0.0,),
                                       samples=3)
@@ -987,7 +1011,9 @@ class TestRegularityBlocks:
         width = len(configs) * len(seeds)
         monkeypatch.setattr(solver, "_SWEEP_CHUNK_BYTES",
                             chunk_steps * 8 * n_modes * width)
-        rows = solver._unit_increments(configs[0], seeds)
+        rows = increment_rows(configs[0].grid(), configs[0].hurst,
+                              mode_keys(seeds, n_modes),
+                              configs[0].fbm_method)
         blocks = [_block_increments(c, seeds) for c in configs]
         stacked_block = np.concatenate(blocks, axis=2)  # column p*B + s
 
