@@ -33,7 +33,7 @@ from .fbm import (
     increment_rows,
     mode_keys,
 )
-from .rng import NormalDrawer, derive_seed, pcg64_states, seed_words
+from .rng import derive_seed
 from .solver import SolverConfig, _solve_block
 from .spectral import sine_grid, sine_transform
 from .experiments import SHE_PRESETS, _fmt, she_problem
@@ -352,10 +352,8 @@ def _suite_isometry(seed: int, samples: int, workers: int) -> dict:
     h = HurstParameter(0.75)
     grid = IncrementGrid(m_steps=6, tau=0.25)
     trials = 5
-    psis = NormalDrawer().fill(
-        pcg64_states(seed_words([derive_seed(seed, 9)])),
-        np.empty((1, trials * grid.m_steps * 12)),
-    ).reshape(trials, grid.m_steps, 4, 3)
+    psis = np.random.default_rng(derive_seed(seed, 9)).standard_normal(
+        (trials, grid.m_steps, 4, 3))
     worst_z = 0.0
     for trial in range(trials):
         check = verify.check_ito_isometry(psis[trial], grid, h, samples,

@@ -173,7 +173,7 @@ def check_method(method: str, m_steps: int) -> None:
         )
 
 
-# every cache that clear_caches empties: this module's and verify's
+# every cache that clear_caches empties: this module's, solver's, verify's
 _CACHES = []
 
 

@@ -195,7 +195,7 @@ class _Dst1:
     (n = 13 is one).
     """
 
-    def __init__(self, n, tail=()):
+    def __init__(self, n, tail):
         ext = np.zeros((2 * n + 2,) + tail)
         spec = np.empty((n + 2,) + tail, dtype=complex)
         self.head = ext[1:n + 1]

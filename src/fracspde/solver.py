@@ -24,6 +24,7 @@ from .fbm import (
     HurstParameter,
     IncrementGrid,
     _aggregate_values,
+    _bounded_cache,
     check_method,
     increment_rows,
     mode_keys,
@@ -35,7 +36,6 @@ from .spectral import (
     NemytskiiMap,
     SpectralOperator,
     SpectralState,
-    _grid_sine_matrix,
     sine_matrix,
 )
 
@@ -133,6 +133,16 @@ def _check_noise_sample(config: SolverConfig, sample: CylindricalFbmSample,
                          f"config horizon {config.horizon}")
 
 
+@_bounded_cache
+def _sine_operators(n: int):
+    """(S, sqrt(N+1) S), read-only: the dense sine matrix and its map
+    from coefficients to grid values, built once per N."""
+    mat = sine_matrix(n)
+    sin_in = math.sqrt(n + 1) * mat
+    sin_in.flags.writeable = False
+    return mat, sin_in
+
+
 def _sweep_setup(config: SolverConfig):
     """(x0, step_factor, f_kind, f_scale, sin_in, sin_out) of config's
     sweep: the initial state and the kernels.euler_sweep arguments that
@@ -143,13 +153,14 @@ def _sweep_setup(config: SolverConfig):
     from there on, where it is faster per step (see ``kernels``); the two
     agree to rounding (tested within 1e-12 relative). The dense step's
     constants are folded into its two matrices: sin_in = sqrt(N+1) S
-    maps coefficients to grid values (built once per N and cached,
-    spectral._grid_sine_matrix) and sin_out = (tau/sqrt(N+1))
-    diag(step_factor) S, built here per rung, maps sin of them back, so
-    a step is step_factor * (x + dW) + sin_out @ sin(sin_in @ x). That
-    tracks the unfolded step step_factor * (x + tau (S @ sin(sqrt(N+1) S
-    @ x)) / sqrt(N+1) + dW) to rounding (tested within 1e-13 relative
-    over 2^12 steps). Other kinds take None for both matrices.
+    maps coefficients to grid values (S and sin_in are built once per N
+    by _sine_operators, whose cache fbm.clear_caches empties) and
+    sin_out = (tau/sqrt(N+1)) diag(step_factor) S, built here per rung,
+    maps sin of them back, so a step is step_factor * (x + dW) + sin_out
+    @ sin(sin_in @ x). That tracks the unfolded step step_factor * (x +
+    tau (S @ sin(sqrt(N+1) S @ x)) / sqrt(N+1) + dW) to rounding (tested
+    within 1e-13 relative over 2^12 steps). Other kinds take None for
+    both matrices.
     """
     n = config.n_modes
     lam = config.operator.eigenvalues[:n]
@@ -161,8 +172,7 @@ def _sweep_setup(config: SolverConfig):
         if n >= kernels._FAST_SINE_MIN_MODES:
             f_kind = kernels.F_SIN_FFT
         else:
-            mat = sine_matrix(n)
-            sin_in = _grid_sine_matrix(n)
+            mat, sin_in = _sine_operators(n)
             sin_out = ((config.tau / math.sqrt(n + 1)) * step_factor[:, None]
                        * mat)
     x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)

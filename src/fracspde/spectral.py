@@ -8,7 +8,6 @@ is the Nemytskii map, evaluated by collocation on the interior sine grid
 scheme's discretization error at the resolutions used here).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -103,9 +102,9 @@ def _trace_class_amplitudes(n_modes: int) -> np.ndarray:
     return amp
 
 
-def identity_noise(n_modes: int, beta: float = 0.5) -> DiagonalNoiseOperator:
-    """Q = I: phi_n = 1. beta defaults to the supremal admissible 1/2."""
-    return DiagonalNoiseOperator(amplitudes=np.ones(n_modes), beta=beta,
+def identity_noise(n_modes: int) -> DiagonalNoiseOperator:
+    """Q = I: phi_n = 1, carried at the supremal admissible beta = 1/2."""
+    return DiagonalNoiseOperator(amplitudes=np.ones(n_modes), beta=0.5,
                                  kind="identity")
 
 
@@ -178,41 +177,17 @@ def sine_grid(n_modes: int) -> np.ndarray:
     return np.arange(1, n_modes + 1) / (n_modes + 1.0)
 
 
-def _build_sine_matrix(n_modes: int) -> np.ndarray:
+def sine_matrix(n_modes: int) -> np.ndarray:
+    """Dense symmetric orthonormal DST-I matrix S (S @ S = I), read-only.
+
+    Physical values are sqrt(N+1) * (S @ coeffs). It is the O(N^2)
+    oracle for the fast transform; the dense F = sin step caches it
+    (solver._sine_operators).
+    """
     j = np.arange(1, n_modes + 1)
     mat = np.sqrt(2.0 / (n_modes + 1)) * np.sin(
         np.pi * np.outer(j, j) / (n_modes + 1)
     )
-    mat.flags.writeable = False
-    return mat
-
-
-_sine_matrix_cached = functools.lru_cache(maxsize=16)(_build_sine_matrix)
-
-
-def sine_matrix(n_modes: int) -> np.ndarray:
-    """Dense symmetric orthonormal DST-I matrix (involutory: S @ S = I).
-
-    Physical values are sqrt(N+1) * (S @ coeffs); used by the Euler
-    sweep for F = sin below ``kernels._FAST_SINE_MIN_MODES`` modes
-    (``solver._sweep_setup``), and as the O(N^2) oracle for the fast
-    transform. Only those small matrices (at most 2 MiB each) are cached;
-    a larger one, which no production path uses, is built on every call.
-    """
-    n_modes = int(n_modes)
-    if n_modes < kernels._FAST_SINE_MIN_MODES:
-        return _sine_matrix_cached(n_modes)
-    return _build_sine_matrix(n_modes)
-
-
-@functools.lru_cache(maxsize=16)
-def _grid_sine_matrix(n_modes: int) -> np.ndarray:
-    """sqrt(N+1) * sine_matrix(N), read-only: the dense map from
-    coefficients to values on the sine grid, which the dense F = sin
-    step applies (solver._sweep_setup, which calls it below
-    kernels._FAST_SINE_MIN_MODES modes only, where sine_matrix caches
-    too)."""
-    mat = math.sqrt(n_modes + 1) * sine_matrix(n_modes)
     mat.flags.writeable = False
     return mat
 

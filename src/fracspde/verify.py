@@ -87,8 +87,7 @@ def _gauss_legendre_01(n_nodes: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def phi_cell_quadrature(i: int, j: int, h: HurstParameter,
-                        n_nodes: int = 32) -> float:
+def phi_cell_quadrature(i: int, j: int, h: HurstParameter) -> float:
     """Numerical value of the phi cell integral, off-diagonal only.
 
     Offsets k >= 2 are smooth on the closed cell and use a tensor
@@ -102,6 +101,7 @@ def phi_cell_quadrature(i: int, j: int, h: HurstParameter,
     if k == 0:
         raise ValueError("quadrature is for off-diagonal cells only")
     p = 2.0 * h.h
+    n_nodes = 32  # Gauss nodes per axis
     if k >= 2:
         x, w = _gauss_legendre_01(n_nodes)
         diff = x[:, None] - x[None, :] + k
@@ -144,7 +144,7 @@ def check_phi_cell_integral(i: int, j: int,
 
 
 def check_lambda_phi_bound(lam: float, t: float, kappa1: int, kappa2: int,
-                           h: HurstParameter, n_nodes: int = 48) -> float:
+                           h: HurstParameter) -> float:
     """Scaled integral lambda^{2H+k1+k2} iint u^k1 v^k2 e^{-lambda(u+v)} phi(u-v).
 
     Uniform boundedness in lambda (for fixed kappas) is the content of
@@ -164,7 +164,7 @@ def check_lambda_phi_bound(lam: float, t: float, kappa1: int, kappa2: int,
 
     p = 2.0 * h.h
     a = p - 1.0 + kappa1 + kappa2  # v-exponent after the substitution
-    xj, wj = roots_jacobi(n_nodes, p - 2.0, 0.0)  # weight (1-x)^{2H-2}
+    xj, wj = roots_jacobi(48, p - 2.0, 0.0)  # weight (1-x)^{2H-2}
     r = (xj + 1.0) / 2.0
     mu = lam * (1.0 + r)
     inner = np.exp(gammaln(a + 1.0)) * gammainc(a + 1.0, mu * t) / mu ** (
@@ -193,6 +193,9 @@ def isometry_analytic_rhs(psis: list, grid: IncrementGrid,
     m = len(psis)
     if m != grid.m_steps:
         raise ValueError("one integrand matrix per grid interval required")
+    shapes = {np.shape(p) for p in psis}
+    if len(shapes) != 1 or len(min(shapes)) != 2:
+        raise ValueError("integrand matrices must be 2-d and share one shape")
     total = 0.0
     for i in range(m):
         for j in range(m):
@@ -211,19 +214,18 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
                        method: str = "cholesky") -> IsometryCheck:
     """Monte Carlo E||sum_i Psi_i dW_i||^2 against the analytic value.
 
-    Each Psi_i maps the first K noise modes into R^d; all matrices must
-    share one shape. The harness asserts |mc - analytic| <= 3 std errors.
-    Sample s draws from seed_s = derive_seed(seed, SAMPLE_STREAM, s); a
-    fixed block of samples is one increment_rows call on its sample-major
-    keys mode_keys(block, K).T, so the result does not depend on the
-    block size.
+    Each Psi_i maps the first K noise modes into R^d: one (d, K) matrix
+    per grid interval, checked by isometry_analytic_rhs before any draw.
+    The harness asserts |mc - analytic| <= 3 std errors. Sample s draws
+    from seed_s = derive_seed(seed, SAMPLE_STREAM, s); a fixed block of
+    samples is one increment_rows call on its sample-major keys
+    mode_keys(block, K).T, so the result does not depend on the block
+    size.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    shapes = {p.shape for p in psis}
-    if len(shapes) != 1:
-        raise ValueError("all integrand matrices must share one shape")
-    (d, k_modes), = shapes
+    rhs = isometry_analytic_rhs(psis, grid, h)
+    k_modes = np.shape(psis[0])[1]
     stacked = np.stack(psis)  # (m, d, k)
     sq = np.empty(samples)
     sample_seeds = derive_seed(seed, SAMPLE_STREAM, np.arange(samples))
@@ -236,9 +238,7 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
             sq[s] = v @ v
     mc = float(sq.mean())
     se = float(sq.std(ddof=1) / np.sqrt(samples))
-    return IsometryCheck(mc_lhs=mc,
-                         analytic_rhs=isometry_analytic_rhs(psis, grid, h),
-                         std_error=se)
+    return IsometryCheck(mc_lhs=mc, analytic_rhs=rhs, std_error=se)
 
 
 # ---------------------------------------------------------------------------

@@ -271,14 +271,14 @@ class TestConverge:
     def test_paper_scale_spatial_smoke(self, tmp_path, monkeypatch):
         """N_exact = 4096 runs on the fast sine transform: a dense matrix
         at or above the switch would be 128 MiB and 30 ms per step."""
-        dense = solver.sine_matrix
+        dense = solver._sine_operators
 
         def small_only(n_modes):
             if n_modes >= kernels._FAST_SINE_MIN_MODES:
-                raise AssertionError(f"sine_matrix({n_modes}) called")
+                raise AssertionError(f"_sine_operators({n_modes}) called")
             return dense(n_modes)
 
-        monkeypatch.setattr(solver, "sine_matrix", small_only)
+        monkeypatch.setattr(solver, "_sine_operators", small_only)
         assert run_cli(["converge", "--axis", "space", "--paper-scale",
                         "--samples", 2, "--preset", "she-trace",
                         "--workers", 1, "--out-dir", tmp_path,

@@ -204,6 +204,14 @@ def test_allow_list_entries_exist_and_their_consumers_read_them():
     assert stale == []
 
 
+def _named_outside(names: set, homes: set, extra=()) -> list:
+    """(module, name) for each of ``names`` that a src/ module outside
+    ``homes``, or an ``extra`` file, references."""
+    paths = [path for path in PACKAGE.glob("*.py") if path.stem not in homes]
+    return sorted((path.stem, name) for path in paths + list(extra)
+                  for name in names & _names_read(ast.parse(path.read_text())))
+
+
 # Names that only solver, home of the one Monte Carlo map
 # (solver.sample_map), may reference in src/: the sample blocks and the
 # worker pool.
@@ -211,11 +219,7 @@ MAP_ONLY = {"_sample_blocks", "parallel_map"}
 
 
 def test_only_the_map_cuts_draws_and_maps_blocks():
-    users = sorted((path.stem, name)
-                   for path in PACKAGE.glob("*.py") if path.stem != "solver"
-                   for name in MAP_ONLY & _names_read(
-                       ast.parse(path.read_text())))
-    assert users == []
+    assert _named_outside(MAP_ONLY, {"solver"}) == []
 
 
 # The sampler's chunk rule, which only fbm may reference in src/ and in
@@ -224,12 +228,23 @@ CHUNK_RULE = {"_increment_chunks", "_chunk_rows", "_ROW_CHUNK_BYTES"}
 
 
 def test_only_the_sampler_knows_its_chunk_rule():
-    paths = [path for path in PACKAGE.glob("*.py") if path.stem != "fbm"]
-    users = sorted((path.stem, name)
-                   for path in paths + [ROOT / "tests" / "oracles.py"]
-                   for name in CHUNK_RULE & _names_read(
-                       ast.parse(path.read_text())))
-    assert users == []
+    assert _named_outside(CHUNK_RULE, {"fbm"},
+                          [ROOT / "tests" / "oracles.py"]) == []
+
+
+# The seeded normal drawer, which only rng and fbm's sampler may name in
+# src/: every other normal draw is numpy's own Generator.
+DRAWER = {"NormalDrawer", "pcg64_states", "seed_words"}
+
+
+def test_only_the_sampler_uses_the_normal_drawer():
+    assert _named_outside(DRAWER, {"fbm", "rng"}) == []
+
+
+def test_every_cache_is_one_that_clear_caches_empties():
+    # fbm._bounded_cache is src/'s one lru_cache: its caches are bounded,
+    # and fbm.clear_caches empties each of them
+    assert _named_outside({"lru_cache"}, {"fbm"}) == []
 
 
 def main() -> int:

@@ -370,6 +370,8 @@ class TestFastSineSwitch:
         def refuse(n_modes):
             raise AssertionError(f"sine_matrix({n_modes}) called")
 
+        # a cached N = 511 entry would skip the build this test expects
+        solver._sine_operators.cache_clear()
         monkeypatch.setattr(solver, "sine_matrix", refuse)
         monkeypatch.setattr(spectral, "sine_matrix", refuse)
         cfg = make_config(n=512, m=10, horizon=0.05, f=sine_map())

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracspde import spectral
+from fracspde import fbm, solver
 from fracspde.fbm import CylindricalFbmSample, HurstParameter, IncrementGrid
 from fracspde.solver import (
     SolverConfig,
@@ -225,15 +225,21 @@ class TestSineTransform:
         s = sine_matrix(9)
         np.testing.assert_allclose(s @ s, np.eye(9), atol=1e-13)
 
-    def test_large_sine_matrix_not_cached(self):
-        cache = spectral._sine_matrix_cached
-        cache.cache_clear()
-        small = sine_matrix(9)
-        before = cache.cache_info().currsize
-        big = sine_matrix(1024)
-        assert cache.cache_info().currsize == before
-        assert sine_matrix(9) is small
-        assert big.shape == (1024, 1024) and not big.flags.writeable
+    def test_sine_operators_cached_read_only_and_clearable(self):
+        n = 511
+        fbm.clear_caches()
+        mat, sin_in = solver._sine_operators(n)
+        j = np.arange(1, n + 1)
+        old = np.sqrt(2.0 / (n + 1)) * np.sin(np.pi * np.outer(j, j)
+                                              / (n + 1))
+        assert np.array_equal(mat, old)
+        assert np.array_equal(sin_in, math.sqrt(n + 1) * old)
+        assert not mat.flags.writeable and not sin_in.flags.writeable
+        assert solver._sine_operators(n)[1] is sin_in
+        assert solver._sine_operators.cache_info().currsize == 1
+        fbm.clear_caches()
+        assert solver._sine_operators.cache_info().currsize == 0
+        assert solver._sine_operators(n)[1] is not sin_in
 
 
 class TestNemytskii:

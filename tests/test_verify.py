@@ -232,6 +232,23 @@ class TestItoIsometry:
                             for lo in range(0, 31, block)]
         assert checks[1] == checks[0] and checks[2] == checks[0]
 
+    @pytest.mark.parametrize("psis, match", [
+        ([np.ones((2, 3))] * 5, "one integrand matrix per grid interval"),
+        ([np.ones(3)] * 6, "must be 2-d"),
+        ([np.ones((2, 3))] * 5 + [np.ones(3)], "must be 2-d"),
+    ])
+    def test_bad_integrands_rejected_before_any_draw(self, psis, match,
+                                                     monkeypatch):
+        draws = []
+        monkeypatch.setattr(verify, "increment_rows",
+                            lambda *a: draws.append(a))
+        grid = IncrementGrid(m_steps=6, tau=0.25)
+        with pytest.raises(ValueError, match=match):
+            check_ito_isometry(psis, grid, H, samples=10, seed=3)
+        with pytest.raises(ValueError, match=match):
+            isometry_analytic_rhs(psis, grid, H)
+        assert draws == []
+
 
 class TestPowerLawFit:
     def test_exact_power_law(self):
