@@ -149,9 +149,10 @@ def _sweep_setup(config: SolverConfig):
     depend on the operator, the nonlinearity and tau, not on the noise.
 
     F = sin runs the dense sine matrix S below
-    ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and numpy's fast DST-I
-    from there on, where it is faster per step (see ``kernels``); the two
-    agree to rounding (tested within 1e-12 relative). The dense step's
+    ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and two real FFTs of
+    length 2(N+1) per step from there on, where they are faster (see
+    ``kernels``, which builds that step's factors); the two agree to
+    rounding (tested within 1e-12 relative). The dense step's
     constants are folded into its two matrices: sin_in = sqrt(N+1) S
     maps coefficients to grid values (S and sin_in are built once per N
     by _sine_operators, whose cache fbm.clear_caches empties) and
@@ -266,6 +267,35 @@ def _check_presets(configs) -> list:
 # the largest step ratio).
 _SWEEP_CHUNK_BYTES = 2**20
 
+# Most modes that _solve_block sweeps as one block-diagonal dense F = sin
+# system (_stack_rungs). Stacking saves a sweep call per chunk for every
+# rung but one, and its products grow with the square of the modes in
+# all. Measured at 8 columns and M = 200 on one thread, stacked against
+# separate sweeps: 0.63x at 2..32 (62 modes), 0.88-0.93x at 2..64 and
+# 4..64 (126, 124), 1.06x for 32 and 64 (96: one call saved), 1.37x for
+# 64 and 128 (192) and 1.40x at 8..128 (248).
+_STACK_MAX_MODES = 128
+
+
+def _stack_rungs(entries: list) -> tuple:
+    """One dense F = sin sweep for several rungs: ``entries`` are
+    _solve_block's sweep entries (rungs, q, tau, x0, step_factor, sweep)
+    of rungs with q = 1. Their rungs, states and step factors are stacked
+    in order, and sin_in and sin_out are block-diagonal, so each rung
+    advances on its own rows as it would alone, to rounding."""
+    rungs, _, _, x0s, factors, sweeps = zip(*entries)
+    total = sum(x0.size for x0 in x0s)
+    sin_in, sin_out = np.zeros((2, total, total))
+    lo = 0
+    for x0, (_, _, rung_in, rung_out) in zip(x0s, sweeps):
+        hi = lo + x0.size
+        sin_in[lo:hi, lo:hi] = rung_in
+        sin_out[lo:hi, lo:hi] = rung_out
+        lo = hi
+    _, q, tau, _, _, (f_kind, f_scale, _, _) = entries[0]
+    return (sum(rungs, []), q, tau, np.concatenate(x0s),
+            np.concatenate(factors), (f_kind, f_scale, sin_in, sin_out))
+
 
 def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     """States at ``stops`` of a block of samples, under every config, at
@@ -289,7 +319,13 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     Every rung then advances on the scratch's leading n modes, summed in
     order q at a time (fbm._aggregate_values) for q > 1: the sums that
     aggregating the whole scaled (M, N, B) block takes, so no bit depends
-    on the chunk, and no (M, N, P*B) buffer is built.
+    on the chunk, and no (M, N, P*B) buffer is built. When two or more
+    rungs have q = 1 and run dense F = sin, and their modes total at most
+    _STACK_MAX_MODES, they advance as one block-diagonal system
+    (_stack_rungs) on their leading modes stacked in a second scratch:
+    one sweep call per chunk for all of them, whose states equal each
+    rung's own sweep to rounding, not bit for bit (OpenBLAS may give the
+    stacked product other bits; tested within 1e-13 relative).
     """
     config = configs[0]
     m, b = config.m_steps, dw.shape[1]
@@ -303,13 +339,27 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     chunk = min(m, max(q_top, chunk - chunk % q_top))
     scratch = np.empty((chunk, top, width))
     products = np.empty((top, b, chunk))
-    setups, states, outs = [], [], []
-    for n, q in rungs:
+    # one entry per sweep: (rungs (r, n) it carries, q, tau, x0,
+    # step_factor, the rest of its euler_sweep arguments)
+    sweeps, dense = [], []
+    for r, (n, q) in enumerate(rungs):
         rung = restrict_config(config, n_modes=n, m_steps=m // q)
-        x, step_factor, *sweep = _sweep_setup(rung)
-        setups.append((n, q, step_factor, rung.tau, sweep))
-        states.append(np.repeat(x[:, None], width, axis=1))
-        outs.append(np.empty((len(stops), n, width)))
+        x0, step_factor, *sweep = _sweep_setup(rung)
+        (dense if q == 1 and sweep[0] == kernels.F_SIN else sweeps).append(
+            ([(r, n)], q, rung.tau, x0, step_factor, sweep))
+    if len(dense) > 1 and sum(x0.size for *_, x0, _, _ in dense) <= \
+            _STACK_MAX_MODES:
+        dense = [_stack_rungs(dense)]
+    sweeps += dense
+    # per sweep: its state, its kept states and, when it stacks rungs,
+    # the scratch modes it gathers and a buffer to gather them into
+    states, outs, gathers = [], [], []
+    for parts, _, _, x0, _, _ in sweeps:
+        states.append(np.repeat(x0[:, None], width, axis=1))
+        outs.append(np.empty((len(stops), x0.size, width)))
+        gathers.append(None if len(parts) == 1 else (
+            np.concatenate([np.arange(n) for _, n in parts]),
+            np.empty((chunk, x0.size, width))))
     done = 0
     for m0 in range(0, m, chunk):
         m1 = min(m0 + chunk, m)
@@ -318,18 +368,29 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
             np.multiply(amp, dw[:top, :, m0:m1], out=product)
             rows[:, :, p * b:(p + 1) * b] = product.transpose(2, 0, 1)
         upto = bisect.bisect_right(stops, m1, lo=done)
-        for r, (n, q, step_factor, tau, sweep) in enumerate(setups):
-            lead = rows[:, :n]
+        for i, (parts, q, tau, _, step_factor, sweep) in enumerate(sweeps):
+            if gathers[i] is None:
+                lead = rows[:, :parts[0][1]]
+            else:
+                index, buf = gathers[i]
+                lead = np.take(rows, index, axis=1, mode="clip",
+                               out=buf[:m1 - m0])
             kept = kernels.euler_sweep(
-                states[r], step_factor, tau,
+                states[i], step_factor, tau,
                 lead if q == 1 else _aggregate_values(lead, q, axis=0),
                 *sweep, [(k - m0) // q for k in stops[done:upto]]
                 + [(m1 - m0) // q])
-            outs[r][done:upto] = kept[:-1]
-            states[r] = kept[-1]
+            outs[i][done:upto] = kept[:-1]
+            states[i] = kept[-1]
         done = upto
-    return [out.reshape(len(stops), n, len(configs), b)
-            for out, (n, _) in zip(outs, rungs)]
+    result = [None] * len(rungs)
+    for (parts, *_), out in zip(sweeps, outs):
+        lo = 0
+        for r, n in parts:
+            result[r] = out[:, lo:lo + n].reshape(len(stops), n,
+                                                  len(configs), b)
+            lo += n
+    return result
 
 
 def sample_map(configs, samples: int, rungs, stops, reduce, args=(),

@@ -7,8 +7,9 @@ one-step scheme (implicit_euler_step with apply_nemytskii) checks the
 Euler sweep of fracspde.kernels. The analytic covariances (fbm_covariance,
 increment_covariance_matrix) are the targets of the sampler tests, and
 the norms measure the semigroup and the projection. unfolded_sin_sweep,
-the dense F = sin step with its constants applied one by one, checks the
-folded step of the sweep. _block_increments,
+the F = sin step with its constants applied one by one through the dense
+sine matrix or scipy's DST-I, checks both folded steps of the sweep.
+_block_increments,
 the scaled (M, N, B) block that the studies once swept whole, checks the
 chunked rungs of fracspde.solver._solve_block.
 """
@@ -131,20 +132,31 @@ def implicit_euler_step(x: SpectralState, tau: float, op: SpectralOperator,
 
 
 def unfolded_sin_sweep(x0: np.ndarray, step_factor: np.ndarray, tau: float,
-                       dw: np.ndarray, stops) -> np.ndarray:
+                       dw: np.ndarray, stops, fast: bool = False
+                       ) -> np.ndarray:
     """States at ``stops`` of the F = sin scheme, one step at a time with
-    the dense sine matrix S and every constant applied on its own:
-    x <- step_factor * (x + tau * (S @ sin(sqrt(N+1) S @ x)) / sqrt(N+1)
-    + dW). x0 is (N,) or (N, S), dw (M, N) or (M, N, S)."""
+    every constant applied on its own: x <- step_factor * (x + tau *
+    (S @ sin(sqrt(N+1) S @ x)) / sqrt(N+1) + dW). S x is the dense sine
+    matrix times x, or with ``fast`` scipy's orthonormal DST-I of x
+    (needs scipy). x0 is (N,) or (N, S), dw (M, N) or (M, N, S)."""
     n = x0.shape[0]
-    mat = sine_matrix(n)
+    if fast:
+        from scipy.fft import dst
+
+        def sine(v):
+            return dst(v, type=1, norm="ortho", axis=0)
+    else:
+        mat = sine_matrix(n)
+
+        def sine(v):
+            return np.dot(mat, v)
     scale = math.sqrt(n + 1)
     f = step_factor.reshape((-1,) + (1,) * (x0.ndim - 1))
     states = {0: x0}
     x = x0
     for m in range(1, max(stops) + 1):
-        u = scale * np.dot(mat, x)
-        fx = np.dot(mat, np.sin(u)) / scale
+        u = scale * sine(x)
+        fx = sine(np.sin(u)) / scale
         x = f * (x + tau * fx + dw[m - 1])
         if m in stops:
             states[m] = x

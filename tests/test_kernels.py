@@ -41,15 +41,27 @@ def matrix_product(mat, x):
     return np.dot(mat, x)
 
 
+def zero_tailed_im_rfft(x):
+    """Im(rfft) along axis 0 of x written into rows 1..N of zeros of
+    length 2(N+1): bins 1..N, half the odd extension's."""
+    n = x.shape[0]
+    ext = np.zeros((2 * n + 2,) + x.shape[1:])
+    ext[1:n + 1] = x
+    return np.fft.rfft(ext, axis=0).imag[1:n + 1]
+
+
 def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, sin_in, sin_out):
     """The scheme one step at a time, for one sample (x0 (N,)) or a block
-    (x0 (N, S), each product a matrix-matrix one): all M+1 states. F_SIN
-    runs the folded step the sweep runs (oracles.unfolded_sin_sweep is
-    the step it folds)."""
-    if f_kind == kernels.F_SIN_FFT:  # scipy's DST-I is the reference
-        dst = pytest.importorskip("scipy.fft").dst
-        scale = math.sqrt(x0.shape[0] + 1)
+    (x0 (N, S), each product a matrix-matrix one): all M+1 states. Both
+    F = sin kinds run the folded step the sweep runs
+    (oracles.unfolded_sin_sweep is the step they fold)."""
     f = step_factor.reshape((-1,) + (1,) * (x0.ndim - 1))
+    if f_kind == kernels.F_SIN_FFT:
+        n = x0.shape[0]
+        minus_2c = -2.0 * float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
+        root = math.sqrt(n + 1)
+        into = minus_2c * root
+        back = ((minus_2c * tau / root) * step_factor).reshape(f.shape)
     states = [x0]
     x = x0
     for m in range(dw.shape[0]):
@@ -61,9 +73,8 @@ def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, sin_in, sin_out):
             x = f * (x + dw[m]) + matrix_product(
                 sin_out, np.sin(matrix_product(sin_in, x)))
         else:
-            u = scale * dst(x, type=1, norm="ortho", axis=0)
-            fx = dst(np.sin(u), type=1, norm="ortho", axis=0) / scale
-            x = f * (x + tau * fx + dw[m])
+            u = np.sin(into * zero_tailed_im_rfft(x))
+            x = f * (x + dw[m]) + back * zero_tailed_im_rfft(u)
         states.append(x)
     return np.array(states)
 

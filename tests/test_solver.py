@@ -35,7 +35,7 @@ from fracspde.spectral import (
     zero_map,
     zero_noise,
 )
-from fracspde.experiments import she_problem
+from fracspde.experiments import protocol_study, run_study, she_problem
 from fracspde.verify import check_lambda_phi_bound
 from oracles import (
     _block_increments,
@@ -382,29 +382,123 @@ class TestFastSineSwitch:
                            noise_for(cfg))
 
 
-@pytest.mark.parametrize("samples", [None, 3])
-@pytest.mark.parametrize("n_modes", [8, 64, 511])
+@pytest.mark.parametrize("n_modes, samples", [
+    (8, None), (8, 3), (64, None), (64, 3), (511, None), (511, 3),
+    (512, 1), (512, 8), (520, 1), (520, 8), (1024, 1), (1024, 8)])
 def test_folded_sine_step_tracks_unfolded(n_modes, samples):
-    """The dense F = sin sweep on _sweep_setup's folded matrices tracks
-    the step with every constant applied on its own within 1e-13
-    relative over 2^12 steps, for one sample and for a block."""
-    m = 2**12
+    """The F = sin sweep on _sweep_setup's arguments, folded through the
+    dense sine matrix below 512 modes and through the zero-tailed real
+    FFT from 512 on, tracks the step with every constant applied on its
+    own (through the dense matrix, or from 512 modes scipy's DST-I)
+    within 1e-13 relative over 2^12 steps, for one sample and for a
+    block. Both run 2^8 steps at a time from the state the last chunk
+    ended on, so no (2^12, N, S) increment array is built."""
+    fast = n_modes >= kernels._FAST_SINE_MIN_MODES
+    if fast:
+        pytest.importorskip("scipy.fft")
+    m, chunk = 2**12, 2**8
     cfg = she_problem("she-identity", n_modes=n_modes, m_steps=m,
                       base_seed=0)
     x0, step_factor, f_kind, f_scale, *mats = solver._sweep_setup(cfg)
-    assert f_kind == kernels.F_SIN
+    assert f_kind == (kernels.F_SIN_FFT if fast else kernels.F_SIN)
     tail = () if samples is None else (samples,)
     rng = np.random.default_rng(n_modes)
-    x0 = x0.reshape((n_modes,) + (1,) * len(tail)) + 0.5 * rng.normal(
-        size=(n_modes,) + tail)
-    dw = rng.normal(size=(m, n_modes) + tail) * cfg.tau**0.75
-    stops = (1, 64, 1024, m)
-    folded = kernels.euler_sweep(x0, step_factor, cfg.tau, dw, f_kind,
-                                 f_scale, *mats, stops)
-    unfolded = unfolded_sin_sweep(x0, step_factor, cfg.tau, dw, stops)
-    for k, got, want in zip(stops, folded, unfolded):
-        err = np.max(np.abs(got - want))
-        assert err <= 1e-13 * np.max(np.abs(want)), (k, err)
+    folded = unfolded = x0.reshape((n_modes,) + (1,) * len(tail)) + \
+        0.5 * rng.normal(size=(n_modes,) + tail)
+    for m0 in range(0, m, chunk):
+        dw = rng.normal(size=(chunk, n_modes) + tail) * cfg.tau**0.75
+        folded = kernels.euler_sweep(folded, step_factor, cfg.tau, dw,
+                                     f_kind, f_scale, *mats, (chunk,))[0]
+        unfolded = unfolded_sin_sweep(unfolded, step_factor, cfg.tau, dw,
+                                      (chunk,), fast=fast)[0]
+        err = np.max(np.abs(folded - unfolded))
+        assert err <= 1e-13 * np.max(np.abs(unfolded)), (m0 + chunk, err)
+
+
+class TestStackedRungs:
+    """_solve_block sweeps a block's dense F = sin rungs with q = 1 as
+    one block-diagonal system when there are two or more of them with at
+    most solver._STACK_MAX_MODES modes in all."""
+
+    @staticmethod
+    def spy_stacking(monkeypatch):
+        built = []
+
+        def spy(parts):
+            built.append([n for rungs, *_ in parts for _, n in rungs])
+            return stack(parts)
+
+        stack = solver._stack_rungs
+        monkeypatch.setattr(solver, "_stack_rungs", spy)
+        return built
+
+    def test_desk_spatial_block_sweeps_twice_per_chunk(self, monkeypatch):
+        study = protocol_study("spatial", "desk", "she-identity",
+                               base_seed=5, samples=8)
+        n, m = study.problem.n_modes, study.problem.m_steps
+        calls = []
+        sweep = kernels.euler_sweep
+
+        def spy(x0, *args):
+            calls.append(x0.shape)
+            return sweep(x0, *args)
+
+        monkeypatch.setattr(kernels, "euler_sweep", spy)
+        run_study(study)
+        chunk = solver._SWEEP_CHUNK_BYTES // (8 * n * 8)
+        chunks = -(-m // chunk)
+        stacked = sum(study.ladder)
+        assert calls == [(n, 8), (stacked, 8)] * chunks
+
+    @pytest.mark.parametrize("presets", [1, 2])
+    @pytest.mark.parametrize("protocol", ["desk-spatial", "criterion-7"])
+    def test_stacked_rungs_match_each_rung_alone(self, protocol, presets,
+                                                 monkeypatch):
+        """Every stacked rung equals that rung swept alone within 1e-13
+        relative, for blocks of 1 to 9 samples: at the desk spatial
+        study's rungs (its N = 512 reference on the FFT beside the
+        ladder 2..32) and at criterion 7's Sobolev ladder 2..32 of
+        N = 32 (at 256 steps; the stacking does not depend on M)."""
+        n_ref, m, ladder = {"desk-spatial": (512, 200, (2, 4, 8, 16, 32)),
+                            "criterion-7": (32, 256, (2, 4, 8, 16, 32))
+                            }[protocol]
+        rungs = [(n, 1) for n in ladder]
+        if protocol == "desk-spatial":
+            rungs = [(n_ref, 1)] + rungs
+        configs = [she_problem(p, n_modes=n_ref, m_steps=m, base_seed=1)
+                   for p in ("she-identity", "she-trace")[:presets]]
+        built = self.spy_stacking(monkeypatch)
+        rng = np.random.default_rng(presets)
+        stops = (m // 2, m)
+        for b in range(1, 10):
+            dw = rng.normal(size=(n_ref, b, m)) * configs[0].tau**0.75
+            del built[:]
+            stacked = solver._solve_block(configs, dw, rungs, stops)
+            assert built == [list(ladder)], b
+            for (n, q), states in zip(rungs, stacked):
+                alone = solver._solve_block(configs, dw, [(n, q)], stops)[0]
+                assert states.shape == alone.shape == (2, n, presets, b)
+                err = np.max(np.abs(states - alone))
+                assert err <= 1e-13 * np.max(np.abs(alone)), (b, n, err)
+
+    @pytest.mark.parametrize("rungs", [
+        [(64, 1)],
+        [(64, 1), (32, 2), (16, 4)],
+        [(64, 1), (128, 1)],
+    ], ids=["one-rung", "one-rung-with-q-1", "over-the-cap"])
+    def test_no_stack_for_one_dense_rung_or_too_many_modes(self, rungs,
+                                                           monkeypatch):
+        """The regularity suite's one (64, 1) rung, a rung beside others
+        that aggregate steps, and two rungs of 192 modes in all (above
+        the cap) each keep their own sweep and build no stacked
+        operator."""
+        cfg = she_problem("she-identity", n_modes=128, m_steps=64,
+                          base_seed=2)
+        built = self.spy_stacking(monkeypatch)
+        dw = np.random.default_rng(3).normal(size=(128, 4, 64)) * 0.01
+        out = solver._solve_block([cfg], dw, rungs, (64,))
+        assert built == []
+        assert [x.shape for x in out] == [(1, n, 1, 4) for n, _ in rungs]
 
 
 class TestLinearMildReference:
