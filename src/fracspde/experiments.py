@@ -309,11 +309,18 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _finite_or_null(x: float):
+    """x as a JSON number, or None (null) if it is not finite."""
+    x = float(x)
+    return x if math.isfinite(x) else None
+
+
 def write_report(report: ErrorReport, out_dir, basename: str):
     """Write <basename>.csv and <basename>.json under out_dir.
 
     Contents carry no wall-clock data, so reruns with the same seed are
-    byte-identical; timestamps belong to the run manifest.
+    byte-identical; timestamps belong to the run manifest. The JSON is
+    strict: an unfitted ladder's slope and its halfwidth are null.
     """
     from pathlib import Path
 
@@ -331,12 +338,12 @@ def write_report(report: ErrorReport, out_dir, basename: str):
         "resolutions": [int(r) for r in report.resolutions],
         "rms_errors": [float(x) for x in report.rms_errors],
         "std_errors": [float(x) for x in report.std_errors],
-        "fitted_slope": float(report.fitted_slope),
-        "slope_confidence_halfwidth": float(
-            report.slope_confidence_halfwidth
-        ),
+        "fitted_slope": _finite_or_null(report.fitted_slope),
+        "slope_confidence_halfwidth": _finite_or_null(
+            report.slope_confidence_halfwidth),
         "theoretical_slope": float(report.theoretical_slope),
         "metadata": report.metadata,
     }
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                                    allow_nan=False) + "\n")
     return csv_path, json_path

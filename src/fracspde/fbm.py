@@ -16,10 +16,13 @@ _ROW_CHUNK_BYTES of normals, through one reused set of work buffers.
 Two exact methods are provided: a dense Cholesky factorization of the
 increment covariance (reference, O(M^3) setup, at most 4096 steps) and
 circulant embedding of fractional Gaussian noise (Davies-Harte,
-O(M log M)), which writes only the Hermitian half of the embedded
-spectrum and synthesises a chunk of rows with one real FFT into the
-call's output buffer; the scale of its bins is computed once per cached
-eigenvalue set (_circulant_bins, emptied by clear_caches). Both
+O(M log M)). Circulant draws each row's 2M normals straight into the
+Hermitian half of the embedded spectrum, scales them there in place
+(one multiply for the interior bins) and synthesises a chunk of rows
+with one real FFT into the call's FFT buffer; it keeps no separate
+normals buffer. The bins' scales, two edge scales and an (M - 1, 2)
+array of interior pairs, are computed once per cached eigenvalue set
+(_circulant_bins, emptied by clear_caches). Both
 reproduce the analytic covariance
 
     E[dw_i dw_j] = 0.5 * tau^{2H} * (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}),
@@ -218,43 +221,46 @@ def circulant_eigenvalues(gamma: np.ndarray) -> np.ndarray:
 
 
 class _CirculantBins(NamedTuple):
-    """Read-only spectrum of the 2m circulant embedding of unit fGn."""
+    """Read-only scales of the half spectrum of the 2m circulant
+    embedding of unit fGn (square roots of its eigenvalues lambda_k)."""
 
-    sqrt_eigs: np.ndarray  # square roots of its 2m eigenvalues
-    amp: np.ndarray  # sqrt_eigs[1:m] / sqrt(4m), the interior bins' scale
-    neg_amp: np.ndarray  # -amp
+    edge: tuple  # (sqrt(lambda_0), sqrt(lambda_m)), for bins 0 and m
+    pairs: np.ndarray  # (m - 1, 2): [a_k, -a_k], a_k = sqrt(lambda_k)/sqrt(4m)
 
 
 @_bounded_cache
 def _circulant_bins(m: int, h: HurstParameter) -> _CirculantBins:
     sqrt_eigs = np.sqrt(circulant_eigenvalues(_fgn_covariance_seq(m, h)))
     amp = sqrt_eigs[1:m] / np.sqrt(4 * m)
-    neg_amp = -amp
-    for array in (sqrt_eigs, amp, neg_amp):
-        array.flags.writeable = False
-    return _CirculantBins(sqrt_eigs, amp, neg_amp)
+    pairs = np.stack([amp, -amp], axis=1)
+    pairs.flags.writeable = False
+    return _CirculantBins((sqrt_eigs[0], sqrt_eigs[m]), pairs)
 
 
-def _synthesize_circulant(bins: _CirculantBins, z: np.ndarray, m: int,
-                          half: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Map 2m iid standard normals (last axis of z) to m exact fGn values.
+def _synthesize_circulant(bins: _CirculantBins, m: int, half: np.ndarray,
+                          full: np.ndarray) -> np.ndarray:
+    """Map 2m iid standard normals to m exact fGn values, in place.
 
-    Davies-Harte: the spectrum w built from z is Hermitian (w[2m-k] =
-    conj(w[k])), so fft(w) is real and equals the unnormalised inverse
-    real FFT of conj(w[:m+1]). Only that half spectrum is written, into
-    ``half`` (complex, last axis m + 1), with the imaginary signs
-    flipped, and one length-2m real FFT per row writes ``full`` (last
-    axis 2m); returns the view of its first m values. Both buffers are
-    overwritten whole, so one pair serves every chunk of a draw.
+    Davies-Harte: the spectrum w built from normals z is Hermitian
+    (w[2m-k] = conj(w[k])), so fft(w) is real and equals the
+    unnormalised inverse real FFT of conj(w[:m+1]). ``half`` (complex,
+    last axis m + 1) holds the z of each row in the first 2m floats of
+    its interleaved (re, im) view; they are rewritten in place into that
+    half spectrum, with the imaginary signs flipped: bins 0 and m from
+    z_0 and z_1, bins 1..m-1 as one multiply of their (re, im) pairs
+    (z_2k, z_2k+1) by bins.pairs. One length-2m real FFT per row then
+    writes ``full`` (last axis 2m); returns the view of its first m
+    values. Both buffers are overwritten whole, so one pair serves every
+    chunk of a draw.
     """
     m2 = 2 * m
     re, im = half.real, half.imag
-    re[..., 0] = bins.sqrt_eigs[0] * z[..., 0] / np.sqrt(m2)
-    re[..., m] = bins.sqrt_eigs[m] * z[..., 1] / np.sqrt(m2)
+    re[..., m] = bins.edge[1] * im[..., 0] / np.sqrt(m2)  # z_1, then zeroed
+    re[..., 0] = bins.edge[0] * re[..., 0] / np.sqrt(m2)
     im[..., 0] = 0.0
     im[..., m] = 0.0
-    np.multiply(bins.amp, z[..., 2::2], out=re[..., 1:m])
-    np.multiply(bins.neg_amp, z[..., 3::2], out=im[..., 1:m])
+    interior = half.view(float)[..., 2:m2]
+    np.multiply(bins.pairs.reshape(-1), interior, out=interior)
     np.fft.irfft(half, m2, axis=-1, norm="forward", out=full)
     return full[..., :m]
 
@@ -273,9 +279,11 @@ def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
     for a run of i), each chunk's normals within _ROW_CHUNK_BYTES unless
     one key row exceeds it. The PCG64 states of every row come from one
     vectorised hash and seeding pass, one NormalDrawer draws every chunk,
-    and the work buffers (normals, and for circulant the half spectrum
-    and the FFT output) are allocated once per call: fresh ones per chunk
-    would page-fault every chunk in again.
+    and the work buffers are allocated once per call: fresh ones per
+    chunk would page-fault every chunk in again. Cholesky draws into a
+    normals buffer; circulant draws each row's normals straight into its
+    half spectrum, which _synthesize_circulant rewrites in place before
+    one real FFT into the FFT output buffer.
 
     Parameters
     ----------
@@ -303,13 +311,15 @@ def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
     states = pcg64_states(seed_words(seeds))
     drawer = NormalDrawer()
     scale = grid.tau**h.h
-    z = np.empty((min(chunk, len(states)), width))
+    rows_max = min(chunk, len(states))
     if method == "cholesky":
         factor = _cholesky_factor(m, h)
+        z = np.empty((rows_max, width))
     else:
         bins = _circulant_bins(m, h)
-        half = np.empty((len(z), m + 1), dtype=complex)
-        full = np.empty((len(z), 2 * m))
+        half = np.empty((rows_max, m + 1), dtype=complex)
+        z = half.view(float)[:, :width]  # drawn straight into the spectrum
+        full = np.empty((rows_max, 2 * m))
     for lo in range(0, len(states), chunk):
         n = min(chunk, len(states) - lo)
         normals = drawer.fill(states[lo:lo + n], z[:n])
@@ -318,8 +328,8 @@ def increment_rows(grid: IncrementGrid, h: HurstParameter, seeds,
             for row, row_normals in zip(rows, normals):
                 np.multiply(scale, factor @ row_normals, out=row)
         else:
-            np.multiply(scale, _synthesize_circulant(bins, normals, m,
-                                                     half[:n], full[:n]),
+            np.multiply(scale, _synthesize_circulant(bins, m, half[:n],
+                                                     full[:n]),
                         out=rows)
     return out
 

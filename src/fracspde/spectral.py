@@ -43,6 +43,8 @@ class SpectralOperator:
         lam = np.asarray(self.eigenvalues, dtype=float)
         if lam.ndim != 1 or lam.size < 1:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
+        if not np.isfinite(lam).all():
+            raise ValueError("eigenvalues must be finite")
         if lam[0] <= 0 or np.any(np.diff(lam) < 0):
             raise ValueError("eigenvalues must be positive and nondecreasing")
         object.__setattr__(self, "eigenvalues", lam)
@@ -81,12 +83,14 @@ class DiagonalNoiseOperator:
         amp = np.asarray(self.amplitudes, dtype=float)
         if amp.ndim != 1 or amp.size < 1:
             raise ValueError("amplitudes must be a nonempty 1-d sequence")
+        if not np.isfinite(amp).all():
+            raise ValueError("amplitudes must be finite")
         if np.any(amp < 0):
             raise ValueError("amplitudes must be nonnegative")
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not self.beta <= 1.0:
-            raise ValueError(f"beta must be <= 1, got {self.beta}")
+        if not -math.inf < self.beta <= 1.0:
+            raise ValueError(f"beta must be finite and <= 1, got {self.beta}")
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -131,6 +135,8 @@ class SpectralState:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1:
             raise ValueError("coeffs must be 1-d")
+        if not np.isfinite(c).all():
+            raise ValueError("coeffs must be finite")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -151,8 +157,8 @@ class NemytskiiMap:
     def __post_init__(self):
         if self.kind not in NEMYTSKII_KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if not self.lipschitz_bound > 0:
-            raise ValueError("lipschitz_bound must be positive")
+        if not 0 < self.lipschitz_bound < math.inf:
+            raise ValueError("lipschitz_bound must be positive and finite")
 
 
 def zero_map() -> NemytskiiMap:

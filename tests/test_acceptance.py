@@ -166,17 +166,17 @@ def _batch_unit_fgn(method: str, m: int, h: HurstParameter, n_samples: int,
 
     The normals come from one shared stream (not per-row seeds), then go
     through the generators' own synthesis maps: the Cholesky factor, or
-    fbm._synthesize_circulant on the whole (n_samples, 2m) batch.
+    fbm._synthesize_circulant on the whole (n_samples, 2m) batch, copied
+    into the half spectrum that it rewrites in place.
     Batching keeps criterion 1 inside its runtime budget.
     """
     if method == "cholesky":
         factor = fbm._cholesky_factor(m, h)
         return rng.standard_normal((n_samples, m)) @ factor.T
-    z = rng.standard_normal((n_samples, 2 * m))
-    return fbm._synthesize_circulant(
-        fbm._circulant_bins(m, h), z, m,
-        np.empty((n_samples, m + 1), dtype=complex),
-        np.empty((n_samples, 2 * m)))
+    half = np.empty((n_samples, m + 1), dtype=complex)
+    half.view(float)[:, :2 * m] = rng.standard_normal((n_samples, 2 * m))
+    return fbm._synthesize_circulant(fbm._circulant_bins(m, h), m, half,
+                                     np.empty((n_samples, 2 * m)))
 
 
 def test_criterion_1_fbm_exactness():

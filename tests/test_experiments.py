@@ -1,8 +1,11 @@
 """Convergence-study orchestration, statistics, and report files."""
 
 import dataclasses
+import inspect
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +155,41 @@ class TestStudyValidation:
                 else [(r, 1) for r in ladder])
             assert protocol_study(axis, scale, "she-trace",
                                   base_seed=3).samples == samples
+
+
+# The exact F = 0 slopes (trace, identity) quoted by hand in the PROTOCOLS
+# comment and the README, per protocol.
+QUOTED_EXACT_SLOPES = {
+    ("temporal", "desk"): (0.969, 0.627),
+    ("temporal", "paper"): (0.998, 0.628),
+    ("spatial", "desk"): (2.097, 1.247),
+    ("spatial", "paper"): (2.097, 1.247),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(QUOTED_EXACT_SLOPES),
+                         ids="-".join)
+def test_quoted_exact_slopes_match_oracle(protocol):
+    # each quoted slope is the exact F = 0 oracle fitted on the protocol's
+    # rungs as run_study fits them: against tau in time, as the decay
+    # order in N in space
+    axis, scale = protocol
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    comment = inspect.getsource(experiments)
+    for preset, quoted in zip(("she-trace", "she-identity"),
+                              QUOTED_EXACT_SLOPES[protocol]):
+        study = protocol_study(axis, scale, preset, base_seed=0)
+        p = study.problem
+        linear = she_problem(preset, n_modes=p.n_modes, m_steps=p.m_steps,
+                             base_seed=0, with_nonlinearity=False)
+        exact = expected_rms_errors(linear, study.rungs)
+        ladder = np.array(study.ladder, dtype=float)
+        if axis == "temporal":
+            slope = fit_slope(p.horizon / ladder, exact)[0]
+        else:
+            slope = -fit_slope(ladder, exact)[0]
+        assert f"{slope:.3f}" == f"{quoted:.3f}", (preset, slope)
+        assert f"{quoted:.3f}" in comment and f"{quoted:.3f}" in readme
 
 
 class TestTemporalStudy:
@@ -412,6 +450,24 @@ class TestReportFiles:
         payload = json.loads(json_path.read_text())
         assert payload["fitted_slope"] == report.fitted_slope
         assert payload["metadata"]["noise_kind"] == "trace_class_logsq"
+
+    def test_unfitted_slope_is_strict_json_null(self, tmp_path):
+        # two rungs cannot be fitted: the report's slope is NaN, and the
+        # sidecar carries null, which a strict JSON parser accepts
+        problem = she_problem("she-trace", n_modes=4, m_steps=32, base_seed=2)
+        study = ConvergenceStudy(axis="temporal", ladder=(4, 8), samples=4,
+                                 problem=problem)
+        report = run_study(study)
+        assert math.isnan(report.fitted_slope)
+        _, json_path = write_report(report, tmp_path, "two_rungs")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(json_path.read_text(), parse_constant=reject)
+        assert payload["fitted_slope"] is None
+        assert payload["slope_confidence_halfwidth"] is None
+        assert payload["rms_errors"] == list(report.rms_errors)
 
     def test_report_bytes_reproducible(self, tmp_path):
         problem = she_problem("she-identity", n_modes=4, m_steps=32,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.array_utils import byte_bounds
 
 from fracspde import fbm, verify
 from fracspde.fbm import (
@@ -19,7 +20,7 @@ from fracspde.fbm import (
     increment_rows,
     mode_keys,
 )
-from fracspde.rng import MODE_STREAM, derive_seed
+from fracspde.rng import MODE_STREAM, NormalDrawer, derive_seed
 from oracles import fbm_covariance, increment_covariance_matrix
 
 H_VALUES = [0.55, 0.75, 0.95]
@@ -35,11 +36,12 @@ def scalar(grid, h, seed, method="circulant"):
 
 
 def synthesize(m, h, z):
-    """fbm._synthesize_circulant on fresh work buffers."""
-    return fbm._synthesize_circulant(
-        fbm._circulant_bins(m, h), z, m,
-        np.empty(z.shape[:-1] + (m + 1,), dtype=complex),
-        np.empty(z.shape[:-1] + (2 * m,)))
+    """fbm._synthesize_circulant on fresh work buffers, the normals z (last
+    axis 2m) copied into the half spectrum as increment_rows draws them."""
+    half = np.empty(z.shape[:-1] + (m + 1,), dtype=complex)
+    half.view(float)[..., :2 * m] = z
+    return fbm._synthesize_circulant(fbm._circulant_bins(m, h), m, half,
+                                     np.empty(z.shape[:-1] + (2 * m,)))
 
 
 def as_sample(grid, h, rows):
@@ -199,7 +201,8 @@ def _complex_fft_rows(grid, h, seeds):
     """The circulant synthesis as a full-length complex FFT, one row at a
     time: the reference the half-spectrum real FFT must reproduce."""
     m, m2 = grid.m_steps, 2 * grid.m_steps
-    sqrt_eigs = fbm._circulant_bins(m, h).sqrt_eigs
+    sqrt_eigs = np.sqrt(fbm.circulant_eigenvalues(
+        fbm._fgn_covariance_seq(m, h)))
     rows = []
     for seed in seeds:
         z = np.random.default_rng(seed).standard_normal(m2)
@@ -274,22 +277,43 @@ class TestIncrementRows:
     @pytest.mark.parametrize("m", [3, 200, 2**12])
     def test_one_work_buffer_pair_per_call(self, m, monkeypatch):
         # a short last chunk too: 11 rows in chunks of 4, 4 and 3
-        irfft = np.fft.irfft
-        calls = []
+        irfft, fill, empty = np.fft.irfft, NormalDrawer.fill, np.empty
+        calls, fills, allocs = [], [], []
 
         def recording_irfft(a, *args, out=None, **kwargs):
-            calls.append((a.ctypes.data, out.ctypes.data, len(a)))
+            calls.append((byte_bounds(a), out.ctypes.data, len(a)))
             return irfft(a, *args, out=out, **kwargs)
 
+        def recording_fill(drawer, states, out):
+            fills.append(byte_bounds(out))
+            return fill(drawer, states, out)
+
+        def recording_empty(*args, **kwargs):
+            allocs.append(empty(*args, **kwargs))
+            return allocs[-1]
+
+        fbm._circulant_bins(m, hp())  # cached first: its setup is no draw
         monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+        monkeypatch.setattr(NormalDrawer, "fill", recording_fill)
+        monkeypatch.setattr(np, "empty", recording_empty)
         monkeypatch.setattr(fbm, "_ROW_CHUNK_BYTES", 4 * 8 * 2 * m)
         grid = IncrementGrid(m_steps=m, tau=1.0 / m)
         seeds = [derive_seed(42, s) for s in range(11)]
         rows = increment_rows(grid, hp(), seeds)
-        assert [n for _, _, n in calls] == [4, 4, 3]
-        assert len({half for half, _, _ in calls}) == 1
-        assert len({full for _, full, _ in calls}) == 1
         monkeypatch.undo()
+        assert [n for _, _, n in calls] == [4, 4, 3]
+        assert len({half_lo for (half_lo, _), _, _ in calls}) == 1
+        assert len({full for _, full, _ in calls}) == 1
+        # each chunk's normals are drawn into the half spectrum irfft reads
+        assert len(fills) == len(calls)
+        for (lo, hi), ((half_lo, half_hi), _, _) in zip(fills, calls):
+            assert half_lo <= lo and hi <= half_hi
+        # the FFT output is the only (rows, 2m) array: no normals buffer
+        wide = [a for a in allocs if a.shape == (4, 2 * m)]
+        assert [a.ctypes.data for a in wide] == [calls[0][1]]
+        # and the cached bins hold no 2m eigenvalue array
+        assert all(np.size(field) < 2 * m
+                   for field in fbm._circulant_bins(m, hp()))
         assert rows.tobytes() == _allocating_rows(grid, hp(),
                                                   seeds).tobytes()
 

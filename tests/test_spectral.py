@@ -16,6 +16,7 @@ from fracspde.solver import (
 )
 from fracspde.spectral import (
     DiagonalNoiseOperator,
+    NemytskiiMap,
     SpectralOperator,
     SpectralState,
     dirichlet_laplacian,
@@ -297,3 +298,32 @@ class TestNorms:
         assert sobolev_norm(op, 0.5, unit_state(3, 1)) == pytest.approx(
             2.5066282746310002, rel=1e-14
         )
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: SpectralOperator(eigenvalues=[1.0, NAN]), "eigenvalues"),
+    (lambda: SpectralOperator(eigenvalues=[NAN, 2.0]), "eigenvalues"),
+    (lambda: SpectralOperator(eigenvalues=[1.0, INF]), "eigenvalues"),
+    (lambda: DiagonalNoiseOperator(amplitudes=[1.0, NAN], beta=1.0),
+     "amplitudes"),
+    (lambda: DiagonalNoiseOperator(amplitudes=[INF], beta=1.0),
+     "amplitudes"),
+    (lambda: DiagonalNoiseOperator(amplitudes=[1.0], beta=-INF), "beta"),
+    (lambda: DiagonalNoiseOperator(amplitudes=[1.0], beta=NAN), "beta"),
+    (lambda: SpectralState(coeffs=[0.5, NAN]), "coeffs"),
+    (lambda: SpectralState(coeffs=[-INF]), "coeffs"),
+    (lambda: NemytskiiMap(kind="identity_scaled", lipschitz_bound=INF),
+     "lipschitz_bound"),
+    (lambda: NemytskiiMap(kind="identity_scaled", lipschitz_bound=NAN),
+     "lipschitz_bound"),
+], ids=["eig-nan", "eig-nan-first", "eig-inf", "amp-nan", "amp-inf",
+        "beta-neg-inf", "beta-nan", "coeffs-nan", "coeffs-inf",
+        "lipschitz-inf", "lipschitz-nan"])
+def test_non_finite_input_rejected_by_name(build, field):
+    # a non-finite field is refused where it is given, not found later
+    # as a non-finite state of the run
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        build()
