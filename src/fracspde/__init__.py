@@ -27,7 +27,6 @@ from .spectral import (
     sine_transform,
     trace_class_noise,
     zero_map,
-    scaled_identity_map,
     sine_map,
     zero_noise,
 )

@@ -20,115 +20,96 @@ of each mode's increments (``solver.linear_weights``), which the
 mild-solution oracle and the exact moments contract with the increments
 instead of sweeping.
 
-Nonlinearity codes: F_ZERO, F_SCALED (u -> scale*u in coefficients), and
-two forms of F = sin by collocation on the interior sine grid, whose
-values are sqrt(N+1) S x for the dense symmetric DST-I matrix S. Both
-fold the step's constants into two factors, so that a step is x <-
-step_factor * (x + dW) + out(sin(in(x))). F_SIN multiplies by two dense
+Nonlinearity codes: F_ZERO, and two forms of F = sin by collocation on
+the interior sine grid, whose values are sqrt(N+1) S x for the dense
+symmetric DST-I matrix S. Code 1 is retired: it was F = u -> s u, which
+no command ran. Both F = sin forms fold the step's constants into two
+factors, so that a step is x <- step_factor * (x + dW) + out(sin(in(x))),
+and ``solver._sweep_setup`` builds both factors once per rung of a block
+and picks the form; the sweep only steps. F_SIN multiplies by two dense
 matrices (O(N^2) per product): ``sin_in`` = sqrt(N+1) S and ``sin_out``
-= (tau/sqrt(N+1)) diag(step_factor) S, built once per rung by
-``solver._sweep_setup``. F_SIN_FFT (O(N log N), no matrix) runs S x as
-numpy's ``rfft`` of length 2(N+1): with x in rows 1..N of a zero-tailed
-buffer, the imaginary parts of bins 1..N are half those of x's odd
-extension, -S x / (2c) with c = 1/sqrt(2(N+1)) computed in long double.
-So its step is x <- step_factor * (x + dW) + G * Im(rfft(sin(A *
-Im(rfft(x))))), the two factors A = (-2c) sqrt(N+1) and G = ((-2c) tau /
-sqrt(N+1)) step_factor built once per sweep. Each form tracks the
-unfolded step step_factor * (x + tau (S @ sin(sqrt(N+1) S @ x)) /
-sqrt(N+1) + dW) to rounding, not bit for bit (tested within 1e-13
+= (tau/sqrt(N+1)) diag(step_factor) S. F_SIN_FFT (O(N log N), no matrix)
+runs S x as numpy's ``rfft`` of length 2(N+1): with x in rows 1..N of a
+zero-tailed buffer, the imaginary parts of bins 1..N are half those of
+x's odd extension, -S x / (2c) with c = 1/sqrt(2(N+1)) computed in long
+double. So its step is x <- step_factor * (x + dW) + G * Im(rfft(sin(A *
+Im(rfft(x))))), with the scalar ``sin_in`` = A = (-2c) sqrt(N+1) and the
+(N,) ``sin_out`` = G = ((-2c) tau / sqrt(N+1)) step_factor. Each form
+tracks the unfolded step step_factor * (x + tau (S @ sin(sqrt(N+1) S @
+x)) / sqrt(N+1) + dW) to rounding, not bit for bit (tested within 1e-13
 relative over 2^12 steps: the dense form at N = 8, 64 and 511, the fast
 one against scipy's DST-I at N = 512, 520 and 1024), and the two forms
 agree to rounding (tested within 1e-12 relative). ``_dst1``, the
 orthonormal DST-I that ``spectral.sine_transform`` runs, transforms the
 odd extension and equals ``scipy.fft.dst(type=1, norm="ortho")`` bit for
 bit: both run pocketfft's real FFT and scale by c, so numpy alone
-carries the transform and no run imports scipy.
-``solver._sweep_setup`` picks F_SIN_FFT at N >= ``_FAST_SINE_MIN_MODES``
-= 512 and F_SIN below it; the kind is fixed per sweep, so no step
-branches on N. Measured per step on one thread (2-vCPU VM whose speed
-swings up to 1.7x, numpy 2.4, OpenBLAS 0.3; medians of 11 alternating
-200-step sweeps, ranges over two runs), the dense step against the fast
-one at widths 1 and 8: N = 384, 95-104 against 32-33 us and 291-319
-against 125-128 us; N = 511, 206-209 against 29-32 us and 521-522
-against 108-113 us; N = 512, 205-211 against 34-36 us and 608-810
-against 211-234 us; N = 1024, 2039-2934 against 71-115 us and
-1777-2162 against 328-362 us. An FFT of length 2(N+1) is slow where
-N+1 has a large prime factor: per pair of sweeps the fast step took
-0.86-1.19 (width 1) and 1.13-1.33 (width 8) times the dense one at N =
-520, 0.73-1.11 and 0.94-1.23 at N = 600, and 0.34-0.50 and 0.75-0.92
-at N = 572. Folded against unfolded (21 alternating sweeps in one
-process, three runs) the fast step took 0.84-0.86 of the time at
-(512, 1), 0.88-0.90 at (512, 8), 0.89-0.94 at (1024, 8) and 0.96-0.98
-at (4096, 5), where the transform dominates. The studies run N = 512
-and 4096.
+carries the transform and no run imports scipy. Where the forms switch,
+and the per-step timings behind it, is ``solver._FAST_SINE_MIN_MODES``.
 
 Every sweep works in place on state buffers allocated once per call,
-each kind only those it reads, with the step factor, tau (F_SCALED) and
-the fast step's A and G broadcast once to the state's shape: a ufunc
-takes an array operand faster than a Python float, and the product has
-the same bits. F_SIN_FFT keeps x in the head of one of its two
-zero-tailed buffers and writes sin(A * ...) into the head of the other,
-so a step copies nothing: two ``rfft`` calls into one spectrum buffer
-and six ufuncs. Each kind runs its own lean loop over the segment's
-increment rows, ufuncs with positional ``out`` and no helper call per
-step, and performs the same operations in the same order as the
-per-step expressions in its docstring, so the buffers change no bits and
-a block sweep equals the plain per-step block loop bit for bit. At the
-block shape of the regularity suite, (64, 8) with F = sin, the work of a
-step is two ``np.dot`` calls and one ``np.sin``; the rest is per-call
-overhead, which the lean loop trims. Measured per step on one thread
-(same VM and numpy; median of 21 alternating runs of 16 sweeps of 256
-steps, ranges over three such runs), a loop of the same operations with
-two helper calls per step and Python-float operands against the lean
-one: 12.4-16.0 against 11.5-13.8 us at (64, 8) with F = sin. Folding
-F_SIN's constants into its matrices leaves three ufuncs per step where
-the unfolded step ran seven (its np.sin of 512 values, about 6 us, is
-not SIMD-dispatched in this numpy): unfolded against folded, 12.0-20.9
-against 10.2-17.9 us per step at (64, 8), each run's ratio 0.83-0.86
-(same protocol and VM).
+each kind only those it reads, with the step factor and the fast step's
+A and G broadcast once to the state's shape: a ufunc takes an array
+operand faster than a Python float, and the product has the same bits.
+F_SIN_FFT keeps x in the head of one of its two zero-tailed buffers and
+writes sin(A * ...) into the head of the other, so a step copies
+nothing: two ``rfft`` calls into one spectrum buffer and six ufuncs.
+Each kind runs its own lean loop over the segment's increment rows,
+ufuncs with positional ``out`` and no helper call per step, and performs
+the same operations in the same order as the per-step expressions in its
+docstring, so the buffers change no bits and a block sweep equals the
+plain per-step block loop bit for bit. At the block shape of the
+regularity suite, (64, 8) with F = sin, the work of a step is two
+``np.dot`` calls and one ``np.sin``; the rest is per-call overhead,
+which the lean loop trims. Measured per step on one thread (2-vCPU VM,
+numpy 2.4, OpenBLAS 0.3; median of 21 alternating runs of 16 sweeps of
+256 steps, ranges over three such runs), a loop of the same operations
+with two helper calls per step and Python-float operands against the
+lean one: 12.4-16.0 against 11.5-13.8 us at (64, 8) with F = sin.
+Folding F_SIN's constants into its matrices leaves three ufuncs per step
+where the unfolded step ran seven (its np.sin of 512 values, about 6 us,
+is not SIMD-dispatched in this numpy): unfolded against folded,
+12.0-20.9 against 10.2-17.9 us per step at (64, 8), each run's ratio
+0.83-0.86 (same protocol and VM). Folded against unfolded (21
+alternating sweeps in one process, three runs) the fast step took
+0.84-0.86 of the time at (512, 1), 0.88-0.90 at (512, 8), 0.89-0.94 at
+(1024, 8) and 0.96-0.98 at (4096, 5), where the transform dominates.
 """
-
-import math
 
 import numpy as np
 
 BACKEND = "numpy"
 
 F_ZERO = 0
+# Retired (was F = u -> s u); perfbench's flop model still reads the name.
 F_SCALED = 1
 F_SIN = 2
 F_SIN_FFT = 3
 
-# Smallest mode count at which the F = sin sweep runs F_SIN_FFT.
-_FAST_SINE_MIN_MODES = 512
 
-
-def euler_sweep(x0, step_factor, tau, dw_scaled, f_kind, f_scale, sin_in,
-                sin_out, stops):
+def euler_sweep(x0, step_factor, dw_scaled, f_kind, sin_in, sin_out, stops):
     """Run implicit Euler steps, returning the states at steps ``stops``.
 
     x0 is (N,) for one sample or (N, S) for a block of S samples, and
-    dw_scaled is (M, N) or (M, N, S): row m holds phi_n * dW_{n,m}. Per
-    step: x <- step_factor * (x + tau*F(x) + dW), F explicit. F_SIN reads
-    the (N, N) matrices sin_in = sqrt(N+1) S and sin_out =
-    (tau/sqrt(N+1)) diag(step_factor) S, S the sine matrix, and steps
-    x <- step_factor * (x + dW) + sin_out @ sin(sin_in @ x); an (N, 1)
-    state runs those products on two copies of its column. F_SIN_FFT
+    dw_scaled is (M, N) or (M, N, S): row m holds phi_n * dW_{n,m}. F_ZERO
+    steps x <- step_factor * (x + dW) and takes None for sin_in and
+    sin_out. F_SIN reads the (N, N) matrices sin_in = sqrt(N+1) S and
+    sin_out = (tau/sqrt(N+1)) diag(step_factor) S, S the sine matrix,
+    and steps x <- step_factor * (x + dW) + sin_out @ sin(sin_in @ x); an
+    (N, 1) state runs those products on two copies of its column.
+    F_SIN_FFT reads the scalar sin_in = A and the (N,) sin_out = G, and
     steps x <- step_factor * (x + dW) + G * Im(rfft(sin(A *
     Im(rfft(x))))), each rfft of length 2(N+1) over x in rows 1..N of
-    zeros, with A = (-2c) sqrt(N+1), G = ((-2c) tau / sqrt(N+1))
-    step_factor and c = 1/sqrt(2(N+1)) in long double. The kinds other
-    than F_SIN take None for both matrices. ``stops`` are nondecreasing
-    step indices in [0, M]; the result stacks the state after each of
-    them (step 0 is x0) into a (len(stops),) + x0.shape array. The loop
-    runs segment by segment between stops.
+    zeros. ``solver._sweep_setup`` builds every factor. ``stops`` are
+    nondecreasing step indices in [0, M]; the result stacks the state
+    after each of them (step 0 is x0) into a (len(stops),) + x0.shape
+    array. The loop runs segment by segment between stops.
     """
     stops = [int(k) for k in stops]
     if any(b < a for a, b in zip(stops, stops[1:])) or (
             stops and not 0 <= stops[0] <= stops[-1] <= dw_scaled.shape[0]):
         raise ValueError(f"stops must be nondecreasing in [0, "
                          f"{dw_scaled.shape[0]}], got {stops}")
-    if f_kind not in (F_ZERO, F_SCALED, F_SIN, F_SIN_FFT):
+    if f_kind not in (F_ZERO, F_SIN, F_SIN_FFT):
         raise ValueError(f"unknown nonlinearity code {f_kind}")
     n = x0.shape[0]
     if f_kind == F_SIN and any(np.shape(mat) != (n, n)
@@ -143,12 +124,6 @@ def euler_sweep(x0, step_factor, tau, dw_scaled, f_kind, f_scale, sin_in,
         x[...] = x0
         spec = np.empty((n + 2,) + x0.shape[1:], dtype=complex)
         bins = spec.imag[1:n + 1]
-        minus_2c = -2.0 * float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
-        root = math.sqrt(n + 1)
-        into = np.full(x.shape, minus_2c * root)
-        back = np.broadcast_to(((minus_2c * tau / root) * step_factor)
-                               .reshape((-1,) + (1,) * (x.ndim - 1)),
-                               x.shape).copy()
     else:
         x = x0.copy()
     if f_kind == F_SIN and x.shape[1:] == (1,):
@@ -156,12 +131,13 @@ def euler_sweep(x0, step_factor, tau, dw_scaled, f_kind, f_scale, sin_in,
         # a wider block's gemm: sweep the column twice
         x = np.repeat(x, 2, axis=1)
     kept = x[:, :1] if x.shape != x0.shape else x
-    factor = np.broadcast_to(
-        step_factor.reshape((-1,) + (1,) * (x.ndim - 1)), x.shape).copy()
+    column = (-1,) + (1,) * (x.ndim - 1)
+    factor = np.broadcast_to(step_factor.reshape(column), x.shape).copy()
+    if f_kind == F_SIN_FFT:
+        into = np.full(x.shape, sin_in)
+        back = np.broadcast_to(sin_out.reshape(column), x.shape).copy()
     if f_kind != F_ZERO:
         fx = np.empty_like(x)
-    if f_kind == F_SCALED:
-        tau_x = np.full(x.shape, tau)
     if f_kind == F_SIN:
         u = np.empty_like(x)
     add, multiply, dot, sin, rfft = (np.add, np.multiply, np.dot, np.sin,
@@ -174,13 +150,6 @@ def euler_sweep(x0, step_factor, tau, dw_scaled, f_kind, f_scale, sin_in,
             for dw in rows:
                 add(x, dw, x)
                 multiply(factor, x, x)
-        elif f_kind == F_SCALED:
-            for dw in rows:
-                multiply(f_scale, x, fx)
-                multiply(tau_x, fx, fx)
-                add(x, fx, fx)
-                add(fx, dw, fx)
-                multiply(factor, fx, x)
         elif f_kind == F_SIN:
             for dw in rows:
                 dot(sin_in, x, u)

@@ -49,8 +49,7 @@ __all__ = [
     "solve_endpoint",
 ]
 
-_F_CODES = {"zero": kernels.F_ZERO, "identity_scaled": kernels.F_SCALED,
-            "pointwise_sin": kernels.F_SIN}
+_F_CODES = {"zero": kernels.F_ZERO, "pointwise_sin": kernels.F_SIN}
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,41 +142,58 @@ def _sine_operators(n: int):
     return mat, sin_in
 
 
-def _sweep_setup(config: SolverConfig):
-    """(x0, step_factor, f_kind, f_scale, sin_in, sin_out) of config's
-    sweep: the initial state and the kernels.euler_sweep arguments that
-    depend on the operator, the nonlinearity and tau, not on the noise.
+# Smallest mode count at which the F = sin sweep runs kernels.F_SIN_FFT,
+# not the dense F_SIN. Measured per step on one thread (2-vCPU VM whose
+# speed swings up to 1.7x, numpy 2.4, OpenBLAS 0.3; medians of 11
+# alternating 200-step sweeps, ranges over two runs), the dense step
+# against the fast one at widths 1 and 8: N = 384, 95-104 against 32-33
+# us and 291-319 against 125-128 us; N = 511, 206-209 against 29-32 us
+# and 521-522 against 108-113 us; N = 512, 205-211 against 34-36 us and
+# 608-810 against 211-234 us; N = 1024, 2039-2934 against 71-115 us and
+# 1777-2162 against 328-362 us. An FFT of length 2(N+1) is slow where
+# N+1 has a large prime factor: per pair of sweeps the fast step took
+# 0.86-1.19 (width 1) and 1.13-1.33 (width 8) times the dense one at
+# N = 520, 0.73-1.11 and 0.94-1.23 at N = 600, and 0.34-0.50 and
+# 0.75-0.92 at N = 572. The studies run N = 512 and 4096.
+_FAST_SINE_MIN_MODES = 512
 
-    F = sin runs the dense sine matrix S below
-    ``kernels._FAST_SINE_MIN_MODES`` = 512 modes and two real FFTs of
-    length 2(N+1) per step from there on, where they are faster (see
-    ``kernels``, which builds that step's factors); the two agree to
-    rounding (tested within 1e-12 relative). The dense step's
-    constants are folded into its two matrices: sin_in = sqrt(N+1) S
-    maps coefficients to grid values (S and sin_in are built once per N
-    by _sine_operators, whose cache fbm.clear_caches empties) and
-    sin_out = (tau/sqrt(N+1)) diag(step_factor) S, built here per rung,
-    maps sin of them back, so a step is step_factor * (x + dW) + sin_out
-    @ sin(sin_in @ x). That tracks the unfolded step step_factor * (x +
-    tau (S @ sin(sqrt(N+1) S @ x)) / sqrt(N+1) + dW) to rounding (tested
-    within 1e-13 relative over 2^12 steps). Other kinds take None for
-    both matrices.
+
+def _sweep_setup(config: SolverConfig):
+    """(x0, step_factor, f_kind, sin_in, sin_out) of config's sweep: the
+    initial state and the kernels.euler_sweep arguments that depend on
+    the operator, the nonlinearity and tau, not on the noise.
+
+    F = sin runs the dense sine matrix S (kernels.F_SIN) below
+    _FAST_SINE_MIN_MODES = 512 modes and two real FFTs of length 2(N+1)
+    per step (kernels.F_SIN_FFT) from there on; the two agree to rounding
+    (tested within 1e-12 relative). Both fold the step's constants into
+    the two factors built here, once per rung, so a step is step_factor *
+    (x + dW) + out(sin(in(x))). The dense step's are matrices: sin_in =
+    sqrt(N+1) S maps coefficients to grid values (S and sin_in are built
+    once per N by _sine_operators, whose cache fbm.clear_caches empties)
+    and sin_out = (tau/sqrt(N+1)) diag(step_factor) S maps sin of them
+    back. The fast step's are the scalar A = (-2c) sqrt(N+1) and the (N,)
+    G = ((-2c) tau / sqrt(N+1)) step_factor, c = 1/sqrt(2(N+1)) in long
+    double (see ``kernels`` for the transform). Each tracks the unfolded
+    step step_factor * (x + tau (S @ sin(sqrt(N+1) S @ x)) / sqrt(N+1) +
+    dW) to rounding (tested within 1e-13 relative over 2^12 steps). F = 0
+    takes None for both factors.
     """
-    n = config.n_modes
+    n, tau = config.n_modes, config.tau
     lam = config.operator.eigenvalues[:n]
-    step_factor = 1.0 / (1.0 + config.tau * lam)
+    step_factor = 1.0 / (1.0 + tau * lam)
     f_kind = _F_CODES[config.nonlinearity.kind]
-    f_scale = config.nonlinearity.lipschitz_bound
     sin_in = sin_out = None
-    if f_kind == kernels.F_SIN:
-        if n >= kernels._FAST_SINE_MIN_MODES:
-            f_kind = kernels.F_SIN_FFT
-        else:
-            mat, sin_in = _sine_operators(n)
-            sin_out = ((config.tau / math.sqrt(n + 1)) * step_factor[:, None]
-                       * mat)
+    if f_kind == kernels.F_SIN and n >= _FAST_SINE_MIN_MODES:
+        f_kind = kernels.F_SIN_FFT
+        minus_2c = -2.0 * float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
+        sin_in = minus_2c * math.sqrt(n + 1)
+        sin_out = (minus_2c * tau / math.sqrt(n + 1)) * step_factor
+    elif f_kind == kernels.F_SIN:
+        mat, sin_in = _sine_operators(n)
+        sin_out = (tau / math.sqrt(n + 1)) * step_factor[:, None] * mat
     x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)
-    return x0, step_factor, f_kind, f_scale, sin_in, sin_out
+    return x0, step_factor, f_kind, sin_in, sin_out
 
 
 def _check_rungs(config: SolverConfig, rungs, stops=()) -> list:
@@ -279,22 +295,21 @@ _STACK_MAX_MODES = 128
 
 def _stack_rungs(entries: list) -> tuple:
     """One dense F = sin sweep for several rungs: ``entries`` are
-    _solve_block's sweep entries (rungs, q, tau, x0, step_factor, sweep)
-    of rungs with q = 1. Their rungs, states and step factors are stacked
+    _solve_block's sweep entries (rungs, q, x0, step_factor, sweep) of
+    rungs with q = 1. Their rungs, states and step factors are stacked
     in order, and sin_in and sin_out are block-diagonal, so each rung
     advances on its own rows as it would alone, to rounding."""
-    rungs, _, _, x0s, factors, sweeps = zip(*entries)
+    rungs, _, x0s, factors, sweeps = zip(*entries)
     total = sum(x0.size for x0 in x0s)
     sin_in, sin_out = np.zeros((2, total, total))
     lo = 0
-    for x0, (_, _, rung_in, rung_out) in zip(x0s, sweeps):
+    for x0, (_, rung_in, rung_out) in zip(x0s, sweeps):
         hi = lo + x0.size
         sin_in[lo:hi, lo:hi] = rung_in
         sin_out[lo:hi, lo:hi] = rung_out
         lo = hi
-    _, q, tau, _, _, (f_kind, f_scale, _, _) = entries[0]
-    return (sum(rungs, []), q, tau, np.concatenate(x0s),
-            np.concatenate(factors), (f_kind, f_scale, sin_in, sin_out))
+    return (sum(rungs, []), 1, np.concatenate(x0s), np.concatenate(factors),
+            (kernels.F_SIN, sin_in, sin_out))
 
 
 def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
@@ -339,22 +354,22 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     chunk = min(m, max(q_top, chunk - chunk % q_top))
     scratch = np.empty((chunk, top, width))
     products = np.empty((top, b, chunk))
-    # one entry per sweep: (rungs (r, n) it carries, q, tau, x0,
-    # step_factor, the rest of its euler_sweep arguments)
+    # one entry per sweep: (rungs (r, n) it carries, q, x0, step_factor,
+    # the rest of its euler_sweep arguments)
     sweeps, dense = [], []
     for r, (n, q) in enumerate(rungs):
-        rung = restrict_config(config, n_modes=n, m_steps=m // q)
-        x0, step_factor, *sweep = _sweep_setup(rung)
+        x0, step_factor, *sweep = _sweep_setup(
+            restrict_config(config, n_modes=n, m_steps=m // q))
         (dense if q == 1 and sweep[0] == kernels.F_SIN else sweeps).append(
-            ([(r, n)], q, rung.tau, x0, step_factor, sweep))
-    if len(dense) > 1 and sum(x0.size for *_, x0, _, _ in dense) <= \
+            ([(r, n)], q, x0, step_factor, sweep))
+    if len(dense) > 1 and sum(x0.size for _, _, x0, _, _ in dense) <= \
             _STACK_MAX_MODES:
         dense = [_stack_rungs(dense)]
     sweeps += dense
     # per sweep: its state, its kept states and, when it stacks rungs,
     # the scratch modes it gathers and a buffer to gather them into
     states, outs, gathers = [], [], []
-    for parts, _, _, x0, _, _ in sweeps:
+    for parts, _, x0, _, _ in sweeps:
         states.append(np.repeat(x0[:, None], width, axis=1))
         outs.append(np.empty((len(stops), x0.size, width)))
         gathers.append(None if len(parts) == 1 else (
@@ -368,7 +383,7 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
             np.multiply(amp, dw[:top, :, m0:m1], out=product)
             rows[:, :, p * b:(p + 1) * b] = product.transpose(2, 0, 1)
         upto = bisect.bisect_right(stops, m1, lo=done)
-        for i, (parts, q, tau, _, step_factor, sweep) in enumerate(sweeps):
+        for i, (parts, q, _, step_factor, sweep) in enumerate(sweeps):
             if gathers[i] is None:
                 lead = rows[:, :parts[0][1]]
             else:
@@ -376,7 +391,7 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
                 lead = np.take(rows, index, axis=1, mode="clip",
                                out=buf[:m1 - m0])
             kept = kernels.euler_sweep(
-                states[i], step_factor, tau,
+                states[i], step_factor,
                 lead if q == 1 else _aggregate_values(lead, q, axis=0),
                 *sweep, [(k - m0) // q for k in stops[done:upto]]
                 + [(m1 - m0) // q])
@@ -427,20 +442,32 @@ def _map_block(job) -> np.ndarray:
     return reduce(config, states, *args)
 
 
+def _solve_sample(config: SolverConfig, dw: np.ndarray, stops) -> np.ndarray:
+    """The (len(stops), N) states of one sample at ``stops``: _solve_block
+    on a block of that sample, dw its raw (N, 1, M) increments.
+
+    Raises FloatingPointError naming the first stop whose state is not
+    finite.
+    """
+    states = _solve_block([config], dw, [(config.n_modes, 1)],
+                          stops)[0][:, :, 0, 0]
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        raise FloatingPointError(f"non-finite state at step "
+                                 f"{stops[bad[0]]} of {config.m_steps}")
+    return states
+
+
 def solve_endpoint(config: SolverConfig,
                    noise_sample: CylindricalFbmSample) -> SpectralState:
     """Run the scheme on one noise sample, storing nothing but the final
-    state: _solve_block on a block of that one sample.
+    state (_solve_sample).
 
     Raises FloatingPointError when the final state is not finite.
     """
     _check_noise_sample(config, noise_sample)
-    n = config.n_modes
-    coeffs = _solve_block([config], noise_sample.values[:n, None, :],
-                          [(n, 1)], (config.m_steps,))[0][0, :, 0, 0]
-    if not np.isfinite(coeffs).all():
-        raise FloatingPointError(
-            f"non-finite state at the endpoint, step {config.m_steps}")
+    rows = noise_sample.values[:config.n_modes, None, :]
+    coeffs = _solve_sample(config, rows, (config.m_steps,))[0]
     return SpectralState(coeffs=coeffs, time=config.m_steps * config.tau)
 
 

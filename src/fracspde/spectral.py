@@ -22,7 +22,6 @@ __all__ = [
     "SpectralState",
     "dirichlet_laplacian",
     "identity_noise",
-    "scaled_identity_map",
     "sine_grid",
     "sine_map",
     "sine_matrix",
@@ -144,34 +143,27 @@ class SpectralState:
         return self.coeffs.size
 
 
-NEMYTSKII_KINDS = ("zero", "identity_scaled", "pointwise_sin")
+NEMYTSKII_KINDS = ("zero", "pointwise_sin")
 
 
 @dataclass(frozen=True)
 class NemytskiiMap:
-    """Pointwise nonlinearity F with global Lipschitz bound."""
+    """Pointwise, globally Lipschitz nonlinearity F: zero or sin."""
 
     kind: str
-    lipschitz_bound: float = 1.0
 
     def __post_init__(self):
         if self.kind not in NEMYTSKII_KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        if not 0 < self.lipschitz_bound < math.inf:
-            raise ValueError("lipschitz_bound must be positive and finite")
 
 
 def zero_map() -> NemytskiiMap:
     return NemytskiiMap(kind="zero")
 
 
-def scaled_identity_map(lipschitz_bound: float) -> NemytskiiMap:
-    return NemytskiiMap(kind="identity_scaled", lipschitz_bound=lipschitz_bound)
-
-
 def sine_map() -> NemytskiiMap:
     """u -> sin(u) pointwise; Lipschitz constant 1."""
-    return NemytskiiMap(kind="pointwise_sin", lipschitz_bound=1.0)
+    return NemytskiiMap(kind="pointwise_sin")
 
 
 # ---------------------------------------------------------------------------

@@ -474,8 +474,8 @@ def estimate_time_regularity(configs, delta: float, lag_steps: list,
     ``noise`` (else ValueError naming the first field that differs); one
     report is returned per config, in order. Every preset is driven by
     the same fBm samples, drawn once per block (solver.sample_map):
-    a config's report is the one it gets alone, bit for bit for F = 0,
-    the scaled F and the fast sine path. On the dense F = sin path the
+    a config's report is the one it gets alone, bit for bit for F = 0
+    and the fast sine path. On the dense F = sin path the
     (n, P*B) product may have other last bits than a (n, B) one: with
     OpenBLAS and P = 2, states differed by up to 1.6e-16 of the largest
     at B = 2 to 4 from 16 modes, and at no mode count up to 511 at B = 1

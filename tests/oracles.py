@@ -8,10 +8,12 @@ Euler sweep of fracspde.kernels. The analytic covariances (fbm_covariance,
 increment_covariance_matrix) are the targets of the sampler tests, and
 the norms measure the semigroup and the projection. unfolded_sin_sweep,
 the F = sin step with its constants applied one by one through the dense
-sine matrix or scipy's DST-I, checks both folded steps of the sweep.
-_block_increments,
-the scaled (M, N, B) block that the studies once swept whole, checks the
-chunked rungs of fracspde.solver._solve_block.
+sine matrix or scipy's DST-I, checks both folded steps of the sweep, and
+sine_factors states the factors those steps fold their constants into.
+_block_increments, the scaled (M, N, B) block that the studies once
+swept whole, checks the chunked rungs of fracspde.solver._solve_block.
+nan_draws puts a NaN into chosen samples' draws, so that the guards
+against non-finite states can be driven without a diverging scheme.
 """
 
 import math
@@ -42,6 +44,8 @@ __all__ = [
     "increment_covariance_matrix",
     "inverse_sine_transform",
     "l2_norm",
+    "nan_draws",
+    "sine_factors",
     "sobolev_norm",
     "toeplitz_bilinear",
     "unfolded_sin_sweep",
@@ -109,8 +113,6 @@ def apply_nemytskii(f: NemytskiiMap, x: SpectralState) -> SpectralState:
     """F(x) in coefficients; pointwise kinds go through the sine grid."""
     if f.kind == "zero":
         return SpectralState(coeffs=np.zeros_like(x.coeffs), time=x.time)
-    if f.kind == "identity_scaled":
-        return SpectralState(coeffs=f.lipschitz_bound * x.coeffs, time=x.time)
     u = sine_transform(x.coeffs)
     return SpectralState(coeffs=inverse_sine_transform(np.sin(u)), time=x.time)
 
@@ -161,6 +163,40 @@ def unfolded_sin_sweep(x0: np.ndarray, step_factor: np.ndarray, tau: float,
         if m in stops:
             states[m] = x
     return np.array([states[k] for k in stops])
+
+
+def sine_factors(f_kind: int, tau: float, step_factor: np.ndarray):
+    """(sin_in, sin_out) into which an F = sin step folds its constants,
+    as the kernels docstring states them: for kernels.F_SIN the (N, N)
+    matrices sqrt(N+1) S and (tau/sqrt(N+1)) diag(step_factor) S, for
+    kernels.F_SIN_FFT the scalar A = (-2c) sqrt(N+1) and the (N,) G =
+    ((-2c) tau / sqrt(N+1)) step_factor, c = 1/sqrt(2(N+1)) in long
+    double; (None, None) for F = 0."""
+    n = step_factor.size
+    root = math.sqrt(n + 1)
+    if f_kind == kernels.F_SIN:
+        mat = sine_matrix(n)
+        return root * mat, (tau / root) * step_factor[:, None] * mat
+    if f_kind == kernels.F_SIN_FFT:
+        minus_2c = -2.0 * float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
+        return minus_2c * root, (minus_2c * tau / root) * step_factor
+    return None, None
+
+
+def nan_draws(monkeypatch, module, seeds, step: int) -> None:
+    """Make ``module``'s increment_rows put a NaN into increment ``step``
+    of mode 0 of every sample whose seed is in ``seeds``; every other
+    value is the one drawn. A sample's column is found by its mode 0 key,
+    mode_keys([seed], 1)."""
+    bad = mode_keys(list(seeds), 1)[0]
+    draw = module.increment_rows
+
+    def poisoned(grid, h, keys, method="circulant"):
+        rows = draw(grid, h, keys, method)
+        rows[0, np.isin(keys[0], bad), step] = np.nan
+        return rows
+
+    monkeypatch.setattr(module, "increment_rows", poisoned)
 
 
 def _block_increments(config, seeds: tuple) -> np.ndarray:

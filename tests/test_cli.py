@@ -1,7 +1,6 @@
 """CLI surface: flags, exit codes, file outputs, manifests."""
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -10,14 +9,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracspde import cli, kernels, solver
+from fracspde import cli, solver
 from fracspde.cli import main
-from fracspde.spectral import scaled_identity_map
+from oracles import nan_draws
 
 
 def run_cli(argv):
@@ -78,6 +76,32 @@ class TestGenFbm:
         assert err.value.code == 2
         assert "tau must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_seed_outside_64_bits_exits_2(self, source, seed, tmp_path,
+                                          capsys):
+        # derive_seed reduces a base mod 2^64: such a seed would write the
+        # bytes of another seed under its own name in the manifest
+        if source == "flag":
+            extra = ["--seed", seed]
+        else:
+            extra = ["--config", _write_config(tmp_path / "run.cfg",
+                                               {"seed": seed})]
+        with pytest.raises(SystemExit) as err:
+            run_cli(["gen-fbm", "--steps", 4, "--out-dir", tmp_path / "out"]
+                    + extra)
+        assert err.value.code == 2
+        assert (f"seed must be in [0, 2^64), got {seed}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_range_ends_accepted(self, tmp_path):
+        for seed in (0, 2**64 - 1):
+            assert run_cli(["gen-fbm", "--steps", 4, "--seed", seed,
+                            "--out-dir", tmp_path, "--tag", seed]) == 0
+        assert ((tmp_path / "fbm_0.csv").read_bytes()
+                != (tmp_path / f"fbm_{2**64 - 1}.csv").read_bytes())
 
     def test_bad_method_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -194,24 +218,19 @@ class TestSolve:
 
     @pytest.mark.parametrize("extra, message", [
         ([], "non-finite state at step 64 of 64"),
-        (["--save-trajectory"], "non-finite state at step"),
-    ], ids=["endpoint", "trajectory"])
+        (["--save-trajectory"], "non-finite state at step 41 of 64"),
+        (["--save-trajectory", "--zero-nonlinearity"],
+         "non-finite state at step 41 of 64"),
+    ], ids=["endpoint", "trajectory", "trajectory-linear"])
     def test_non_finite_state_exits_1(self, tmp_path, monkeypatch, capsys,
                                       extra, message):
-        # F(u) = 1e12 u far above lambda_N: every step multiplies the
-        # state by about 1e10 until it overflows
-        original = cli.she_problem
-
-        def blowing_up(*args, **kwargs):
-            return dataclasses.replace(
-                original(*args, **kwargs),
-                nonlinearity=scaled_identity_map(1e12))
-        monkeypatch.setattr(cli, "she_problem", blowing_up)
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli(["solve", "--modes", 4, "--steps", 64,
-                            "--out-dir", tmp_path, "--tag", "nan"] + extra)
+        # a NaN at increment 40 of the sample's mode 0: the state after
+        # step 41 is the first that is not finite
+        nan_draws(monkeypatch, cli, [5], 40)
+        code = run_cli(["solve", "--modes", 4, "--steps", 64, "--seed", 5,
+                        "--out-dir", tmp_path, "--tag", "nan"] + extra)
         assert code == 1
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.glob("*.csv"))
 
 
@@ -274,7 +293,7 @@ class TestConverge:
         dense = solver._sine_operators
 
         def small_only(n_modes):
-            if n_modes >= kernels._FAST_SINE_MIN_MODES:
+            if n_modes >= solver._FAST_SINE_MIN_MODES:
                 raise AssertionError(f"_sine_operators({n_modes}) called")
             return dense(n_modes)
 

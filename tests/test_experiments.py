@@ -24,8 +24,8 @@ from fracspde.experiments import (
 from fracspde.fbm import aggregate_cylindrical, generate_cylindrical_fbm
 from fracspde.rng import SAMPLE_STREAM, derive_seed
 from fracspde.solver import restrict_config, solve_endpoint
-from fracspde.spectral import scaled_identity_map
 from fracspde.verify import expected_rms_errors
+from oracles import nan_draws
 
 RNG = np.random.default_rng(8)
 
@@ -294,7 +294,6 @@ class TestCoupling:
         )
         small = solve_endpoint(restrict_config(problem, n_modes=3), sample)
         # solving with only the first 3 rows present gives identical bits
-        import dataclasses
         trimmed = dataclasses.replace(sample, values=sample.values[:3])
         small2 = solve_endpoint(restrict_config(problem, n_modes=3), trimmed)
         assert np.array_equal(small.coeffs, small2.coeffs)
@@ -422,16 +421,16 @@ class TestStudyBlocks:
             rtol=1e-12, atol=0.0)
 
     def test_non_finite_errors_raise(self, monkeypatch):
-        # F(u) = 1e12 u far above lambda_N: every sample overflows
+        # a NaN in the draws of samples 4 and 5 of the block 3..5: the
+        # error names those two, by their index in the study
         study = STUDIES["temporal"]()
-        blowing_up = dataclasses.replace(
-            study, problem=dataclasses.replace(
-                study.problem, nonlinearity=scaled_identity_map(1e12)))
+        base = study.problem.base_seed
+        nan_draws(monkeypatch, solver,
+                  [derive_seed(base, SAMPLE_STREAM, s) for s in (4, 5)], 40)
         self.set_block(monkeypatch, study, 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError,
-                               match=r"samples \[0, 1, 2\]"):
-                run_study(blowing_up)
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite state in samples \[4, 5\]$"):
+            run_study(study)
 
 
 class TestReportFiles:

@@ -1,6 +1,6 @@
 """Every exported name resolves: each module's __all__, every name the
 package's __init__ re-exports from its modules, and every fracspde name
-the benchmark's workload script calls. The package re-exports only what
+a file under perfbench/ reads. The package re-exports only what
 a CLI command reaches or the reachability audit allow-lists. Test-only
 references live in tests/oracles.py, not in the package."""
 
@@ -58,22 +58,34 @@ def test_package_reexports_only_reached_or_allowed_names():
 
 
 def test_benchmark_workload_calls_resolve():
-    """Every attribute that perfbench/workload.py reads from a fracspde
-    module it imports (fbm, solver, verify, rng, experiments, cli,
-    kernels) exists, so a rename cannot break the benchmark silently."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workload.py"
-    tree = ast.parse(path.read_text())
-    modules = {alias.asname or alias.name
-               for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom)
-               and node.module == "fracspde"
-               for alias in node.names}
-    used = {(node.value.id, node.attr) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name) and node.value.id in modules}
-    assert {"fbm", "solver", "verify", "rng", "experiments"} <= modules
-    assert ("solver", "linear_mild_reference") in used
-    assert ("fbm", "aggregate_cylindrical") in used
+    """Every attribute that a file under perfbench/ reads from a fracspde
+    module it imports (``from fracspde import fbm, ...``) exists, so a
+    change under src/ cannot break the benchmark, its reference recorder
+    or its tests silently."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    used, importers = set(), {}
+    for path in sorted(bench.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.asname or alias.name: alias.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and node.module == "fracspde"
+                   for alias in node.names}
+        if modules:
+            importers[path.relative_to(bench).as_posix()] = set(
+                modules.values())
+        used |= {(modules[node.value.id], node.attr)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in modules}
+    assert {"workload.py", "record_reference.py",
+            "tests/test_perfbench.py"} <= set(importers)
+    assert {"fbm", "solver", "verify", "rng", "experiments"} <= \
+        importers["workload.py"]
+    assert {("solver", "linear_mild_reference"),
+            ("fbm", "aggregate_cylindrical"),
+            ("kernels", "F_SCALED")} <= used
     missing = sorted(f"{mod}.{attr}" for mod, attr in used
                      if not hasattr(importlib.import_module(f"fracspde.{mod}"),
                                     attr))

@@ -2,17 +2,14 @@
 sample blocks and read-only inputs, and the numpy DST-I against scipy's
 bit for bit and against the dense matrix to rounding."""
 
-import math
-
 import numpy as np
 import pytest
 
 from fracspde import kernels
-from fracspde.spectral import sine_matrix
+from oracles import sine_factors
 
 RNG = np.random.default_rng(42)
-F_KINDS = [kernels.F_ZERO, kernels.F_SCALED, kernels.F_SIN,
-           kernels.F_SIN_FFT]
+F_KINDS = [kernels.F_ZERO, kernels.F_SIN, kernels.F_SIN_FFT]
 
 
 def sweep_args(n_modes, m_steps, f_kind, samples=None):
@@ -24,13 +21,8 @@ def sweep_args(n_modes, m_steps, f_kind, samples=None):
     tail = () if samples is None else (samples,)
     dw = RNG.standard_normal((m_steps, n_modes) + tail) * tau**0.75
     x0 = RNG.standard_normal((n_modes,) + tail)
-    sin_in = sin_out = None
-    if f_kind == kernels.F_SIN:
-        mat = sine_matrix(n_modes)
-        root = math.sqrt(n_modes + 1)
-        sin_in = root * mat
-        sin_out = (tau / root) * step_factor[:, None] * mat
-    return x0, step_factor, tau, dw, f_kind, 1.0, sin_in, sin_out
+    return (x0, step_factor, dw, f_kind,
+            *sine_factors(f_kind, tau, step_factor))
 
 
 def matrix_product(mat, x):
@@ -50,31 +42,24 @@ def zero_tailed_im_rfft(x):
     return np.fft.rfft(ext, axis=0).imag[1:n + 1]
 
 
-def step_loop(x0, step_factor, tau, dw, f_kind, f_scale, sin_in, sin_out):
+def step_loop(x0, step_factor, dw, f_kind, sin_in, sin_out):
     """The scheme one step at a time, for one sample (x0 (N,)) or a block
     (x0 (N, S), each product a matrix-matrix one): all M+1 states. Both
     F = sin kinds run the folded step the sweep runs
     (oracles.unfolded_sin_sweep is the step they fold)."""
     f = step_factor.reshape((-1,) + (1,) * (x0.ndim - 1))
-    if f_kind == kernels.F_SIN_FFT:
-        n = x0.shape[0]
-        minus_2c = -2.0 * float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
-        root = math.sqrt(n + 1)
-        into = minus_2c * root
-        back = ((minus_2c * tau / root) * step_factor).reshape(f.shape)
     states = [x0]
     x = x0
     for m in range(dw.shape[0]):
         if f_kind == kernels.F_ZERO:
             x = f * (x + dw[m])
-        elif f_kind == kernels.F_SCALED:
-            x = f * (x + tau * (f_scale * x) + dw[m])
         elif f_kind == kernels.F_SIN:
             x = f * (x + dw[m]) + matrix_product(
                 sin_out, np.sin(matrix_product(sin_in, x)))
         else:
-            u = np.sin(into * zero_tailed_im_rfft(x))
-            x = f * (x + dw[m]) + back * zero_tailed_im_rfft(u)
+            u = np.sin(sin_in * zero_tailed_im_rfft(x))
+            x = f * (x + dw[m]) + sin_out.reshape(f.shape) * \
+                zero_tailed_im_rfft(u)
         states.append(x)
     return np.array(states)
 
@@ -112,14 +97,14 @@ def test_stops_are_trajectory_rows(f_kind):
 @pytest.mark.parametrize("f_kind", F_KINDS)
 def test_block_matches_single_samples(f_kind):
     args = sweep_args(12, 64, f_kind, samples=5)
-    x0, step_factor, tau, dw = args[:4]
+    x0, step_factor, dw = args[:3]
     stops = (0, 32, 48, 64)
     block = kernels.euler_sweep(*args, stops)
     assert block.shape == (4, 12, 5)
     for s in range(5):
-        single = kernels.euler_sweep(x0[:, s].copy(), step_factor, tau,
+        single = kernels.euler_sweep(x0[:, s].copy(), step_factor,
                                      np.ascontiguousarray(dw[:, :, s]),
-                                     *args[4:], stops)
+                                     *args[3:], stops)
         err = np.max(np.abs(block[..., s] - single))
         assert err <= 1e-14 * np.max(np.abs(single)), (s, err)
 
@@ -144,12 +129,12 @@ def test_one_column_block_equals_its_column_in_wider_blocks(n_modes):
     column in a two-column block (OpenBLAS's gemv, which a one-column
     product would run, gives other bits than its gemm)."""
     args = sweep_args(n_modes, 32, kernels.F_SIN, samples=2)
-    x0, step_factor, tau, dw = args[:4]
+    x0, step_factor, dw = args[:3]
     pair = kernels.euler_sweep(*args, (8, 32))
     for s in range(2):
-        alone = kernels.euler_sweep(x0[:, s:s + 1].copy(), step_factor, tau,
+        alone = kernels.euler_sweep(x0[:, s:s + 1].copy(), step_factor,
                                     np.ascontiguousarray(dw[:, :, s:s + 1]),
-                                    *args[4:], (8, 32))
+                                    *args[3:], (8, 32))
         assert np.array_equal(alone[..., 0], pair[..., s]), s
 
 
@@ -161,13 +146,15 @@ def test_sweep_rejects_bad_stops(stops):
 
 def test_sweep_rejects_unknown_kind():
     args = list(sweep_args(3, 16, kernels.F_ZERO))
-    args[4] = 4
+    args[3] = 4
     with pytest.raises(ValueError, match="nonlinearity code"):
         kernels.euler_sweep(*args, (16,))
 
 
 @pytest.mark.parametrize("samples", [None, 3])
-@pytest.mark.parametrize("which", [6, 7])
+# ids 6 and 7 keep the case names from when the two matrices sat at those
+# places in the sweep's arguments
+@pytest.mark.parametrize("which", [4, 5], ids=["6", "7"])
 @pytest.mark.parametrize("bad", [None, np.eye(11), np.eye(12)[:, :11]])
 def test_dense_sine_rejects_wrong_matrices(bad, which, samples):
     args = list(sweep_args(12, 16, kernels.F_SIN, samples))
@@ -182,7 +169,9 @@ def test_fast_sine_matches_dense(n_modes, samples):
     """The FFT sweep tracks the dense-matrix sweep to rounding, for one
     sample and for a block, at sizes on both sides of the switch."""
     dense_args = sweep_args(n_modes, 40, kernels.F_SIN, samples)
-    fast_args = dense_args[:4] + (kernels.F_SIN_FFT, 1.0, None, None)
+    step_factor = dense_args[1]
+    fast_args = dense_args[:3] + (kernels.F_SIN_FFT, *sine_factors(
+        kernels.F_SIN_FFT, 1.0 / 40, step_factor))
     stops = (0, 10, 40)
     dense = kernels.euler_sweep(*dense_args, stops)
     fast = kernels.euler_sweep(*fast_args, stops)
@@ -218,9 +207,11 @@ def test_dst1_matches_scipy_bit_for_bit():
 def test_sweep_leaves_inputs_unchanged(f_kind, samples):
     n_modes = 512 if f_kind == kernels.F_SIN_FFT else 12
     args = sweep_args(n_modes, 16, f_kind, samples)
-    x0, step_factor, dw = args[0], args[1], args[3]
-    copies = [x0.copy(), step_factor.copy(), dw.copy()]
+    x0, step_factor, dw, _, sin_in, sin_out = args
+    inputs = [x0, step_factor, dw] + [a for a in (sin_in, sin_out)
+                                      if isinstance(a, np.ndarray)]
+    copies = [a.copy() for a in inputs]
     kernels.euler_sweep(*args, (0, 8, 16))
-    for before, after in zip(copies, (x0, step_factor, dw)):
+    for before, after in zip(copies, inputs):
         assert np.array_equal(before, after)
 

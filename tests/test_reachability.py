@@ -58,9 +58,6 @@ ALLOWED = {
     "fbm.IncrementGrid.horizon": "solver._check_noise_sample",
     # tests empty the factor and form caches between cases
     "fbm.clear_caches": "tests",
-    # the tests' overflow device (F = 1e12 u); perfbench/tests asserts
-    # kernels.F_SCALED, the code of its identity_scaled kind
-    "spectral.scaled_identity_map": "tests",
     # the exact F = 0 oracle family: criterion 8, and ROADMAP items 2, 4
     # and 5 wire it into the convergence reports
     "solver.linear_mild_reference": "tests/test_acceptance.py",
@@ -239,6 +236,16 @@ DRAWER = {"NormalDrawer", "pcg64_states", "seed_words"}
 
 def test_only_the_sampler_uses_the_normal_drawer():
     assert _named_outside(DRAWER, {"fbm", "rng"}) == []
+
+
+# The F = sin switch and the dense sine operators, which only solver may
+# reference in src/: solver._sweep_setup picks the form and builds every
+# factor, and kernels only steps.
+SINE_SETUP = {"_FAST_SINE_MIN_MODES", "_sine_operators"}
+
+
+def test_only_the_sweep_setup_builds_sine_factors():
+    assert _named_outside(SINE_SETUP, {"solver"}) == []
 
 
 def test_every_cache_is_one_that_clear_caches_empties():

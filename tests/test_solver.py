@@ -1,5 +1,6 @@
 """Scheme mechanics: single steps, full sweeps, linear oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,6 @@ from fracspde.spectral import (
     SpectralState,
     dirichlet_laplacian,
     identity_noise,
-    scaled_identity_map,
     sine_map,
     trace_class_noise,
     zero_map,
@@ -40,6 +40,7 @@ from fracspde.verify import check_lambda_phi_bound
 from oracles import (
     _block_increments,
     implicit_euler_step,
+    sine_factors,
     unfolded_sin_sweep,
 )
 
@@ -168,7 +169,6 @@ class TestSolvePath:
         base = solve_endpoint(cfg, sample).coeffs
         perturbed_rows = sample.values.copy()
         perturbed_rows[2] += 10.0
-        import dataclasses
         other = dataclasses.replace(sample, values=perturbed_rows)
         out = solve_endpoint(cfg, other).coeffs
         assert np.array_equal(out[[0, 1, 3]], base[[0, 1, 3]])
@@ -202,16 +202,20 @@ class TestSolvePath:
             solve_endpoint(cfg, small)
 
     def test_non_finite_state_raises(self):
-        # F(u) = 1e12 u far above lambda_N: the state overflows; the path
-        # keeps the non-finite rows (solve --save-trajectory names the
-        # first), the endpoint raises
-        cfg = make_config(n=4, m=64, f=scaled_identity_map(1e12))
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(path_of(cfg, noise_for(cfg))).all(axis=1)
-            assert finite[0] and not finite[-1]
+        # a NaN at increment 40 of mode 0, under F = 0 and F = sin: the
+        # path keeps the non-finite rows from step 41 on (solve
+        # --save-trajectory names the first), the endpoint raises naming
+        # its step
+        for f in (zero_map(), sine_map()):
+            cfg = make_config(n=4, m=64, f=f)
+            values = noise_for(cfg).values.copy()
+            values[0, 40] = np.nan
+            sample = dataclasses.replace(noise_for(cfg), values=values)
+            finite = np.isfinite(path_of(cfg, sample)).all(axis=1)
+            assert finite[:41].all() and not finite[41:].any(), f
             with pytest.raises(FloatingPointError,
-                               match="non-finite state at the endpoint"):
-                solve_endpoint(cfg, noise_for(cfg))
+                               match="^non-finite state at step 64 of 64$"):
+                solve_endpoint(cfg, sample)
 
     def test_step_ratio_must_divide_stops(self):
         cfg = make_config(n=4, m=8)
@@ -333,20 +337,17 @@ class TestSampleMap:
 
 class TestFastSineSwitch:
     """The block driver runs F = sin through the dense sine matrix below
-    kernels._FAST_SINE_MIN_MODES and through the FFT from there on."""
+    solver._FAST_SINE_MIN_MODES and through the FFT from there on, each
+    on the factors that the kernels docstring states."""
 
     def sweep(self, n, f_kind):
         cfg = make_config(n=n, m=12, horizon=0.06, f=sine_map(),
                           noise=identity_noise(n))
         values = noise_for(cfg).values
         factor = 1.0 / (1.0 + cfg.tau * cfg.operator.eigenvalues)
-        mats = (None, None)
-        if f_kind == kernels.F_SIN:
-            mat, root = spectral.sine_matrix(n), math.sqrt(n + 1)
-            mats = (root * mat, (cfg.tau / root) * factor[:, None] * mat)
         expected = kernels.euler_sweep(
-            cfg.initial.coeffs[:, None], factor, cfg.tau,
-            values.T[:, :, None], f_kind, 1.0, *mats, (4, 12))
+            cfg.initial.coeffs[:, None], factor, values.T[:, :, None],
+            f_kind, *sine_factors(f_kind, cfg.tau, factor), (4, 12))
         out = solver._solve_block([cfg], values[:, None, :], [(n, 1)],
                                   (4, 12))[0]
         return out[:, :, 0], expected
@@ -361,8 +362,8 @@ class TestFastSineSwitch:
 
     def test_grid_sine_matrix_built_once_per_n(self):
         cfg = make_config(n=9, m=12, f=sine_map(), noise=identity_noise(9))
-        sin_in = solver._sweep_setup(cfg)[4]
-        again = solver._sweep_setup(restrict_config(cfg, m_steps=6))[4]
+        sin_in = solver._sweep_setup(cfg)[3]
+        again = solver._sweep_setup(restrict_config(cfg, m_steps=6))[3]
         assert again is sin_in and not sin_in.flags.writeable
         assert np.array_equal(sin_in, math.sqrt(10) * spectral.sine_matrix(9))
 
@@ -393,13 +394,13 @@ def test_folded_sine_step_tracks_unfolded(n_modes, samples):
     within 1e-13 relative over 2^12 steps, for one sample and for a
     block. Both run 2^8 steps at a time from the state the last chunk
     ended on, so no (2^12, N, S) increment array is built."""
-    fast = n_modes >= kernels._FAST_SINE_MIN_MODES
+    fast = n_modes >= solver._FAST_SINE_MIN_MODES
     if fast:
         pytest.importorskip("scipy.fft")
     m, chunk = 2**12, 2**8
     cfg = she_problem("she-identity", n_modes=n_modes, m_steps=m,
                       base_seed=0)
-    x0, step_factor, f_kind, f_scale, *mats = solver._sweep_setup(cfg)
+    x0, step_factor, f_kind, *factors = solver._sweep_setup(cfg)
     assert f_kind == (kernels.F_SIN_FFT if fast else kernels.F_SIN)
     tail = () if samples is None else (samples,)
     rng = np.random.default_rng(n_modes)
@@ -407,8 +408,8 @@ def test_folded_sine_step_tracks_unfolded(n_modes, samples):
         0.5 * rng.normal(size=(n_modes,) + tail)
     for m0 in range(0, m, chunk):
         dw = rng.normal(size=(chunk, n_modes) + tail) * cfg.tau**0.75
-        folded = kernels.euler_sweep(folded, step_factor, cfg.tau, dw,
-                                     f_kind, f_scale, *mats, (chunk,))[0]
+        folded = kernels.euler_sweep(folded, step_factor, dw, f_kind,
+                                     *factors, (chunk,))[0]
         unfolded = unfolded_sin_sweep(unfolded, step_factor, cfg.tau, dw,
                                       (chunk,), fast=fast)[0]
         err = np.max(np.abs(folded - unfolded))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracspde import fbm, solver
+from fracspde import fbm, kernels, solver
 from fracspde.fbm import CylindricalFbmSample, HurstParameter, IncrementGrid
 from fracspde.solver import (
     SolverConfig,
@@ -21,7 +21,6 @@ from fracspde.spectral import (
     SpectralState,
     dirichlet_laplacian,
     identity_noise,
-    scaled_identity_map,
     sine_map,
     sine_matrix,
     sine_transform,
@@ -248,10 +247,15 @@ class TestNemytskii:
         x = SpectralState(coeffs=RNG.standard_normal(5))
         assert np.all(apply_nemytskii(zero_map(), x).coeffs == 0.0)
 
-    def test_scaled_identity(self):
-        x = SpectralState(coeffs=RNG.standard_normal(5))
-        out = apply_nemytskii(scaled_identity_map(2.5), x)
-        np.testing.assert_allclose(out.coeffs, 2.5 * x.coeffs, rtol=1e-15)
+    def test_retired_scaled_identity_rejected(self):
+        # F = u -> s u is retired: no map builds it, and the sweep refuses
+        # its code
+        with pytest.raises(ValueError, match="unknown nonlinearity kind "
+                                             "'identity_scaled'"):
+            NemytskiiMap(kind="identity_scaled")
+        with pytest.raises(ValueError, match="unknown nonlinearity code 1"):
+            kernels.euler_sweep(np.zeros(3), np.ones(3), np.zeros((4, 3)),
+                                kernels.F_SCALED, None, None, (4,))
 
     def test_sin_of_zero(self):
         x = SpectralState(coeffs=np.zeros(8))
@@ -265,6 +269,7 @@ class TestNemytskii:
         assert np.abs(out.coeffs[1:]).max() < 1e-12
 
     def test_sin_lipschitz_probe(self):
+        # sin is 1-Lipschitz, and so is F = sin on the sine grid
         f = sine_map()
         op_n = 16
         for _ in range(25):
@@ -273,7 +278,7 @@ class TestNemytskii:
             fa = apply_nemytskii(f, a).coeffs
             fb = apply_nemytskii(f, b).coeffs
             lhs = np.linalg.norm(fa - fb)
-            rhs = f.lipschitz_bound * np.linalg.norm(a.coeffs - b.coeffs)
+            rhs = np.linalg.norm(a.coeffs - b.coeffs)
             assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -315,13 +320,8 @@ NAN, INF = math.nan, math.inf
     (lambda: DiagonalNoiseOperator(amplitudes=[1.0], beta=NAN), "beta"),
     (lambda: SpectralState(coeffs=[0.5, NAN]), "coeffs"),
     (lambda: SpectralState(coeffs=[-INF]), "coeffs"),
-    (lambda: NemytskiiMap(kind="identity_scaled", lipschitz_bound=INF),
-     "lipschitz_bound"),
-    (lambda: NemytskiiMap(kind="identity_scaled", lipschitz_bound=NAN),
-     "lipschitz_bound"),
 ], ids=["eig-nan", "eig-nan-first", "eig-inf", "amp-nan", "amp-inf",
-        "beta-neg-inf", "beta-nan", "coeffs-nan", "coeffs-inf",
-        "lipschitz-inf", "lipschitz-nan"])
+        "beta-neg-inf", "beta-nan", "coeffs-nan", "coeffs-inf"])
 def test_non_finite_input_rejected_by_name(build, field):
     # a non-finite field is refused where it is given, not found later
     # as a non-finite state of the run

@@ -32,7 +32,6 @@ from fracspde.spectral import (
     SpectralState,
     dirichlet_laplacian,
     identity_noise,
-    scaled_identity_map,
     trace_class_noise,
     zero_map,
     zero_noise,
@@ -53,6 +52,7 @@ from fracspde.verify import (
 from oracles import (
     _block_increments,
     increment_covariance_matrix,
+    nan_draws,
     toeplitz_bilinear,
 )
 
@@ -1039,8 +1039,8 @@ class TestRegularityBlocks:
             x0, step_factor, *sweep = solver._sweep_setup(rung)
             return kernels.euler_sweep(
                 np.repeat(x0[:, None], block.shape[2], axis=1), step_factor,
-                rung.tau, fbm._aggregate_values(block[:, :n], q, axis=0),
-                *sweep, [k // q for k in stops])
+                fbm._aggregate_values(block[:, :n], q, axis=0), *sweep,
+                [k // q for k in stops])
 
         cases = [
             ([(n_modes, 1), (n_modes // 2, 1)], (0, 3, 5, 5, 40, 64)),
@@ -1055,7 +1055,7 @@ class TestRegularityBlocks:
                 whole = whole_sweep(stacked_block, n, q, stops)
                 assert np.array_equal(states.reshape(whole.shape), whole), \
                     (n, q)
-                if 16 <= n < kernels._FAST_SINE_MIN_MODES:
+                if 16 <= n < solver._FAST_SINE_MIN_MODES:
                     continue
                 for p, block in enumerate(blocks):
                     assert np.array_equal(states[:, :, p, :],
@@ -1145,16 +1145,18 @@ class TestRegularityBlocks:
                                    np.sqrt(np.mean(sq, axis=0)), rtol=1e-13)
 
     def test_non_finite_states_raise(self, monkeypatch):
-        # F(u) = 1e12 u far above lambda_N: every sample overflows
-        cfg = dataclasses.replace(self.time_config(),
-                                  nonlinearity=scaled_identity_map(1e12))
+        # a NaN in the draw of sample 1 of the block 0..2: the error names
+        # that sample alone, for one preset and for two stacked
+        cfg = self.time_config()
+        nan_draws(monkeypatch, solver,
+                  [derive_seed(cfg.base_seed, SAMPLE_STREAM, 1)], 40)
         self.set_block(monkeypatch, cfg, 3)
-        with np.errstate(over="ignore", invalid="ignore"):
+        for configs in ([cfg], [cfg, self.time_config("she-identity")]):
             with pytest.raises(FloatingPointError,
-                               match=r"samples \[0, 1, 2\]"):
-                estimate_time_regularity([cfg], delta=0.0,
+                               match=r"^non-finite state in samples \[1\]$"):
+                estimate_time_regularity(configs, delta=0.0,
                                          lag_steps=self.LAGS, samples=8)
             with pytest.raises(FloatingPointError,
-                               match=r"samples \[0, 1, 2\]"):
-                estimate_space_regularity([cfg], n_ladder=self.LADDER,
+                               match=r"^non-finite state in samples \[1\]$"):
+                estimate_space_regularity(configs, n_ladder=self.LADDER,
                                           deltas=(0.0,), samples=8)
