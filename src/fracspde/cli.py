@@ -36,7 +36,7 @@ from .fbm import (
 from .rng import derive_seed
 from .solver import SolverConfig, _solve_sample
 from .spectral import sine_grid, sine_transform
-from .experiments import SHE_PRESETS, _fmt, she_problem
+from .experiments import SHE_PRESETS, she_problem
 
 
 def _timestamp() -> str:
@@ -113,14 +113,6 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> tuple:
             # argparse drops the literal "--" of "--flag=--" and stores []
             cfg[dest] = _value(sub, action, action.option_strings[0], "--")
     return command, cfg
-
-
-def _write_rows(path: Path, rows) -> None:
-    """One CSV line per row, written as it is formatted: the text of all
-    rows would take several times their values' memory."""
-    with path.open("w") as out:
-        out.writelines(",".join(map(_fmt, row.tolist())) + "\n"
-                       for row in rows)
 
 
 def _write_manifest(out_dir: Path, command: str, tag: str, config: dict,
@@ -222,7 +214,7 @@ def _run_gen_fbm(inputs: tuple, cfg: dict, out_dir: Path, tag: str) -> tuple:
     rows = increment_rows(grid, hurst, mode_keys([cfg["seed"]], cfg["modes"]),
                           cfg["method"])
     csv_path = out_dir / f"fbm_{tag}.csv"
-    _write_rows(csv_path, rows[:, 0])
+    experiments.write_rows(csv_path, rows[:, 0])
     print(f"wrote {csv_path} ({cfg['modes']} modes x {cfg['steps']} steps)")
     return 0, [csv_path]
 
@@ -250,20 +242,17 @@ def _run_solve(problem: SolverConfig, cfg: dict, out_dir: Path,
     stops = range(m + 1) if cfg["save_trajectory"] else (m,)
     states = _solve_sample(problem, dw, stops)
     coeffs = states[-1]
-    physical = sine_transform(coeffs)
-    xs = sine_grid(problem.n_modes)
 
     end_path = out_dir / f"solve_{cfg['preset']}_{tag}.csv"
-    lines = ["mode,coefficient,grid_x,physical_value"]
-    for n in range(problem.n_modes):
-        lines.append(f"{n + 1},{_fmt(coeffs[n])},{_fmt(xs[n])},"
-                     f"{_fmt(physical[n])}")
-    end_path.write_text("\n".join(lines) + "\n")
+    experiments.write_rows(end_path, np.column_stack((
+        np.arange(1, problem.n_modes + 1), coeffs,
+        sine_grid(problem.n_modes), sine_transform(coeffs))),
+        "mode,coefficient,grid_x,physical_value")
     artifacts = [end_path]
 
     if cfg["save_trajectory"]:
         traj_path = out_dir / f"solve_{cfg['preset']}_{tag}_trajectory.csv"
-        _write_rows(traj_path, states)
+        experiments.write_rows(traj_path, states)
         artifacts.append(traj_path)
 
     print(f"endpoint L2 norm {np.linalg.norm(coeffs):.6f}; "

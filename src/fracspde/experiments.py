@@ -16,6 +16,7 @@ worker count given the same base seed.
 import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "run_study",
     "she_problem",
     "write_report",
+    "write_rows",
 ]
 
 SHE_PRESETS = ("she-identity", "she-trace")
@@ -168,6 +170,8 @@ def fit_slope(xs: np.ndarray, ys: np.ndarray):
         raise ValueError("fit_slope needs at least 3 points")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise ValueError("fit_slope needs strictly positive values")
+    if xs.min() == xs.max():
+        raise ValueError("fit_slope needs at least 2 distinct abscissae")
     lx, ly = np.log(xs), np.log(ys)
     dx = lx - lx.mean()
     sxx = dx @ dx
@@ -315,6 +319,19 @@ def _finite_or_null(x: float):
     return x if math.isfinite(x) else None
 
 
+def write_rows(path, rows, header=None) -> None:
+    """One CSV line per row of ``rows``, after the ``header`` line if
+    given, each written as it is formatted: the text of all rows would
+    take several times their values' memory. Every value prints in
+    _fmt's 17 significant digits, so an integral one prints as an
+    integer ("64")."""
+    with Path(path).open("w") as out:
+        if header is not None:
+            out.write(header + "\n")
+        out.writelines(",".join(map(_fmt, row.tolist())) + "\n"
+                       for row in rows)
+
+
 def write_report(report: ErrorReport, out_dir, basename: str):
     """Write <basename>.csv and <basename>.json under out_dir.
 
@@ -322,16 +339,13 @@ def write_report(report: ErrorReport, out_dir, basename: str):
     byte-identical; timestamps belong to the run manifest. The JSON is
     strict: an unfitted ladder's slope and its halfwidth are null.
     """
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{basename}.csv"
-    lines = ["resolution,rms_error,std_error"]
-    for res, rms, se in zip(report.resolutions, report.rms_errors,
-                            report.std_errors):
-        lines.append(f"{int(res)},{_fmt(rms)},{_fmt(se)}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    write_rows(csv_path, np.column_stack((report.resolutions,
+                                          report.rms_errors,
+                                          report.std_errors)),
+               "resolution,rms_error,std_error")
 
     json_path = out / f"{basename}.json"
     payload = {

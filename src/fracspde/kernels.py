@@ -31,19 +31,16 @@ matrices (O(N^2) per product): ``sin_in`` = sqrt(N+1) S and ``sin_out``
 = (tau/sqrt(N+1)) diag(step_factor) S. F_SIN_FFT (O(N log N), no matrix)
 runs S x as numpy's ``rfft`` of length 2(N+1): with x in rows 1..N of a
 zero-tailed buffer, the imaginary parts of bins 1..N are half those of
-x's odd extension, -S x / (2c) with c = 1/sqrt(2(N+1)) computed in long
-double. So its step is x <- step_factor * (x + dW) + G * Im(rfft(sin(A *
-Im(rfft(x))))), with the scalar ``sin_in`` = A = (-2c) sqrt(N+1) and the
-(N,) ``sin_out`` = G = ((-2c) tau / sqrt(N+1)) step_factor. Each form
+x's odd extension, -S x / (2c) with c = 1/sqrt(2(N+1)) the DST-I's
+scale (``spectral._dst1_scale``). So its step is x <- step_factor * (x +
+dW) + G * Im(rfft(sin(A * Im(rfft(x))))), with the scalar ``sin_in`` =
+A = (-2c) sqrt(N+1) and the (N,) ``sin_out`` = G = ((-2c) tau /
+sqrt(N+1)) step_factor. Each form
 tracks the unfolded step step_factor * (x + tau (S @ sin(sqrt(N+1) S @
 x)) / sqrt(N+1) + dW) to rounding, not bit for bit (tested within 1e-13
 relative over 2^12 steps: the dense form at N = 8, 64 and 511, the fast
 one against scipy's DST-I at N = 512, 520 and 1024), and the two forms
-agree to rounding (tested within 1e-12 relative). ``_dst1``, the
-orthonormal DST-I that ``spectral.sine_transform`` runs, transforms the
-odd extension and equals ``scipy.fft.dst(type=1, norm="ortho")`` bit for
-bit: both run pocketfft's real FFT and scale by c, so numpy alone
-carries the transform and no run imports scipy. Where the forms switch,
+agree to rounding (tested within 1e-12 relative). Where the forms switch,
 and the per-step timings behind it, is ``solver._FAST_SINE_MIN_MODES``.
 
 Every sweep works in place on state buffers allocated once per call,
@@ -172,22 +169,3 @@ def euler_sweep(x0, step_factor, dw_scaled, f_kind, sin_in, sin_out, stops):
         start = stop
     return out
 
-
-def _dst1(x, axis=0):
-    """Orthonormal DST-I along ``axis``: sine_matrix(N) @ x in O(N log N).
-
-    x goes into rows 1..N of a zero-bordered length-2(N+1) buffer along
-    axis 0, mirrored oddly into rows N+2.., and -c times the imaginary
-    parts of bins 1..N of numpy's ``rfft`` are the transform. c =
-    1/sqrt(2(N+1)) is computed in long double, as pocketfft computes
-    scipy's orthonormal scale; in double, the last bits differ from
-    scipy's at some N (N = 13 is one).
-    """
-    x = np.moveaxis(np.asarray(x, dtype=float), axis, 0)
-    n = x.shape[0]
-    ext = np.zeros((2 * n + 2,) + x.shape[1:])
-    ext[1:n + 1] = x
-    np.negative(x[::-1], ext[n + 2:])
-    bins = np.fft.rfft(ext, axis=0).imag[1:n + 1]
-    out = np.multiply(bins, -float(1 / np.sqrt(np.longdouble(2 * (n + 1)))))
-    return np.moveaxis(out, 0, axis)

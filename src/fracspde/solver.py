@@ -36,6 +36,7 @@ from .spectral import (
     NemytskiiMap,
     SpectralOperator,
     SpectralState,
+    _dst1_scale,
     sine_matrix,
 )
 
@@ -173,8 +174,8 @@ def _sweep_setup(config: SolverConfig):
     once per N by _sine_operators, whose cache fbm.clear_caches empties)
     and sin_out = (tau/sqrt(N+1)) diag(step_factor) S maps sin of them
     back. The fast step's are the scalar A = (-2c) sqrt(N+1) and the (N,)
-    G = ((-2c) tau / sqrt(N+1)) step_factor, c = 1/sqrt(2(N+1)) in long
-    double (see ``kernels`` for the transform). Each tracks the unfolded
+    G = ((-2c) tau / sqrt(N+1)) step_factor, c = 1/sqrt(2(N+1)) the
+    DST-I's scale (``spectral._dst1_scale``). Each tracks the unfolded
     step step_factor * (x + tau (S @ sin(sqrt(N+1) S @ x)) / sqrt(N+1) +
     dW) to rounding (tested within 1e-13 relative over 2^12 steps). F = 0
     takes None for both factors.
@@ -186,7 +187,7 @@ def _sweep_setup(config: SolverConfig):
     sin_in = sin_out = None
     if f_kind == kernels.F_SIN and n >= _FAST_SINE_MIN_MODES:
         f_kind = kernels.F_SIN_FFT
-        minus_2c = -2.0 * float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
+        minus_2c = -2.0 * _dst1_scale(n)
         sin_in = minus_2c * math.sqrt(n + 1)
         sin_out = (minus_2c * tau / math.sqrt(n + 1)) * step_factor
     elif f_kind == kernels.F_SIN:
@@ -247,12 +248,6 @@ def _sample_blocks(config: SolverConfig, samples: int) -> list:
             for first in range(0, samples, size)]
 
 
-# Fields in which the configs of one _solve_block call must agree: all
-# but ``noise``, so every preset is driven by the same fBm.
-_SHARED_FIELDS = ("n_modes", "m_steps", "horizon", "hurst", "operator",
-                  "nonlinearity", "initial", "base_seed", "fbm_method")
-
-
 def _same_value(a, b) -> bool:
     """Value equality through nested dataclasses and arrays."""
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -265,15 +260,16 @@ def _same_value(a, b) -> bool:
 
 def _check_presets(configs) -> list:
     """The configs as a nonempty list; ValueError naming the first field
-    of _SHARED_FIELDS in which one differs from the first config."""
+    of the first config, ``noise`` aside, in which another differs from
+    it: every preset of one _solve_block call is driven by the same fBm."""
     configs = list(configs)
     if not configs:
         raise ValueError("need at least one config")
     for other in configs[1:]:
-        for name in _SHARED_FIELDS:
-            if not _same_value(getattr(configs[0], name),
-                               getattr(other, name)):
-                raise ValueError(f"configs differ in {name}; they may "
+        for f in dataclasses.fields(configs[0]):
+            if f.name != "noise" and not _same_value(
+                    getattr(configs[0], f.name), getattr(other, f.name)):
+                raise ValueError(f"configs differ in {f.name}; they may "
                                  "differ in noise only")
     return configs
 
@@ -421,6 +417,8 @@ def sample_map(configs, samples: int, rungs, stops, reduce, args=(),
     """
     configs, stops = _check_presets(configs), tuple(stops)
     rungs = _check_rungs(configs[0], rungs, stops)
+    if not stops:
+        raise ValueError("need at least one stop")
     jobs = [(configs, rungs, stops, reduce, tuple(args), first, seeds)
             for first, seeds in _sample_blocks(configs[0], samples)]
     return np.concatenate(parallel_map(_map_block, jobs, workers), axis=1)

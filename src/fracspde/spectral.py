@@ -6,14 +6,21 @@ operations; the solver applies them inline. The only non-diagonal piece
 is the Nemytskii map, evaluated by collocation on the interior sine grid
 (pseudo-spectral, no dealiasing: the aliasing error is dominated by the
 scheme's discretization error at the resolutions used here).
+
+The orthonormal DST-I ``_dst1`` behind ``sine_transform`` transforms the
+odd extension with numpy's ``rfft`` and scales by c = 1/sqrt(2(N+1)),
+``_dst1_scale``, computed in long double as pocketfft computes scipy's
+orthonormal scale. So it equals ``scipy.fft.dst(type=1, norm="ortho")``
+bit for bit (in double, the last bits differ from scipy's at some N; N
+= 13 is one), numpy alone carries the transform and no run imports
+scipy. The fast F = sin step takes its constants from the same scale
+(``solver._sweep_setup``).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import kernels
 
 __all__ = [
     "DiagonalNoiseOperator",
@@ -194,4 +201,27 @@ def sine_transform(coeffs: np.ndarray) -> np.ndarray:
     """Evaluate u(x_k) = sum_n c_n sqrt(2) sin(n pi x_k) on the sine grid."""
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.shape[-1]
-    return math.sqrt(n + 1) * kernels._dst1(coeffs, axis=-1)
+    return math.sqrt(n + 1) * _dst1(coeffs, axis=-1)
+
+
+def _dst1_scale(n: int) -> float:
+    """c = 1/sqrt(2(N+1)), the orthonormal DST-I's scale, rounded once
+    from long double."""
+    return float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
+
+
+def _dst1(x, axis=0):
+    """Orthonormal DST-I along ``axis``: sine_matrix(N) @ x in O(N log N).
+
+    x goes into rows 1..N of a zero-bordered length-2(N+1) buffer along
+    axis 0, mirrored oddly into rows N+2.., and -c times the imaginary
+    parts of bins 1..N of numpy's ``rfft`` are the transform, c =
+    _dst1_scale(N).
+    """
+    x = np.moveaxis(np.asarray(x, dtype=float), axis, 0)
+    n = x.shape[0]
+    ext = np.zeros((2 * n + 2,) + x.shape[1:])
+    ext[1:n + 1] = x
+    np.negative(x[::-1], ext[n + 2:])
+    bins = np.fft.rfft(ext, axis=0).imag[1:n + 1]
+    return np.moveaxis(np.multiply(bins, -_dst1_scale(n)), 0, axis)

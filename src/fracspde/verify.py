@@ -196,6 +196,8 @@ def isometry_analytic_rhs(psis: list, grid: IncrementGrid,
     shapes = {np.shape(p) for p in psis}
     if len(shapes) != 1 or len(min(shapes)) != 2:
         raise ValueError("integrand matrices must be 2-d and share one shape")
+    if min(shapes)[1] == 0:
+        raise ValueError("integrand matrices need at least one noise column")
     total = 0.0
     for i in range(m):
         for j in range(m):
@@ -488,8 +490,8 @@ def estimate_time_regularity(configs, delta: float, lag_steps: list,
     config = configs[0]
     m = config.m_steps
     lag_steps = sorted(int(lag) for lag in lag_steps)
-    if len(lag_steps) < 3:
-        raise ValueError("need at least 3 lags to fit an exponent")
+    if len(set(lag_steps)) < 3:
+        raise ValueError("need at least 3 distinct lags to fit an exponent")
     if lag_steps[0] < 1 or lag_steps[-1] >= m:
         raise ValueError("lags must lie inside the trajectory")
     # (P, samples, lags) in C order, so each preset's mean over samples

@@ -33,6 +33,7 @@ from fracspde.spectral import (
     NemytskiiMap,
     SpectralOperator,
     SpectralState,
+    _dst1,
     sine_matrix,
     sine_transform,
 )
@@ -91,7 +92,7 @@ def inverse_sine_transform(values: np.ndarray) -> np.ndarray:
     """Recover coefficients from sine-grid values (exact round trip)."""
     values = np.asarray(values, dtype=float)
     n = values.shape[-1]
-    return kernels._dst1(values, axis=-1) / math.sqrt(n + 1)
+    return _dst1(values, axis=-1) / math.sqrt(n + 1)
 
 
 def _toeplitz_matvec(gamma: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Kernels: the Euler sweep against an explicit per-step loop, its stops,
-sample blocks and read-only inputs, and the numpy DST-I against scipy's
-bit for bit and against the dense matrix to rounding."""
+sample blocks and read-only inputs, and its fast F = sin step against
+the dense one to rounding."""
 
 import numpy as np
 import pytest
@@ -178,28 +178,6 @@ def test_fast_sine_matches_dense(n_modes, samples):
     assert fast.shape == dense.shape
     err = np.max(np.abs(fast - dense))
     assert err <= 1e-12 * np.max(np.abs(dense)), err
-
-
-DST_SIZES = list(range(1, 131)) + [255, 256, 511, 512, 513, 520, 600, 1023,
-                                    1024, 4096]
-
-
-def test_dst1_matches_scipy_bit_for_bit():
-    """The numpy DST-I equals scipy's orthonormal DST-I in every bit, for
-    one vector, along axis 0 of an (N, S) block and along the last axis
-    of an (S, N) block."""
-    sfft = pytest.importorskip("scipy.fft")
-    for n in DST_SIZES:
-        x = RNG.standard_normal(n)
-        block = RNG.standard_normal((n, 3))
-        rows = np.ascontiguousarray(block.T)
-        assert np.array_equal(kernels._dst1(x),
-                              sfft.dst(x, type=1, norm="ortho")), n
-        assert np.array_equal(kernels._dst1(block),
-                              sfft.dst(block, type=1, norm="ortho",
-                                       axis=0)), n
-        assert np.array_equal(kernels._dst1(rows, axis=-1),
-                              sfft.dst(rows, type=1, norm="ortho")), n
 
 
 @pytest.mark.parametrize("samples", [None, 3])

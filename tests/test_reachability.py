@@ -221,7 +221,7 @@ def test_only_the_map_cuts_draws_and_maps_blocks():
 
 # The sampler's chunk rule, which only fbm may reference in src/ and in
 # the tests' oracles: every other draw is one fbm.increment_rows call.
-CHUNK_RULE = {"_increment_chunks", "_chunk_rows", "_ROW_CHUNK_BYTES"}
+CHUNK_RULE = {"_ROW_CHUNK_BYTES"}
 
 
 def test_only_the_sampler_knows_its_chunk_rule():
@@ -246,6 +246,21 @@ SINE_SETUP = {"_FAST_SINE_MIN_MODES", "_sine_operators"}
 
 def test_only_the_sweep_setup_builds_sine_factors():
     assert _named_outside(SINE_SETUP, {"solver"}) == []
+
+
+# The orthonormal DST-I and its long-double scale, which only spectral
+# may reference in src/: the fast F = sin step reads the scale through
+# spectral._dst1_scale.
+DST1 = {"_dst1", "longdouble"}
+
+
+def test_only_spectral_computes_the_dst1_and_its_scale():
+    assert _named_outside(DST1, {"spectral"}) == []
+
+
+def test_only_experiments_formats_csv_values():
+    # every CSV line goes through experiments.write_rows
+    assert _named_outside({"_fmt"}, {"experiments"}) == []
 
 
 def test_every_cache_is_one_that_clear_caches_empties():

@@ -306,9 +306,10 @@ class TestSampleMap:
         ([(4, 1)], (4, 9), "stop 9 outside"),
         ([(4, 1)], (-1, 8), "stop -1 outside"),
         ([(4, 1)], (6, 4), "stop 4 outside"),
+        ([(4, 1)], (), "need at least one stop"),
     ], ids=["empty", "n-above-N", "n-zero", "q-not-dividing-M",
             "q-not-dividing-a-stop", "stop-above-M", "stop-negative",
-            "stops-descending"])
+            "stops-descending", "no-stops"])
     def test_rejects_before_any_draw(self, rungs, stops, match,
                                      monkeypatch):
         cfg = make_config(n=4, m=8)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracspde import fbm, kernels, solver
+from fracspde import fbm, kernels, solver, spectral
 from fracspde.fbm import CylindricalFbmSample, HurstParameter, IncrementGrid
 from fracspde.solver import (
     SolverConfig,
@@ -220,6 +220,27 @@ class TestSineTransform:
         fast = sine_transform(c)
         dense = math.sqrt(n + 1) * (sine_matrix(n) @ c)
         np.testing.assert_allclose(fast, dense, rtol=1e-12, atol=1e-12)
+
+    DST_SIZES = list(range(1, 131)) + [255, 256, 511, 512, 513, 520, 600,
+                                        1023, 1024, 4096]
+
+    def test_dst1_matches_scipy_bit_for_bit(self):
+        """The numpy DST-I equals scipy's orthonormal DST-I in every bit,
+        for one vector, along axis 0 of an (N, S) block and along the last
+        axis of an (S, N) block."""
+        sfft = pytest.importorskip("scipy.fft")
+        rng = np.random.default_rng(42)
+        for n in self.DST_SIZES:
+            x = rng.standard_normal(n)
+            block = rng.standard_normal((n, 3))
+            rows = np.ascontiguousarray(block.T)
+            assert np.array_equal(spectral._dst1(x),
+                                  sfft.dst(x, type=1, norm="ortho")), n
+            assert np.array_equal(spectral._dst1(block),
+                                  sfft.dst(block, type=1, norm="ortho",
+                                           axis=0)), n
+            assert np.array_equal(spectral._dst1(rows, axis=-1),
+                                  sfft.dst(rows, type=1, norm="ortho")), n
 
     def test_sine_matrix_involutory(self):
         s = sine_matrix(9)

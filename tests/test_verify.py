@@ -236,6 +236,7 @@ class TestItoIsometry:
         ([np.ones((2, 3))] * 5, "one integrand matrix per grid interval"),
         ([np.ones(3)] * 6, "must be 2-d"),
         ([np.ones((2, 3))] * 5 + [np.ones(3)], "must be 2-d"),
+        ([np.ones((2, 0))] * 6, "at least one noise column"),
     ])
     def test_bad_integrands_rejected_before_any_draw(self, psis, match,
                                                      monkeypatch):
@@ -260,6 +261,10 @@ class TestPowerLawFit:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             fit_slope(np.array([1.0, 2.0, 4.0]), np.array([1.0, 0.0, 1.0]))
+
+    def test_rejects_one_distinct_abscissa(self):
+        with pytest.raises(ValueError, match="2 distinct abscissae"):
+            fit_slope(np.full(3, 0.125), np.array([1.0, 2.0, 4.0]))
 
 
 class TestLinearOracles:
@@ -881,6 +886,16 @@ class TestTimeRegularity:
             estimate_time_regularity([cfg], delta=0.0, lag_steps=(8, 16),
                                      samples=2)
 
+    def test_needs_three_distinct_lags(self, monkeypatch):
+        cfg = linear_config(4, 64, trace_class_noise(4))
+        draws = []
+        monkeypatch.setattr(solver, "increment_rows",
+                            lambda *a: draws.append(a))
+        with pytest.raises(ValueError, match="3 distinct lags"):
+            estimate_time_regularity([cfg], delta=0.0, lag_steps=(8, 8, 8),
+                                     samples=2)
+        assert draws == []
+
 
 class TestSpaceRegularity:
     def test_zero_noise_is_deterministic(self):
@@ -1070,7 +1085,8 @@ class TestRegularityBlocks:
                   for k in range(3)] for s in range(5)] for p in range(2)]
         assert np.array_equal(sums, np.array(loop))
 
-    @pytest.mark.parametrize("field", solver._SHARED_FIELDS)
+    @pytest.mark.parametrize("field", [
+        f.name for f in dataclasses.fields(SolverConfig) if f.name != "noise"])
     def test_configs_must_agree_but_in_noise(self, field):
         cfg = self.time_config()
         other = {
@@ -1093,6 +1109,19 @@ class TestRegularityBlocks:
         with pytest.raises(ValueError, match=f"differ in {field};"):
             estimate_space_regularity([cfg, noisier], n_ladder=(2, 4),
                                       deltas=(0.0,), samples=2)
+
+    def test_configs_must_agree_in_a_subclass_field(self):
+        @dataclasses.dataclass(frozen=True, eq=False)
+        class LabelledConfig(SolverConfig):
+            label: str = ""
+
+        cfg = LabelledConfig(**{
+            f.name: getattr(self.time_config(), f.name)
+            for f in dataclasses.fields(SolverConfig)}, label="a")
+        other = dataclasses.replace(cfg, noise=identity_noise(8), label="b")
+        with pytest.raises(ValueError, match="differ in label;"):
+            estimate_time_regularity([cfg, other], delta=0.0,
+                                     lag_steps=self.LAGS, samples=2)
 
     @pytest.mark.parametrize("presets", [1, 2, 3])
     def test_one_draw_per_block_for_any_preset_count(self, presets,
