@@ -16,7 +16,6 @@ become the command's defaults, so a flag on the command line wins.
 """
 
 import argparse
-import json
 import sys
 import time
 from datetime import datetime, timezone
@@ -126,8 +125,8 @@ def _write_manifest(out_dir: Path, command: str, tag: str, config: dict,
         "duration_seconds": time.monotonic() - started,
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    path = out_dir / f"{command}_{tag}_manifest.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    experiments.write_json(out_dir / f"{command}_{tag}_manifest.json",
+                           payload)
     for artifact in artifacts:
         if not Path(artifact).exists():  # pragma: no cover - safety net
             raise RuntimeError(f"artifact missing at exit: {artifact}")
@@ -398,10 +397,8 @@ def _run_verify(suites: dict, cfg: dict, out_dir: Path, tag: str) -> tuple:
         print(f"[{status}] suite {name}")
 
     report_path = out_dir / f"verify_{cfg['suite']}_{tag}.json"
-    report_path.write_text(
-        json.dumps({"passed": all_passed, "suites": results}, indent=2,
-                   sort_keys=True, default=float) + "\n"
-    )
+    experiments.write_json(report_path,
+                           {"passed": all_passed, "suites": results})
     print(f"wrote {report_path}")
     return (0 if all_passed else 1), [report_path]
 
@@ -429,6 +426,10 @@ def main(argv=None) -> int:
                 # derive_seed reduces a base mod 2^64: another seed's draws
                 raise ValueError(f"seed must be in [0, 2^64), got "
                                  f"{cfg['seed']}")
+            if cfg["tag"] and Path(cfg["tag"]).name != cfg["tag"]:
+                # a tag names files in --out-dir, never a directory
+                raise ValueError(f"tag must hold no path separator, got "
+                                 f"{cfg['tag']!r}")
             inputs = check(cfg)
         except ValueError as exc:  # usage error: nothing is written
             parser.error(str(exc))

@@ -41,6 +41,7 @@ __all__ = [
     "rms_error",
     "run_study",
     "she_problem",
+    "write_json",
     "write_report",
     "write_rows",
 ]
@@ -332,6 +333,14 @@ def write_rows(path, rows, header=None) -> None:
                        for row in rows)
 
 
+def write_json(path, payload) -> None:
+    """``payload`` as strict JSON, keys sorted and indented, and a final
+    newline: ValueError, with nothing written, if it holds a NaN or an
+    infinity."""
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True,
+                                     allow_nan=False) + "\n")
+
+
 def write_report(report: ErrorReport, out_dir, basename: str):
     """Write <basename>.csv and <basename>.json under out_dir.
 
@@ -358,6 +367,5 @@ def write_report(report: ErrorReport, out_dir, basename: str):
         "theoretical_slope": float(report.theoretical_slope),
         "metadata": report.metadata,
     }
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                                    allow_nan=False) + "\n")
+    write_json(json_path, payload)
     return csv_path, json_path

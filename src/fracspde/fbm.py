@@ -176,7 +176,7 @@ def check_method(method: str, m_steps: int) -> None:
         )
 
 
-# every cache that clear_caches empties: this module's, solver's, verify's
+# every cache that clear_caches empties: this module's two and verify's one
 _CACHES = []
 
 

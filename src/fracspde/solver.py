@@ -24,7 +24,6 @@ from .fbm import (
     HurstParameter,
     IncrementGrid,
     _aggregate_values,
-    _bounded_cache,
     check_method,
     increment_rows,
     mode_keys,
@@ -133,16 +132,6 @@ def _check_noise_sample(config: SolverConfig, sample: CylindricalFbmSample,
                          f"config horizon {config.horizon}")
 
 
-@_bounded_cache
-def _sine_operators(n: int):
-    """(S, sqrt(N+1) S), read-only: the dense sine matrix and its map
-    from coefficients to grid values, built once per N."""
-    mat = sine_matrix(n)
-    sin_in = math.sqrt(n + 1) * mat
-    sin_in.flags.writeable = False
-    return mat, sin_in
-
-
 # Smallest mode count at which the F = sin sweep runs kernels.F_SIN_FFT,
 # not the dense F_SIN. Measured per step on one thread (2-vCPU VM whose
 # speed swings up to 1.7x, numpy 2.4, OpenBLAS 0.3; medians of 11
@@ -168,12 +157,12 @@ def _sweep_setup(config: SolverConfig):
     _FAST_SINE_MIN_MODES = 512 modes and two real FFTs of length 2(N+1)
     per step (kernels.F_SIN_FFT) from there on; the two agree to rounding
     (tested within 1e-12 relative). Both fold the step's constants into
-    the two factors built here, once per rung, so a step is step_factor *
-    (x + dW) + out(sin(in(x))). The dense step's are matrices: sin_in =
-    sqrt(N+1) S maps coefficients to grid values (S and sin_in are built
-    once per N by _sine_operators, whose cache fbm.clear_caches empties)
-    and sin_out = (tau/sqrt(N+1)) diag(step_factor) S maps sin of them
-    back. The fast step's are the scalar A = (-2c) sqrt(N+1) and the (N,)
+    the two factors built here, once per rung of a block and never
+    cached, so a step is step_factor * (x + dW) + out(sin(in(x))). The
+    dense step's are matrices, from S = spectral.sine_matrix(N): sin_in =
+    sqrt(N+1) S maps coefficients to grid values and sin_out =
+    (tau/sqrt(N+1)) diag(step_factor) S maps sin of them back. The fast
+    step's are the scalar A = (-2c) sqrt(N+1) and the (N,)
     G = ((-2c) tau / sqrt(N+1)) step_factor, c = 1/sqrt(2(N+1)) the
     DST-I's scale (``spectral._dst1_scale``). Each tracks the unfolded
     step step_factor * (x + tau (S @ sin(sqrt(N+1) S @ x)) / sqrt(N+1) +
@@ -191,7 +180,8 @@ def _sweep_setup(config: SolverConfig):
         sin_in = minus_2c * math.sqrt(n + 1)
         sin_out = (minus_2c * tau / math.sqrt(n + 1)) * step_factor
     elif f_kind == kernels.F_SIN:
-        mat, sin_in = _sine_operators(n)
+        mat = sine_matrix(n)
+        sin_in = math.sqrt(n + 1) * mat
         sin_out = (tau / math.sqrt(n + 1)) * step_factor[:, None] * mat
     x0 = np.ascontiguousarray(config.initial.coeffs[:n], dtype=float)
     return x0, step_factor, f_kind, sin_in, sin_out

@@ -186,8 +186,8 @@ def sine_matrix(n_modes: int) -> np.ndarray:
     """Dense symmetric orthonormal DST-I matrix S (S @ S = I), read-only.
 
     Physical values are sqrt(N+1) * (S @ coeffs). It is the O(N^2)
-    oracle for the fast transform; the dense F = sin step caches it
-    (solver._sine_operators).
+    oracle for the fast transform; solver._sweep_setup builds the dense
+    F = sin step's two factors from it, once per rung of a block.
     """
     j = np.arange(1, n_modes + 1)
     mat = np.sqrt(2.0 / (n_modes + 1)) * np.sin(

@@ -35,6 +35,7 @@ reference and the (q, lag) specs, so _unit_forms caches them
 FFT.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ from .experiments import fit_slope
 from .rng import SAMPLE_STREAM, derive_seed
 from .solver import (
     SolverConfig,
+    _BLOCK_BYTES,
     _check_presets,
     _check_rungs,
     linear_support,
@@ -206,11 +208,6 @@ def isometry_analytic_rhs(psis: list, grid: IncrementGrid,
     return total
 
 
-# Size of one isometry block's increments, B*K*M doubles: the draw's
-# memory does not grow with the sample count.
-_ISOMETRY_BLOCK_BYTES = 2**20
-
-
 def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
                        samples: int, seed: int,
                        method: str = "cholesky") -> IsometryCheck:
@@ -221,8 +218,9 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
     The harness asserts |mc - analytic| <= 3 std errors. Sample s draws
     from seed_s = derive_seed(seed, SAMPLE_STREAM, s); a fixed block of
     samples is one increment_rows call on its sample-major keys
-    mode_keys(block, K).T, so the result does not depend on the block
-    size.
+    mode_keys(block, K).T, whose B*K*M increments fit in
+    solver._BLOCK_BYTES, so the draw's memory does not grow with the
+    sample count; the result does not depend on the block size.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -231,7 +229,7 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
     stacked = np.stack(psis)  # (m, d, k)
     sq = np.empty(samples)
     sample_seeds = derive_seed(seed, SAMPLE_STREAM, np.arange(samples))
-    size = max(1, _ISOMETRY_BLOCK_BYTES // (8 * k_modes * grid.m_steps))
+    size = max(1, _BLOCK_BYTES // (8 * k_modes * grid.m_steps))
     for lo in range(0, samples, size):
         rows = increment_rows(
             grid, h, mode_keys(sample_seeds[lo:lo + size], k_modes).T, method)
@@ -468,6 +466,14 @@ class RegularityReport:
     sample_count: int
 
 
+def _check_deltas(deltas) -> None:
+    """ValueError unless ``deltas`` holds at least one delta, and only
+    finite ones."""
+    if not len(deltas) or not all(map(math.isfinite, deltas)):
+        raise ValueError(f"need at least one delta, each finite; got "
+                         f"{list(deltas)}")
+
+
 def estimate_time_regularity(configs, delta: float, lag_steps: list,
                              samples: int, workers: int = 1) -> list:
     """Monte Carlo RMS of ||X(T) - X(T - L tau)||_{V_delta} and its exponent.
@@ -484,9 +490,11 @@ def estimate_time_regularity(configs, delta: float, lag_steps: list,
     or 8.
 
     Lags should be >= 8 steps so the scheme's own discretization bias is
-    subdominant to the Hölder scaling being measured.
+    subdominant to the Hölder scaling being measured. A delta that is
+    not finite is rejected (ValueError) before any draw.
     """
     configs = _check_presets(configs)
+    _check_deltas((delta,))
     config = configs[0]
     m = config.m_steps
     lag_steps = sorted(int(lag) for lag in lag_steps)
@@ -578,10 +586,15 @@ def estimate_space_regularity(configs, n_ladder: list, deltas: list,
 
     One noise draw per sample drives every rung (mode nesting), so the
     per-sample norm ladders are monotone by construction and the growth
-    ratios carry very little sampling noise.
+    ratios carry very little sampling noise. An empty ``deltas``, a
+    delta that is not finite and a repeated ladder entry are rejected
+    (ValueError) before any draw.
     """
     configs = _check_presets(configs)
+    _check_deltas(deltas)
     n_ladder = sorted(int(n) for n in n_ladder)
+    if len(set(n_ladder)) < len(n_ladder):
+        raise ValueError(f"ladder {n_ladder} repeats a mode count")
     # (P, samples, deltas, rungs)
     sq = sample_map(configs, samples, [(n, 1) for n in n_ladder],
                     (configs[0].m_steps,), _norm_ladders, (tuple(deltas),),

@@ -254,6 +254,17 @@ class TestConverge:
                         "--out-dir", tmp_path, "--tag", "s2"]) == 0
         assert "theoretical slope 1.0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tag", ["x/y", "/abs", "up/"])
+    def test_tag_with_path_separator_exits_2(self, tag, tmp_path, capsys):
+        # a tag names files in --out-dir: rejected before the study runs
+        with pytest.raises(SystemExit) as err:
+            run_cli(["converge", "--axis", "space", "--preset",
+                     "she-identity", "--samples", 2, "--tag", tag,
+                     "--out-dir", tmp_path / "out"])
+        assert err.value.code == 2
+        assert "tag must hold no path separator" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_reports_reproducible_and_manifest_variable(self, tmp_path):
         args = ["converge", "--axis", "time", "--preset", "she-identity",
                 "--samples", 3, "--seed", 5, "--tag", "rep", "--out-dir"]
@@ -290,14 +301,14 @@ class TestConverge:
     def test_paper_scale_spatial_smoke(self, tmp_path, monkeypatch):
         """N_exact = 4096 runs on the fast sine transform: a dense matrix
         at or above the switch would be 128 MiB and 30 ms per step."""
-        dense = solver._sine_operators
+        dense = solver.sine_matrix
 
         def small_only(n_modes):
             if n_modes >= solver._FAST_SINE_MIN_MODES:
-                raise AssertionError(f"_sine_operators({n_modes}) called")
+                raise AssertionError(f"sine_matrix({n_modes}) called")
             return dense(n_modes)
 
-        monkeypatch.setattr(solver, "_sine_operators", small_only)
+        monkeypatch.setattr(solver, "sine_matrix", small_only)
         assert run_cli(["converge", "--axis", "space", "--paper-scale",
                         "--samples", 2, "--preset", "she-trace",
                         "--workers", 1, "--out-dir", tmp_path,
@@ -330,6 +341,17 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--suite", "isometry", "--samples", 1500,
                         "--seed", 3, "--out-dir", tmp_path,
                         "--tag", "i"]) == 0
+
+    def test_non_finite_suite_value_exits_1_with_no_report(
+            self, tmp_path, monkeypatch, capsys):
+        # every JSON artifact is strict: a NaN is a failure, never a
+        # bare NaN token in the report
+        monkeypatch.setitem(cli._SUITES, "phi", lambda *args: {
+            "passed": True, "worst_quadrature_rel_error": math.nan})
+        assert run_cli(["verify", "--suite", "phi", "--out-dir",
+                        tmp_path / "out", "--tag", "n"]) == 1
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("samples", [1, -4])
     def test_too_few_samples_exits_2(self, samples, tmp_path, capsys):

@@ -5,17 +5,21 @@ The probe runs COMMANDS through fracspde.cli.main in a child process (one
 worker, one BLAS thread) under sys.setprofile, installed before fracspde
 is imported so that calls made at import time (cache decorators) count.
 A function counts as reached when its code object is entered at least
-once. Run ``python tests/test_reachability.py`` to print every unreached
-function with its line count; it exits 1 if one is not allow-listed.
+once. Run ``python tests/test_reachability.py`` to print the code lines
+of each src/fracspde module and their total (code_lines: no docstrings,
+comments or blank lines), then every unreached function with its line
+count; it exits 1 if one is not allow-listed.
 """
 
 import ast
 import functools
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -238,10 +242,10 @@ def test_only_the_sampler_uses_the_normal_drawer():
     assert _named_outside(DRAWER, {"fbm", "rng"}) == []
 
 
-# The F = sin switch and the dense sine operators, which only solver may
+# The F = sin switch and the dense sine matrix, which only solver may
 # reference in src/: solver._sweep_setup picks the form and builds every
 # factor, and kernels only steps.
-SINE_SETUP = {"_FAST_SINE_MIN_MODES", "_sine_operators"}
+SINE_SETUP = {"_FAST_SINE_MIN_MODES", "sine_matrix"}
 
 
 def test_only_the_sweep_setup_builds_sine_factors():
@@ -263,13 +267,47 @@ def test_only_experiments_formats_csv_values():
     assert _named_outside({"_fmt"}, {"experiments"}) == []
 
 
+def test_only_experiments_writes_json():
+    # every JSON artifact goes through experiments.write_json, which
+    # rejects NaN and infinity
+    assert _named_outside({"dumps"}, {"experiments"}) == []
+
+
 def test_every_cache_is_one_that_clear_caches_empties():
     # fbm._bounded_cache is src/'s one lru_cache: its caches are bounded,
     # and fbm.clear_caches empties each of them
     assert _named_outside({"lru_cache"}, {"fbm"}) == []
 
 
+NON_CODE_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                   tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(path) -> int:
+    """Lines of ``path`` that hold code: lines with a token other than a
+    comment, outside every module, class and function docstring."""
+    text = Path(path).read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(
+                                 node, clean=False) is not None:
+            first = node.body[0]
+            docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in NON_CODE_TOKENS:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def main() -> int:
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        count = code_lines(path)
+        total += count
+        print(f"{path.stem:<12}  {count:4d} code lines")
+    print(f"{'total':<12}  {total:4d} code lines")
     codes, _ = probe()
     missed = unreached()
     width = max(map(len, missed), default=0)

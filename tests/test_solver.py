@@ -361,19 +361,10 @@ class TestFastSineSwitch:
         out, fast = self.sweep(512, kernels.F_SIN_FFT)
         assert np.array_equal(out, fast)
 
-    def test_grid_sine_matrix_built_once_per_n(self):
-        cfg = make_config(n=9, m=12, f=sine_map(), noise=identity_noise(9))
-        sin_in = solver._sweep_setup(cfg)[3]
-        again = solver._sweep_setup(restrict_config(cfg, m_steps=6))[3]
-        assert again is sin_in and not sin_in.flags.writeable
-        assert np.array_equal(sin_in, math.sqrt(10) * spectral.sine_matrix(9))
-
     def test_fast_path_builds_no_sine_matrix(self, monkeypatch):
         def refuse(n_modes):
             raise AssertionError(f"sine_matrix({n_modes}) called")
 
-        # a cached N = 511 entry would skip the build this test expects
-        solver._sine_operators.cache_clear()
         monkeypatch.setattr(solver, "sine_matrix", refuse)
         monkeypatch.setattr(spectral, "sine_matrix", refuse)
         cfg = make_config(n=512, m=10, horizon=0.05, f=sine_map())

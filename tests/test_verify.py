@@ -221,8 +221,7 @@ class TestItoIsometry:
         checks = []
         for block in (31, 1, 7):
             if block != 31:
-                monkeypatch.setattr(verify, "_ISOMETRY_BLOCK_BYTES",
-                                    block * 8 * 2 * 4)
+                monkeypatch.setattr(verify, "_BLOCK_BYTES", block * 8 * 2 * 4)
             keys = []
             monkeypatch.setattr(
                 verify, "increment_rows",
@@ -896,6 +895,19 @@ class TestTimeRegularity:
                                      samples=2)
         assert draws == []
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_rejected_before_any_draw(self, delta,
+                                                       monkeypatch):
+        cfg = linear_config(4, 64, trace_class_noise(4))
+        draws = []
+        draw = solver.increment_rows
+        monkeypatch.setattr(solver, "increment_rows",
+                            lambda *a, **k: draws.append(1) or draw(*a, **k))
+        with pytest.raises(ValueError, match="each finite"):
+            estimate_time_regularity([cfg], delta=delta, lag_steps=(8, 16, 32),
+                                     samples=2)
+        assert draws == []
+
 
 class TestSpaceRegularity:
     def test_zero_noise_is_deterministic(self):
@@ -914,12 +926,17 @@ class TestSpaceRegularity:
         for report in reports:
             assert np.all(np.diff(report.rms_norms) > 0)
 
-    @pytest.mark.parametrize("ladder,match", [
-        ((0, 2, 4), re.escape("rung (0, 1)")),
-        ((), "need at least one rung"),
-        ((2, 9), re.escape("rung (9, 1)")),
-    ], ids=["zero", "empty", "above-N"])
-    def test_bad_ladder_rejected_before_any_draw(self, ladder, match,
+    @pytest.mark.parametrize("ladder,deltas,match", [
+        ((0, 2, 4), (0.0,), re.escape("rung (0, 1)")),
+        ((), (0.0,), "need at least one rung"),
+        ((2, 9), (0.0,), re.escape("rung (9, 1)")),
+        ((4, 2, 4), (0.0,), "repeats a mode count"),
+        ((2, 4), (), "need at least one delta"),
+        ((2, 4), (math.nan,), re.escape("each finite; got [nan]")),
+        ((2, 4), (0.0, math.inf), re.escape("each finite; got [0.0, inf]")),
+    ], ids=["zero", "empty", "above-N", "repeated", "no-delta", "nan-delta",
+            "inf-delta"])
+    def test_bad_ladder_rejected_before_any_draw(self, ladder, deltas, match,
                                                  monkeypatch):
         cfg = linear_config(8, 32, identity_noise(8))
         draws = []
@@ -927,7 +944,7 @@ class TestSpaceRegularity:
         monkeypatch.setattr(solver, "increment_rows",
                             lambda *a, **k: draws.append(1) or draw(*a, **k))
         with pytest.raises(ValueError, match=match):
-            estimate_space_regularity([cfg], n_ladder=ladder, deltas=(0.0,),
+            estimate_space_regularity([cfg], n_ladder=ladder, deltas=deltas,
                                       samples=3)
         assert draws == []
         estimate_space_regularity([cfg], n_ladder=(2, 8), deltas=(0.0,),
