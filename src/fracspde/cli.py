@@ -267,6 +267,8 @@ def _check_converge(cfg: dict) -> experiments.ConvergenceStudy:
     axis = {"time": "temporal", "space": "spatial"}.get(cfg["axis"])
     if axis is None:
         raise ValueError("--axis must be time or space")
+    if cfg["preset"] is None:
+        raise ValueError(f"--preset must be {' or '.join(SHE_PRESETS)}")
     return experiments.protocol_study(
         axis, "paper" if cfg["paper_scale"] else "desk",
         cfg["preset"], cfg["seed"], cfg["samples"], cfg["method"])

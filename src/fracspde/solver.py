@@ -265,9 +265,10 @@ def _check_presets(configs) -> list:
 
 
 # Scratch of one chunk of _solve_block's scaled increments, (steps, N,
-# P*B) doubles: 256 steps at N = 64 and P*B = 8 (rounded to a multiple of
-# the largest step ratio).
-_SWEEP_CHUNK_BYTES = 2**20
+# P*B) doubles: 128 steps at N = 64 and P*B = 8 (rounded to a multiple of
+# the largest step ratio). Each preset's products are staged through a
+# panel of at most half of it.
+_SWEEP_CHUNK_BYTES = 2**19
 
 # Most modes that _solve_block sweeps as one block-diagonal dense F = sin
 # system (_stack_rungs). Stacking saves a sweep call per chunk for every
@@ -314,9 +315,14 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     All P presets are swept as one (n, P*B) state, column p*B + s being
     preset p on sample s, a chunk of fine steps at a time; the chunk is a
     multiple of the largest q. The chunk's (steps, N, P*B) scratch holds
-    phi_p[k] * dW[k, s, m], each product taken over the sampler's
-    contiguous rows and then copied, transposed, into the scratch (a
-    product that reads the rows transposed is about three times slower).
+    phi_p[k] * dW[k, s, m], each preset's products taken over the
+    sampler's contiguous rows into a panel of a few steps, at most half
+    of _SWEEP_CHUNK_BYTES, and then copied, transposed, into that panel's
+    steps of the scratch (a product that reads the rows transposed is
+    about three times slower). A panel holds about half a one-preset
+    chunk, and a whole chunk of two or more presets unless the chunk was
+    rounded up to q. Each product is the same elementwise one, so no bit
+    depends on the panel.
     Every rung then advances on the scratch's leading n modes, summed in
     order q at a time (fbm._aggregate_values) for q > 1: the sums that
     aggregating the whole scaled (M, N, B) block takes, so no bit depends
@@ -338,8 +344,9 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     width = len(configs) * b
     chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * top * width))
     chunk = min(m, max(q_top, chunk - chunk % q_top))
+    panel = min(chunk, max(1, _SWEEP_CHUNK_BYTES // 2 // (8 * top * b)))
     scratch = np.empty((chunk, top, width))
-    products = np.empty((top, b, chunk))
+    products = np.empty((top, b, panel))
     # one entry per sweep: (rungs (r, n) it carries, q, x0, step_factor,
     # the rest of its euler_sweep arguments)
     sweeps, dense = [], []
@@ -364,10 +371,14 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     done = 0
     for m0 in range(0, m, chunk):
         m1 = min(m0 + chunk, m)
-        rows, product = scratch[:m1 - m0], products[:, :, :m1 - m0]
+        rows = scratch[:m1 - m0]
         for p, amp in enumerate(amps):
-            np.multiply(amp, dw[:top, :, m0:m1], out=product)
-            rows[:, :, p * b:(p + 1) * b] = product.transpose(2, 0, 1)
+            for s0 in range(m0, m1, panel):
+                s1 = min(s0 + panel, m1)
+                product = products[:, :, :s1 - s0]
+                np.multiply(amp, dw[:top, :, s0:s1], out=product)
+                rows[s0 - m0:s1 - m0, :, p * b:(p + 1) * b] = \
+                    product.transpose(2, 0, 1)
         upto = bisect.bisect_right(stops, m1, lo=done)
         for i, (parts, q, _, step_factor, sweep) in enumerate(sweeps):
             if gathers[i] is None:

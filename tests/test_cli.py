@@ -298,6 +298,21 @@ class TestConverge:
                      tmp_path])
         assert err.value.code == 2
 
+    def test_preset_missing_from_config_names_the_flag(self, tmp_path,
+                                                        capsys):
+        # a --config without a preset leaves the flag's None default: the
+        # message names the flag and its choices, not that None
+        config = tmp_path / "run.cfg"
+        config.write_text("axis = space\nsamples = 2\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["converge", "--config", config, "--out-dir",
+                     tmp_path / "out"])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "--preset must be she-identity or she-trace" in message
+        assert "None" not in message
+        assert not (tmp_path / "out").exists()
+
     def test_paper_scale_spatial_smoke(self, tmp_path, monkeypatch):
         """N_exact = 4096 runs on the fast sine transform: a dense matrix
         at or above the switch would be 128 MiB and 30 ms per step."""
@@ -391,7 +406,8 @@ USAGE_ERRORS = [
     (["solve", "--horizon", "nan"], "horizon must be positive and finite"),
     (["solve", "--method", "cholesky", "--steps", "8192"], "circulant"),
     (["converge", "--preset", "she-trace"], "--axis must be time or space"),
-    (["converge", "--axis", "time"], "unknown preset None"),
+    (["converge", "--axis", "time"],
+     "--preset must be she-identity or she-trace"),
     (CONVERGE + ["--samples", "0"], "samples must be >= 2"),
     (CONVERGE + ["--samples", "1"], "samples must be >= 2"),
     (CONVERGE + ["--workers", "0"], "workers must be >= 1"),

@@ -233,6 +233,15 @@ def test_only_the_sampler_knows_its_chunk_rule():
                           [ROOT / "tests" / "oracles.py"]) == []
 
 
+# The sweep's chunk budget, which only solver may reference in src/:
+# _solve_block derives both its chunk and its staging panel from it.
+SWEEP_BUDGET = {"_SWEEP_CHUNK_BYTES"}
+
+
+def test_only_the_block_driver_knows_its_chunk_budget():
+    assert _named_outside(SWEEP_BUDGET, {"solver"}) == []
+
+
 # The seeded normal drawer, which only rng and fbm's sampler may name in
 # src/: every other normal draw is numpy's own Generator.
 DRAWER = {"NormalDrawer", "pcg64_states", "seed_words"}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -492,6 +493,31 @@ class TestStackedRungs:
         out = solver._solve_block([cfg], dw, rungs, (64,))
         assert built == []
         assert [x.shape for x in out] == [(1, n, 1, 4) for n, _ in rungs]
+
+
+class TestBlockMemory:
+    def test_desk_spatial_block_allocates_at_most_a_chunk_and_1_mib(self):
+        """One _solve_block call on a desk spatial block (N = 512, M = 200,
+        B = 8, its reference rung beside the ladder 2..32) allocates at
+        most _SWEEP_CHUNK_BYTES + 1 MiB above its raw increments: the
+        chunk's scratch, a staging panel of at most half of it, and the
+        states, stacked operators and kept states. A first call does
+        the one-time set-up (lazy imports and the like, 0.12 MiB), which
+        is no working memory of a block."""
+        study = protocol_study("spatial", "desk", "she-identity",
+                               base_seed=5, samples=8)
+        n, m = study.problem.n_modes, study.problem.m_steps
+        rungs = [(n, 1)] + study.rungs
+        dw = np.random.default_rng(8).normal(size=(n, 8, m)) * 1e-2
+        solver._solve_block([study.problem], dw, rungs, (m,))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver._solve_block([study.problem], dw, rungs, (m,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= solver._SWEEP_CHUNK_BYTES + 2**20
 
 
 class TestLinearMildReference:

@@ -1053,18 +1053,16 @@ class TestRegularityBlocks:
         # the dense path from 16 modes on: there OpenBLAS may give a
         # (n, P*B) product other bits than a (n, B) one (measured for the
         # folded step at B = 2 to 4 and P = 2, up to 1.6e-16 of the
-        # largest state; at B = 1 and 8, at no n up to 511)
+        # largest state; at B = 1 and 8, at no n up to 511). One-preset
+        # blocks run too: their staging panel holds half the budget, so
+        # 5-step chunks stage panels of 2, 2 and 1 steps
         configs = [she_problem(p, n_modes=n_modes, m_steps=64, base_seed=7)
                    for p in self.BOTH]
         seeds = (11, 12, 13)
-        width = len(configs) * len(seeds)
-        monkeypatch.setattr(solver, "_SWEEP_CHUNK_BYTES",
-                            chunk_steps * 8 * n_modes * width)
         rows = increment_rows(configs[0].grid(), configs[0].hurst,
                               mode_keys(seeds, n_modes),
                               configs[0].fbm_method)
         blocks = [_block_increments(c, seeds) for c in configs]
-        stacked_block = np.concatenate(blocks, axis=2)  # column p*B + s
 
         def whole_sweep(block, n, q, stops):
             rung = restrict_config(configs[0], n_modes=n, m_steps=64 // q)
@@ -1079,20 +1077,26 @@ class TestRegularityBlocks:
             ([(n_modes, 4), (n_modes // 2, 16), (n_modes // 4, 1),
               (n_modes // 4, 4)], (0, 16, 16, 48, 64)),
         ]
-        for rungs, stops in cases:
-            stacked = solver._solve_block(configs, rows, rungs, stops)
-            for (n, q), states in zip(rungs, stacked):
-                assert states.shape == (len(stops), n, len(configs),
-                                        len(seeds))
-                whole = whole_sweep(stacked_block, n, q, stops)
-                assert np.array_equal(states.reshape(whole.shape), whole), \
-                    (n, q)
-                if 16 <= n < solver._FAST_SINE_MIN_MODES:
-                    continue
-                for p, block in enumerate(blocks):
-                    assert np.array_equal(states[:, :, p, :],
-                                          whole_sweep(block, n, q, stops)), \
-                        (n, q, p)
+        for presets in (2, 1):
+            monkeypatch.setattr(solver, "_SWEEP_CHUNK_BYTES",
+                                chunk_steps * 8 * n_modes * presets
+                                * len(seeds))
+            stacked_block = np.concatenate(blocks[:presets], axis=2)  # p*B + s
+            for rungs, stops in cases:
+                stacked = solver._solve_block(configs[:presets], rows, rungs,
+                                              stops)
+                for (n, q), states in zip(rungs, stacked):
+                    assert states.shape == (len(stops), n, presets,
+                                            len(seeds))
+                    whole = whole_sweep(stacked_block, n, q, stops)
+                    assert np.array_equal(states.reshape(whole.shape),
+                                          whole), (presets, n, q)
+                    if presets == 1 or 16 <= n < solver._FAST_SINE_MIN_MODES:
+                        continue
+                    for p, block in enumerate(blocks):
+                        assert np.array_equal(
+                            states[:, :, p, :],
+                            whole_sweep(block, n, q, stops)), (n, q, p)
 
     def test_weighted_sums_match_loop(self):
         states = np.random.default_rng(0).normal(size=(3, 37, 2, 5))
