@@ -81,6 +81,7 @@ class SolverConfig:
         if not 0 < self.horizon < math.inf:
             raise ValueError(
                 f"horizon must be positive and finite, got {self.horizon}")
+        self.grid()  # IncrementGrid rejects a step that underflows to 0
         for name, size in (("operator", self.operator.n_modes),
                            ("noise", self.noise.n_modes),
                            ("initial", self.initial.n_modes)):

@@ -25,12 +25,15 @@ the larger weight vector's largest; at the shapes of criterion 8 and of
 the desk and resolved temporal protocols the oracles moved by at most
 2.1e-16 relative from their full-length forms (tested within 1e-14).
 
-One builder, _unit_forms, serves every oracle: the forms of a
-reference's weights minus those of the scheme at step ratio q on
-M - lag steps, shifted back by lag, plus the reference's own. They are
-evaluated on unit-amplitude weights and scaled by phi_n^2 per preset.
-They depend only on the eigenvalues, the grid (tau, M, H), the
-reference and the (q, lag) specs, so _unit_forms caches them
+One builder in two layers serves every oracle: _grid_form evaluates the
+grid's Toeplitz forms, and _unit_forms builds the columns that each
+caller names. A (q, lag) column holds the forms of a reference's weights
+minus those of the scheme at step ratio q on M - lag steps, shifted back
+by lag, and a None column the reference's own. Every column covers
+every mode, with no mask.
+The forms are evaluated on unit-amplitude weights and scaled by phi_n^2
+per preset. They depend only on the eigenvalues, the grid (tau, M, H),
+the reference and the columns, so _unit_forms caches them
 (fbm.clear_caches empties it): a second preset on the same grid runs no
 FFT.
 """
@@ -245,99 +248,80 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
 # exact second moments of the linear scheme (Toeplitz quadratic forms)
 
 
-def _toeplitz_quadratic_form(gamma: np.ndarray):
-    """The map d -> d^T Gamma d, Gamma_{ij} = gamma[|i-j|], one rfft per call.
+def _grid_form(tau: float, m_steps: int, hurst: HurstParameter):
+    """The map d -> d^T Gamma d, Gamma the covariance of the last d.size
+    increments of a grid of m_steps steps of length tau.
 
-    Gamma is the leading block of the symmetric circulant whose first row
-    is (gamma, 0, gamma reversed without gamma[0]) (Dietrich & Newsam
-    1997). The circulant's eigenvalues are the real rfft of that row, so
-    d^T Gamma d = sum_k s_k |D_k|^2 / (2m) with D the FFT of d padded to
-    2m; on the rfft half every k other than 0 and m counts twice. The sum
-    is numpy's pairwise one: a BLAS dot over that many bins changes its
+    fGn is stationary, so Gamma is the leading d.size block of the
+    grid's, the Toeplitz matrix of gamma[:d.size], itself the leading
+    block of the symmetric circulant whose first row is (gamma, 0, gamma
+    reversed without gamma[0]) (Dietrich & Newsam 1997). The circulant's
+    eigenvalues s_k are the real rfft of that row, so d^T Gamma d =
+    sum_k s_k |D_k|^2 / (2m), m = d.size, with D the FFT of d padded to
+    2m; on the rfft half every k other than 0 and m counts twice. Each
+    size's weights are built on first use (at most ceil(log2 M) + 1
+    sizes; see _unit_forms), then every form is one rfft. The sum is
+    numpy's pairwise one: a BLAS dot over that many bins changes its
     last bits with the BLAS thread count.
     """
-    m = gamma.size
-    first_row = np.concatenate([gamma, [0.0], gamma[-1:0:-1]])
-    weights = np.fft.rfft(first_row).real / (2 * m)
-    weights[1:m] *= 2.0
+    gamma = tau ** (2.0 * hurst.h) * _fgn_covariance_seq(m_steps - 1, hurst)
+    weights = {}
 
     def form(d: np.ndarray) -> float:
+        m = d.size
+        if m not in weights:
+            first_row = np.concatenate([gamma[:m], [0.0], gamma[m - 1:0:-1]])
+            weights[m] = np.fft.rfft(first_row).real / (2 * m)
+            weights[m][1:m] *= 2.0
         # |D_k|^2 = re^2 + im^2, squared in place on the float pairs
         pairs = np.fft.rfft(d, 2 * m).view(float)
         pairs *= pairs
         power = pairs[0::2] + pairs[1::2]
-        power *= weights
+        power *= weights[m]
         return float(np.sum(power))
 
     return form
 
 
-def _grid_form(tau: float, m_steps: int, hurst: HurstParameter):
-    """The Toeplitz form of the increment covariance of a grid of m_steps
-    steps of length tau.
-
-    form(d) takes the weights of the last d.size increments only: fGn is
-    stationary, so their covariance is the leading d.size block of the
-    grid's. The form of each size is built on first use (at most
-    ceil(log2 M) + 1 sizes; see _form_size).
-    """
-    gamma = tau ** (2.0 * hurst.h) * _fgn_covariance_seq(m_steps - 1, hurst)
-    forms = {}
-
-    def form(d: np.ndarray) -> float:
-        if d.size not in forms:
-            forms[d.size] = _toeplitz_quadratic_form(gamma[:d.size])
-        return forms[d.size](d)
-
-    return form
-
-
-def _form_size(support: int, m_steps: int) -> int:
-    """The length on which a form evaluates a weight difference whose
-    entries before the last ``support`` are negligible: the least power
-    of two at least ``support``, or m_steps if that is smaller."""
-    return min(m_steps, 1 << (support - 1).bit_length())
-
-
 @_bounded_cache
 def _unit_forms(lam: bytes, tau: float, m_steps: int, hurst: HurstParameter,
-                reference_ratio, specs: tuple, reads: tuple):
-    """Two read-only (N, K + 1) arrays (forms, decays) of unit-amplitude
-    F = 0 weights, cached by every value they depend on (the eigenvalues
-    as bytes), so a second preset on the same grid builds no form.
+                reference_ratio, columns: tuple):
+    """Two read-only (N, len(columns)) arrays (forms, decays) of
+    unit-amplitude F = 0 weights, cached by every value they depend on
+    (the eigenvalues as bytes), so a second preset on the same grid
+    builds no form.
 
     The reference is solver.linear_weights at ``reference_ratio`` on the
-    grid's M steps (None: the mild solution). Column k < K is spec
-    k = (q, lag), the scheme at step ratio q on M - lag steps shifted
-    back by lag: forms[i, k] is the Toeplitz form of mode i's reference
-    weights minus the spec's, on the support of both (_form_size), and
-    decays[i, k] the difference of their weights of xi_i. Column K is
-    the reference alone. Column k is built for the modes in
-    range(*reads[k]) only, and is NaN elsewhere.
+    grid's M steps (None: the mild solution). Column k is columns[k]: a
+    spec (q, lag), the scheme at step ratio q on M - lag steps shifted
+    back by lag, or None, the reference alone. forms[i, k] is the
+    Toeplitz form of mode i's reference weights minus the spec's, and
+    decays[i, k] the difference of their weights of xi_i. Every column
+    covers every mode, so each caller passes only the columns it reads.
+    A form is evaluated on the last L weights, L the least power of two
+    at least the support of both (solver.linear_support), or M if that
+    is smaller.
     """
     lam = np.frombuffer(lam)
     form = _grid_form(tau, m_steps, hurst)
-    forms = np.full((lam.size, len(reads)), np.nan)
-    decays = np.full((lam.size, len(reads)), np.nan)
+    forms = np.empty((lam.size, len(columns)))
+    decays = np.empty((lam.size, len(columns)))
     for i in range(lam.size):
-        columns = [k for k, (lo, hi) in enumerate(reads) if lo <= i < hi]
-        if not columns:
-            continue
         ref_support = linear_support(lam[i], tau, m_steps, reference_ratio)
         sizes = []
-        for k in columns:
+        for spec in columns:
             support = ref_support
-            if k < len(specs):
-                q, lag = specs[k]
+            if spec is not None:
+                q, lag = spec
                 support = max(support, min(m_steps, lag + linear_support(
                     lam[i], tau, m_steps - lag, q)))
-            sizes.append(_form_size(support, m_steps))
-        w_ref, decay_ref = linear_weights(lam[i], tau, m_steps,
-                                          reference_ratio, max(sizes))
-        for k, size in zip(columns, sizes):
-            w, decay = 0.0, 0.0  # column K: the reference alone
-            if k < len(specs):
-                q, lag = specs[k]
+            sizes.append(min(m_steps, 1 << (support - 1).bit_length()))
+        w_ref, decay_ref = linear_weights(
+            lam[i], tau, m_steps, reference_ratio, max(sizes, default=1))
+        for k, (spec, size) in enumerate(zip(columns, sizes)):
+            w, decay = 0.0, 0.0  # None: the reference alone
+            if spec is not None:
+                q, lag = spec
                 w, decay = linear_weights(lam[i], tau, m_steps - lag, q,
                                           size - lag)
                 if lag:
@@ -351,22 +335,21 @@ def _unit_forms(lam: bytes, tau: float, m_steps: int, hurst: HurstParameter,
     return forms, decays
 
 
-def _response(config: SolverConfig, reference_ratio, specs, reads):
+def _response(config: SolverConfig, reference_ratio, columns):
     """(lambda, phi, xi, forms, decays) of the F = 0 scheme on config's
     grid, the last two from _unit_forms."""
     n = config.n_modes
     lam = config.operator.eigenvalues[:n]
     forms, decays = _unit_forms(lam.tobytes(), config.tau, config.m_steps,
-                                config.hurst, reference_ratio, tuple(specs),
-                                tuple(reads))
+                                config.hurst, reference_ratio,
+                                tuple(columns))
     return (lam, config.noise.amplitudes[:n], config.initial.coeffs[:n],
             forms, decays)
 
 
 def linear_endpoint_moments(config: SolverConfig):
     """Exact per-mode (mean, variance) of the F = 0 scheme endpoint."""
-    _, phi, xi, forms, decays = _response(config, 1, (),
-                                          ((0, config.n_modes),))
+    _, phi, xi, forms, decays = _response(config, 1, (None,))
     return decays[:, 0] * xi, phi**2 * forms[:, 0]
 
 
@@ -394,16 +377,17 @@ def expected_rms_errors(template: SolverConfig, rungs,
     n_ref = template.n_modes
     rungs = _check_rungs(template, rungs)
     ratios = list(dict.fromkeys(q for _, q in rungs if q != reference_ratio))
-    reads = [(0, max(n for n, r in rungs if r == q)) for q in ratios]
-    reads.append((min((n for n, _ in rungs), default=n_ref), n_ref))
-    _, phi, xi, forms, decays = _response(
-        template, reference_ratio, [(q, 0) for q in ratios], reads)
+    columns = [(q, 0) for q in ratios]
+    if any(n < n_ref for n, _ in rungs):
+        columns.append(None)
+    _, phi, xi, forms, decays = _response(template, reference_ratio, columns)
     terms = phi[:, None] ** 2 * forms + (decays * xi[:, None]) ** 2
     picked = np.zeros((n_ref, len(rungs)))
     for k, (n, q) in enumerate(rungs):
         if q != reference_ratio:
             picked[:n, k] = terms[:n, ratios.index(q)]
-        picked[n:, k] = terms[n:, -1]
+        if n < n_ref:
+            picked[n:, k] = terms[n:, -1]
     err2 = np.zeros(len(rungs))
     for row in picked:  # mode by mode, in order, not np.sum's pairwise sum
         err2 += row
@@ -439,14 +423,12 @@ def expected_increment_rms(config: SolverConfig, lag_steps: list,
     for lag in lag_steps:
         if not 1 <= lag < config.m_steps:
             raise ValueError(f"lag {lag} out of range [1, {config.m_steps})")
-    n = config.n_modes
     lam, phi, xi, forms, decays = _response(
-        config, 1, [(1, int(lag)) for lag in lag_steps],
-        [(0, n)] * len(lag_steps) + [(n, n)])
+        config, 1, [(1, int(lag)) for lag in lag_steps])
     total = np.zeros(len(lag_steps))
     for i in range(lam.size):
-        total += lam[i] ** delta * (phi[i] ** 2 * forms[i, :-1]
-                                    + (decays[i, :-1] * xi[i]) ** 2)
+        total += lam[i] ** delta * (phi[i] ** 2 * forms[i]
+                                    + (decays[i] * xi[i]) ** 2)
     return np.sqrt(total)
 
 

@@ -10,6 +10,9 @@ the norms measure the semigroup and the projection. unfolded_sin_sweep,
 the F = sin step with its constants applied one by one through the dense
 sine matrix or scipy's DST-I, checks both folded steps of the sweep, and
 sine_factors states the factors those steps fold their constants into.
+galerkin_sin_endpoint, the noise-free Galerkin ODE of F = sin with its
+projection by Gauss-Legendre quadrature, judges F = sin without the sine
+grid that both folded steps evaluate it on.
 _block_increments, the scaled (M, N, B) block that the studies once
 swept whole, checks the chunked rungs of fracspde.solver._solve_block.
 nan_draws puts a NaN into chosen samples' draws, so that the guards
@@ -41,6 +44,7 @@ from fracspde.spectral import (
 __all__ = [
     "apply_nemytskii",
     "fbm_covariance",
+    "galerkin_sin_endpoint",
     "implicit_euler_step",
     "increment_covariance_matrix",
     "inverse_sine_transform",
@@ -182,6 +186,36 @@ def sine_factors(f_kind: int, tau: float, step_factor: np.ndarray):
         minus_2c = -2.0 * float(1 / np.sqrt(np.longdouble(2 * (n + 1))))
         return minus_2c * root, (minus_2c * tau / root) * step_factor
     return None, None
+
+
+def galerkin_sin_endpoint(lam: np.ndarray, c0: np.ndarray, horizon: float,
+                          n_nodes: int) -> np.ndarray:
+    """c(horizon) of the noise-free Galerkin ODE of du = u_xx dt + sin(u) dt
+    on (0, 1): c' = -lam c + P_N sin(sum_k c_k e_k), e_k = sqrt(2)
+    sin(k pi x), c(0) = c0, by scipy's Radau (rtol 1e-12, atol 1e-14) with
+    the analytic Jacobian -diag(lam) + <cos(u) e_j, e_k>. The projection
+    <sin(u), e_k> is an n_nodes-point Gauss-Legendre rule on (0, 1), not
+    the sine grid of the scheme's collocation (needs scipy)."""
+    from scipy.integrate import solve_ivp
+
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x = (x + 1.0) / 2.0
+    basis = math.sqrt(2.0) * np.sin(
+        math.pi * np.outer(x, np.arange(1, lam.size + 1)))  # (nodes, N)
+    weighted = basis * (w / 2.0)[:, None]
+
+    def rhs(t, c):
+        return weighted.T @ np.sin(basis @ c) - lam * c
+
+    def jac(t, c):
+        return (weighted.T @ (np.cos(basis @ c)[:, None] * basis)
+                - np.diag(lam))
+
+    sol = solve_ivp(rhs, (0.0, horizon), c0, method="Radau", jac=jac,
+                    rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise RuntimeError(sol.message)
+    return sol.y[:, -1]
 
 
 def nan_draws(monkeypatch, module, seeds, step: int) -> None:

@@ -404,6 +404,8 @@ USAGE_ERRORS = [
     (["solve", "--steps", "0"], "m_steps must be >= 1"),
     (["solve", "--horizon", "inf"], "horizon must be positive and finite"),
     (["solve", "--horizon", "nan"], "horizon must be positive and finite"),
+    (["solve", "--horizon", "5e-324", "--steps", "2", "--modes", "4"],
+     "tau must be positive and finite, got 0.0"),
     (["solve", "--method", "cholesky", "--steps", "8192"], "circulant"),
     (["converge", "--preset", "she-trace"], "--axis must be time or space"),
     (["converge", "--axis", "time"],

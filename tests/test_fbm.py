@@ -413,8 +413,7 @@ class TestFactorLimits:
         for m in range(1, 13):
             fbm._cholesky_factor(m, hp())
             fbm._circulant_bins(m, hp())
-            verify._unit_forms(np.ones(2).tobytes(), 0.5, m, hp(), 1, (),
-                               ((2, 2),))
+            verify._unit_forms(np.ones(2).tobytes(), 0.5, m, hp(), 1, ())
         for cached in caches:
             info = cached.cache_info()
             assert info.maxsize == 8

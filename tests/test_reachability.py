@@ -76,10 +76,6 @@ ALLOWED = {
     "verify._unit_forms": "verify._response",
     "verify._grid_form": "verify._unit_forms",
     "verify._grid_form.<locals>.form": "verify._grid_form",
-    "verify._toeplitz_quadratic_form": "verify._grid_form",
-    "verify._toeplitz_quadratic_form.<locals>.form":
-        "verify._toeplitz_quadratic_form",
-    "verify._form_size": "verify._unit_forms",
     # criterion 7, the Sobolev-norm ladder
     "verify.estimate_space_regularity": "tests/test_acceptance.py",
     "verify._norm_ladders": "verify.estimate_space_regularity",
@@ -205,7 +201,7 @@ def test_allow_list_entries_exist_and_their_consumers_read_them():
     assert stale == []
 
 
-def _named_outside(names: set, homes: set, extra=()) -> list:
+def _named_outside(names: set, homes: set, extra: tuple) -> list:
     """(module, name) for each of ``names`` that a src/ module outside
     ``homes``, or an ``extra`` file, references."""
     paths = [path for path in PACKAGE.glob("*.py") if path.stem not in homes]
@@ -213,79 +209,56 @@ def _named_outside(names: set, homes: set, extra=()) -> list:
                   for name in names & _names_read(ast.parse(path.read_text())))
 
 
-# Names that only solver, home of the one Monte Carlo map
-# (solver.sample_map), may reference in src/: the sample blocks and the
-# worker pool.
-MAP_ONLY = {"_sample_blocks", "parallel_map"}
+# One home per decision: test name -> (names, the src/ modules that alone
+# may reference them, files outside src/ that may not either, why). Each
+# row is one test function under its name (not one parametrized test,
+# so each rule keeps the test id it has had), and the next rule is one
+# row.
+ONE_HOME = {
+    "test_only_the_map_cuts_draws_and_maps_blocks": (
+        {"_sample_blocks", "parallel_map"}, {"solver"}, (),
+        "solver.sample_map is the one Monte Carlo map: it cuts the sample "
+        "blocks and maps them on the worker pool"),
+    "test_only_the_sampler_knows_its_chunk_rule": (
+        {"_ROW_CHUNK_BYTES"}, {"fbm"}, (ROOT / "tests" / "oracles.py",),
+        "every other draw is one fbm.increment_rows call"),
+    "test_only_the_block_driver_knows_its_chunk_budget": (
+        {"_SWEEP_CHUNK_BYTES"}, {"solver"}, (),
+        "_solve_block derives both its chunk and its staging panel from it"),
+    "test_only_the_sampler_uses_the_normal_drawer": (
+        {"NormalDrawer", "pcg64_states", "seed_words"}, {"fbm", "rng"}, (),
+        "every other normal draw is numpy's own Generator"),
+    "test_only_the_sweep_setup_builds_sine_factors": (
+        {"_FAST_SINE_MIN_MODES", "sine_matrix"}, {"solver"}, (),
+        "solver._sweep_setup picks the F = sin form and builds every "
+        "factor, and kernels only steps"),
+    "test_only_spectral_computes_the_dst1_and_its_scale": (
+        {"_dst1", "longdouble"}, {"spectral"}, (),
+        "the fast F = sin step reads the scale through "
+        "spectral._dst1_scale"),
+    "test_only_experiments_formats_csv_values": (
+        {"_fmt"}, {"experiments"}, (),
+        "every CSV line goes through experiments.write_rows"),
+    "test_only_experiments_writes_json": (
+        {"dumps"}, {"experiments"}, (),
+        "every JSON artifact goes through experiments.write_json, which "
+        "rejects NaN and infinity"),
+    "test_every_cache_is_one_that_clear_caches_empties": (
+        {"lru_cache"}, {"fbm"}, (),
+        "fbm._bounded_cache is src/'s one lru_cache: its caches are "
+        "bounded, and fbm.clear_caches empties each of them"),
+}
 
 
-def test_only_the_map_cuts_draws_and_maps_blocks():
-    assert _named_outside(MAP_ONLY, {"solver"}) == []
+def _one_home_test(names: set, homes: set, extra: tuple, reason: str):
+    def test():
+        assert _named_outside(names, homes, extra) == [], reason
+
+    return test
 
 
-# The sampler's chunk rule, which only fbm may reference in src/ and in
-# the tests' oracles: every other draw is one fbm.increment_rows call.
-CHUNK_RULE = {"_ROW_CHUNK_BYTES"}
-
-
-def test_only_the_sampler_knows_its_chunk_rule():
-    assert _named_outside(CHUNK_RULE, {"fbm"},
-                          [ROOT / "tests" / "oracles.py"]) == []
-
-
-# The sweep's chunk budget, which only solver may reference in src/:
-# _solve_block derives both its chunk and its staging panel from it.
-SWEEP_BUDGET = {"_SWEEP_CHUNK_BYTES"}
-
-
-def test_only_the_block_driver_knows_its_chunk_budget():
-    assert _named_outside(SWEEP_BUDGET, {"solver"}) == []
-
-
-# The seeded normal drawer, which only rng and fbm's sampler may name in
-# src/: every other normal draw is numpy's own Generator.
-DRAWER = {"NormalDrawer", "pcg64_states", "seed_words"}
-
-
-def test_only_the_sampler_uses_the_normal_drawer():
-    assert _named_outside(DRAWER, {"fbm", "rng"}) == []
-
-
-# The F = sin switch and the dense sine matrix, which only solver may
-# reference in src/: solver._sweep_setup picks the form and builds every
-# factor, and kernels only steps.
-SINE_SETUP = {"_FAST_SINE_MIN_MODES", "sine_matrix"}
-
-
-def test_only_the_sweep_setup_builds_sine_factors():
-    assert _named_outside(SINE_SETUP, {"solver"}) == []
-
-
-# The orthonormal DST-I and its long-double scale, which only spectral
-# may reference in src/: the fast F = sin step reads the scale through
-# spectral._dst1_scale.
-DST1 = {"_dst1", "longdouble"}
-
-
-def test_only_spectral_computes_the_dst1_and_its_scale():
-    assert _named_outside(DST1, {"spectral"}) == []
-
-
-def test_only_experiments_formats_csv_values():
-    # every CSV line goes through experiments.write_rows
-    assert _named_outside({"_fmt"}, {"experiments"}) == []
-
-
-def test_only_experiments_writes_json():
-    # every JSON artifact goes through experiments.write_json, which
-    # rejects NaN and infinity
-    assert _named_outside({"dumps"}, {"experiments"}) == []
-
-
-def test_every_cache_is_one_that_clear_caches_empties():
-    # fbm._bounded_cache is src/'s one lru_cache: its caches are bounded,
-    # and fbm.clear_caches empties each of them
-    assert _named_outside({"lru_cache"}, {"fbm"}) == []
+globals().update((name, _one_home_test(*rule))
+                 for name, rule in ONE_HOME.items())
 
 
 NON_CODE_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,

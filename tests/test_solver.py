@@ -40,6 +40,7 @@ from fracspde.experiments import protocol_study, run_study, she_problem
 from fracspde.verify import check_lambda_phi_bound
 from oracles import (
     _block_increments,
+    galerkin_sin_endpoint,
     implicit_euler_step,
     sine_factors,
     unfolded_sin_sweep,
@@ -195,6 +196,13 @@ class TestSolvePath:
         with pytest.raises(ValueError,
                            match="horizon must be positive and finite"):
             make_config(horizon=horizon)
+
+    def test_step_that_underflows_rejected(self):
+        # a positive horizon whose step rounds to 0 is rejected with the
+        # step's own message, when the config is made
+        with pytest.raises(ValueError,
+                           match="tau must be positive and finite, got 0.0"):
+            make_config(m=2, horizon=5e-324)
 
     def test_too_few_modes_rejected(self):
         cfg = make_config(n=4, m=8)
@@ -407,6 +415,32 @@ def test_folded_sine_step_tracks_unfolded(n_modes, samples):
                                       (chunk,), fast=fast)[0]
         err = np.max(np.abs(folded - unfolded))
         assert err <= 1e-13 * np.max(np.abs(unfolded)), (m0 + chunk, err)
+
+
+@pytest.mark.parametrize("n_modes", [16, 512])
+def test_sine_scheme_converges_to_galerkin_ode(n_modes):
+    """With no noise, the F = sin scheme at T = 1/8, while u(0) =
+    sin(pi x) is still O(1), converges at order 1 in tau to the Galerkin
+    ODE solved by Radau with its projection by quadrature
+    (oracles.galerkin_sin_endpoint), on the dense step (16 modes) and
+    the FFT step (512). F = -sin, sqrt(N+1) dropped from sin_in and
+    tau/2 in sin_out each fail it on the step they touch."""
+    pytest.importorskip("scipy.integrate")
+    horizon, ladder = 1.0 / 8.0, [64, 128, 256, 512, 1024, 4096]
+    ends = []
+    for m in ladder:
+        cfg = she_problem("she-identity", n_modes=n_modes, m_steps=m,
+                          base_seed=0, horizon=horizon, with_noise=False)
+        ends.append(solver._solve_sample(cfg, np.zeros((n_modes, 1, m)),
+                                         (m,))[0])
+    ref = galerkin_sin_endpoint(cfg.operator.eigenvalues[:n_modes],
+                                cfg.initial.coeffs[:n_modes], horizon,
+                                4 * n_modes)
+    errors = [np.linalg.norm(end - ref) for end in ends]
+    order = np.polyfit(np.log(horizon / np.array(ladder)), np.log(errors),
+                       1)[0]
+    assert abs(order - 1.0) <= 0.05, (order, errors)
+    assert errors[-1] < 1e-4, errors
 
 
 class TestStackedRungs:

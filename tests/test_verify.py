@@ -703,28 +703,84 @@ class TestTruncatedForms:
         np.testing.assert_allclose(got, full, rtol=self.RTOL, atol=0.0)
 
     def test_forms_are_per_grid_and_per_size(self, monkeypatch):
-        # criterion 8's shape: one form per power-of-two size and M, each
-        # built once for the grid; the next call reads the cached unit
-        # forms and builds none
+        # criterion 8's shape: one set of circulant weights per
+        # power-of-two size and M, each built once for the grid (the only
+        # rfft with no padding length); the next call reads the cached
+        # unit forms and runs no rfft
         cfg = she_problem("she-trace", n_modes=16, m_steps=2**16,
                           base_seed=777, with_nonlinearity=False)
-        built = []
-        form = verify._toeplitz_quadratic_form
+        calls = []
+        rfft = np.fft.rfft
 
-        def recording_form(gamma):
-            built.append(gamma.size)
-            return form(gamma)
+        def counting_rfft(a, *args, **kwargs):
+            calls.append((a.size, bool(args or kwargs)))
+            return rfft(a, *args, **kwargs)
 
-        monkeypatch.setattr(verify, "_toeplitz_quadratic_form",
-                            recording_form)
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
         fbm.clear_caches()
         expected_mild_rms_errors(cfg, [256, 512, 1024])
+        built = [size // 2 for size, padded in calls if not padded]
         assert len(built) == len(set(built)) <= 17
         assert all(size & (size - 1) == 0 for size in built)
         assert sum(size + 1 for size in built) < 2 * (2**16 + 1)
-        built.clear()
+        calls.clear()
         expected_mild_rms_errors(cfg, [256, 512, 1024])
-        assert built == []
+        assert calls == []
+
+
+class TestOracleWork:
+    """Each oracle call builds one form per mode and column of the unit
+    forms it reads, and reads only the columns its rungs use."""
+
+    @staticmethod
+    def work(oracle, monkeypatch):
+        """(columns of each _unit_forms call, forms evaluated) of a call
+        of ``oracle`` on an empty cache."""
+        columns, evaluated = [], []
+        unit_forms, grid_form = verify._unit_forms, verify._grid_form
+
+        def recording_unit_forms(*args):
+            columns.append(args[5])
+            return unit_forms(*args)
+
+        def counting_grid_form(*args):
+            form = grid_form(*args)
+
+            def counted(d):
+                evaluated.append(d.size)
+                return form(d)
+
+            return counted
+
+        monkeypatch.setattr(verify, "_unit_forms", recording_unit_forms)
+        monkeypatch.setattr(verify, "_grid_form", counting_grid_form)
+        fbm.clear_caches()
+        oracle()
+        fbm.clear_caches()
+        return columns, len(evaluated)
+
+    @pytest.mark.parametrize("preset", ("she-trace", "she-identity"))
+    def test_protocol_shapes(self, preset, monkeypatch):
+        c8 = she_problem(preset, n_modes=16, m_steps=2**16, base_seed=777,
+                         with_nonlinearity=False)
+        columns, forms = self.work(
+            lambda: expected_mild_rms_errors(c8, [256, 512, 1024]),
+            monkeypatch)
+        assert columns == [((256, 0), (128, 0), (64, 0))]
+        assert forms == 16 * 3
+        for axis, want in (("temporal", ((64, 0), (32, 0), (16, 0),
+                                         (8, 0), (4, 0))),
+                           ("spatial", (None,))):
+            study = experiments.protocol_study(axis, "desk", preset, 0)
+            p = study.problem
+            linear = she_problem(preset, n_modes=p.n_modes,
+                                 m_steps=p.m_steps, base_seed=0,
+                                 with_nonlinearity=False)
+            columns, forms = self.work(
+                lambda: expected_rms_errors(linear, study.rungs),
+                monkeypatch)
+            assert columns == [want], axis
+            assert forms == p.n_modes * len(want), axis
 
 
 class TestSharedUnitForms:
@@ -795,18 +851,18 @@ class TestSharedUnitForms:
     def test_unit_forms_are_read_only(self):
         fbm.clear_caches()
         cfg = self.problem()
-        expected_mild_rms_errors(cfg, [256, 512])
-        # the rungs (16, 16) and (16, 8) read their ratio columns at
-        # every mode and the reference's own at none
+        expected_rms_errors(cfg, [(16, 16), (8, 8)], reference_ratio=None)
+        # the rungs (16, 16) and (8, 8) read their ratio columns, and the
+        # second the reference's own column above mode 8; every column
+        # covers every mode
         forms, decays = verify._unit_forms(
             cfg.operator.eigenvalues[:16].tobytes(), cfg.tau, cfg.m_steps,
-            cfg.hurst, None, ((16, 0), (8, 0)), ((0, 16), (0, 16), (16, 16)))
+            cfg.hurst, None, ((16, 0), (8, 0), None))
         assert verify._unit_forms.cache_info().hits == 1
         for array in (forms, decays):
             assert array.shape == (16, 3)
             assert not array.flags.writeable
-            assert np.isfinite(array[:, :2]).all()
-            assert np.isnan(array[:, 2]).all()
+            assert np.isfinite(array).all()
 
 
 # Prints the mild reference of both presets and four exact oracles: three
