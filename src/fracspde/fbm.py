@@ -108,16 +108,13 @@ class IncrementGrid:
 class CylindricalFbmSample:
     """Independent scalar fBm rows, one per noise mode, on a shared grid.
 
-    Row k is reproducible from (base_seed, k) alone, so growing the mode
-    count preserves existing rows (the nesting used by spatial-refinement
-    coupling).
+    Row k of generate_cylindrical_fbm is reproducible from its (base_seed,
+    k) alone, so growing the mode count preserves existing rows (the
+    nesting used by spatial-refinement coupling).
     """
 
     grid: IncrementGrid
     values: np.ndarray  # shape (modes, m_steps)
-    hurst: HurstParameter
-    base_seed: int
-    method: str
 
     @property
     def modes(self) -> int:
@@ -357,8 +354,7 @@ def generate_cylindrical_fbm(modes: int, grid: IncrementGrid,
     values = increment_rows(grid, h, mode_keys([base_seed], modes)[:, 0],
                             method)
     values.flags.writeable = False
-    return CylindricalFbmSample(grid=grid, values=values, hurst=h,
-                                base_seed=int(base_seed), method=method)
+    return CylindricalFbmSample(grid=grid, values=values)
 
 
 def _aggregate_values(values: np.ndarray, ratio: int,
@@ -416,6 +412,4 @@ def aggregate_cylindrical(sample: CylindricalFbmSample,
     grid = _coarse_grid(sample.grid, ratio)
     values = _aggregate_values(sample.values, ratio)
     values.flags.writeable = False
-    return CylindricalFbmSample(grid=grid, values=values, hurst=sample.hurst,
-                                base_seed=sample.base_seed,
-                                method=sample.method)
+    return CylindricalFbmSample(grid=grid, values=values)

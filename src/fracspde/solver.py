@@ -267,8 +267,8 @@ def _check_presets(configs) -> list:
 
 # Scratch of one chunk of _solve_block's scaled increments, (steps, N,
 # P*B) doubles: 128 steps at N = 64 and P*B = 8 (rounded to a multiple of
-# the largest step ratio). Each preset's products are staged through a
-# panel of at most half of it.
+# the largest step ratio). The products of all presets are staged
+# through one panel of at most half of it.
 _SWEEP_CHUNK_BYTES = 2**19
 
 # Most modes that _solve_block sweeps as one block-diagonal dense F = sin
@@ -316,14 +316,14 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     All P presets are swept as one (n, P*B) state, column p*B + s being
     preset p on sample s, a chunk of fine steps at a time; the chunk is a
     multiple of the largest q. The chunk's (steps, N, P*B) scratch holds
-    phi_p[k] * dW[k, s, m], each preset's products taken over the
-    sampler's contiguous rows into a panel of a few steps, at most half
-    of _SWEEP_CHUNK_BYTES, and then copied, transposed, into that panel's
-    steps of the scratch (a product that reads the rows transposed is
-    about three times slower). A panel holds about half a one-preset
-    chunk, and a whole chunk of two or more presets unless the chunk was
-    rounded up to q. Each product is the same elementwise one, so no bit
-    depends on the panel.
+    phi_p[k] * dW[k, s, m]: one product of the stacked (N, P, 1, 1)
+    amplitudes with the sampler's contiguous rows fills a (N, P, B,
+    steps) panel of a few steps, at most half of _SWEEP_CHUNK_BYTES,
+    which is then copied, transposed, into those steps of the scratch's
+    (steps, N, P, B) view (a product that reads the rows transposed is
+    about three times slower). A panel holds about half a chunk, unless
+    the chunk was rounded up to q. Each product is the same elementwise
+    one, so no bit depends on the panel.
     Every rung then advances on the scratch's leading n modes, summed in
     order q at a time (fbm._aggregate_values) for q > 1: the sums that
     aggregating the whole scaled (M, N, B) block takes, so no bit depends
@@ -341,13 +341,15 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     rungs = _check_rungs(config, rungs, stops)
     top = max(n for n, _ in rungs)
     q_top = max(q for _, q in rungs)
-    amps = [c.noise.amplitudes[:top, None, None] for c in configs]
+    amps = np.stack([c.noise.amplitudes[:top] for c in configs],
+                    axis=1)[:, :, None, None]
     width = len(configs) * b
     chunk = max(1, _SWEEP_CHUNK_BYTES // (8 * top * width))
     chunk = min(m, max(q_top, chunk - chunk % q_top))
-    panel = min(chunk, max(1, _SWEEP_CHUNK_BYTES // 2 // (8 * top * b)))
+    panel = min(chunk, max(1, _SWEEP_CHUNK_BYTES // 2 // (8 * top * width)))
     scratch = np.empty((chunk, top, width))
-    products = np.empty((top, b, panel))
+    staged = scratch.reshape(chunk, top, len(configs), b)
+    products = np.empty((top, len(configs), b, panel))
     # one entry per sweep: (rungs (r, n) it carries, q, x0, step_factor,
     # the rest of its euler_sweep arguments)
     sweeps, dense = [], []
@@ -373,13 +375,11 @@ def _solve_block(configs: list, dw: np.ndarray, rungs, stops) -> list:
     for m0 in range(0, m, chunk):
         m1 = min(m0 + chunk, m)
         rows = scratch[:m1 - m0]
-        for p, amp in enumerate(amps):
-            for s0 in range(m0, m1, panel):
-                s1 = min(s0 + panel, m1)
-                product = products[:, :, :s1 - s0]
-                np.multiply(amp, dw[:top, :, s0:s1], out=product)
-                rows[s0 - m0:s1 - m0, :, p * b:(p + 1) * b] = \
-                    product.transpose(2, 0, 1)
+        for s0 in range(m0, m1, panel):
+            s1 = min(s0 + panel, m1)
+            product = products[..., :s1 - s0]
+            np.multiply(amps, dw[:top, None, :, s0:s1], out=product)
+            staged[s0 - m0:s1 - m0] = product.transpose(3, 0, 1, 2)
         upto = bisect.bisect_right(stops, m1, lo=done)
         for i, (parts, q, _, step_factor, sweep) in enumerate(sweeps):
             if gathers[i] is None:
@@ -468,7 +468,7 @@ def solve_endpoint(config: SolverConfig,
     _check_noise_sample(config, noise_sample)
     rows = noise_sample.values[:config.n_modes, None, :]
     coeffs = _solve_sample(config, rows, (config.m_steps,))[0]
-    return SpectralState(coeffs=coeffs, time=config.m_steps * config.tau)
+    return SpectralState(coeffs=coeffs)
 
 
 # exp(x) rounds to 0 below this, and numpy's exp is slow there (about 18 ns
@@ -582,4 +582,4 @@ def linear_mild_reference(config: SolverConfig,
         w, w0 = linear_weights(lam[k], tau, m, tail=m - cut)
         np.multiply(w, fine_sample.values[k, cut:], out=products[cut:])
         coeffs[k] = w0 * xi[k] + phi[k] * np.sum(products)
-    return SpectralState(coeffs=coeffs, time=config.horizon)
+    return SpectralState(coeffs=coeffs)

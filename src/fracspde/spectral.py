@@ -135,7 +135,6 @@ class SpectralState:
     """Coefficients <X, e_n> of the solution at a fixed time."""
 
     coeffs: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)

@@ -117,9 +117,9 @@ def toeplitz_bilinear(gamma: np.ndarray, u: np.ndarray,
 def apply_nemytskii(f: NemytskiiMap, x: SpectralState) -> SpectralState:
     """F(x) in coefficients; pointwise kinds go through the sine grid."""
     if f.kind == "zero":
-        return SpectralState(coeffs=np.zeros_like(x.coeffs), time=x.time)
+        return SpectralState(coeffs=np.zeros_like(x.coeffs))
     u = sine_transform(x.coeffs)
-    return SpectralState(coeffs=inverse_sine_transform(np.sin(u)), time=x.time)
+    return SpectralState(coeffs=inverse_sine_transform(np.sin(u)))
 
 
 def implicit_euler_step(x: SpectralState, tau: float, op: SpectralOperator,
@@ -135,7 +135,7 @@ def implicit_euler_step(x: SpectralState, tau: float, op: SpectralOperator,
     factor = 1.0 / (1.0 + tau * op.eigenvalues)
     fx = apply_nemytskii(f, x).coeffs
     coeffs = factor * (x.coeffs + tau * fx + noise.amplitudes[:n] * dw)
-    return SpectralState(coeffs=coeffs, time=x.time + tau)
+    return SpectralState(coeffs=coeffs)
 
 
 def unfolded_sin_sweep(x0: np.ndarray, step_factor: np.ndarray, tau: float,

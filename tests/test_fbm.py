@@ -44,10 +44,9 @@ def synthesize(m, h, z):
                                      np.empty(z.shape[:-1] + (2 * m,)))
 
 
-def as_sample(grid, h, rows):
+def as_sample(grid, rows):
     """Rows as a cylindrical sample, for aggregate_cylindrical."""
-    return CylindricalFbmSample(grid=grid, values=rows, hurst=h, base_seed=0,
-                                method="circulant")
+    return CylindricalFbmSample(grid=grid, values=rows)
 
 
 class TestHurstParameter:
@@ -555,7 +554,7 @@ class TestAggregation:
 
     def test_full_collapse_telescopes(self):
         grid = IncrementGrid(m_steps=4, tau=0.25)
-        fine = as_sample(grid, hp(), scalar(grid, hp(), 3)[None])
+        fine = as_sample(grid, scalar(grid, hp(), 3)[None])
         agg = aggregate_cylindrical(fine, 4)
         assert agg.grid.m_steps == 1
         row = fine.values[0]
@@ -563,7 +562,7 @@ class TestAggregation:
 
     def test_partial_sums_left_to_right(self):
         grid = IncrementGrid(m_steps=64, tau=1.0 / 64)
-        fine = as_sample(grid, hp(), scalar(grid, hp(), 11)[None])
+        fine = as_sample(grid, scalar(grid, hp(), 11)[None])
         agg = aggregate_cylindrical(fine, 8)
         row = fine.values[0]
         for j in range(8):
@@ -608,7 +607,7 @@ class TestAggregation:
         grid = IncrementGrid(m_steps=m_fine, tau=1.0 / m_fine)
         h = hp()
         rows = increment_rows(grid, h, [derive_seed(13, s) for s in range(n)])
-        coarse = aggregate_cylindrical(as_sample(grid, h, rows), ratio).values
+        coarse = aggregate_cylindrical(as_sample(grid, rows), ratio).values
         target = increment_covariance_matrix(
             IncrementGrid(m_steps=m_fine // ratio, tau=ratio / m_fine), h
         )
@@ -623,6 +622,6 @@ class TestAggregation:
         cyl = generate_cylindrical_fbm(3, grid, hp(), base_seed=21)
         agg = aggregate_cylindrical(cyl, 4)
         for k in range(3):
-            alone = as_sample(grid, hp(), cyl.values[k:k + 1])
+            alone = as_sample(grid, cyl.values[k:k + 1])
             row = aggregate_cylindrical(alone, 4)
             assert np.array_equal(agg.values[k], row.values[0])

@@ -87,7 +87,6 @@ class TestImplicitEulerStep:
         out = implicit_euler_step(x, 1.0, op, zero_map(), zero_noise(1),
                                   np.zeros(1))
         assert out.coeffs[0] == pytest.approx(0.09199966835037524, rel=1e-15)
-        assert out.time == 1.0
 
     def test_small_tau_approaches_identity(self):
         op = dirichlet_laplacian(3)
@@ -529,6 +528,88 @@ class TestStackedRungs:
         assert [x.shape for x in out] == [(1, n, 1, 4) for n, _ in rungs]
 
 
+def _block_size(config):
+    """Samples in each full block of sample_map."""
+    return len(solver._sample_blocks(config, 64)[0][1])
+
+
+def _protocol_plan(axis, scale):
+    """(configs, rungs, stops, samples per block) of a run_study call, as
+    converge and criteria 5 and 6 make them: one preset per call."""
+    study = protocol_study(axis, scale, "she-identity", base_seed=0)
+    return ([study.problem], [(study.problem.n_modes, 1)] + study.rungs,
+            (study.problem.m_steps,), _block_size(study.problem))
+
+
+def _two_preset_plan(n, rungs, stops):
+    """A regularity estimate's plan: both presets, N = n, M = 2^14."""
+    configs = [she_problem(p, n_modes=n, m_steps=2**14, base_seed=0)
+               for p in ("she-trace", "she-identity")]
+    return configs, rungs, stops, _block_size(configs[0])
+
+
+def _oracle_plan(m):
+    """Criterion 8 and the linear-oracle benchmark workload: one F = 0
+    sample of N = 16 at a ladder step count m, through solve_endpoint."""
+    problem = she_problem("she-trace", n_modes=16, m_steps=m, base_seed=0,
+                          with_nonlinearity=False)
+    return [problem], [(16, 1)], (m,), 1
+
+
+class TestBlockPlan:
+    """The plan _solve_block runs at every shape a run uses: the samples
+    per block, which rungs share one stacked sweep, the chunk length and
+    the sweep calls per block. euler_sweep is stubbed and the increments
+    are zeros, so only the plan is under test, at paper scale too."""
+
+    # id -> (plan, samples per block, stacked rungs, chunk, sweep calls)
+    PLANS = {
+        "desk-temporal": (lambda: _protocol_plan("temporal", "desk"),
+                          8, [], 128, 6 * 32),
+        "paper-temporal": (lambda: _protocol_plan("temporal", "paper"),
+                           2, [], 256, 6 * 64),
+        "desk-spatial/spatial-sin": (
+            lambda: _protocol_plan("spatial", "desk"),
+            8, [[2, 4, 8, 16, 32]], 16, 2 * 13),
+        "paper-spatial": (lambda: _protocol_plan("spatial", "paper"),
+                          5, [[2, 4, 8, 16, 32]], 3, 2 * 67),
+        # the regularity suite and criterion 7's Hölder half: lags 8, 16, 32
+        "regularity/regularity-path": (
+            lambda: _two_preset_plan(64, [(64, 1)], [2**14 - lag for lag in
+                                                     (32, 16, 8, 0)]),
+            4, [], 128, 128),
+        "criterion-7-sobolev": (
+            lambda: _two_preset_plan(32, [(n, 1) for n in (2, 4, 8, 16, 32)],
+                                     (2**14,)),
+            8, [[2, 4, 8, 16, 32]], 128, 128),
+        "criterion-8/linear-oracle-256": (lambda: _oracle_plan(256),
+                                          1, [], 256, 1),
+        "criterion-8/linear-oracle-512": (lambda: _oracle_plan(512),
+                                          1, [], 512, 1),
+        "criterion-8/linear-oracle-1024": (lambda: _oracle_plan(1024),
+                                           1, [], 1024, 1),
+    }
+
+    @pytest.mark.parametrize("shape", list(PLANS))
+    def test_plan(self, shape, monkeypatch):
+        plan, samples, stacked, chunk, sweeps = self.PLANS[shape]
+        configs, rungs, stops, b = plan()
+        assert b == samples
+        built = TestStackedRungs.spy_stacking(monkeypatch)
+        calls = []
+
+        def stub(x0, step_factor, dw, *args):
+            calls.append(dw.shape[0])
+            return np.zeros((len(args[-1]),) + x0.shape)
+
+        monkeypatch.setattr(kernels, "euler_sweep", stub)
+        n, m = configs[0].n_modes, configs[0].m_steps
+        solver._solve_block(configs, np.zeros((n, b, m)), rungs, stops)
+        assert built == stacked
+        assert max(calls) == chunk
+        assert len(calls) == sweeps
+
+
 class TestBlockMemory:
     def test_desk_spatial_block_allocates_at_most_a_chunk_and_1_mib(self):
         """One _solve_block call on a desk spatial block (N = 512, M = 200,
@@ -602,9 +683,7 @@ class TestLinearMildReference:
         for lo in range(0, n_samples, 1000):
             keys = mode_keys(seeds[lo:lo + 1000], 1)[0]
             for s, row in enumerate(increment_rows(grid, H, keys), lo):
-                fine = CylindricalFbmSample(grid=grid, values=row[None],
-                                            hurst=H, base_seed=int(seeds[s]),
-                                            method="circulant")
+                fine = CylindricalFbmSample(grid=grid, values=row[None])
                 sq[s] = linear_mild_reference(cfg, fine).coeffs[0] ** 2
         analytic = check_lambda_phi_bound(1.0, 1.0, 0, 0, H)
         se = sq.std(ddof=1) / math.sqrt(n_samples)
@@ -692,8 +771,7 @@ class TestStochasticConvolution:
                               ).reshape(n_samples, 3, 256)
         sq = np.array([
             linear_mild_reference(cfg, CylindricalFbmSample(
-                grid=cfg.grid(), values=rows[s], hurst=H,
-                base_seed=int(seeds[s]), method="circulant")).coeffs ** 2
+                grid=cfg.grid(), values=rows[s])).coeffs ** 2
             for s in range(n_samples)])
         lam, phi, xi = (cfg.operator.eigenvalues, cfg.noise.amplitudes,
                         cfg.initial.coeffs)

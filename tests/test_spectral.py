@@ -76,7 +76,6 @@ def noise_free(op, t, x):
     )
     sample = CylindricalFbmSample(
         grid=IncrementGrid(m_steps=1, tau=t), values=np.zeros((n, 1)),
-        hurst=cfg.hurst, base_seed=0, method="circulant",
     )
     return cfg, sample
 

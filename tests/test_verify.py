@@ -303,8 +303,7 @@ class TestLinearOracles:
                               ).reshape(n_samples, 4, 16)
         ends = np.array([
             solve_endpoint(cfg, CylindricalFbmSample(
-                grid=cfg.grid(), values=rows[s], hurst=H,
-                base_seed=int(seeds[s]), method="circulant")).coeffs
+                grid=cfg.grid(), values=rows[s])).coeffs
             for s in range(n_samples)
         ])
         emp = ends.var(axis=0)
@@ -335,9 +334,7 @@ class TestLinearOracles:
                               ).reshape(n_samples, 6, 64)
         sq = np.zeros((n_samples, len(ladder)))
         for s in range(n_samples):
-            fine = CylindricalFbmSample(grid=cfg.grid(), values=rows[s],
-                                        hurst=H, base_seed=int(seeds[s]),
-                                        method="circulant")
+            fine = CylindricalFbmSample(grid=cfg.grid(), values=rows[s])
             ref = solve_endpoint(cfg, fine).coeffs
             for i, m in enumerate(ladder):
                 agg = aggregate_cylindrical(fine, 64 // m)
