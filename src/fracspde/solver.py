@@ -213,30 +213,49 @@ def _check_rungs(config: SolverConfig, rungs, stops=()) -> list:
 # samples in one block. Peak memory, not speed, sets both: B = 4 at N = 64,
 # M = 2^14 and B = 8 at N = 32; the cap keeps small problems (the desk
 # spatial reference, N = 512 and M = 200) from sweeping every sample in
-# one block.
+# one block. Both bound a block, never fix its width: a run is cut into
+# the fewest blocks they allow, as even as whole samples make them
+# (_seed_blocks), so 6 samples at N = 64, M = 2^14 are two blocks of 3.
 _BLOCK_BYTES = 32 * 2**20
 _BLOCK_SAMPLES = 8
 
 
-def _sample_blocks(config: SolverConfig, samples: int) -> list:
-    """(first index, seeds) of fixed blocks of consecutive samples.
+def _seed_blocks(base_seed: int, samples: int, sample_bytes: int,
+                 cap: int | None) -> list:
+    """(first index, seeds) of the fewest blocks of consecutive samples
+    that fit _BLOCK_BYTES at ``sample_bytes`` per sample and hold at most
+    ``cap`` samples (None: no cap), as even as whole samples allow.
 
-    Sample s draws from derive_seed(config.base_seed, SAMPLE_STREAM, s).
-    Block membership follows the sample index and config's (M, N) only,
+    Sample s draws from derive_seed(base_seed, SAMPLE_STREAM, s). With
+    B the most samples that both bounds allow, the n = ceil(samples / B)
+    blocks hold ceil(samples / n) <= B samples each, the last one the
+    rest: 6 samples at B = 4 are 3 + 3, not 4 + 2.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    most = max(1, _BLOCK_BYTES // sample_bytes)
+    if cap is not None:
+        most = min(cap, most)
+    blocks = -(-samples // most)
+    size = -(-samples // blocks)
+    seeds = derive_seed(base_seed, SAMPLE_STREAM, np.arange(samples)).tolist()
+    return [(first, tuple(seeds[first:first + size]))
+            for first in range(0, samples, size)]
+
+
+def _sample_blocks(config: SolverConfig, samples: int) -> list:
+    """(first index, seeds) of sample_map's blocks of consecutive
+    samples: _seed_blocks at config's base seed and M*N doubles a sample.
+
+    Block membership follows the sample count and config's (M, N) only,
     never the worker count, so results are identical for any number of
     workers. A block's M*N*B increments fit in _BLOCK_BYTES: the one raw
     (N, B, M) draw, increment_rows on the block's mode_keys(seeds, N),
     that drives every preset and every rung of the block (_solve_block),
-    so B depends on neither number.
+    so B depends on neither number. B is at most _BLOCK_SAMPLES.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    size = min(_BLOCK_SAMPLES, max(
-        1, _BLOCK_BYTES // (8 * config.m_steps * config.n_modes)))
-    seeds = derive_seed(config.base_seed, SAMPLE_STREAM,
-                        np.arange(samples)).tolist()
-    return [(first, tuple(seeds[first:first + size]))
-            for first in range(0, samples, size)]
+    return _seed_blocks(config.base_seed, samples,
+                        8 * config.m_steps * config.n_modes, _BLOCK_SAMPLES)
 
 
 def _same_value(a, b) -> bool:
@@ -413,9 +432,11 @@ def sample_map(configs, samples: int, rungs, stops, reduce, args=(),
     as (P, samples, ...), the same for any worker count.
 
     Presets, rungs and stops are checked before any draw. Each fixed
-    block (_sample_blocks) is drawn once and swept (_solve_block); if
-    its states are all finite, reduce(configs[0], states, *args), a
-    module-level function, reduces the per-rung (stops, n, P, B) states.
+    block (_sample_blocks: the fewest that the block budget and cap
+    allow, as even as whole samples make them) is drawn once and swept
+    (_solve_block); if its states are all finite, reduce(configs[0],
+    states, *args), a module-level function, reduces the per-rung
+    (stops, n, P, B) states.
     """
     configs, stops = _check_presets(configs), tuple(stops)
     rungs = _check_rungs(configs[0], rungs, stops)

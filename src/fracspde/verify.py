@@ -54,12 +54,11 @@ from .fbm import (
     mode_keys,
 )
 from .experiments import fit_slope
-from .rng import SAMPLE_STREAM, derive_seed
 from .solver import (
     SolverConfig,
-    _BLOCK_BYTES,
     _check_presets,
     _check_rungs,
+    _seed_blocks,
     linear_support,
     linear_weights,
     sample_map,
@@ -221,8 +220,10 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
     The harness asserts |mc - analytic| <= 3 std errors. Sample s draws
     from seed_s = derive_seed(seed, SAMPLE_STREAM, s); a fixed block of
     samples is one increment_rows call on its sample-major keys
-    mode_keys(block, K).T, whose B*K*M increments fit in
-    solver._BLOCK_BYTES, so the draw's memory does not grow with the
+    mode_keys(block, K).T. The blocks are solver._seed_blocks' at K*M
+    doubles a sample and with no sample cap, since no sweep runs: the
+    fewest whose B*K*M increments fit in solver._BLOCK_BYTES, as even as
+    whole samples allow, so the draw's memory does not grow with the
     sample count; the result does not depend on the block size.
     """
     if samples < 2:
@@ -231,11 +232,9 @@ def check_ito_isometry(psis: list, grid: IncrementGrid, h: HurstParameter,
     k_modes = np.shape(psis[0])[1]
     stacked = np.stack(psis)  # (m, d, k)
     sq = np.empty(samples)
-    sample_seeds = derive_seed(seed, SAMPLE_STREAM, np.arange(samples))
-    size = max(1, _BLOCK_BYTES // (8 * k_modes * grid.m_steps))
-    for lo in range(0, samples, size):
-        rows = increment_rows(
-            grid, h, mode_keys(sample_seeds[lo:lo + size], k_modes).T, method)
+    for lo, seeds in _seed_blocks(seed, samples, 8 * k_modes * grid.m_steps,
+                                  None):
+        rows = increment_rows(grid, h, mode_keys(seeds, k_modes).T, method)
         for s, values in enumerate(rows, lo):
             v = np.einsum("idk,ki->d", stacked, values)
             sq[s] = v @ v
@@ -469,7 +468,9 @@ def estimate_time_regularity(configs, delta: float, lag_steps: list,
     (n, P*B) product may have other last bits than a (n, B) one: with
     OpenBLAS and P = 2, states differed by up to 1.6e-16 of the largest
     at B = 2 to 4 from 16 modes, and at no mode count up to 511 at B = 1
-    or 8.
+    or 8. B is any width up to the block cap (solver._sample_blocks
+    splits the samples evenly, 6 at cap 4 as 3 + 3), so P*B is any
+    width up to P times the cap.
 
     Lags should be >= 8 steps so the scheme's own discretization bias is
     subdominant to the Hölder scaling being measured. A delta that is
@@ -564,7 +565,8 @@ def estimate_space_regularity(configs, n_ladder: list, deltas: list,
     Returns, per config in order, one report per requested delta; each
     is the one the config gets alone, bit for bit but on the dense
     F = sin path, whose last bits may move (as in
-    estimate_time_regularity).
+    estimate_time_regularity: its (n, P*B) products run at any width up
+    to P times the block cap, B being an even share of the samples).
 
     One noise draw per sample drives every rung (mode nesting), so the
     per-sample norm ladders are monotone by construction and the growth

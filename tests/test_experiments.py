@@ -395,7 +395,8 @@ class TestStudyBlocks:
                                   ("spatial", "desk", 8),
                                   ("spatial", "paper", 5)):
             study = protocol_study(axis, scale, "she-trace", base_seed=0)
-            blocks = solver._sample_blocks(study.problem, 9)
+            # 64 samples, a multiple of every cap, split into full blocks
+            blocks = solver._sample_blocks(study.problem, 64)
             assert len(blocks[0][1]) == size
 
     @pytest.mark.parametrize("axis,n,m,ladder", [

@@ -219,6 +219,10 @@ ONE_HOME = {
         {"_sample_blocks", "parallel_map"}, {"solver"}, (),
         "solver.sample_map is the one Monte Carlo map: it cuts the sample "
         "blocks and maps them on the worker pool"),
+    "test_only_the_solver_sizes_sample_blocks": (
+        {"_BLOCK_BYTES", "_BLOCK_SAMPLES"}, {"solver"}, (),
+        "every Monte Carlo draw is cut into blocks by solver._seed_blocks, "
+        "which alone reads the block budget and cap"),
     "test_only_the_sampler_knows_its_chunk_rule": (
         {"_ROW_CHUNK_BYTES"}, {"fbm"}, (ROOT / "tests" / "oracles.py",),
         "every other draw is one fbm.increment_rows call"),

@@ -343,6 +343,55 @@ class TestSampleMap:
             assert np.array_equal(out[0, s],
                                   solve_endpoint(cfg, sample).coeffs)
 
+    @pytest.mark.parametrize("bound", ["budget", "cap"])
+    @pytest.mark.parametrize("samples,cap,widths", [
+        (6, 4, (3, 3)),
+        (9, 8, (5, 4)),
+        (5, 4, (3, 2)),
+        (10, 4, (4, 4, 2)),
+        (50, 8, 6 * (8,) + (2,)),
+        (1, 8, (1,)),
+    ])
+    def test_fewest_blocks_split_even(self, samples, cap, widths, bound,
+                                      monkeypatch):
+        """ceil(S / cap) blocks of ceil(S / blocks) consecutive samples,
+        the last one the rest, whether the byte budget or the sample cap
+        sets the cap."""
+        cfg = make_config(n=4, m=8)
+        if bound == "budget":
+            monkeypatch.setattr(solver, "_BLOCK_BYTES", cap * 8 * 8 * 4)
+        else:
+            monkeypatch.setattr(solver, "_BLOCK_SAMPLES", cap)
+        blocks = solver._sample_blocks(cfg, samples)
+        assert tuple(len(seeds) for _, seeds in blocks) == widths
+        assert len(blocks) == -(-samples // cap)
+        assert [first for first, _ in blocks] == \
+            np.cumsum((0,) + widths[:-1]).tolist()
+        assert [seed for _, seeds in blocks for seed in seeds] == [
+            derive_seed(cfg.base_seed, SAMPLE_STREAM, s)
+            for s in range(samples)]
+
+    def test_memory_follows_the_even_block(self, monkeypatch):
+        """6 samples under a budget of 4 run as two blocks of 3, so the
+        map never holds more than 3 samples' increments, plus 1 MiB for
+        the sweep's chunk scratch and staging panel (1.5 times
+        _SWEEP_CHUNK_BYTES) and the sampler's work buffers (0.89 MiB
+        measured). A block of 4 would hold 0.5 MiB more."""
+        cfg = she_problem("she-identity", n_modes=16, m_steps=2**12,
+                          base_seed=3)
+        one = 8 * cfg.n_modes * cfg.m_steps
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", 4 * one)
+        solver.sample_map([cfg], 1, [(16, 1)], (cfg.m_steps,), _endpoints)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            solver.sample_map([cfg], 6, [(16, 1)], (cfg.m_steps,),
+                              _endpoints)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 3 * one + 2**20
+
 
 class TestFastSineSwitch:
     """The block driver runs F = sin through the dense sine matrix below
@@ -528,24 +577,28 @@ class TestStackedRungs:
         assert [x.shape for x in out] == [(1, n, 1, 4) for n, _ in rungs]
 
 
-def _block_size(config):
-    """Samples in each full block of sample_map."""
-    return len(solver._sample_blocks(config, 64)[0][1])
+def _block_widths(config, samples):
+    """Samples in each of sample_map's blocks of a run of ``samples``."""
+    return tuple(len(seeds) for _, seeds in
+                 solver._sample_blocks(config, samples))
 
 
-def _protocol_plan(axis, scale):
-    """(configs, rungs, stops, samples per block) of a run_study call, as
-    converge and criteria 5 and 6 make them: one preset per call."""
-    study = protocol_study(axis, scale, "she-identity", base_seed=0)
+def _protocol_plan(axis, scale, samples=None):
+    """(configs, rungs, stops, block widths) of a run_study call, as
+    converge and criteria 5 and 6 make them: one preset per call, at the
+    protocol's own sample count unless ``samples`` is given."""
+    study = protocol_study(axis, scale, "she-identity", base_seed=0,
+                           samples=samples)
     return ([study.problem], [(study.problem.n_modes, 1)] + study.rungs,
-            (study.problem.m_steps,), _block_size(study.problem))
+            (study.problem.m_steps,),
+            _block_widths(study.problem, study.samples))
 
 
-def _two_preset_plan(n, rungs, stops):
+def _two_preset_plan(n, rungs, stops, samples):
     """A regularity estimate's plan: both presets, N = n, M = 2^14."""
     configs = [she_problem(p, n_modes=n, m_steps=2**14, base_seed=0)
                for p in ("she-trace", "she-identity")]
-    return configs, rungs, stops, _block_size(configs[0])
+    return configs, rungs, stops, _block_widths(configs[0], samples)
 
 
 def _oracle_plan(m):
@@ -553,48 +606,57 @@ def _oracle_plan(m):
     sample of N = 16 at a ladder step count m, through solve_endpoint."""
     problem = she_problem("she-trace", n_modes=16, m_steps=m, base_seed=0,
                           with_nonlinearity=False)
-    return [problem], [(16, 1)], (m,), 1
+    return [problem], [(16, 1)], (m,), (1,)
+
+
+# the regularity estimates' lag-difference plan: lags 8, 16, 32
+_LAG_PLAN = ([(64, 1)], [2**14 - lag for lag in (32, 16, 8, 0)])
 
 
 class TestBlockPlan:
-    """The plan _solve_block runs at every shape a run uses: the samples
-    per block, which rungs share one stacked sweep, the chunk length and
-    the sweep calls per block. euler_sweep is stubbed and the increments
-    are zeros, so only the plan is under test, at paper scale too."""
+    """The plan _solve_block runs at every shape a run uses, at the run's
+    own sample count: the samples in each block, which rungs share one
+    stacked sweep, and the chunk length and sweep calls of the widest
+    block. euler_sweep is stubbed and the increments are zeros, so only
+    the plan is under test, at paper scale too."""
 
-    # id -> (plan, samples per block, stacked rungs, chunk, sweep calls)
+    # id -> (plan, block widths, stacked rungs, chunk, sweep calls)
     PLANS = {
         "desk-temporal": (lambda: _protocol_plan("temporal", "desk"),
-                          8, [], 128, 6 * 32),
+                          6 * (8,) + (2,), [], 128, 6 * 32),
         "paper-temporal": (lambda: _protocol_plan("temporal", "paper"),
-                           2, [], 256, 6 * 64),
-        "desk-spatial/spatial-sin": (
-            lambda: _protocol_plan("spatial", "desk"),
-            8, [[2, 4, 8, 16, 32]], 16, 2 * 13),
+                           50 * (2,), [], 256, 6 * 64),
+        "desk-spatial": (lambda: _protocol_plan("spatial", "desk"),
+                         6 * (8,) + (2,), [[2, 4, 8, 16, 32]], 16, 2 * 13),
         "paper-spatial": (lambda: _protocol_plan("spatial", "paper"),
-                          5, [[2, 4, 8, 16, 32]], 3, 2 * 67),
-        # the regularity suite and criterion 7's Hölder half: lags 8, 16, 32
-        "regularity/regularity-path": (
-            lambda: _two_preset_plan(64, [(64, 1)], [2**14 - lag for lag in
-                                                     (32, 16, 8, 0)]),
-            4, [], 128, 128),
+                          20 * (5,), [[2, 4, 8, 16, 32]], 3, 2 * 67),
+        # the regularity suite's 96 samples; criterion 7's Hölder half
+        # runs 192, in the same blocks of 4
+        "regularity": (lambda: _two_preset_plan(64, *_LAG_PLAN, 96),
+                       24 * (4,), [], 128, 128),
         "criterion-7-sobolev": (
             lambda: _two_preset_plan(32, [(n, 1) for n in (2, 4, 8, 16, 32)],
-                                     (2**14,)),
-            8, [[2, 4, 8, 16, 32]], 128, 128),
+                                     (2**14,), 128),
+            16 * (8,), [[2, 4, 8, 16, 32]], 128, 128),
         "criterion-8/linear-oracle-256": (lambda: _oracle_plan(256),
-                                          1, [], 256, 1),
+                                          (1,), [], 256, 1),
         "criterion-8/linear-oracle-512": (lambda: _oracle_plan(512),
-                                          1, [], 512, 1),
+                                          (1,), [], 512, 1),
         "criterion-8/linear-oracle-1024": (lambda: _oracle_plan(1024),
-                                           1, [], 1024, 1),
+                                           (1,), [], 1024, 1),
+        # the benchmark workloads' per-process sample counts: 6 at the
+        # regularity shape split even, never 4 + 2
+        "regularity-path": (lambda: _two_preset_plan(64, *_LAG_PLAN, 6),
+                            (3, 3), [], 170, 97),
+        "spatial-sin": (lambda: _protocol_plan("spatial", "desk", 24),
+                        (8, 8, 8), [[2, 4, 8, 16, 32]], 16, 2 * 13),
     }
 
     @pytest.mark.parametrize("shape", list(PLANS))
     def test_plan(self, shape, monkeypatch):
-        plan, samples, stacked, chunk, sweeps = self.PLANS[shape]
-        configs, rungs, stops, b = plan()
-        assert b == samples
+        plan, widths, stacked, chunk, sweeps = self.PLANS[shape]
+        configs, rungs, stops, blocks = plan()
+        assert blocks == widths
         built = TestStackedRungs.spy_stacking(monkeypatch)
         calls = []
 
@@ -604,7 +666,8 @@ class TestBlockPlan:
 
         monkeypatch.setattr(kernels, "euler_sweep", stub)
         n, m = configs[0].n_modes, configs[0].m_steps
-        solver._solve_block(configs, np.zeros((n, b, m)), rungs, stops)
+        solver._solve_block(configs, np.zeros((n, blocks[0], m)), rungs,
+                            stops)
         assert built == stacked
         assert max(calls) == chunk
         assert len(calls) == sweeps

@@ -221,7 +221,7 @@ class TestItoIsometry:
         checks = []
         for block in (31, 1, 7):
             if block != 31:
-                monkeypatch.setattr(verify, "_BLOCK_BYTES", block * 8 * 2 * 4)
+                monkeypatch.setattr(solver, "_BLOCK_BYTES", block * 8 * 2 * 4)
             keys = []
             monkeypatch.setattr(
                 verify, "increment_rows",
@@ -1034,11 +1034,11 @@ class TestRegularityBlocks:
     def space_config(self, preset="she-identity"):
         return she_problem(preset, n_modes=8, m_steps=64, base_seed=6)
 
-    def run_time(self, workers=1, presets=("she-trace",)):
+    def run_time(self, workers=1, presets=("she-trace",), samples=8):
         """(presets, lags) RMS lag differences of one stacked call."""
         reports = estimate_time_regularity(
             [self.time_config(p) for p in presets], delta=0.0,
-            lag_steps=self.LAGS, samples=8, workers=workers)
+            lag_steps=self.LAGS, samples=samples, workers=workers)
         return np.array([r.rms_differences for r in reports])
 
     def run_space(self, workers=1, presets=("she-identity",)):
@@ -1059,10 +1059,11 @@ class TestRegularityBlocks:
             derive_seed(cfg.base_seed, SAMPLE_STREAM, s) for s in range(8)]
 
     def test_default_block_sizes(self):
+        # 64 samples, a multiple of every cap, split into full blocks
         for n_modes, size in ((64, 4), (32, 8)):
             cfg = she_problem("she-trace", n_modes=n_modes, m_steps=2**14,
                               base_seed=0)
-            assert len(solver._sample_blocks(cfg, 9)[0][1]) == size
+            assert len(solver._sample_blocks(cfg, 64)[0][1]) == size
 
     @pytest.mark.parametrize("run", ["run_time", "run_space"])
     def test_worker_count_invariant(self, run, monkeypatch):
@@ -1072,10 +1073,22 @@ class TestRegularityBlocks:
                         for w in (1, 2))
             assert np.array_equal(one, two)
 
+    def test_worker_count_invariant_where_the_split_moved(self,
+                                                          monkeypatch):
+        # 6 samples under a budget of 4 run as blocks of 3 and 3, not
+        # 4 and 2
+        cfg = self.time_config()
+        self.set_block(monkeypatch, cfg, 4)
+        assert [len(seeds) for _, seeds in
+                solver._sample_blocks(cfg, 6)] == [3, 3]
+        one, two = (self.run_time(workers=w, presets=self.BOTH, samples=6)
+                    for w in (1, 2))
+        assert np.array_equal(one, two)
+
     @pytest.mark.parametrize("run", ["run_time", "run_space"])
     def test_block_size_invariant(self, run, monkeypatch):
-        # the last size is the default one
-        assert len(solver._sample_blocks(self.time_config(), 9)[0][1]) == 8
+        # the last size is the default one at the 8 samples the runs draw
+        assert len(solver._sample_blocks(self.time_config(), 8)[0][1]) == 8
         for presets in (self.BOTH[:1], self.BOTH):
             results = []
             for size in (1, 3, 8):
